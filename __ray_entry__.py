@@ -5,7 +5,8 @@ here (nor in the library) calls ``ray.init`` / ``ray.shutdown``.
 
 - ``entry()``      — flagship pipeline on sf0.001: build the full
   stemmed inverted index over the synthetic web corpus, run a query
-  batch through the actor-pool searcher, return the hydrated results.
+  batch through the sharded searcher's batch path, return the ranked
+  ``(query_id, rank, doc_id, score)`` rows.
 - ``queries()``    — one entry per implemented operator/pipeline
   (see ``web_based_search_engine_ray.registry``).
 - ``oracle_sql()`` — DuckDB-equivalent SQL for each SQL-expressible
@@ -23,7 +24,7 @@ from web_based_search_engine_ray import registry
 def entry() -> Any:
     """Flagship: index build (stemmed config) + batch search on sf0.001."""
     from web_based_search_engine_ray.config import IndexConfig
-    from web_based_search_engine_ray.pipelines.search import batch_search
+    from web_based_search_engine_ray.pipelines.search import ShardedSearcher
 
     sf_dir = "/root/testdata/sf0.001"
     idx = registry.get_index(sf_dir, IndexConfig())
@@ -33,7 +34,11 @@ def entry() -> Any:
         "window stream batch",
         "sorted filters joining",
     ]
-    return batch_search(idx, queries, k=10).to_pandas()
+    searcher = ShardedSearcher(idx)
+    try:
+        return searcher.batch_search(queries, k=10)
+    finally:
+        searcher.shutdown()
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

@@ -90,7 +90,6 @@ def run_bench() -> dict:
     from web_based_search_engine_ray.config import IndexConfig
     from web_based_search_engine_ray.pipelines import dedup, events, similarity
     from web_based_search_engine_ray.pipelines.build_index import build_index
-    from web_based_search_engine_ray.pipelines.search import batch_search
     from web_based_search_engine_ray.pipelines.text_pipeline import quality_batch
     from web_based_search_engine_ray.sources.webcorpus import (
         synth_corpus,
@@ -121,15 +120,11 @@ def run_bench() -> dict:
         lambda b: b, batch_format="pyarrow"
     ).count()
 
-    # fixed-size pools: autoscaling ramps from 1 and wastes the whole
-    # stage at bench scale.  doc_shards is FIXED across parallelism
-    # levels so both scaling runs build identical artifacts; shard-actor
-    # concurrency scales with the CPUs instead.
-    pool = max(2, NUM_CPUS // 2)
+    # doc_shards is FIXED across parallelism levels so both scaling runs
+    # build identical artifacts; shard-actor concurrency scales with the
+    # CPUs instead.
     doc_shards = 16
     cfg = IndexConfig(
-        extract_concurrency=(pool, pool),
-        tokenize_concurrency=(pool, pool),
         doc_shards=doc_shards,
         num_buckets=8,  # shards x buckets = segment partition dirs
     )
@@ -444,15 +439,12 @@ def run_update_bench() -> dict:
     else:
         corpus_fn = lambda: synth_corpus(SF_DIR)  # noqa: E731
 
-    pool = max(2, NUM_CPUS // 2)
     doc_shards = 16
     # partitioned_build: the incremental-update layout (per-shard stage
     # manifests).  The full build pays ~one Dataset execution per shard
     # of fixed overhead for it at this toy scale; the headline
     # index_build leg records the monolithic build time
     cfg = IndexConfig(
-        extract_concurrency=(pool, pool),
-        tokenize_concurrency=(pool, pool),
         doc_shards=doc_shards,
         num_buckets=8,
         partitioned_build=True,
@@ -581,11 +573,8 @@ def run_zipf_search() -> dict:
         lambda b: b, batch_format="pyarrow"
     ).count()
 
-    pool = max(2, NUM_CPUS // 2)
     doc_shards = 16
     cfg = IndexConfig(
-        extract_concurrency=(pool, pool),
-        tokenize_concurrency=(pool, pool),
         doc_shards=doc_shards,
         num_buckets=8,
     )

@@ -56,8 +56,7 @@ def test_bm25_sharded_equivalent(ray_session, tmp_path_factory):
     d = str(tmp_path_factory.mktemp("bm25") / "idx")
     build_index(
         lambda: synth_corpus("/root/testdata/sf0.001"), d,
-        IndexConfig(doc_shards=4, shuffle_partitions=4,
-                    extract_concurrency=(1, 2), tokenize_concurrency=(1, 2)),
+        IndexConfig(doc_shards=4, shuffle_partitions=4),
         input_key="bm25", resume=False,
     )
     flat = Searcher(d)

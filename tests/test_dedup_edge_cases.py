@@ -154,3 +154,40 @@ def test_pair_finders_no_dup_corpus(ray_session, fn_name):
     else:
         kept = dedup.dedup_keep_min(ds, pairs).to_pandas()
         assert sorted(kept["doc_id"]) == list(range(12))
+
+
+@pytest.mark.parametrize("typed", [False, True], ids=["columnless", "typed"])
+@pytest.mark.parametrize(
+    "a_col,b_col,val_col,val_type",
+    [
+        ("doc_a", "doc_b", "est_jaccard", pa.float64()),
+        ("doc_a", "doc_b", "hamming", pa.int64()),
+        ("vec_a", "vec_b", "cosine", pa.float64()),
+    ],
+)
+def test_pair_bucket_empty_block_keeps_schema(a_col, b_col, val_col,
+                                              val_type, typed):
+    """A zero-row block, with or without a schema, must come back as a
+    typed empty (a, b, val, pb) table for every pair pipeline's column
+    set, so the downstream ``groupby("pb")`` sees a stable schema."""
+    from web_based_search_engine_ray.pipelines.dedup import _pb_batch
+
+    want = pa.schema([(a_col, pa.int64()), (b_col, pa.int64()),
+                      (val_col, val_type), ("pb", pa.int64())])
+    block = (want.empty_table().drop_columns(["pb"]) if typed
+             else pa.table({}))
+    out = _pb_batch(block, val_col=val_col, val_type=val_type,
+                    a_col=a_col, b_col=b_col)
+    assert out.num_rows == 0
+    assert out.schema == want
+
+
+def test_pair_bucket_embedding_columns():
+    from web_based_search_engine_ray.pipelines.dedup import _pb_batch
+
+    t = pa.table({"vec_a": pa.array([1, 2], pa.int64()),
+                  "vec_b": pa.array([3, 70], pa.int64()),
+                  "cosine": [0.9, 0.95]})
+    out = _pb_batch(t, val_col="cosine", val_type=pa.float64(),
+                    a_col="vec_a", b_col="vec_b")
+    assert out["pb"].to_pylist() == [(31 + 3) % 64, (62 + 70) % 64]

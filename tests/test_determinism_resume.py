@@ -21,8 +21,6 @@ def _build(sf, out, *, shuffle_partitions, parallelism, resume=False,
     from web_based_search_engine_ray.sources.webcorpus import synth_corpus
 
     cfg = IndexConfig(
-        extract_concurrency=(1, 2),
-        tokenize_concurrency=(1, 2),
         shuffle_partitions=shuffle_partitions,
         num_buckets=8,
     )
@@ -136,7 +134,6 @@ def test_partitioned_build_resume_per_shard(ray_session, tmp_path_factory,
     out = str(base / "idx")
     mono = str(base / "mono")
     cfg = IndexConfig(
-        extract_concurrency=(1, 2), tokenize_concurrency=(1, 2),
         shuffle_partitions=4, num_buckets=8, doc_shards=4,
         partitioned_build=True,
     )
@@ -176,7 +173,6 @@ def test_partitioned_build_resume_per_shard(ray_session, tmp_path_factory,
 
     # artifacts equal a monolithic (non-partitioned) build
     cfg_mono = IndexConfig(
-        extract_concurrency=(1, 2), tokenize_concurrency=(1, 2),
         shuffle_partitions=4, num_buckets=8, doc_shards=4,
     )
     build_index(lambda: synth_corpus(sf_dir), mono, cfg_mono,
@@ -204,8 +200,7 @@ def test_partitioned_rebuild_with_fewer_shards_drops_stale_parts(
 
     base = tmp_path_factory.mktemp("shrink")
     out, clean = str(base / "idx"), str(base / "clean")
-    kw = dict(extract_concurrency=(1, 2), tokenize_concurrency=(1, 2),
-              shuffle_partitions=4, num_buckets=8, partitioned_build=True)
+    kw = dict(shuffle_partitions=4, num_buckets=8, partitioned_build=True)
     build_index(lambda: synth_corpus(sf_dir), out,
                 IndexConfig(doc_shards=4, **kw),
                 input_key="shrink", resume=False)

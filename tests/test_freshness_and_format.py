@@ -53,7 +53,6 @@ def test_filter_fresh(ray_session, tmp_path_factory, sf_dir):
 
     out = str(tmp_path_factory.mktemp("fresh") / "idx")
     cfg = IndexConfig(
-        extract_concurrency=(1, 2), tokenize_concurrency=(1, 2),
         shuffle_partitions=4,
     )
     build_index(lambda: synth_corpus(sf_dir), out, cfg,
@@ -168,7 +167,6 @@ def test_filter_fresh_bloom_drops_stale_duplicate_rows(
 
     out = str(tmp_path_factory.mktemp("freshdup") / "idx")
     cfg = IndexConfig(
-        extract_concurrency=(1, 2), tokenize_concurrency=(1, 2),
         shuffle_partitions=4,
     )
     build_index(lambda: synth_corpus(sf_dir), out, cfg,

@@ -51,7 +51,6 @@ def test_build_search_roundtrip_file_uri(ray_session, sf_dir):
     shutil.rmtree("/tmp/fsio_uri_idx", ignore_errors=True)
     shutil.rmtree("/tmp/fsio_plain_idx", ignore_errors=True)
     cfg = IndexConfig(
-        extract_concurrency=(1, 2), tokenize_concurrency=(1, 2),
         num_buckets=8,
     )
     build_index(lambda: synth_corpus(sf_dir), "file:///tmp/fsio_uri_idx",
@@ -92,7 +91,6 @@ def test_update_index_over_file_uri(ray_session, tmp_path):
     )
 
     cfg = IndexConfig(
-        extract_concurrency=(1, 2), tokenize_concurrency=(1, 2),
         shuffle_partitions=4, num_buckets=4, doc_shards=4,
     )
     uri = f"file://{tmp_path}/inc_uri"

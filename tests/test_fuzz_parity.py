@@ -111,11 +111,18 @@ def fuzz_case(request, ray_session, tmp_path_factory):
     oracle = OracleIndex()
     for i, t in enumerate(texts):
         oracle.add_document(i, doc_title(i), t)
-    return d, oracle, rng, texts
+    return d, oracle, seed, texts
 
 
-def test_fuzz_full_score_maps_match_oracle(fuzz_case):
-    d, oracle, rng, texts = fuzz_case
+def _test_rng(seed: int, request) -> random.Random:
+    """Each test draws its queries from its own stream, so its queries
+    do not depend on which tests ran before it."""
+    return random.Random(f"{seed}:{request.function.__name__}")
+
+
+def test_fuzz_full_score_maps_match_oracle(fuzz_case, request):
+    d, oracle, seed, texts = fuzz_case
+    rng = _test_rng(seed, request)
     s = Searcher(d)
     for words, phrase in _gen_queries(rng, texts):
         want = oracle.search(words, phrase)
@@ -132,12 +139,13 @@ def test_fuzz_full_score_maps_match_oracle(fuzz_case):
                 )
 
 
-def test_fuzz_wand_rank_identity(fuzz_case):
+def test_fuzz_wand_rank_identity(fuzz_case, request):
     """On random dfs (incl. idf==0 heads and df==1 tails) the DAAT
     walks must stay bitwise rank-identical to TAAT in both modes."""
-    d, oracle, rng, texts = fuzz_case
+    d, oracle, seed, texts = fuzz_case
     s = Searcher(d)
-    queries = [w for w, p in _gen_queries(rng, texts) if not p][:8]
+    queries = [w for w, p in _gen_queries(_test_rng(seed, request), texts)
+               if not p][:8]
     for mode in ("ref", "bm25"):
         for words in queries:
             ids, vals = s.scores_arrays(words, mode=mode)
@@ -154,12 +162,13 @@ def test_fuzz_wand_rank_identity(fuzz_case):
                 )
 
 
-def test_fuzz_maxscore_prune_rank_identity(fuzz_case):
+def test_fuzz_maxscore_prune_rank_identity(fuzz_case, request):
     """The TAAT MaxScore pruned path must return the identical top-k
     as the exhaustive scorer on the same random corpora."""
-    d, oracle, rng, texts = fuzz_case
+    d, oracle, seed, texts = fuzz_case
     s = Searcher(d)
-    queries = [w for w, p in _gen_queries(rng, texts) if not p][:8]
+    queries = [w for w, p in _gen_queries(_test_rng(seed, request), texts)
+               if not p][:8]
     for words in queries:
         ids, vals = s.scores_arrays(words, prune=False)
         top = _topk_indices(ids, vals, 10)

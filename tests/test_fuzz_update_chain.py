@@ -119,7 +119,6 @@ def test_update_chain_matches_fresh_rebuilds(
 
     rng = random.Random(seed)
     cfg = IndexConfig(
-        extract_concurrency=(1, 2), tokenize_concurrency=(1, 2),
         shuffle_partitions=4, num_buckets=4, doc_shards=4,
     )
     base = tmp_path_factory.mktemp(f"updchain{seed}")
@@ -196,7 +195,6 @@ def test_update_without_remove_missing_keeps_vanished_docs(
 
     rng = random.Random(13)
     cfg = IndexConfig(
-        extract_concurrency=(1, 2), tokenize_concurrency=(1, 2),
         shuffle_partitions=4, num_buckets=4, doc_shards=4,
     )
     d = str(tmp_path_factory.mktemp("updkeep") / "idx")

@@ -123,8 +123,6 @@ def golden_index(ray_session, tmp_path_factory):
         return rd.from_arrow(t)
 
     cfg = IndexConfig(
-        extract_concurrency=(1, 2),
-        tokenize_concurrency=(1, 2),
         num_buckets=4,
         shuffle_partitions=4,
     )

@@ -77,8 +77,7 @@ def test_restricted_phase_skips_runs(ray_session, sf_dir, tmp_path_factory):
     build_index(
         lambda: synth_corpus(sf_dir), d,
         IndexConfig(max_run_docs=64, tokenize_batch_size=64,
-                    shuffle_partitions=4, extract_concurrency=(1, 2),
-                    tokenize_concurrency=(1, 2)),
+                    shuffle_partitions=4),
         input_key="runskip", resume=False,
     )
     words = {"42", "merge", "join", "batch", "stream", "window"}
@@ -146,8 +145,7 @@ def test_bm25_restricted_phase_skips_runs(ray_session, sf_dir,
     build_index(
         lambda: synth_corpus(sf_dir), d,
         IndexConfig(max_run_docs=64, tokenize_batch_size=64,
-                    shuffle_partitions=4, extract_concurrency=(1, 2),
-                    tokenize_concurrency=(1, 2)),
+                    shuffle_partitions=4),
         input_key="runskip25", resume=False,
     )
     words = {"42", "merge", "join", "batch", "stream", "window"}
@@ -166,10 +164,16 @@ def test_bm25_restricted_phase_skips_runs(ray_session, sf_dir,
 def test_lexicon_bucket_lazy_load(idx):
     """Searcher must load only the queried terms' lexicon buckets —
     actor RSS independent of total vocabulary."""
+    import os
+
     from web_based_search_engine_ray.pipelines.search import Searcher
 
+    lex_dir = os.path.join(idx, "lexicon")
+    assert os.listdir(lex_dir) and all(
+        d.startswith("bucket=") for d in os.listdir(lex_dir)
+    )
     s = Searcher(idx)
-    assert s._lex_bucketed and not s._lex_cache
+    assert not s._lex_cache
     s.search({"spark", "merge"}, k=5, hydrate=False)
     touched = len(s._lex_cache)
     assert 0 < touched <= 2  # at most one bucket per query term

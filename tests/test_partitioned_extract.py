@@ -40,7 +40,6 @@ def part_index(ray_session, tmp_path_factory, sf_dir):
     from web_based_search_engine_ray.pipelines.build_index import build_index
 
     cfg = IndexConfig(
-        extract_concurrency=(1, 2), tokenize_concurrency=(1, 2),
         shuffle_partitions=4, num_buckets=4,
     )
     out = str(tmp_path_factory.mktemp("parts") / "idx")

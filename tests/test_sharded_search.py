@@ -4,6 +4,7 @@ identical to the single-partition engine on the same corpus."""
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pytest
 
 
@@ -18,8 +19,6 @@ def indexes(ray_session, tmp_path_factory):
     flat_dir = str(base / "flat")
     shard_dir = str(base / "sharded")
     common = dict(
-        extract_concurrency=(1, 2),
-        tokenize_concurrency=(1, 2),
         shuffle_partitions=4,
     )
     build_index(
@@ -48,24 +47,108 @@ def test_sharded_build_partitions_exist(indexes):
     assert sparts == [f"doc_shard={i}" for i in range(4)]
 
 
-def test_brokered_batch_search_matches_driver_merge(indexes):
-    from web_based_search_engine_ray.pipelines.search import ShardedSearcher
+def _assert_matches_flat(batch, flat, queries, k):
+    """``batch`` (query_id, rank, doc_id, score) equals per-query flat
+    ``Searcher.search``: same ids in rank order, scores to 1e-12."""
+    from web_based_search_engine_ray.pipelines.search import parse_query
 
-    _, shard_dir = indexes
+    assert set(batch.columns) == {"query_id", "rank", "doc_id", "score"}
+    assert set(batch["query_id"]) <= set(range(len(queries)))
+    for qid, q in enumerate(queries):
+        got = batch[batch.query_id == qid].sort_values("rank")
+        assert got["rank"].tolist() == list(range(len(got))), q
+        want = flat.search(*parse_query(q), k=k, hydrate=False)
+        assert got["doc_id"].tolist() == want["doc_id"].tolist(), q
+        np.testing.assert_allclose(
+            got["score"].to_numpy(np.float64),
+            want["score"].to_numpy(np.float64), rtol=1e-12,
+        )
+
+
+def test_brokered_batch_search_chunking(indexes):
+    """Broker counts only change how the batch is split: n_brokers=2
+    (uneven slices, shifted query_id offsets) equals n_brokers=1, and
+    both equal per-query flat search — also for a batch smaller than
+    the broker count."""
+    from web_based_search_engine_ray.pipelines.search import (
+        Searcher,
+        ShardedSearcher,
+    )
+
+    flat_dir, shard_dir = indexes
+    flat = Searcher(flat_dir)
     sharded = ShardedSearcher(shard_dir, num_cpus_per_shard=0.5)
     try:
         queries = ["spark merge", '"batch batch" window', "doc table",
                    "key fast join", "zzznope"]
-        plain = sharded.batch_search(queries, k=10, n_brokers=0)
-        brokered = sharded.batch_search(queries, k=10, n_brokers=2)
-        pa = plain.sort_values(["query_id", "rank"], ignore_index=True)
-        pb = brokered.sort_values(["query_id", "rank"], ignore_index=True)
-        assert pa["doc_id"].tolist() == pb["doc_id"].tolist()
-        assert pa["query_id"].tolist() == pb["query_id"].tolist()
-        np.testing.assert_allclose(
-            pa["score"].to_numpy(np.float64),
-            pb["score"].to_numpy(np.float64), rtol=1e-12,
+        one = sharded.batch_search(queries, k=10, n_brokers=1)
+        two = sharded.batch_search(queries, k=10, n_brokers=2)
+        pd.testing.assert_frame_equal(
+            one.sort_values(["query_id", "rank"], ignore_index=True),
+            two.sort_values(["query_id", "rank"], ignore_index=True),
         )
+        _assert_matches_flat(two, flat, queries, 10)
+        tiny = sharded.batch_search(queries[:1], k=10, n_brokers=2)
+        _assert_matches_flat(tiny, flat, queries[:1], 10)
+    finally:
+        sharded.shutdown()
+
+
+@pytest.fixture(scope="module")
+def sparse_index(ray_session, tmp_path_factory):
+    """More doc shards than documents: shards 5-7 get no documents."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from web_based_search_engine_ray.config import IndexConfig
+    from web_based_search_engine_ray.pipelines.build_index import build_index
+    from web_based_search_engine_ray.sources.webcorpus import synth_batch
+
+    texts = ["spark merge join", "merge window stream", "batch batch window",
+             "spark table scan", "doc table merge"]
+    docs = pa.table({
+        "doc_id": pa.array(range(len(texts)), pa.int64()),
+        "text": pa.array(texts, pa.string()),
+        "lang": pa.array(["en"] * len(texts), pa.string()),
+    })
+    corpus = synth_batch(docs)
+    d = str(tmp_path_factory.mktemp("sparse_shards"))
+    build_index(
+        lambda: rd.from_arrow(corpus), d,
+        IndexConfig(doc_shards=8, num_buckets=2, shuffle_partitions=2),
+        input_key="sparse", resume=False,
+    )
+    return d
+
+
+def test_empty_shard_loads_no_stats(sparse_index):
+    import os
+
+    from web_based_search_engine_ray.pipelines.search import Searcher
+
+    d_stats = os.path.join(sparse_index, "docstats")
+    assert not os.path.isdir(os.path.join(d_stats, "doc_shard=7"))
+    empty = Searcher(sparse_index, doc_shard=7)
+    assert len(empty._stat_ids) == 0 and len(empty._n_tokens) == 0
+    assert empty.search({"spark", "merge"}, k=10, hydrate=False).empty
+    assert len(Searcher(sparse_index, doc_shard=1)._stat_ids) == 1
+    assert len(Searcher(sparse_index)._stat_ids) == 5
+
+
+def test_batch_search_with_empty_shards_matches_flat(sparse_index):
+    from web_based_search_engine_ray.pipelines.search import (
+        Searcher,
+        ShardedSearcher,
+    )
+
+    flat = Searcher(sparse_index)
+    sharded = ShardedSearcher(sparse_index, num_cpus_per_shard=0.25)
+    try:
+        queries = ["spark merge", '"batch window"', "table", "zzznope",
+                   "merge window doc"]
+        res = sharded.batch_search(queries, k=10)
+        assert len(res) > 0
+        _assert_matches_flat(res, flat, queries, 10)
     finally:
         sharded.shutdown()
 

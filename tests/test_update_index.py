@@ -84,7 +84,6 @@ def updated_and_rebuilt(ray_session, tmp_path_factory):
     from web_based_search_engine_ray.pipelines.update_index import update_index
 
     cfg = IndexConfig(
-        extract_concurrency=(1, 2), tokenize_concurrency=(1, 2),
         shuffle_partitions=4, num_buckets=4, doc_shards=4,
     )
     base = tmp_path_factory.mktemp("upd")
@@ -196,7 +195,6 @@ def test_remove_missing_deletes_documents(ray_session, tmp_path_factory):
     from web_based_search_engine_ray.pipelines.update_index import update_index
 
     cfg = IndexConfig(
-        extract_concurrency=(1, 2), tokenize_concurrency=(1, 2),
         shuffle_partitions=4, num_buckets=4, doc_shards=4,
     )
     base = tmp_path_factory.mktemp("del")
@@ -292,7 +290,6 @@ def test_second_update_prunes_forward_and_segments(updated_and_rebuilt):
     from web_based_search_engine_ray.config import IndexConfig
 
     cfg = IndexConfig(
-        extract_concurrency=(1, 2), tokenize_concurrency=(1, 2),
         shuffle_partitions=4, num_buckets=4, doc_shards=4,
     )
     inc_dir, _, _, _ = updated_and_rebuilt

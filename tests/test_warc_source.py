@@ -97,7 +97,6 @@ def test_read_warc_dataset_and_build(ray_session, tmp_path):
 
     out = str(tmp_path / "idx")
     cfg = IndexConfig(
-        extract_concurrency=(1, 2), tokenize_concurrency=(1, 2),
         shuffle_partitions=2,
     )
     build_index(

@@ -59,8 +59,6 @@ from web_based_search_engine_ray.pipelines.build_index import build_index
 from web_based_search_engine_ray.sources.webcorpus import synth_corpus_cached
 
 cfg = IndexConfig(
-    extract_concurrency=(4, 8),
-    tokenize_concurrency=(4, 8),
     doc_shards=16,
     num_buckets=8,
 )

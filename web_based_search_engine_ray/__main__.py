@@ -160,8 +160,7 @@ def main(argv=None):
                 print(json.dumps({"funnel": funnel}, indent=1),
                       file=sys.stderr)
                 # broadcast semi-join of kept ids (sorted array via
-                # ray.put; at 10^12 docs this becomes the hash
-                # semi-join — CLI exports are the small end)
+                # ray.put)
                 ids = np.sort(
                     kept.to_pandas()["doc_id"].to_numpy()
                 )
@@ -183,19 +182,16 @@ def main(argv=None):
         elif args.cmd == "pagerank":
             import os
 
-            import pyarrow.dataset as pads
             import ray.data as rd
 
             from web_based_search_engine_ray.pipelines.graph import pagerank
 
-            t = pads.dataset(
-                os.path.join(args.index, "edges"), format="parquet"
-            ).to_table()
+            edges = rd.read_parquet(
+                os.path.join(args.index, "edges"),
+                columns=["src_url", "dst_url"],
+            )
             res = (
-                pagerank(
-                    rd.from_arrow(t.select(["src_url", "dst_url"])),
-                    iters=args.iters,
-                )
+                pagerank(edges, iters=args.iters)
                 .to_pandas()
                 .sort_values(
                     ["pagerank", "url"], ascending=[False, True]

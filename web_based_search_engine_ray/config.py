@@ -4,8 +4,10 @@ The scoring/behavior constants mirror the reference
 (``InvertedIndex.java:21`` TITLE_MATCH_MULTIPLIER=0.9,
 ``App.java:23-24`` maxPages=300 / maxSearchResults=50,
 ``SearchResult.java:12`` MAX_KEYWORD_COUNT=5); the physical knobs
-(buckets, batch sizes, salting) are ours — the reference is
-single-threaded and has no equivalents.
+(buckets, batch sizes, doc shards, shuffle parallelism) are ours — the
+reference is single-threaded and has no equivalents.  Every field is
+read by the build or the query engine; ``semantic_key`` hashes the ones
+that change index content.
 """
 
 from __future__ import annotations
@@ -34,16 +36,13 @@ class IndexConfig:
     num_buckets: int = 32              # term-hash partitions for segments
     tokenize_batch_size: int = 1024    # docs per batch in the tokenize stage
     # (larger batches -> fewer per-(term, block) runs to shuffle+compact)
-    tokenize_concurrency: tuple[int, int] = (1, 8)  # actor-pool size range
     extract_batch_size: int = 256
-    extract_concurrency: tuple[int, int] = (1, 8)
     # Segment build is local-index-then-merge: posting runs are encoded
     # per tokenize block (no shuffle of raw postings), then compacted
     # per term-hash bucket — the shuffle moves only compressed runs.
     # Hot (Zipf-head) terms are merged into bounded chunks of
     # ``max_run_docs`` docs so no single merge task holds a mega-term's
     # full posting list; query unions runs (df = Σ df_run).
-    compact_segments: bool = True
     max_run_docs: int = 5_000_000
     # Document partitioning (web-search-style doc-partitioned index):
     # segments are additionally partitioned by doc_id % doc_shards, so a
@@ -82,7 +81,6 @@ class IndexConfig:
             "use_stemming": self.use_stemming,
             "dedup_urls": self.dedup_urls,
             "num_buckets": self.num_buckets,
-            "compact_segments": self.compact_segments,
             "max_run_docs": self.max_run_docs,
             "doc_shards": self.doc_shards,
             "format_version": 5,  # bump when artifact schemas change

@@ -839,7 +839,6 @@ def build_index(
         cfg.partitioned_build
         and cfg.doc_shards > 1
         and corpus_parts_fn is None
-        and cfg.compact_segments
     )
 
     def _part_manifest(stage: str, s: int) -> str:
@@ -915,20 +914,37 @@ def build_index(
             {"parts_rebuilt": rebuilt},
         )
 
-    def _build_segments_part(stage_dir: str, *, shard: int) -> int:
+    def _part_source(shard: int | None):
+        """The extracted input of one stage run: every extracted file
+        (monolithic build) or one ``doc_shard=`` dir (per-part build;
+        None when that shard has no documents)."""
+        if shard is None:
+            return ext_sources
         src = os.path.join(d_ext, f"doc_shard={shard}")
-        if not fsio.isdir(src):
+        return src if fsio.isdir(src) else None
+
+    def _build_segments(stage_dir: str, *, shard: int | None = None) -> int:
+        src = _part_source(shard)
+        if src is None:
             return 0
+        # read directly at shuffle parallelism: the groupby below then
+        # needs no repartition pass (each repartition moves all run data
+        # through the object store once)
         ds = rd.read_parquet(
             src, columns=["doc_id", "title", "text"],
             override_num_blocks=_shuffle_parts(cfg),
         )
+        # local index: one compressed run per (term, block) — the raw
+        # (term, doc, positions) rows never cross a shuffle.  Task mode
+        # with a per-worker singleton (no actor-pool startup); state =
+        # stopword set + stem memo, rebuilt cheaply per worker.  Then
+        # merge: shuffle only compressed runs, bounded per-term chunks,
+        # grouped per (doc_shard, bucket).
         runs = ds.map_batches(
             functools.partial(_tokenize_encode_task, cfg=cfg),
             batch_format="pyarrow",
             batch_size=cfg.tokenize_batch_size,
-        )
-        runs = runs.groupby("part_key").map_groups(
+        ).groupby("part_key").map_groups(
             functools.partial(
                 compact_bucket,
                 max_run_docs=cfg.max_run_docs,
@@ -936,48 +952,17 @@ def build_index(
             ),
             batch_format="pyarrow",
         )
-        # doc_shard is implied by the partition dir; dropping it keeps
-        # the file schema identical to the monolithic build's
-        runs = runs.map_batches(
-            lambda b: b.drop_columns(["doc_shard"]), batch_format="pyarrow"
-        )
-        runs.write_parquet(stage_dir, partition_cols=["bucket"])
-        return _count_parquet(stage_dir)
-
-    def _build_segments(stage_dir: str) -> int:
-        from web_based_search_engine_ray.sources.webcorpus import (
-            default_parallelism,
-        )
-
-        # read directly at shuffle parallelism: the groupby below then
-        # needs no repartition pass (each repartition moves all run data
-        # through the object store once)
-        ds = rd.read_parquet(
-            ext_sources, columns=["doc_id", "title", "text"],
-            override_num_blocks=_shuffle_parts(cfg),
-        )
-        # local index: one compressed run per (term, block) — the raw
-        # (term, doc, positions) rows never cross a shuffle.  Task mode
-        # with a per-worker singleton (no actor-pool startup); state =
-        # stopword set + stem memo, rebuilt cheaply per worker.
-        runs = ds.map_batches(
-            functools.partial(_tokenize_encode_task, cfg=cfg),
-            batch_format="pyarrow",
-            batch_size=cfg.tokenize_batch_size,
-        )
-        if cfg.compact_segments:
-            # merge: shuffle only compressed runs, bounded per-term
-            # chunks, grouped per (doc_shard, bucket)
-            runs = runs.groupby("part_key").map_groups(
-                functools.partial(
-                    compact_bucket,
-                    max_run_docs=cfg.max_run_docs,
-                    num_buckets=cfg.num_buckets,
-                ),
+        if shard is not None:
+            # doc_shard is implied by the partition dir; dropping it
+            # keeps the file schema identical to the monolithic build's
+            runs = runs.map_batches(
+                lambda b: b.drop_columns(["doc_shard"]),
                 batch_format="pyarrow",
             )
         partition_cols = (
-            ["doc_shard", "bucket"] if cfg.doc_shards > 1 else ["bucket"]
+            ["doc_shard", "bucket"]
+            if shard is None and cfg.doc_shards > 1
+            else ["bucket"]
         )
         runs.write_parquet(stage_dir, partition_cols=partition_cols)
         return _count_parquet(stage_dir)
@@ -1005,8 +990,7 @@ def build_index(
 
     if use_parts:
         results.append(
-            _run_sharded_stage("segments", d_seg, fp_seg,
-                               _build_segments_part)
+            _run_sharded_stage("segments", d_seg, fp_seg, _build_segments)
         )
     else:
         r_seg = mf.run_stage(d_seg, fp_seg, _build_segments, resume=resume)
@@ -1014,7 +998,6 @@ def build_index(
         if (
             not r_seg.skipped
             and cfg.doc_shards > 1
-            and cfg.compact_segments
             and corpus_parts_fn is None
         ):
             _stamp_part_manifests("segments", d_seg)
@@ -1023,26 +1006,13 @@ def build_index(
     fp_fwd = _fp("forward", fp_ext, sem)
     d_fwd = os.path.join(out_dir, "forward")
 
-    def _build_forward(stage_dir: str) -> int:
+    def _build_forward(stage_dir: str, *, shard: int | None = None) -> int:
         # a doc's forward row is known the moment it is tokenized, so
         # this stage is a pure map over extracted docs.  It replaces the
         # earlier segments-explode derivation that paid a decode + two
         # full-posting-volume shuffles to reach the same rows.
-        ds = rd.read_parquet(
-            ext_sources, columns=["doc_id", "title", "text"],
-            override_num_blocks=_shuffle_parts(cfg),
-        )
-        fwd = ds.map_batches(
-            functools.partial(_forward_rows_task, cfg=cfg),
-            batch_format="pyarrow",
-            batch_size=cfg.tokenize_batch_size,
-        )
-        fwd.write_parquet(stage_dir, min_rows_per_file=cfg.min_rows_per_file)
-        return _count_parquet(stage_dir)
-
-    def _build_forward_part(stage_dir: str, *, shard: int) -> int:
-        src = os.path.join(d_ext, f"doc_shard={shard}")
-        if not fsio.isdir(src):
+        src = _part_source(shard)
+        if src is None:
             return 0
         ds = rd.read_parquet(
             src, columns=["doc_id", "title", "text"],
@@ -1058,7 +1028,7 @@ def build_index(
 
     if use_parts:
         results.append(
-            _run_sharded_stage("forward", d_fwd, fp_fwd, _build_forward_part)
+            _run_sharded_stage("forward", d_fwd, fp_fwd, _build_forward)
         )
     else:
         results.append(
@@ -1115,22 +1085,15 @@ def build_index(
         # cost ~5.6 s flat at a 1.8M-term vocabulary and capped build
         # scaling).
         from web_based_search_engine_ray.stages.postings import (
-            lexicon_hash_arrays,
             sorted_hash_lookup,
         )
 
         lex_ds = pads.dataset(d_lex, format="parquet")
-        has_hash = "term_hash" in lex_ds.schema.names
-        cols = (["term_hash", "df"] if has_hash else ["term", "df"])
-        lex = lex_ds.to_table(columns=cols)
+        lex = lex_ds.to_table(columns=["term_hash", "df"])
         dfs = lex["df"].to_numpy(zero_copy_only=False)
+        hv = lex["term_hash"].to_numpy(zero_copy_only=False)
         try:
-            if has_hash:
-                hv = lex["term_hash"].to_numpy(zero_copy_only=False)
-                df_ref = ray.put(sorted_hash_lookup(hv, dfs))
-            else:  # pre-term_hash index layout (resume compatibility)
-                terms = lex["term"].to_pylist()
-                df_ref = ray.put(lexicon_hash_arrays(terms, dfs))
+            df_ref = ray.put(sorted_hash_lookup(hv, dfs))
         except ValueError:
             terms = lex_ds.to_table(columns=["term"])["term"].to_pylist()
             df_ref = dict(zip(terms, dfs.tolist()))

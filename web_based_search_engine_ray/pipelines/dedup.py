@@ -88,18 +88,19 @@ def _batch_token_hash_arrays(texts: list[str]):
     return hv_uniq[inv], offsets
 
 
-def _pb_batch(t: pa.Table, val_col: str, val_type: pa.DataType) -> pa.Table:
-    """Append the pair-dedup bucket column ``pb = (31*doc_a + doc_b) %
-    64``.  Zero-row blocks out of a ``map_groups`` can arrive with NO
-    schema at all (Ray Data represents an empty partition as an empty
-    columnless table) — return a typed empty (doc_a, doc_b, val, pb)
-    so the downstream groupby sees a stable schema instead of a
-    KeyError."""
+def _pb_batch(t: pa.Table, val_col: str, val_type: pa.DataType,
+              a_col: str = "doc_a", b_col: str = "doc_b") -> pa.Table:
+    """Append the pair-dedup bucket column ``pb = (31*a + b) % 64`` over
+    the pair columns ``a_col``/``b_col``.  Zero-row blocks out of a
+    ``map_groups`` can arrive with NO schema at all (Ray Data
+    represents an empty partition as an empty columnless table) —
+    return a typed empty (a, b, val, pb) so the downstream groupby sees
+    a stable schema instead of a KeyError."""
     if t.num_rows == 0:
         return pa.table(
             {
-                "doc_a": pa.array([], pa.int64()),
-                "doc_b": pa.array([], pa.int64()),
+                a_col: pa.array([], pa.int64()),
+                b_col: pa.array([], pa.int64()),
                 val_col: pa.array([], val_type),
                 "pb": pa.array([], pa.int64()),
             }
@@ -107,8 +108,8 @@ def _pb_batch(t: pa.Table, val_col: str, val_type: pa.DataType) -> pa.Table:
     return t.append_column(
         "pb",
         pa.array(
-            (t["doc_a"].to_numpy(zero_copy_only=False) * 31
-             + t["doc_b"].to_numpy(zero_copy_only=False)) % 64,
+            (t[a_col].to_numpy(zero_copy_only=False) * 31
+             + t[b_col].to_numpy(zero_copy_only=False)) % 64,
             type=pa.int64(),
         ),
     )
@@ -779,13 +780,9 @@ def embedding_dup_pairs(ds, *, threshold: float = 0.95, n_planes: int = 8,
         )
 
     pairs = pairs.map_batches(
-        lambda t: t.append_column(
-            "pb",
-            pa.array(
-                (t["vec_a"].to_numpy(zero_copy_only=False) * 31
-                 + t["vec_b"].to_numpy(zero_copy_only=False)) % 64,
-                type=pa.int64(),
-            ),
+        functools.partial(
+            _pb_batch, val_col="cosine", val_type=pa.float64(),
+            a_col="vec_a", b_col="vec_b",
         ),
         batch_format="pyarrow",
     )

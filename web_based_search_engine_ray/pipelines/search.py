@@ -30,8 +30,14 @@ Scale note (10^12 docs): a shard ``Searcher`` reads ONLY its
 lookup (no vocabulary-sized Python dict), and reads posting runs via
 bucket-pruned parquet with per-run block-max metadata for decode
 skipping.  Searchers shard by ``doc_id`` behind a scatter-gather
-(``ShardedSearcher``); batch query workloads fan out across broker
-actors that share the shard actors (``batch_search``).
+(``ShardedSearcher``); its ``batch_search`` is the one batch query
+path: broker actors split the batch and share the shard actors
+(an unsharded index is the one-shard case).
+
+The reader speaks the layout ``build_index`` writes (``format_version``
+5): a ``bucket=``-partitioned lexicon with ``ub_adj``, ``n_tokens`` in
+docstats plus ``docstats/_STATS.json``, and ``doc_shard=`` partitions
+when ``doc_shards > 1``.
 """
 
 from __future__ import annotations
@@ -114,56 +120,40 @@ class Searcher:
         # Arrow arrays + binary search, admitted to a byte-budgeted
         # cache.  Actor RSS is therefore independent of the total
         # vocabulary (a web-scale vocab held eagerly is tens of GB per
-        # actor); a flat pre-bucketed layout loads as one bucket.
+        # actor).
         self._d_lex = os.path.join(index_dir, "lexicon")
-        self._lex_bucketed = any(
-            d.startswith("bucket=") for d in fsio.listdir(self._d_lex)
-        )
-        lex_schema = pads.dataset(
-            self._d_lex, format="parquet"
-        ).schema
-        self._lex_has_ub = "ub_adj" in lex_schema.names
         self._lex_cache: dict[int, tuple] = {}
         self._lex_cache_bytes = 0
 
         # docstats: shard Searchers read ONLY their partition (the
-        # build writes docstats/doc_shard=<s>/ when doc_shards > 1);
-        # fall back to an in-memory filter for unpartitioned layouts.
+        # build writes docstats/doc_shard=<s>/ when doc_shards > 1).  A
+        # shard that got no documents has no partition dir and loads
+        # zero rows.
         d_stats = os.path.join(index_dir, "docstats")
-        part = (
+        src = (
             os.path.join(d_stats, f"doc_shard={doc_shard}")
-            if doc_shard is not None
-            else None
+            if doc_shard is not None and self.cfg.doc_shards > 1
+            else d_stats
         )
-        src = part if (part is not None and fsio.isdir(part)) else d_stats
-        sds = pads.dataset(src, format="parquet")
-        stat_cols = ["doc_id", "tf_max", "doc_len_norm"]
-        has_ntok = "n_tokens" in sds.schema.names
-        if has_ntok:
-            stat_cols.append("n_tokens")
-        stats = sds.to_table(columns=stat_cols).sort_by("doc_id")
-        if src is d_stats and doc_shard is not None:
-            n_shards = max(1, self.cfg.doc_shards)
-            ids = stats["doc_id"].to_numpy(zero_copy_only=False)
-            stats = stats.filter(pa.array(ids % n_shards == doc_shard))
-        self._n_tokens = (
-            stats["n_tokens"].to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-            if has_ntok else None
-        )
-        # corpus-global average doc length (BM25 avgdl) — written by the
-        # build; per-shard fallback only for pre-v4 indexes
-        stats_json = os.path.join(d_stats, "_STATS.json")
-        if fsio.isfile(stats_json):
-            gs = mf.read_json(stats_json)
-            self.avgdl = gs["total_tokens"] / max(1, gs["n_docs"])
-        elif self._n_tokens is not None and len(self._n_tokens):
-            self.avgdl = float(self._n_tokens.mean())
+        stat_cols = ["doc_id", "tf_max", "doc_len_norm", "n_tokens"]
+        if fsio.isdir(src):
+            stats = pads.dataset(src, format="parquet").to_table(
+                columns=stat_cols
+            ).sort_by("doc_id")
+            ids, tf_max, norm, n_tokens = (
+                stats[c].to_numpy(zero_copy_only=False) for c in stat_cols
+            )
         else:
-            self.avgdl = 0.0
-        self._stat_ids = stats["doc_id"].to_numpy(zero_copy_only=False)
-        self._tf_max = stats["tf_max"].to_numpy(zero_copy_only=False).astype(np.float64)
-        self._norm = stats["doc_len_norm"].to_numpy(zero_copy_only=False)
+            ids = np.empty(0, dtype=np.int64)
+            tf_max = norm = n_tokens = np.empty(0, dtype=np.float64)
+        self._n_tokens = n_tokens.astype(np.float64)
+        # corpus-global average doc length (BM25 avgdl), written by the
+        # build
+        gs = mf.read_json(os.path.join(d_stats, "_STATS.json"))
+        self.avgdl = gs["total_tokens"] / max(1, gs["n_docs"])
+        self._stat_ids = ids
+        self._tf_max = tf_max.astype(np.float64)
+        self._norm = norm
         nz = self._norm[self._norm > 0]
         self._min_norm = float(nz.min()) if nz.size else 0.0
         # degenerate norms (NaN-score corpus) make bounds meaningless
@@ -192,34 +182,25 @@ class Searcher:
     LEX_CACHE_BYTES = 256 * 1024 * 1024
 
     def _lex_bucket(self, b: int):
-        """(sorted term Arrow array, df np, ub np|None) of one lexicon
+        """(sorted term Arrow array, df np, ub np) of one lexicon
         bucket — loaded on first touch, cached within the byte budget."""
         hit = self._lex_cache.get(b)
         if hit is not None:
             return hit
-        path = (
-            os.path.join(self._d_lex, f"bucket={b}")
-            if self._lex_bucketed
-            else self._d_lex
-        )
+        path = os.path.join(self._d_lex, f"bucket={b}")
         if not fsio.isdir(path):
-            out = (pa.array([], pa.string()), np.empty(0, np.int64), None)
+            out = (pa.array([], pa.string()), np.empty(0, np.int64),
+                   np.empty(0, np.float64))
         else:
-            cols = ["term", "df"] + (["ub_adj"] if self._lex_has_ub else [])
             t = pads.dataset(path, format="parquet").to_table(
-                columns=cols
+                columns=["term", "df", "ub_adj"]
             ).sort_by("term")
             out = (
                 t["term"].combine_chunks(),
                 t["df"].to_numpy(zero_copy_only=False),
-                (
-                    t["ub_adj"].to_numpy(zero_copy_only=False)
-                    if self._lex_has_ub
-                    else None
-                ),
+                t["ub_adj"].to_numpy(zero_copy_only=False),
             )
-        nbytes = out[1].nbytes * (2 if out[2] is not None else 1)
-        nbytes += out[0].nbytes if hasattr(out[0], "nbytes") else 0
+        nbytes = out[0].nbytes + out[1].nbytes + out[2].nbytes
         if self._lex_cache_bytes + nbytes <= self.LEX_CACHE_BYTES:
             self._lex_cache[b] = out
             self._lex_cache_bytes += nbytes
@@ -228,12 +209,9 @@ class Searcher:
     def _lex_entry(self, term: str) -> tuple[int, float] | None:
         """(df, ub_adj) for a term, or None if absent — touches only
         the term's hash bucket."""
-        b = (
+        arr, dfs, ubs = self._lex_bucket(
             stable_hash63(term) % self.cfg.num_buckets
-            if self._lex_bucketed
-            else 0
         )
-        arr, dfs, ubs = self._lex_bucket(b)
         lo, hi = 0, len(arr)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -242,8 +220,7 @@ class Searcher:
             else:
                 hi = mid
         if lo < len(arr) and arr[lo].as_py() == term:
-            ub = float(ubs[lo]) if ubs is not None else math.inf
-            return int(dfs[lo]), ub
+            return int(dfs[lo]), float(ubs[lo])
         return None
 
     def lex_df(self, term: str) -> int:
@@ -534,18 +511,11 @@ class Searcher:
         if not entries:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
         bm25 = mode == "bm25"
-        if bm25 and self._n_tokens is None:
-            raise ValueError(
-                "bm25 scoring needs the n_tokens docstats column "
-                "(rebuild the index with format >= v4)"
-            )
         # MaxScore is rank-safe in both modes; the reference scorer's
-        # bound needs the stored ub_adj AND well-formed norms, bm25's
-        # bound is closed-form (idf·(k1+1), the tf-saturation limit —
-        # every bm25 partial is positive, no norm division)
-        prune = bool(prune and k) and (
-            bm25 or (self._can_prune and self._lex_has_ub)
-        )
+        # bound needs well-formed norms, bm25's bound is closed-form
+        # (idf·(k1+1), the tf-saturation limit — every bm25 partial is
+        # positive, no norm division)
+        prune = bool(prune and k) and (bm25 or self._can_prune)
 
         if prune:
             if bm25:
@@ -734,11 +704,6 @@ class Searcher:
         if not entries:
             return empty
         bm25 = mode == "bm25"
-        if bm25 and self._n_tokens is None:
-            raise ValueError(
-                "bm25 scoring needs the n_tokens docstats column "
-                "(rebuild the index with format >= v4)"
-            )
         if not bm25 and not self._can_prune:
             ids, vals = self.scores_arrays(words, k=k, prune=False,
                                            mode=mode)
@@ -936,8 +901,6 @@ class Searcher:
         rank-identical, so this is purely a cost decision."""
         from web_based_search_engine_ray.stages.cwand import load_kernel
 
-        if mode == "bm25" and self._n_tokens is None:
-            return "taat"
         if mode != "bm25" and not self._can_prune:
             return "taat"  # degenerate norms: WAND falls back anyway
         if load_kernel() is None:
@@ -1246,8 +1209,9 @@ class ShardedSearcher:
     (``IndexConfig.doc_shards`` > 1) — the 10^12-doc deployment shape:
     one ``Searcher`` actor per document shard, each holding only its
     shard's doc stats and reading only its segment partition; a query
-    fans out, every shard returns its top-k, and the driver merges
-    (scores are per-doc independent, so the merged top-k is exact).
+    fans out, every shard returns its top-k, and the results are merged
+    (scores are per-doc independent, so the merged top-k is exact).  An
+    unsharded index (``doc_shards=1``) runs as one shard actor.
 
     This is one of the few places raw Ray actors are justified: the
     sharded, long-lived, randomly-accessed searcher state is not
@@ -1280,7 +1244,9 @@ class ShardedSearcher:
         self._brokers: list = []
 
     def search(self, words, phrase=None, k: int | None = None,
-               hydrate: bool = False, mode: str = "ref") -> pd.DataFrame:
+               mode: str = "ref") -> pd.DataFrame:
+        """One query scattered to every shard; exact merged top-k
+        ``(doc_id, score)`` frame (no hydration)."""
         import ray
 
         k = k if k is not None else self.cfg.max_results
@@ -1288,90 +1254,54 @@ class ShardedSearcher:
             a.search.remote(words, phrase, k=k, hydrate=False, mode=mode)
             for a in self._actors
         ]
-        parts = [p for p in ray.get(futs) if len(p)]
-        if not parts:
-            return _empty_results(hydrate)
-        merged = pd.concat(parts, ignore_index=True)
-        nan = merged["score"].isna()
-        merged = pd.concat(
-            [
-                merged[~nan].sort_values(
-                    ["score", "doc_id"], ascending=[False, True]
-                ),
-                merged[nan].sort_values("doc_id"),
-            ],
-            ignore_index=True,
-        ).head(k)
-        if hydrate:
-            merged = ray.get(self._actors[0].hydrate.remote(merged))
-        return merged.reset_index(drop=True)
+        parts = [p.assign(query_id=0) for p in ray.get(futs) if len(p)]
+        return _merge_query_results(parts, k)[["doc_id", "score"]]
 
     def batch_search(self, queries: list[str], k: int = 10,
                      n_brokers: int | None = None,
                      traversal: str = "auto") -> pd.DataFrame:
-        """Send the query batch to every shard (chunked RPCs; each
-        shard's decode work is 1/num_shards of the posting data), then
-        merge per query.
+        """Split the query batch into ``n_brokers`` contiguous slices;
+        each broker actor sends its slice to every shard (one
+        ``search_many`` RPC per shard; each shard's decode work is
+        1/num_shards of the posting data) and merges per query.
+        Returns ``(query_id, rank, doc_id, score)``.
 
-        A single-process gather+merge is the throughput bound at high
-        query rates, so by DEFAULT (``n_brokers=None``) the
-        scatter-gather runs inside broker actors that SHARE the shard
-        actors — one broker per ~8 cluster CPUs — scaling query
-        throughput with cores the way production search tiers scale by
-        adding brokers.  Pass ``n_brokers=0`` to force the single-driver
-        merge path."""
+        Brokers SHARE the shard actors, so adding brokers scales
+        gather+merge throughput with cores the way production search
+        tiers do.  Default (``n_brokers=None``): one broker per ~8
+        cluster CPUs."""
         import ray
 
         if n_brokers is None:
             cpus = int(ray.cluster_resources().get("CPU", 8))
             n_brokers = max(1, cpus // 8)
-        if n_brokers and len(queries) > n_brokers:
-            # num_cpus=0: brokers spend most time waiting on shard
-            # futures with short merge bursts — a reserved CPU would
-            # deadlock small clusters where shard actors hold every core.
-            # Brokers are cached across calls (actor startup would
-            # otherwise dominate small batches).
-            if len(self._brokers) < n_brokers:
-                broker_cls = ray.remote(num_cpus=0)(_Broker)
-                self._brokers.extend(
-                    # broker i scatter-gathers against replica ring
-                    # i mod replicas — load spreads across shard copies
-                    broker_cls.remote(self._rings[i % self.replicas])
-                    for i in range(len(self._brokers), n_brokers)
-                )
-            brokers = self._brokers[:n_brokers]
-            chunk = -(-len(queries) // n_brokers)
-            futs = [
-                brokers[i].run.remote(
-                    queries[i * chunk:(i + 1) * chunk], i * chunk, k,
-                    traversal
-                )
-                for i in range(n_brokers)
-                if queries[i * chunk:(i + 1) * chunk]
-            ]
-            parts = [p for p in ray.get(futs) if len(p)]
-            if not parts:
-                return pd.DataFrame(
-                    columns=["query_id", "rank", "doc_id", "score"]
-                )
-            return pd.concat(parts, ignore_index=True)
-
-        chunk = max(16, (len(queries) + 7) // 8)
-        futs = []
-        for start in range(0, len(queries), chunk):
-            sub = queries[start:start + chunk]
-            futs.extend(
-                (start, a.search_many.remote(sub, k=k, traversal=traversal))
-                for a in self._actors
+        if n_brokers < 1:
+            raise ValueError("n_brokers must be >= 1")
+        # num_cpus=0: brokers spend most time waiting on shard futures
+        # with short merge bursts — a reserved CPU would deadlock small
+        # clusters where shard actors hold every core.  Brokers are
+        # cached across calls (actor startup would otherwise dominate
+        # small batches).
+        if len(self._brokers) < n_brokers:
+            broker_cls = ray.remote(num_cpus=0)(_Broker)
+            self._brokers.extend(
+                # broker i scatter-gathers against replica ring
+                # i mod replicas — load spreads across shard copies
+                broker_cls.remote(self._rings[i % self.replicas])
+                for i in range(len(self._brokers), n_brokers)
             )
-        parts = []
-        for start, f in futs:
-            p = ray.get(f)
-            if len(p):
-                p = p.copy()
-                p["query_id"] += start
-                parts.append(p)
-        return _merge_query_results(parts, k)
+        chunk = -(-len(queries) // n_brokers)
+        futs = [
+            self._brokers[i].run.remote(
+                queries[i * chunk:(i + 1) * chunk], i * chunk, k, traversal
+            )
+            for i in range(n_brokers)
+            if queries[i * chunk:(i + 1) * chunk]
+        ]
+        parts = [p for p in ray.get(futs) if len(p)]
+        if not parts:
+            return pd.DataFrame(columns=["query_id", "rank", "doc_id", "score"])
+        return pd.concat(parts, ignore_index=True)
 
     def shard_actors(self):
         return list(self._actors)
@@ -1389,35 +1319,6 @@ class ShardedSearcher:
         self._actors = []
 
 
-class SearcherPool:
-    """Actor-pool stage for batch query workloads: one ``Searcher`` per
-    actor (index artifacts loaded once), queries streamed as batches."""
-
-    def __init__(self, index_dir: str, k: int = 10, hydrate: bool = False):
-        self.searcher = Searcher(index_dir)
-        self.k = k
-        self.hydrate = hydrate
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, docs, scores, ranks = [], [], [], []
-        for qid, q in zip(batch["query_id"].to_pylist(), batch["query"].to_pylist()):
-            words, phrase = parse_query(q)
-            res = self.searcher.search(words, phrase, k=self.k, hydrate=self.hydrate)
-            for rank, (d, s) in enumerate(zip(res["doc_id"], res["score"])):
-                qids.append(qid)
-                docs.append(int(d))
-                scores.append(float(s))
-                ranks.append(rank)
-        return pa.table(
-            {
-                "query_id": pa.array(qids, type=pa.int64()),
-                "rank": pa.array(ranks, type=pa.int32()),
-                "doc_id": pa.array(docs, type=pa.int64()),
-                "score": pa.array(scores, type=pa.float64()),
-            }
-        )
-
-
 def parse_query(q: str) -> tuple[set[str], list[str]]:
     """Reference query parsing (``JavalinServer.java:48-61``): all tokens
     (quotes are delimiters) form the keyword set; the outermost
@@ -1430,21 +1331,3 @@ def parse_query(q: str) -> tuple[set[str], list[str]]:
     if m:
         phrase = tokenize(m.group(1))
     return words, phrase
-
-
-def batch_search(index_dir: str, queries: list[str], *, k: int = 10,
-                 concurrency=(1, 8), batch_size: int = 16):
-    """Distributed batch search: queries Dataset → actor-pool Searcher.
-    Small batches so the pool parallelizes even modest query sets."""
-    import ray.data as rd
-
-    ds = rd.from_items(
-        [{"query_id": i, "query": q} for i, q in enumerate(queries)]
-    )
-    return ds.map_batches(
-        SearcherPool,
-        fn_constructor_kwargs={"index_dir": index_dir, "k": k},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )

@@ -12,13 +12,13 @@ Routes:
   + page size, top keywords, parent/child link lists).
 
 Implementation notes: stdlib ``http.server`` (no web framework in this
-environment); one ``Searcher`` (or ``ShardedSearcher``) is loaded once
-at startup and shared across requests.  ``Searcher.search`` mutates
-per-instance scratch state (the dense score accumulator ``_acc`` /
-``_touched`` and the decode caches), so concurrent handler threads must
-NOT interleave calls — a per-server ``threading.Lock`` serializes the
-search section (form/404 routes stay lock-free).  This is a demo/debug
-surface; batch workloads should use ``pipelines.search.batch_search``.
+environment); one in-process ``Searcher`` is loaded once at startup
+and shared across requests.  ``Searcher.search`` mutates per-instance
+scratch state (the dense score accumulator ``_acc`` / ``_touched`` and
+the decode caches), so concurrent handler threads must NOT interleave
+calls — a per-server ``threading.Lock`` serializes the search section
+(form/404 routes stay lock-free).  This is a demo/debug surface; batch
+workloads should use ``pipelines.search.ShardedSearcher.batch_search``.
 """
 
 from __future__ import annotations

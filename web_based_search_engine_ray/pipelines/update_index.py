@@ -345,7 +345,7 @@ def update_index(
     # segments/forward prune to the affected shards via the tokens above;
     # the sharded stage path must be on for the pruning to apply
     # (partitioned_build is physical layout only — not in semantic_key)
-    if not full_rebuild and cfg.compact_segments and not cfg.partitioned_build:
+    if not full_rebuild and not cfg.partitioned_build:
         cfg = dataclasses.replace(cfg, partitioned_build=True)
     def _no_corpus():
         raise RuntimeError(

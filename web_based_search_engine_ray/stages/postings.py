@@ -559,14 +559,6 @@ def sorted_hash_lookup(hv: np.ndarray, dfs) -> tuple:
     return hv, np.asarray(dfs, dtype=np.float64)[order]
 
 
-def lexicon_hash_arrays(terms: list[str], dfs) -> tuple:
-    """Driver-side build of the broadcastable df lookup from raw term
-    strings — fallback for indexes whose lexicon predates the
-    ``term_hash`` column (the normal path hashes in the bucket tasks
-    and calls :func:`sorted_hash_lookup` on numerics only)."""
-    return sorted_hash_lookup(md5_hash64(terms), dfs)
-
-
 def doc_stats_batch(batch: pa.Table, *, n_docs: int, df_ref) -> pa.Table:
     """Forward rows → ``(doc_id, tf_max, doc_len_norm)``.
 
@@ -578,7 +570,7 @@ def doc_stats_batch(batch: pa.Table, *, n_docs: int, df_ref) -> pa.Table:
 
     ``df_ref``: dict (small/test path) or ``ray.ObjectRef`` of
     ``(sorted_term_hashes: uint64 ndarray, dfs: float64 ndarray)`` built
-    once on the driver by :func:`lexicon_hash_arrays` — numpy arrays
+    once on the driver by :func:`sorted_hash_lookup` — numpy arrays
     ride plasma ZERO-COPY, so workers pay no per-worker structure build
     (a broadcast dict cost ~4 s of deserialization per worker at a
     1.8M-term vocabulary).  Lookup = md5-hash the batch's unique terms
