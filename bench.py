@@ -440,16 +440,7 @@ def run_update_bench() -> dict:
         corpus_fn = lambda: synth_corpus(SF_DIR)  # noqa: E731
 
     doc_shards = 16
-    # partitioned_build: the incremental-update layout (per-shard stage
-    # manifests).  The full build pays ~one Dataset execution per shard
-    # of fixed overhead for it at this toy scale; the headline
-    # index_build leg records the monolithic build time
-    cfg = IndexConfig(
-        doc_shards=doc_shards,
-        num_buckets=8,
-        partitioned_build=True,
-        part_build_concurrency=8,
-    )
+    cfg = IndexConfig(doc_shards=doc_shards, num_buckets=8)
 
     def delta_fn(confined: bool):
         def delta_batch(b: pa.Table) -> pa.Table:

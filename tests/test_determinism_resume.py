@@ -123,9 +123,9 @@ def test_resume_after_partial_failure(ray_session, tmp_path_factory, sf_dir):
 
 def test_partitioned_build_resume_per_shard(ray_session, tmp_path_factory,
                                             sf_dir):
-    """cfg.partitioned_build: a crash mid-segments resumes at the
-    failed SHARD — completed shard partitions are skipped (byte-stable
-    on disk) and the final artifacts equal the monolithic build's."""
+    """A crash mid-segments resumes at the failed SHARD — completed
+    shard partitions are skipped (byte-stable on disk) and the final
+    artifacts equal an uninterrupted build's."""
     from web_based_search_engine_ray.config import IndexConfig
     from web_based_search_engine_ray.pipelines.build_index import build_index
     from web_based_search_engine_ray.sources.webcorpus import synth_corpus
@@ -133,10 +133,7 @@ def test_partitioned_build_resume_per_shard(ray_session, tmp_path_factory,
     base = tmp_path_factory.mktemp("partres")
     out = str(base / "idx")
     mono = str(base / "mono")
-    cfg = IndexConfig(
-        shuffle_partitions=4, num_buckets=8, doc_shards=4,
-        partitioned_build=True,
-    )
+    cfg = IndexConfig(shuffle_partitions=4, num_buckets=8, doc_shards=4)
     build_index(lambda: synth_corpus(sf_dir), out, cfg,
                 input_key="partres", resume=False)
 
@@ -171,11 +168,8 @@ def test_partitioned_build_resume_per_shard(ray_session, tmp_path_factory,
         now = os.path.getmtime(os.path.join(out, stage, f"doc_shard={s}"))
         assert now == old, f"{stage} shard {s} was rebuilt"
 
-    # artifacts equal a monolithic (non-partitioned) build
-    cfg_mono = IndexConfig(
-        shuffle_partitions=4, num_buckets=8, doc_shards=4,
-    )
-    build_index(lambda: synth_corpus(sf_dir), mono, cfg_mono,
+    # artifacts equal an uninterrupted build's
+    build_index(lambda: synth_corpus(sf_dir), mono, cfg,
                 input_key="partres-mono", resume=False)
     for art, key in (("lexicon", "term"), ("docstats", "doc_id")):
         a = _table(os.path.join(out, art)).to_pandas().sort_values(
@@ -200,7 +194,7 @@ def test_partitioned_rebuild_with_fewer_shards_drops_stale_parts(
 
     base = tmp_path_factory.mktemp("shrink")
     out, clean = str(base / "idx"), str(base / "clean")
-    kw = dict(shuffle_partitions=4, num_buckets=8, partitioned_build=True)
+    kw = dict(shuffle_partitions=4, num_buckets=8)
     build_index(lambda: synth_corpus(sf_dir), out,
                 IndexConfig(doc_shards=4, **kw),
                 input_key="shrink", resume=False)

@@ -191,8 +191,7 @@ def test_restricted_partial_bitwise_matches_cached(idx):
     term = s.stem_query_word("merge")
     df = s._lex_entry(term)[0]
     for bm25 in (False, True):
-        tp = (s._term_partial_bm25(term, df) if bm25
-              else s._term_partial(term, df))
+        tp = s._term_partial(term, df, bm25)
         if tp[3] is not None:  # densified: re-sparsify for comparison
             ids_c = s._stat_ids[tp[4]]
             part_c = tp[3][tp[4]]

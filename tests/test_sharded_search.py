@@ -47,6 +47,20 @@ def test_sharded_build_partitions_exist(indexes):
     assert sparts == [f"doc_shard={i}" for i in range(4)]
 
 
+def test_unsharded_index_is_one_partition(indexes):
+    """``doc_shards=1`` is the single partition ``doc_shard=0`` of every
+    sharded stage — one layout for every shard count."""
+    import os
+
+    flat_dir, _ = indexes
+    for stage in ("extracted", "segments", "forward", "docstats"):
+        parts = sorted(
+            e for e in os.listdir(os.path.join(flat_dir, stage))
+            if not e.startswith("_")  # docstats/_STATS.json
+        )
+        assert parts == ["doc_shard=0"], (stage, parts)
+
+
 def _assert_matches_flat(batch, flat, queries, k):
     """``batch`` (query_id, rank, doc_id, score) equals per-query flat
     ``Searcher.search``: same ids in rank order, scores to 1e-12."""
@@ -199,3 +213,23 @@ def test_shard_restricted_searcher_is_partition(indexes):
         assert all(i % 4 == s for i in ids)
         union |= ids
     assert union == all_ids
+
+
+def test_batch_search_survives_shard_actor_death(indexes):
+    """A shard actor that dies between batches is restarted and the
+    next batch's calls to it are retried: the result equals the
+    pre-kill frame instead of failing with ``RayActorError``."""
+    import ray
+
+    from web_based_search_engine_ray.pipelines.search import ShardedSearcher
+
+    _, shard_dir = indexes
+    sharded = ShardedSearcher(shard_dir, num_cpus_per_shard=0.5)
+    try:
+        queries = ["spark merge", '"batch batch" window', "doc table"]
+        before = sharded.batch_search(queries, k=10, n_brokers=1)
+        ray.kill(sharded.shard_actors()[1], no_restart=False)
+        after = sharded.batch_search(queries, k=10, n_brokers=1)
+        pd.testing.assert_frame_equal(before, after)
+    finally:
+        sharded.shutdown()

@@ -91,31 +91,71 @@ def updated_and_rebuilt(ray_session, tmp_path_factory):
     full_dir = str(base / "full")
 
     build_index(_corpus_v1, inc_dir, cfg, input_key="v1", resume=False)
-    # snapshot mtimes of unaffected shard partitions (segments AND the
-    # doc-shard-partitioned extracted/ checkpoint)
+    # snapshot mtimes of unaffected shard partitions of every stage the
+    # update may rebuild per shard (None: the stage has no such dir)
     mtimes = {
-        (stage, s): os.path.getmtime(
-            os.path.join(inc_dir, stage, f"doc_shard={s}")
+        (stage, s): (
+            os.path.getmtime(p)
+            if os.path.isdir(p := os.path.join(inc_dir, stage, f"doc_shard={s}"))
+            else None
         )
         for s in (1, 2, 3)
-        for stage in ("segments", "extracted")
+        for stage in ("segments", "forward", "extracted")
     }
     report = update_index(_corpus_v2, inc_dir, cfg, input_key="v2")
     build_index(_corpus_v2, full_dir, cfg, input_key="v2-full", resume=False)
     return inc_dir, full_dir, report, mtimes
 
 
+def _shard_fps(index_dir: str) -> dict:
+    """Per-shard fingerprints recorded in the extracted/ manifest."""
+    from web_based_search_engine_ray.state import manifest as mf
+
+    return mf.load_manifest(os.path.join(index_dir, "extracted"))["shard_fps"]
+
+
+def _ext_fp(input_key: str) -> str:
+    """The extracted-stage fingerprint of ``input_key`` (test config)."""
+    from web_based_search_engine_ray.config import IndexConfig
+    from web_based_search_engine_ray.pipelines.build_index import _fp
+
+    cfg = IndexConfig(shuffle_partitions=4, num_buckets=4, doc_shards=4)
+    return _fp("extracted", cfg.semantic_key(), input_key)
+
+
 def test_update_report(updated_and_rebuilt):
-    _, _, report, _ = updated_and_rebuilt
+    inc_dir, _, report, _ = updated_and_rebuilt
     assert report["update"]["fresh_docs"] == len(UPDATED_IDS) + len(NEW_IDS)
     assert report["update"]["affected_shards"] == [0]
-    assert not report["update"]["full_segment_rebuild"]
     assert report["n_docs"] == 502
+    # only the rewritten shard carries the update's key; the others keep
+    # the key of the build that last wrote them
+    assert _shard_fps(inc_dir) == {
+        "0": _ext_fp("v2"), "1": _ext_fp("v1"), "2": _ext_fp("v1"),
+        "3": _ext_fp("v1"),
+    }
 
 
 def test_unaffected_partitions_untouched(updated_and_rebuilt):
     inc_dir, _, _, mtimes = updated_and_rebuilt
     for (stage, s), old in mtimes.items():
+        if stage == "forward":
+            continue  # test_first_update_keeps_untouched_shards
+        now = os.path.getmtime(
+            os.path.join(inc_dir, stage, f"doc_shard={s}")
+        )
+        assert now == old, f"{stage} shard {s} was rewritten"
+
+
+def test_first_update_keeps_untouched_shards(updated_and_rebuilt):
+    """The FIRST update after a fresh build already rebuilds only the
+    affected shard of segments AND forward: a fresh build stamps a part
+    manifest for every shard of both stages."""
+    inc_dir, _, _, mtimes = updated_and_rebuilt
+    for (stage, s), old in mtimes.items():
+        if stage == "extracted":
+            continue
+        assert old is not None, f"{stage} has no doc_shard={s} partition"
         now = os.path.getmtime(
             os.path.join(inc_dir, stage, f"doc_shard={s}")
         )
@@ -280,11 +320,10 @@ def _corpus_v4():
 
 
 def test_second_update_prunes_forward_and_segments(updated_and_rebuilt):
-    """Per-shard content tokens must let a SECOND update skip the
-    untouched shards of BOTH sharded stages (segments AND forward —
-    after the first update the forward stage is in the per-shard
-    layout with part manifests, so updates from then on are O(delta)
-    in tokenize work)."""
+    """Per-shard fingerprints must let a SECOND update skip the
+    untouched shards of BOTH sharded stages (segments AND forward):
+    a shard keeps the key of the last write that touched it, so
+    updates stay O(delta) in tokenize work."""
     from web_based_search_engine_ray.pipelines.search import Searcher
     from web_based_search_engine_ray.pipelines.update_index import update_index
     from web_based_search_engine_ray.config import IndexConfig
@@ -293,7 +332,7 @@ def test_second_update_prunes_forward_and_segments(updated_and_rebuilt):
         shuffle_partitions=4, num_buckets=4, doc_shards=4,
     )
     inc_dir, _, _, _ = updated_and_rebuilt
-    assert os.path.exists(os.path.join(inc_dir, "_shard_tokens.json"))
+    assert _shard_fps(inc_dir)["0"] == _ext_fp("v2")
 
     mtimes = {
         (stage, s): os.path.getmtime(
@@ -304,7 +343,10 @@ def test_second_update_prunes_forward_and_segments(updated_and_rebuilt):
     }
     report = update_index(_corpus_v4, inc_dir, cfg, input_key="v4")
     assert report["update"]["affected_shards"] == [1]
-    assert not report["update"]["full_segment_rebuild"]
+    assert _shard_fps(inc_dir) == {
+        "0": _ext_fp("v2"), "1": _ext_fp("v4"), "2": _ext_fp("v1"),
+        "3": _ext_fp("v1"),
+    }
     for (stage, s), old in mtimes.items():
         now = os.path.getmtime(
             os.path.join(inc_dir, stage, f"doc_shard={s}")
@@ -314,3 +356,61 @@ def test_second_update_prunes_forward_and_segments(updated_and_rebuilt):
     # the second wave of content is searchable and correctly scored
     hits = Searcher(inc_dir).search({"secondwave"}, k=10, hydrate=False)
     assert hits["doc_id"].tolist() == [5]
+
+
+def test_update_delta_duplicate_url_keeps_newest(ray_session,
+                                                 tmp_path_factory):
+    """An update snapshot holding an older AND a newer row for one
+    indexed url (plus a new url) indexes only the newest version: the
+    delta goes through the build's shard-local last-write-wins."""
+    import ray.data as rd
+
+    from web_based_search_engine_ray.config import IndexConfig
+    from web_based_search_engine_ray.pipelines.build_index import build_index
+    from web_based_search_engine_ray.pipelines.search import Searcher
+    from web_based_search_engine_ray.pipelines.update_index import update_index
+    from web_based_search_engine_ray.sources.webcorpus import (
+        doc_url,
+        synth_batch,
+    )
+
+    def web(ids, texts, days=0):
+        t = synth_batch(pa.table({
+            "doc_id": pa.array(ids, type=pa.int64()),
+            "text": pa.array(texts, type=pa.string()),
+            "lang": pa.array(["en"] * len(ids)),
+        }))
+        ts = t["warc_ts"].to_numpy().astype("datetime64[us]")
+        return t.set_column(
+            t.schema.get_field_index("warc_ts"), "warc_ts",
+            pa.array(ts + np.timedelta64(days, "D"), type=pa.timestamp("us")),
+        )
+
+    base_ids = list(range(6))
+    base = web(base_ids, [f"base document number {i}" for i in base_ids])
+    cfg = IndexConfig(shuffle_partitions=2, num_buckets=4, doc_shards=2)
+    idx = str(tmp_path_factory.mktemp("dupdelta") / "idx")
+    build_index(lambda: rd.from_arrow(base), idx, cfg, input_key="d1",
+                resume=False)
+    # separate blocks: the newer row arrives BEFORE the older one
+    snapshot = [
+        base,
+        web([3], ["newerversion of three"], days=2),
+        web([3], ["olderversion of three"], days=1),
+        web([9], ["brandnewurl document"]),
+    ]
+    report = update_index(lambda: rd.from_arrow(snapshot), idx, cfg,
+                          input_key="d2")
+    assert report["update"]["fresh_docs"] == 2  # doc 3 once, doc 9
+    assert sorted(report["update"]["affected_shards"]) == [1]
+
+    s = Searcher(idx)
+    assert s.search({"newerversion"}, k=10, hydrate=False)["doc_id"].tolist() == [3]
+    assert s.search({"olderversion"}, k=10, hydrate=False).empty
+    assert s.search({"brandnewurl"}, k=10, hydrate=False)["doc_id"].tolist() == [9]
+    meta = _tbl(idx, "docmeta", cols=["doc_id", "url", "last_modified"])
+    assert sorted(meta["doc_id"]) == base_ids + [9]
+    row = meta[meta.url == doc_url(3)]
+    assert len(row) == 1
+    want = web([3], ["x"], days=2)["warc_ts"][0].as_py()
+    assert row["last_modified"].iloc[0] == pd.Timestamp(want)

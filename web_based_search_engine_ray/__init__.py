@@ -20,44 +20,5 @@ owned by the caller (driver, bench.py, or the pytest fixture).
 
 from web_based_search_engine_ray.config import IndexConfig
 
-
-def _stabilize_fsspec_http() -> None:
-    """Make ``fsspec.implementations.http`` import-stable without aiohttp.
-
-    ``ray.data``'s path resolution lazily runs ``from
-    fsspec.implementations.http import HTTPFileSystem`` on EVERY read
-    and only catches ``ModuleNotFoundError``.  In an environment
-    without ``aiohttp`` that import fails fresh each time (failed
-    modules are evicted from ``sys.modules``), so two CONCURRENT
-    Dataset reads — e.g. ``IndexConfig.part_build_concurrency > 1`` —
-    can race: one thread observes the partially initialized module and
-    gets a plain ``ImportError`` that ray does not catch.  Registering
-    a minimal stub once gives every later import a stable cached
-    result; the stub class matches nothing in ``isinstance`` checks,
-    which is exactly the no-aiohttp semantics (no real HTTP filesystem
-    can exist)."""
-    try:
-        from fsspec.implementations.http import HTTPFileSystem  # noqa: F401
-    except ModuleNotFoundError:
-        import sys
-        import types
-
-        mod = types.ModuleType("fsspec.implementations.http")
-
-        class HTTPFileSystem:  # pragma: no cover - sentinel only
-            def __init__(self, *a, **k):
-                raise ModuleNotFoundError(
-                    "fsspec HTTP filesystem needs aiohttp, which is not "
-                    "installed"
-                )
-
-        mod.HTTPFileSystem = HTTPFileSystem
-        sys.modules["fsspec.implementations.http"] = mod
-    except ImportError:
-        pass
-
-
-_stabilize_fsspec_http()
-
 __all__ = ["IndexConfig"]
 __version__ = "0.1.0"

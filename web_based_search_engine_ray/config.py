@@ -6,8 +6,9 @@ The scoring/behavior constants mirror the reference
 ``SearchResult.java:12`` MAX_KEYWORD_COUNT=5); the physical knobs
 (buckets, batch sizes, doc shards, shuffle parallelism) are ours — the
 reference is single-threaded and has no equivalents.  Every field is
-read by the build or the query engine; ``semantic_key`` hashes the ones
-that change index content.
+read by the build or the query engine, and the build has one physical
+plan (no execution-strategy switches); ``semantic_key`` hashes the
+fields that change index content.
 """
 
 from __future__ import annotations
@@ -45,9 +46,11 @@ class IndexConfig:
     # full posting list; query unions runs (df = Σ df_run).
     max_run_docs: int = 5_000_000
     # Document partitioning (web-search-style doc-partitioned index):
-    # segments are additionally partitioned by doc_id % doc_shards, so a
-    # query can scatter-gather over per-shard searchers each holding
-    # only its shard's postings + doc stats.  1 = single partition.
+    # extracted, segments, forward and docstats are partitioned by
+    # doc_shard = doc_id % doc_shards, so a query can scatter-gather
+    # over per-shard searchers each holding only its shard's postings +
+    # doc stats, and an update rebuilds only the shards it touches.
+    # 1 = the single partition doc_shard=0.
     doc_shards: int = 1
     # Shuffle parallelism: groupby inputs are coalesced to this many
     # blocks first (None = 2 × cluster CPUs).  Ray's sort shuffle cost
@@ -56,21 +59,6 @@ class IndexConfig:
     # ~data_size / target_block_size instead.
     shuffle_partitions: int | None = None
     min_rows_per_file: int = 65536
-    # Per-partition resume for the wide stages: build segments/forward
-    # one doc_shard at a time, each with its own lineage manifest, so a
-    # crash at hour 9 of a 10-hour stage resumes at the failed SHARD
-    # instead of repeating the stage.  Off by default: each shard pays
-    # a fixed Ray pipeline overhead (~0.5-2 s), which dominates at test
-    # scale but amortizes to noise when a shard takes minutes.  Same
-    # artifacts either way (physical execution knob, not semantic).
-    partitioned_build: bool = False
-    # How many shard-part pipelines of a partitioned_build stage run
-    # CONCURRENTLY (independent Dataset executions on one Ray cluster;
-    # outputs and manifests are per-part, so completion order is
-    # irrelevant).  >1 hides the per-execution fixed overhead at small
-    # shard sizes and keeps the cluster busy when one part alone can't
-    # saturate it; resume granularity is unchanged.
-    part_build_concurrency: int = 4
 
     def semantic_key(self) -> str:
         """Stable hash of the fields that affect index *content* (used to
@@ -83,7 +71,7 @@ class IndexConfig:
             "num_buckets": self.num_buckets,
             "max_run_docs": self.max_run_docs,
             "doc_shards": self.doc_shards,
-            "format_version": 5,  # bump when artifact schemas change
+            "format_version": 6,  # bump when artifact schemas change
         }
         return hashlib.md5(json.dumps(sem, sort_keys=True).encode()).hexdigest()[:12]
 

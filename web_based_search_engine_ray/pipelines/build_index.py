@@ -7,9 +7,12 @@ manifest (resume skips complete stages):
 ::
 
     corpus (url, warc_ts, html[, text, lang[, doc_id]])
-      │  last-write-wins per url by warc_ts          [shuffle: url bucket]
+      │  html → doc_id,title,text,links,page_size,last_modified
       ▼
-    extracted/   html → doc_id,title,text,links,page_size,last_modified
+    extracted/   partitioned by doc_shard; last-write-wins per url by
+                 warc_ts as a per-shard detect-then-compact pass (doc_id
+                 is a function of url, so a url never spans shards)
+                                                          [no shuffle]
       ├─ docmeta/   (projection)
       ├─ edges/     (links exploded)
       ▼
@@ -24,10 +27,17 @@ manifest (resume skips complete stages):
     forward/     second doc-local tokenize pass → per-doc term/tf lists
                  + tfMax                                  [no shuffle]
       ▼
-    docstats/    forward × broadcast(lexicon df) → doc_len_norm,
-                 partitioned by doc_shard                 [no shuffle]
+    docstats/    forward × broadcast(lexicon df) → doc_len_norm
+                                                          [no shuffle]
       ▼
     meta.json    N, config, stage metrics
+
+Every sharded stage (extracted, segments, forward, docstats) is
+partitioned ``doc_shard=0..doc_shards-1``; an unsharded index is the
+single partition ``doc_shard=0``.  segments and forward rebuild only
+the shards whose extracted rows changed since they were written (see
+``_run_sharded_stage``), so a fresh build and an incremental update run
+the same code.
 
 Skew (Zipf-head terms at web scale): compaction re-chunks a hot term's
 merged list into runs of ≤ ``max_run_docs`` docs, so no task ever holds
@@ -65,58 +75,14 @@ STAGES = ("extracted", "docmeta", "edges", "segments", "lexicon", "forward",
           "docstats")
 
 
-def _shard_tokens_path(out_dir: str) -> str:
-    return os.path.join(out_dir, "_shard_tokens.json")
-
-
-def _load_shard_tokens(out_dir: str, fp_ext: str) -> dict[str, str]:
-    """Per-doc-shard content tokens for the ``extracted/`` layout.
-
-    ``update_index`` keeps untouched ``doc_shard=N`` partitions
-    byte-identical but bumps the stage fingerprint (the input key
-    changed), which would invalidate every per-shard manifest of the
-    sharded segments/forward stages and force a full rebuild.  The
-    token file records, per shard, the fingerprint of the last write
-    that actually TOUCHED that shard; sharded stages key their
-    per-part manifests on it, so a resumed build after an update
-    re-tokenizes only the shards whose extracted rows changed —
-    the O(delta) path the reference lacks entirely (it re-crawls).
-
-    The file is only trusted when its ``fp_ext`` matches the current
-    extracted fingerprint (a full re-extract under a new input key
-    invalidates it wholesale)."""
-    try:
-        obj = mf.read_json(_shard_tokens_path(out_dir))
-    except Exception:
-        return {}
-    if not isinstance(obj, dict) or obj.get("fp_ext") != fp_ext:
-        return {}
-    return {str(k): str(v) for k, v in obj.get("tokens", {}).items()}
-
-
-def _write_shard_tokens(out_dir: str, fp_ext: str, tokens: dict) -> None:
-    mf.write_json(
-        _shard_tokens_path(out_dir),
-        {"fp_ext": fp_ext, "tokens": {str(k): str(v) for k, v in tokens.items()}},
-    )
-
-
 def _fp(*parts: str) -> str:
     return hashlib.md5("|".join(parts).encode()).hexdigest()[:16]
 
 
-def _add_url_bucket(batch: pa.Table, *, num_buckets: int) -> pa.Table:
-    # vectorized FNV over the Arrow buffer — the bucket is a transient
-    # shuffle key, so it does not need the persisted md5 hash family
-    from web_based_search_engine_ray.functions.hashing import fnv1a63_array
-
-    buckets = fnv1a63_array(batch["url"]) % num_buckets
-    return batch.append_column("url_bucket", pa.array(buckets, type=pa.int64()))
-
-
 def _add_doc_shard(batch: pa.Table, *, n_shards: int) -> pa.Table:
-    """Hive partition column for the doc-sharded layouts (extracted /
-    docstats): doc_shard = doc_id % n_shards, re-derivable anywhere."""
+    """Hive partition column of the doc-sharded stages (extracted,
+    forward, docstats): doc_shard = doc_id % n_shards, re-derivable
+    anywhere."""
     if "doc_shard" in batch.column_names:
         batch = batch.drop_columns(["doc_shard"])
     return batch.append_column(
@@ -126,20 +92,6 @@ def _add_doc_shard(batch: pa.Table, *, n_shards: int) -> pa.Table:
             type=pa.int32(),
         ),
     )
-
-
-def _lww_group(group: pa.Table) -> pa.Table:
-    """Keep the newest row per url (last-write-wins by warc_ts) —
-    batch-engine equivalent of the freshness upsert
-    (``Indexer.java:77-85``, ``PostingIndex.java:41-42``).  Vectorized
-    over a whole url-hash bucket.  (Pre-extract variant, used by the
-    update path; the main build dedups POST-extract, see
-    ``_lww_group_extracted``.)"""
-    group = group.sort_by([("url", "ascending"), ("warc_ts", "descending")])
-    urls = np.asarray(group["url"])
-    _, first_idx = np.unique(urls, return_index=True)
-    keep = group.take(pa.array(np.sort(first_idx)))
-    return keep.drop_columns(["url_bucket"])
 
 
 def _lww_shard_dedup_task(batch: pa.Table) -> pa.Table:
@@ -241,9 +193,56 @@ def _lww_group_extracted(group: pa.Table) -> pa.Table:
     )
     urls = np.asarray(group["url"])
     _, first_idx = np.unique(urls, return_index=True)
-    keep = group.take(pa.array(np.sort(first_idx)))
-    drop = [c for c in ("lww_key",) if c in keep.column_names]
-    return keep.drop_columns(drop) if drop else keep
+    return group.take(pa.array(np.sort(first_idx)))
+
+
+def _write_extracted_lww(ds, stage_dir: str, cfg: IndexConfig) -> None:
+    """Write extracted rows ``doc_shard``-partitioned, then (with
+    ``cfg.dedup_urls``) run one detect-then-compact task per shard dir
+    (:func:`_lww_shard_dedup_task`).  Because doc_id = f(url), a url's
+    occurrences are confined to one shard dir, so url-dedup needs NO
+    exchange at all: the previous design — Ray's ``groupby(lww_key)`` —
+    cost an all-to-all SORT of the full extracted payload (measured 12 s
+    of a 13 s extract wall at 1.8M docs / 32 CPUs, flat across
+    parallelism levels), where the shard-local check costs one
+    url-column projection per shard and rewrites only shards that
+    actually contain duplicates.  Shared by the build's extracted/
+    stage and ``update_index``'s delta."""
+    import ray.data as rd
+
+    ds.map_batches(
+        functools.partial(_add_doc_shard, n_shards=cfg.doc_shards),
+        batch_format="pyarrow",
+    ).write_parquet(
+        stage_dir,
+        partition_cols=["doc_shard"],
+        min_rows_per_file=cfg.min_rows_per_file,
+    )
+    if not cfg.dedup_urls:
+        return
+    dirs = [
+        {"shard": s, "dir": os.path.join(stage_dir, f"doc_shard={s}")}
+        for s in range(cfg.doc_shards)
+    ]
+    res = rd.from_items(dirs).map_batches(
+        _lww_shard_dedup_task, batch_size=1, batch_format="pyarrow"
+    )
+    dups = res.sum("dups_removed")
+    if dups:
+        logger.info("LWW url-dedup removed %d duplicate rows", dups)
+
+
+def _shard_files(stage_dir: str, shards) -> list[str]:
+    """Every parquet file of the given ``doc_shard=`` partitions of a
+    stage — a file list, because Ray treats list entries as files.
+    Feed it to Ray through :func:`fsio.ray_file_list`."""
+    return [
+        f
+        for s in shards
+        if fsio.isdir(d := os.path.join(stage_dir, f"doc_shard={s}"))
+        for f in fsio.walk_files(d)
+        if f.endswith(".parquet")
+    ]
 
 
 def _shuffle_parts(cfg: IndexConfig) -> int:
@@ -284,7 +283,7 @@ def _forward_rows_task(batch: pa.Table, *, cfg: IndexConfig) -> pa.Table:
     inst = worker_singleton(
         ("forward_rows", cfg.semantic_key()), lambda: ForwardRows(cfg)
     )
-    return inst(batch)
+    return _add_doc_shard(inst(batch), n_shards=cfg.doc_shards)
 
 
 _LEXICON_SCHEMA = pa.schema(
@@ -624,7 +623,6 @@ def build_index(
     *,
     input_key: str = "",
     resume: bool = True,
-    corpus_parts_fn=None,
 ) -> dict:
     """Build all index artifacts under ``out_dir``.
 
@@ -632,21 +630,13 @@ def build_index(
     (callable so a resumed run whose extract stage is complete never
     constructs the input pipeline).  Returns the build report (also
     persisted as ``meta.json``).
-
-    ``corpus_parts_fn``: optional zero-arg callable returning
-    ``[(part_name, part_corpus_fn), ...]`` — e.g. one part per input
-    file group of a Common-Crawl dump.  When given, the extract stage
-    runs per part with its own lineage manifest, so a crashed run
-    resumes by re-extracting only incomplete parts (partition-level
-    checkpoints).  LWW url-dedup then assumes a url appears in only one
-    part (true for file-partitioned crawl dumps); the in-part dedup
-    still applies.
     """
     import ray.data as rd
 
     cfg = cfg or IndexConfig()
     fsio.makedirs(out_dir)
     sem = cfg.semantic_key()
+    shards = range(cfg.doc_shards)
     results: list[mf.StageResult] = []
     t_start = time.perf_counter()
 
@@ -654,141 +644,28 @@ def build_index(
     fp_ext = _fp("extracted", sem, input_key)
     d_ext = os.path.join(out_dir, "extracted")
 
-    def _extract_pipeline(ds):
-        # extract FIRST (html never crosses any exchange; the LWW
-        # dedup below moves only title/text/links)
-        return ds.map_batches(
+    def _build_extracted(stage_dir: str) -> int:
+        # extract FIRST: html never crosses any exchange, and the LWW
+        # dedup moves only title/text/links
+        ds = corpus_fn().map_batches(
             functools.partial(_extract_task, verify=cfg.verify_extraction),
             batch_format="pyarrow",
             batch_size=cfg.extract_batch_size,
         )
+        _write_extracted_lww(ds, stage_dir, cfg)
+        return _count_parquet(stage_dir)
 
-    def _write_extracted_lww(ds, stage_dir: str, *, partitioned: bool) -> None:
-        """Write extracted/ DIRECTLY (partitioned by doc_shard when
-        sharded), then run one detect-then-compact task per shard dir
-        (:func:`_lww_shard_dedup_task`).  Because doc_id = f(url), a
-        url's occurrences are confined to one shard dir, so url-dedup
-        needs NO exchange at all: the previous design — Ray's
-        ``groupby(lww_key)`` — cost an all-to-all SORT of the full
-        extracted payload (measured 12 s of a 13 s extract wall at
-        1.8M docs / 32 CPUs, flat across parallelism levels), where
-        the shard-local check costs one url-column projection per
-        shard and rewrites only shards that actually contain
-        duplicates."""
-        if partitioned:
-            ds = ds.map_batches(
-                functools.partial(_add_doc_shard, n_shards=cfg.doc_shards),
-                batch_format="pyarrow",
-            )
-            ds.write_parquet(
-                stage_dir,
-                partition_cols=["doc_shard"],
-                min_rows_per_file=cfg.min_rows_per_file,
-            )
-            dirs = [
-                {"shard": s, "dir": os.path.join(stage_dir, f"doc_shard={s}")}
-                for s in range(cfg.doc_shards)
-            ]
-        else:
-            ds.write_parquet(
-                stage_dir, min_rows_per_file=cfg.min_rows_per_file
-            )
-            dirs = [{"shard": 0, "dir": stage_dir}]
-        res = rd.from_items(dirs).map_batches(
-            _lww_shard_dedup_task, batch_size=1, batch_format="pyarrow"
+    # Per-shard fingerprints: the key of the last write that TOUCHED each
+    # extracted doc_shard partition.  A full extract rewrites every
+    # shard; ``update_index`` gives only the shards it rewrites the new
+    # key, so segments/forward rebuild only those.
+    results.append(
+        mf.run_stage(
+            d_ext, fp_ext, _build_extracted, resume=resume,
+            extra_metrics={"shard_fps": {str(s): fp_ext for s in shards}},
         )
-        dups = res.sum("dups_removed")
-        if dups:
-            logger.info("LWW url-dedup removed %d duplicate rows", dups)
-
-    d_ext_parts = os.path.join(out_dir, "extracted_parts")
-    if corpus_parts_fn is None:
-
-        def _build_extracted(stage_dir: str) -> int:
-            # full re-extract: every shard is rewritten, so any
-            # per-shard tokens from a previous update cycle are stale
-            try:
-                fsio.remove(_shard_tokens_path(out_dir))
-            except Exception:
-                pass
-            ds = _extract_pipeline(corpus_fn())
-            if cfg.dedup_urls:
-                # doc_shard-partitioned final layout (update_index
-                # rewrites only touched shards; groups are
-                # single-shard → ~one file per group)
-                _write_extracted_lww(
-                    ds, stage_dir, partitioned=cfg.doc_shards > 1
-                )
-            elif cfg.doc_shards > 1:
-                ds = ds.map_batches(
-                    functools.partial(
-                        _add_doc_shard, n_shards=cfg.doc_shards
-                    ),
-                    batch_format="pyarrow",
-                )
-                ds.write_parquet(
-                    stage_dir,
-                    partition_cols=["doc_shard"],
-                    min_rows_per_file=cfg.min_rows_per_file,
-                )
-            else:
-                ds.write_parquet(
-                    stage_dir, min_rows_per_file=cfg.min_rows_per_file
-                )
-            return _count_parquet(stage_dir)
-
-        results.append(
-            mf.run_stage(d_ext, fp_ext, _build_extracted, resume=resume)
-        )
-        ext_sources = d_ext
-    else:
-        # partition-level checkpoints: one sub-directory + manifest per
-        # corpus part (under extracted_parts/, NEVER read as one parquet
-        # dir — manifests live beside the part dirs); a resumed run
-        # re-extracts only incomplete parts
-        t0 = time.perf_counter()
-        fsio.makedirs(d_ext_parts)
-        parts = corpus_parts_fn()
-        part_rows = 0
-        parts_done = 0
-        part_dirs = []
-        for part_name, part_fn in parts:
-            p_dir = os.path.join(d_ext_parts, f"part-{part_name}")
-            p_fp = _fp("extracted-part", sem, input_key, str(part_name))
-
-            def _build_part(stage_dir: str, _fn=part_fn) -> int:
-                ds = _extract_pipeline(_fn())
-                if cfg.dedup_urls:  # in-part LWW; flat file layout
-                    _write_extracted_lww(ds, stage_dir, partitioned=False)
-                else:
-                    ds.write_parquet(
-                        stage_dir, min_rows_per_file=cfg.min_rows_per_file
-                    )
-                return _count_parquet(stage_dir)
-
-            r = mf.run_stage(p_dir, p_fp, _build_part, resume=resume)
-            part_rows += r.rows
-            parts_done += 0 if r.skipped else 1
-            part_dirs.append(p_dir)
-        results.append(
-            mf.StageResult(
-                "extracted", d_ext_parts, part_rows,
-                time.perf_counter() - t0, parts_done == 0,
-                {"parts": len(parts), "parts_rebuilt": parts_done},
-            )
-        )
-        # Ray treats list entries as files: expand part dirs
-        ext_sources = [
-            f
-            for p in part_dirs
-            for f in fsio.walk_files(p)
-            if f.endswith(".parquet")
-        ]
-        # fingerprint for downstream chaining covers every part
-        fp_ext = _fp(fp_ext, *[
-            mf.load_manifest(p)["fingerprint"] for p in part_dirs
-        ])
-    _n_docs_est = results[-1].rows  # retained for manifest context
+    )
+    shard_fps = results[-1].extra["shard_fps"]
 
     # ---- stage: docmeta ----------------------------------------------------
     fp_meta = _fp("docmeta", fp_ext)
@@ -796,7 +673,7 @@ def build_index(
 
     def _build_docmeta(stage_dir: str) -> int:
         ds = rd.read_parquet(
-            ext_sources,
+            d_ext,
             columns=["doc_id", "url", "title", "page_size", "last_modified", "lang"],
         )
         ds.write_parquet(stage_dir, min_rows_per_file=cfg.min_rows_per_file)
@@ -809,7 +686,7 @@ def build_index(
     d_edges = os.path.join(out_dir, "edges")
 
     def _build_edges(stage_dir: str) -> int:
-        ds = rd.read_parquet(ext_sources, columns=["doc_id", "url", "links"])
+        ds = rd.read_parquet(d_ext, columns=["doc_id", "url", "links"])
         ds = ds.map_batches(_explode_links, batch_format="pyarrow")
         ds.write_parquet(stage_dir, min_rows_per_file=cfg.min_rows_per_file)
         _ensure_nonempty_schema(
@@ -826,112 +703,97 @@ def build_index(
 
     results.append(mf.run_stage(d_edges, fp_edges, _build_edges, resume=resume))
 
-    # ---- stage: segments (the core term shuffle) ---------------------------
-    fp_seg = _fp("segments", fp_ext)
-    d_seg = os.path.join(out_dir, "segments")
+    # ---- sharded stages: segments, forward ---------------------------------
+    d_parts = os.path.join(out_dir, "_part_manifests")
 
-    # Per-partition resume (cfg.partitioned_build): segments/forward
-    # run one doc_shard at a time, each sub-stage with its own lineage
-    # manifest (kept OUTSIDE the stage dir so hive discovery never sees
-    # it), so a crash mid-stage resumes at the failed shard.  Requires
-    # the doc_shard-partitioned extracted/ layout.
-    use_parts = (
-        cfg.partitioned_build
-        and cfg.doc_shards > 1
-        and corpus_parts_fn is None
-    )
-
-    def _part_manifest(stage: str, s: int) -> str:
-        d = os.path.join(out_dir, "_part_manifests")
-        fsio.makedirs(d)
-        return os.path.join(d, f"{stage}.doc_shard={s}.json")
-
-    def _run_sharded_stage(name: str, stage_dir: str, stage_fp: str,
-                           part_fn) -> mf.StageResult:
-        """Run ``part_fn(part_dir, shard)`` per doc shard with per-part
-        manifests; skip parts (or the whole stage) already complete."""
+    def _run_sharded_stage(name: str, stage_fp: str, build_fn) -> mf.StageResult:
+        """Rebuild the doc shards of one stage whose part manifest does
+        not match the shard's fingerprint — every shard on a fresh build,
+        the touched ones after an update or a crash — in ONE Dataset
+        execution ``build_fn(files, staging_dir)`` over only those
+        shards' extracted files.  The output lands in a staging dir
+        partitioned by ``doc_shard``; each rebuilt shard dir is then
+        swapped in and stamped with its part manifest (kept under
+        ``_part_manifests/``, outside the stage dir, so hive discovery
+        never sees it).  Untouched shard dirs are never rewritten."""
         t0 = time.perf_counter()
-        if resume and mf.is_complete(stage_dir, stage_fp):
-            m = mf.load_manifest(stage_dir)
-            return mf.StageResult(
-                name, stage_dir, m.get("rows", -1), 0.0, True, m
-            )
+        stage_dir = os.path.join(out_dir, name)
         fsio.makedirs(stage_dir)
-        # a previous MONOLITHIC run may have left flat (non-partition)
-        # files at the stage root, and a previous PARTITIONED run may
-        # have used a larger doc_shards; either way the stale entries
-        # would be hive-discovered and duplicate rows, so clear
-        # anything that isn't one of THIS config's shard partitions
-        # (per-part run_stage only wipes its own part dir)
-        live_parts = {f"doc_shard={s}" for s in range(cfg.doc_shards)}
+        fsio.makedirs(d_parts)
+        # a previous build with a larger doc_shards (or a crashed one)
+        # may have left entries that are not THIS config's shard
+        # partitions; hive discovery would count their rows as live
+        live = {f"doc_shard={s}" for s in shards}
         for entry in fsio.listdir(stage_dir):
-            # (stage manifests are SIBLING files outside the stage dir —
-            # manifest.py:_manifest_path — and part manifests live under
-            # out_dir/_part_manifests, so everything in here is data)
-            if entry in live_parts:
+            if entry in live:
                 continue
             p = os.path.join(stage_dir, entry)
             if fsio.isdir(p):
                 fsio.rmtree(p)
             else:
                 fsio.remove(p)
-        # per-shard content tokens (written by update_index): a shard
-        # whose extracted partition is byte-identical keeps its token,
-        # so its per-part manifest still matches and the part is skipped
-        shard_tokens = _load_shard_tokens(out_dir, fp_ext)
 
-        def _one_part(s: int) -> int:
-            p_dir = os.path.join(stage_dir, f"doc_shard={s}")
-            p_fp = _fp(
-                f"{name}-part", shard_tokens.get(str(s), fp_ext), sem, str(s)
+        def part_fp(s: int) -> str:
+            return _fp(f"{name}-part", shard_fps[str(s)], sem, str(s))
+
+        def part_manifest(s: int) -> str:
+            return os.path.join(d_parts, f"{name}.doc_shard={s}.json")
+
+        def part_complete(s: int) -> bool:
+            m = mf.load_manifest(stage_dir, manifest_path=part_manifest(s))
+            return (
+                m is not None
+                and m.get("fingerprint") == part_fp(s)
+                and (
+                    m.get("rows") == 0
+                    or fsio.isdir(os.path.join(stage_dir, f"doc_shard={s}"))
+                )
             )
-            r = mf.run_stage(
-                p_dir, p_fp,
-                functools.partial(part_fn, shard=s),
-                resume=resume,
-                manifest_path=_part_manifest(name, s),
+
+        dirty = [s for s in shards if not (resume and part_complete(s))]
+        if not dirty and resume and mf.is_complete(stage_dir, stage_fp):
+            m = mf.load_manifest(stage_dir)
+            return mf.StageResult(name, stage_dir, m.get("rows", -1), 0.0,
+                                  True, m)
+        staging = os.path.join(out_dir, f"_{name}_staging")
+        fsio.rmtree(staging, ignore_errors=True)
+        files = _shard_files(d_ext, dirty)
+        if files:
+            build_fn(files, staging)
+        for s in dirty:
+            part = f"doc_shard={s}"
+            # unstamp first: a crash mid-swap leaves the shard dirty
+            if fsio.exists(part_manifest(s)):
+                fsio.remove(part_manifest(s))
+            dst, new = os.path.join(stage_dir, part), os.path.join(staging, part)
+            if fsio.isdir(dst):
+                fsio.rmtree(dst)
+            rows = 0
+            if fsio.isdir(new):
+                fsio.replace(new, dst)
+                rows = _count_parquet(dst)
+            fsio.write_json(
+                part_manifest(s),
+                {"stage": part, "fingerprint": part_fp(s), "rows": rows},
             )
-            return 0 if r.skipped else 1
-
-        workers = max(1, min(cfg.part_build_concurrency, cfg.doc_shards))
-        if workers > 1:
-            # concurrent part pipelines: each is an independent Dataset
-            # execution writing its own partition dir + manifest
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rebuilt = sum(pool.map(_one_part, range(cfg.doc_shards)))
-        else:
-            rebuilt = sum(_one_part(s) for s in range(cfg.doc_shards))
+        fsio.rmtree(staging, ignore_errors=True)
         total = _count_parquet(stage_dir)
-        mf.write_manifest(
-            stage_dir, stage_fp, total,
-            wall_sec=time.perf_counter() - t0,
-            extra={"partitioned_build": True, "parts_rebuilt": rebuilt},
-        )
-        return mf.StageResult(
-            name, stage_dir, total, time.perf_counter() - t0, False,
-            {"parts_rebuilt": rebuilt},
-        )
+        wall = time.perf_counter() - t0
+        mf.write_manifest(stage_dir, stage_fp, total, wall_sec=wall,
+                          extra={"parts_rebuilt": len(dirty)})
+        return mf.StageResult(name, stage_dir, total, wall, False,
+                              {"parts_rebuilt": len(dirty)})
 
-    def _part_source(shard: int | None):
-        """The extracted input of one stage run: every extracted file
-        (monolithic build) or one ``doc_shard=`` dir (per-part build;
-        None when that shard has no documents)."""
-        if shard is None:
-            return ext_sources
-        src = os.path.join(d_ext, f"doc_shard={shard}")
-        return src if fsio.isdir(src) else None
+    # ---- stage: segments (the core term shuffle) ---------------------------
+    fp_seg = _fp("segments", fp_ext)
+    d_seg = os.path.join(out_dir, "segments")
 
-    def _build_segments(stage_dir: str, *, shard: int | None = None) -> int:
-        src = _part_source(shard)
-        if src is None:
-            return 0
+    def _build_segments(files: list[str], out: str) -> None:
         # read directly at shuffle parallelism: the groupby below then
         # needs no repartition pass (each repartition moves all run data
         # through the object store once)
         ds = rd.read_parquet(
-            src, columns=["doc_id", "title", "text"],
+            **fsio.ray_file_list(files), columns=["doc_id", "title", "text"],
             override_num_blocks=_shuffle_parts(cfg),
         )
         # local index: one compressed run per (term, block) — the raw
@@ -940,7 +802,7 @@ def build_index(
         # stopword set + stem memo, rebuilt cheaply per worker.  Then
         # merge: shuffle only compressed runs, bounded per-term chunks,
         # grouped per (doc_shard, bucket).
-        runs = ds.map_batches(
+        ds.map_batches(
             functools.partial(_tokenize_encode_task, cfg=cfg),
             batch_format="pyarrow",
             batch_size=cfg.tokenize_batch_size,
@@ -951,89 +813,34 @@ def build_index(
                 num_buckets=cfg.num_buckets,
             ),
             batch_format="pyarrow",
-        )
-        if shard is not None:
-            # doc_shard is implied by the partition dir; dropping it
-            # keeps the file schema identical to the monolithic build's
-            runs = runs.map_batches(
-                lambda b: b.drop_columns(["doc_shard"]),
-                batch_format="pyarrow",
-            )
-        partition_cols = (
-            ["doc_shard", "bucket"]
-            if shard is None and cfg.doc_shards > 1
-            else ["bucket"]
-        )
-        runs.write_parquet(stage_dir, partition_cols=partition_cols)
-        return _count_parquet(stage_dir)
+        ).write_parquet(out, partition_cols=["doc_shard", "bucket"])
 
-    def _stamp_part_manifests(name: str, stage_dir: str) -> None:
-        """After a MONOLITHIC doc_shard-partitioned stage build, record
-        per-part manifests (metadata-only counts) so a later
-        ``update_index`` can skip untouched shards on its first resumed
-        build — without this, only the second update onward would
-        prune."""
-        for s in range(cfg.doc_shards):
-            p_dir = os.path.join(stage_dir, f"doc_shard={s}")
-            if not fsio.isdir(p_dir):
-                continue
-            fsio.write_json(
-                _part_manifest(name, s),
-                {
-                    "stage": f"doc_shard={s}",
-                    "fingerprint": _fp(f"{name}-part", fp_ext, sem, str(s)),
-                    "rows": _count_parquet(p_dir),
-                    "wall_sec": 0.0,
-                    "stamped_from_monolithic": True,
-                },
-            )
-
-    if use_parts:
-        results.append(
-            _run_sharded_stage("segments", d_seg, fp_seg, _build_segments)
-        )
-    else:
-        r_seg = mf.run_stage(d_seg, fp_seg, _build_segments, resume=resume)
-        results.append(r_seg)
-        if (
-            not r_seg.skipped
-            and cfg.doc_shards > 1
-            and corpus_parts_fn is None
-        ):
-            _stamp_part_manifests("segments", d_seg)
+    results.append(_run_sharded_stage("segments", fp_seg, _build_segments))
 
     # ---- stage: forward (doc-local second tokenize pass — NO shuffle) ------
     fp_fwd = _fp("forward", fp_ext, sem)
     d_fwd = os.path.join(out_dir, "forward")
 
-    def _build_forward(stage_dir: str, *, shard: int | None = None) -> int:
+    def _build_forward(files: list[str], out: str) -> None:
         # a doc's forward row is known the moment it is tokenized, so
         # this stage is a pure map over extracted docs.  It replaces the
         # earlier segments-explode derivation that paid a decode + two
         # full-posting-volume shuffles to reach the same rows.
-        src = _part_source(shard)
-        if src is None:
-            return 0
         ds = rd.read_parquet(
-            src, columns=["doc_id", "title", "text"],
+            **fsio.ray_file_list(files), columns=["doc_id", "title", "text"],
             override_num_blocks=_shuffle_parts(cfg),
         )
-        fwd = ds.map_batches(
+        ds.map_batches(
             functools.partial(_forward_rows_task, cfg=cfg),
             batch_format="pyarrow",
             batch_size=cfg.tokenize_batch_size,
+        ).write_parquet(
+            out,
+            partition_cols=["doc_shard"],
+            min_rows_per_file=cfg.min_rows_per_file,
         )
-        fwd.write_parquet(stage_dir, min_rows_per_file=cfg.min_rows_per_file)
-        return _count_parquet(stage_dir)
 
-    if use_parts:
-        results.append(
-            _run_sharded_stage("forward", d_fwd, fp_fwd, _build_forward)
-        )
-    else:
-        results.append(
-            mf.run_stage(d_fwd, fp_fwd, _build_forward, resume=resume)
-        )
+    results.append(_run_sharded_stage("forward", fp_fwd, _build_forward))
     n_docs = results[-1].rows  # N = docs with >=1 term (InvertedIndex.java:72)
 
     # ---- stage: lexicon (df + per-term score upper bound) ------------------
@@ -1109,30 +916,16 @@ def build_index(
             functools.partial(doc_stats_batch, n_docs=n_docs, df_ref=df_ref),
             batch_format="pyarrow",
         )
-        if cfg.doc_shards > 1:
-            # partition by doc shard so each shard Searcher reads ONLY
-            # its slice (per-actor state scales 1/shards).  Coalesce
-            # first: a partitioned write fans out to blocks × shards
-            # files, and docstats blocks are tiny (24 B/doc).
-            stats = stats.map_batches(
-                lambda b: b.append_column(
-                    "doc_shard",
-                    pa.array(
-                        b["doc_id"].to_numpy(zero_copy_only=False)
-                        % cfg.doc_shards,
-                        type=pa.int32(),
-                    ),
-                ),
-                batch_format="pyarrow",
-            ).repartition(
-                max(1, min(_shuffle_parts(cfg),
-                           128 // max(1, cfg.doc_shards)))
-            )
-            stats.write_parquet(stage_dir, partition_cols=["doc_shard"])
-        else:
-            stats.write_parquet(
-                stage_dir, min_rows_per_file=cfg.min_rows_per_file
-            )
+        # partition by doc shard so each shard Searcher reads ONLY its
+        # slice (per-actor state scales 1/shards).  Coalesce first: a
+        # partitioned write fans out to blocks × shards files, and
+        # docstats blocks are tiny (24 B/doc).
+        stats.map_batches(
+            functools.partial(_add_doc_shard, n_shards=cfg.doc_shards),
+            batch_format="pyarrow",
+        ).repartition(
+            max(1, min(_shuffle_parts(cfg), 128 // cfg.doc_shards))
+        ).write_parquet(stage_dir, partition_cols=["doc_shard"])
         # global corpus stats for BM25 (avgdl must be corpus-wide, not
         # per shard) — one skinny column scan at build time
         tok = pads.dataset(stage_dir, format="parquet",

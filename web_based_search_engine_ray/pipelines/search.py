@@ -35,9 +35,10 @@ path: broker actors split the batch and share the shard actors
 (an unsharded index is the one-shard case).
 
 The reader speaks the layout ``build_index`` writes (``format_version``
-5): a ``bucket=``-partitioned lexicon with ``ub_adj``, ``n_tokens`` in
+6): a ``bucket=``-partitioned lexicon with ``ub_adj``, ``n_tokens`` in
 docstats plus ``docstats/_STATS.json``, and ``doc_shard=`` partitions
-when ``doc_shards > 1``.
+of segments, forward and docstats (``doc_shard=0`` alone when
+``doc_shards == 1``).
 """
 
 from __future__ import annotations
@@ -125,15 +126,13 @@ class Searcher:
         self._lex_cache: dict[int, tuple] = {}
         self._lex_cache_bytes = 0
 
-        # docstats: shard Searchers read ONLY their partition (the
-        # build writes docstats/doc_shard=<s>/ when doc_shards > 1).  A
-        # shard that got no documents has no partition dir and loads
-        # zero rows.
+        # docstats: shard Searchers read ONLY their docstats/doc_shard=<s>/
+        # partition.  A shard that got no documents has no partition dir
+        # and loads zero rows.
         d_stats = os.path.join(index_dir, "docstats")
         src = (
-            os.path.join(d_stats, f"doc_shard={doc_shard}")
-            if doc_shard is not None and self.cfg.doc_shards > 1
-            else d_stats
+            d_stats if doc_shard is None
+            else os.path.join(d_stats, f"doc_shard={doc_shard}")
         )
         stat_cols = ["doc_id", "tf_max", "doc_len_norm", "n_tokens"]
         if fsio.isdir(src):
@@ -276,15 +275,28 @@ class Searcher:
             return None
         self.run_stats["considered"] += t.num_rows
         self.run_stats["decoded"] += t.num_rows
-        ids_parts, ttf_parts, btf_parts = [], [], []
-        for i in range(t.num_rows):
-            ids_parts.append(codec.decode_sorted(t["doc_gaps"][i].as_py()))
-            ttf_parts.append(codec.varbyte_decode(t["title_tfs"][i].as_py()).astype(np.int64))
-            btf_parts.append(codec.varbyte_decode(t["body_tfs"][i].as_py()).astype(np.int64))
-        ids = np.concatenate(ids_parts)
-        ttf = np.concatenate(ttf_parts)
-        btf = np.concatenate(btf_parts)
-        if t.num_rows > 1:
+        return self._decode_runs(t, range(t.num_rows))
+
+    @staticmethod
+    def _decode_run(t: pa.Table, i: int):
+        """Run ``i`` of ``t`` → (doc_ids, title_tfs, body_tfs), the
+        single varbyte decode every posting reader goes through."""
+        return (
+            codec.decode_sorted(t["doc_gaps"][i].as_py()),
+            codec.varbyte_decode(t["title_tfs"][i].as_py()).astype(np.int64),
+            codec.varbyte_decode(t["body_tfs"][i].as_py()).astype(np.int64),
+        )
+
+    def _decode_runs(self, t: pa.Table, rows):
+        """Runs ``rows`` of ``t`` merged → doc-sorted (doc_ids,
+        title_tfs, body_tfs).  A term's runs hold disjoint docs, so any
+        subset of them yields exactly the full list's entries for its
+        docs."""
+        ids, ttf, btf = (
+            np.concatenate(a)
+            for a in zip(*(self._decode_run(t, int(i)) for i in rows))
+        )
+        if len(rows) > 1:
             order = np.argsort(ids, kind="stable")
             ids, ttf, btf = ids[order], ttf[order], btf[order]
         return ids, ttf, btf
@@ -317,9 +329,7 @@ class Searcher:
         shift = np.int64(self.POS_BITS)
         limit = 1 << self.POS_BITS
         for i in range(t.num_rows):
-            ids = codec.decode_sorted(t["doc_gaps"][i].as_py())
-            ttfs = codec.varbyte_decode(t["title_tfs"][i].as_py()).astype(np.int64)
-            btfs = codec.varbyte_decode(t["body_tfs"][i].as_py()).astype(np.int64)
+            ids, ttfs, btfs = self._decode_run(t, i)
             tflat = codec.decode_concat_positions(t["title_pos"][i].as_py(), ttfs)
             bflat = codec.decode_concat_positions(t["body_pos"][i].as_py(), btfs)
             if (tflat.size and tflat.max() >= limit - 1) or (
@@ -365,51 +375,47 @@ class Searcher:
         # ~1.7x per densified term
         return (None, None, None, dense, mask)
 
-    def _term_partial(self, term: str, df: int):
-        """Decode a term's postings → (doc_ids, partial scores, doc
-        ordinals, dense values|None, dense mask|None).  The partial
-        scores depend only on the index (idf, tfMax), so the fully
-        computed arrays are cached per term."""
-        cached = self._partial_cache.get(term)
-        if cached is not None:
-            return cached
-        p = self.postings(term)
-        if p is None:
-            out = None
-        else:
-            ids, ttf, btf = p
-            idf = math.log10(self.n_docs / df)
-            a = self.cfg.title_weight
-            adj = a * ttf + (1.0 - a) * btf
-            pos = np.searchsorted(self._stat_ids, ids)
-            out = self._densify_partial(ids, adj * idf / self._tf_max[pos], pos)
-        self._maybe_cache(self._partial_cache, term, out)
-        return out
+    def _partial(self, ids, ttf, btf, df: int, bm25: bool):
+        """Per-term partial scores of decoded postings → (partials, doc
+        ordinals).  Every scoring path (cached full partials, the
+        MaxScore restricted phase, WAND views) computes partials here,
+        so a doc's contribution is bit-identical whichever path decoded
+        it.
 
-    def _term_partial_bm25(self, term: str, df: int):
-        """BM25 per-term partials (Robertson idf, k1/b length
-        normalization over the raw token count |d| and corpus avgdl).
-        The arithmetic association mirrors the SQL oracle exactly."""
-        key = ("bm25", term)
-        cached = self._partial_cache.get(key)
-        if cached is not None:
-            return cached
-        p = self.postings(term)
-        if p is None:
-            out = None
-        else:
-            ids, ttf, btf = p
+        Reference TF-IDF: ``(0.9·title_tf + 0.1·body_tf) · idf / tfMax``.
+        BM25: Robertson idf, k1/b length normalization over the raw
+        token count |d| and corpus avgdl; the arithmetic association
+        (``num`` first — multiply is non-associative) mirrors the SQL
+        oracle exactly."""
+        pos = np.searchsorted(self._stat_ids, ids)
+        if bm25:
             tf = (ttf + btf).astype(np.float64)
-            idf = math.log(
-                (self.n_docs - df + 0.5) / (df + 0.5) + 1.0
-            )
-            pos = np.searchsorted(self._stat_ids, ids)
+            idf = math.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
             K = self.BM25_K1 * (
                 1.0 - self.BM25_B
                 + self.BM25_B * self._n_tokens[pos] / self.avgdl
             )
             num = tf * (self.BM25_K1 + 1.0)
-            out = self._densify_partial(ids, idf * num / (tf + K), pos)
+            return idf * num / (tf + K), pos
+        idf = math.log10(self.n_docs / df)
+        a = self.cfg.title_weight
+        adj = a * ttf + (1.0 - a) * btf
+        return adj * idf / self._tf_max[pos], pos
+
+    def _term_partial(self, term: str, df: int, bm25: bool = False):
+        """Decode a term's postings → (doc_ids, partial scores, doc
+        ordinals, dense values|None, dense mask|None).  The partial
+        scores depend only on the index (idf, tfMax / doc length), so
+        the fully computed arrays are cached per term and scorer."""
+        key = ("bm25", term) if bm25 else term
+        cached = self._partial_cache.get(key)
+        if cached is not None:
+            return cached
+        p = self.postings(term)
+        out = (
+            None if p is None
+            else self._densify_partial(p[0], *self._partial(*p, df, bm25))
+        )
         self._maybe_cache(self._partial_cache, key, out)
         return out
 
@@ -425,10 +431,9 @@ class Searcher:
         """Restricted-phase decode: only runs whose [min_doc, max_doc]
         range contains at least one candidate are decoded (block-max
         run skipping; the parquet filter also pushes the range test
-        down to row groups).  Returns (ids, partial) of the decoded
-        runs — exact contributions for every candidate doc, in the
-        requested scorer's arithmetic (``bm25=True`` mirrors
-        ``_term_partial_bm25``)."""
+        down to row groups).  Returns (ids, partials, doc ordinals) of
+        the decoded runs — exact contributions for every candidate doc,
+        in the requested scorer's arithmetic (:meth:`_partial`)."""
         if not len(cand_ids):
             return None
         flt = (pc.field("max_doc") >= int(cand_ids[0])) & (
@@ -451,38 +456,8 @@ class Searcher:
         self.run_stats["decoded"] += int(need.sum())
         if not need.any():
             return None
-        ids_parts, ttf_parts, btf_parts = [], [], []
-        for i in np.flatnonzero(need):
-            i = int(i)
-            ids_parts.append(codec.decode_sorted(t["doc_gaps"][i].as_py()))
-            ttf_parts.append(
-                codec.varbyte_decode(t["title_tfs"][i].as_py()).astype(np.int64)
-            )
-            btf_parts.append(
-                codec.varbyte_decode(t["body_tfs"][i].as_py()).astype(np.int64)
-            )
-        ids = np.concatenate(ids_parts)
-        ttf = np.concatenate(ttf_parts)
-        btf = np.concatenate(btf_parts)
-        order = np.argsort(ids, kind="stable")
-        ids, ttf, btf = ids[order], ttf[order], btf[order]
-        pos2 = np.searchsorted(self._stat_ids, ids)
-        if bm25:
-            tf = (ttf + btf).astype(np.float64)
-            idf = math.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
-            K = self.BM25_K1 * (
-                1.0 - self.BM25_B
-                + self.BM25_B * self._n_tokens[pos2] / self.avgdl
-            )
-            # same FP association as _term_partial_bm25 (num first):
-            # multiply is non-associative, and restricted-phase scores
-            # must be bit-identical to the cached-partial path
-            num = tf * (self.BM25_K1 + 1.0)
-            return ids, idf * num / (tf + K), pos2
-        idf = math.log10(self.n_docs / df)
-        a = self.cfg.title_weight
-        adj = a * ttf + (1.0 - a) * btf
-        return ids, adj * idf / self._tf_max[pos2], pos2
+        ids, ttf, btf = self._decode_runs(t, np.flatnonzero(need))
+        return (ids, *self._partial(ids, ttf, btf, df, bm25))
 
     def scores_arrays(self, words, k: int | None = None,
                       prune: bool = False, mode: str = "ref"):
@@ -617,10 +592,7 @@ class Searcher:
                         hit = touched[pos]
                         acc[pos[hit]] += partial[hit]
                 else:
-                    tp = (
-                        self._term_partial_bm25(term, df)
-                        if bm25 else self._term_partial(term, df)
-                    )
+                    tp = self._term_partial(term, df, bm25)
                     if tp is None:
                         continue
                     if tp[3] is not None:
@@ -724,8 +696,7 @@ class Searcher:
             key_w = ("wand", "bm25", term) if bm25 else ("wand", term)
             view = self._wand_cache.get(key_w, False)
             if view is False:
-                tp = (self._term_partial_bm25(term, df) if bm25
-                      else self._term_partial(term, df))
+                tp = self._term_partial(term, df, bm25)
                 if tp is None:
                     view = None
                 else:
@@ -1218,6 +1189,10 @@ class ShardedSearcher:
     expressible as a Dataset transform.
     """
 
+    #: restarts of a dead shard actor, and retries of the call it was
+    #: serving, before the error reaches the caller
+    ACTOR_RESTARTS = 3
+
     def __init__(self, index_dir: str, *, num_cpus_per_shard: float = 1,
                  replicas: int = 1):
         """``replicas``: independent copies of every shard actor.  One
@@ -1232,7 +1207,14 @@ class ShardedSearcher:
         self.cfg = _load_cfg(meta["config"])
         self.num_shards = max(1, self.cfg.doc_shards)
         self.replicas = max(1, replicas)
-        actor_cls = ray.remote(num_cpus=num_cpus_per_shard)(Searcher)
+        # a shard actor that dies is restarted from the index dir and
+        # its in-flight ``search_many`` retried — safe because shard
+        # calls are read-only, so one lost actor never fails a batch
+        actor_cls = ray.remote(
+            num_cpus=num_cpus_per_shard,
+            max_restarts=self.ACTOR_RESTARTS,
+            max_task_retries=self.ACTOR_RESTARTS,
+        )(Searcher)
         self._rings = [
             [
                 actor_cls.remote(index_dir, doc_shard=s)

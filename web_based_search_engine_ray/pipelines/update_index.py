@@ -6,25 +6,22 @@ Strategy — leveraging the doc-partitioned layout so unchanged documents
 are never re-tokenized:
 
 1. ``filter_fresh`` picks corpus rows that are new or strictly newer
-   than the indexed version.
-2. Fresh rows are extracted; the ``extracted/`` checkpoint is rewritten
-   as (old rows minus updated urls) ∪ fresh rows (IO only, no parsing
-   of unchanged docs).
-3. Only segment partitions (``doc_shard``) containing touched doc_ids
-   are rebuilt (tokenize runs only over those shards' documents); all
-   other shard partitions are left byte-identical on disk.
-4. Manifests for the externally rebuilt stages are written with the
-   fingerprints ``build_index`` would compute for the new input key,
-   then ``build_index(resume=True)`` regenerates everything downstream
-   (docmeta, edges, forward, lexicon, docstats) from the merged
-   segments — these passes decode compressed segments and never
-   re-tokenize.  df/idf and every doc's cosine norm are therefore
-   globally consistent after the update (the reference gets the same
-   property by recomputing doc length per query).
-
-With ``doc_shards == 1`` the segment rebuild degenerates to a full
-re-tokenize (still correct); partition-pruned updates need the sharded
-layout.
+   than the indexed version; they are extracted and written to
+   ``_extracted_delta/`` by the build's own ``_write_extracted_lww``
+   (``doc_shard``-partitioned, shard-local last-write-wins per url).
+2. Only the ``extracted/doc_shard=S`` partitions holding touched
+   documents are rewritten as (old rows minus updated/removed urls) ∪
+   fresh rows (IO only, no parsing of unchanged docs); every other
+   partition stays byte-identical on disk.
+3. The ``extracted/`` manifest is re-stamped with the new input key and
+   per-shard fingerprints: rewritten shards get the new key, the rest
+   keep theirs.  ``build_index(resume=True)`` then regenerates
+   everything downstream, and its shard runner rebuilds segments and
+   forward only for shards whose fingerprint changed.  docmeta, edges,
+   lexicon and docstats recompute corpus-wide, so df/idf and every
+   doc's cosine norm are globally consistent after the update (the
+   reference gets the same property by recomputing doc length per
+   query).
 
 ``remove_missing=True`` adds full-sync deletion: indexed urls absent
 from the snapshot are dropped (their shards rebuilt), keeping df / N /
@@ -34,7 +31,6 @@ the reference defines but never drives.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import os
 
@@ -43,14 +39,12 @@ import pyarrow as pa
 
 from web_based_search_engine_ray.config import IndexConfig
 from web_based_search_engine_ray.pipelines.build_index import (
-    _add_url_bucket,
+    _add_doc_shard,
     _count_parquet,
     _extract_task,
     _fp,
-    _load_shard_tokens,
-    _lww_group,
-    _shuffle_parts,
-    _write_shard_tokens,
+    _shard_files,
+    _write_extracted_lww,
     build_index,
     filter_fresh,
 )
@@ -138,35 +132,21 @@ def update_index(
             "build_index instead of updating across formats"
         )
     d_ext = os.path.join(index_dir, "extracted")
-    if not fsio.isdir(d_ext) and fsio.isdir(
-        os.path.join(index_dir, "extracted_parts")
-    ):
-        raise NotImplementedError(
-            "update_index over a part-partitioned extracted layout: "
-            "re-run build_index with corpus_parts_fn — only parts whose "
-            "input changed are re-extracted (per-part manifests)"
-        )
-
-    fresh = filter_fresh(corpus_fn(), index_dir)
-    if cfg.dedup_urls:
-        fresh = fresh.map_batches(
-            functools.partial(_add_url_bucket, num_buckets=cfg.num_buckets),
-            batch_format="pyarrow",
-        ).repartition(_shuffle_parts(cfg)).groupby("url_bucket").map_groups(
-            _lww_group, batch_format="pyarrow"
-        )
-    fresh_ext = fresh.map_batches(
+    fresh_ext = filter_fresh(corpus_fn(), index_dir).map_batches(
         functools.partial(_extract_task, verify=cfg.verify_extraction),
         batch_format="pyarrow",
         batch_size=cfg.extract_batch_size,
     )
     d_delta = os.path.join(index_dir, "_extracted_delta")
     fsio.rmtree(d_delta, ignore_errors=True)
-    fresh_ext.write_parquet(d_delta)
-    try:
-        n_fresh = _count_parquet(d_delta)
-    except Exception:
-        n_fresh = 0
+    _write_extracted_lww(fresh_ext, d_delta, cfg)
+    delta_files = _shard_files(d_delta, range(cfg.doc_shards))
+    delta_meta = (
+        fsio.parquet_read_table(delta_files, columns=["url", "doc_id"])
+        if delta_files else pa.table({"url": pa.array([], pa.string()),
+                                      "doc_id": pa.array([], pa.int64())})
+    )
+    n_fresh = delta_meta.num_rows
 
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
@@ -191,14 +171,8 @@ def update_index(
                            "removed_docs": 0}
         return report
 
-    if n_fresh:
-        delta = rd.read_parquet(d_delta)
-        delta_meta = delta.select_columns(["url", "doc_id"]).to_pandas()
-        fresh_urls = set(delta_meta["url"])
-        fresh_ids = delta_meta["doc_id"].to_numpy()
-    else:
-        fresh_urls = set()
-        fresh_ids = np.empty(0, dtype=np.int64)
+    fresh_urls = set(delta_meta["url"].to_pylist())
+    fresh_ids = delta_meta["doc_id"].to_numpy(zero_copy_only=False)
 
     # old doc ids of the updated urls (their postings live in shards
     # that must be rebuilt even if the new doc_id hashes elsewhere)
@@ -213,7 +187,7 @@ def update_index(
     else:
         old_ids = np.empty(0, dtype=np.int64)
 
-    n_shards = max(1, cfg.doc_shards)
+    n_shards = cfg.doc_shards
     affected = sorted(
         set((fresh_ids % n_shards).tolist())
         | set((old_ids % n_shards).tolist())
@@ -230,123 +204,60 @@ def update_index(
         keep = pc.invert(pc.is_in(batch["url"], value_set=known))
         return batch.filter(keep)
 
-    from web_based_search_engine_ray.pipelines.build_index import (
-        _add_doc_shard,
-    )
-
-    ext_partitioned = any(
-        d.startswith("doc_shard=") for d in fsio.listdir(d_ext)
-    )
+    # partition-pruned rewrite: only the AFFECTED shards' extracted rows
+    # are read and rewritten; untouched partition dirs are not opened,
+    # so they stay byte-identical on disk.  Both sides are file lists
+    # of doc_shard= dirs, so their schemas match for the union.
     d_ext_new = os.path.join(index_dir, "_extracted_new")
     fsio.rmtree(d_ext_new, ignore_errors=True)
-    if ext_partitioned:
-        # partition-pruned rewrite: only the AFFECTED shards' extracted
-        # rows are read and rewritten; untouched partition dirs are not
-        # opened, so they stay byte-identical on disk
-        aff_dirs = [
-            p
-            for s in affected
-            if fsio.isdir(p := os.path.join(d_ext, f"doc_shard={s}"))
-        ]
-        # expand to file paths: a LIST of directories is treated as
-        # explicit file paths by the pyarrow dataset factory (opening a
-        # directory as a file is an error); per-file paths also skip
-        # partition inference, keeping the schema aligned with the
-        # unpartitioned delta for the union below
-        aff_files = [
-            os.path.join(p, f)
-            for p in aff_dirs
-            for f in fsio.listdir(p)
-            if f.endswith(".parquet")
-        ]
-        parts = []
-        if aff_files:
-            parts.append(
-                rd.read_parquet(aff_files).map_batches(
-                    drop_updated, batch_format="pyarrow"
-                )
+    parts = []
+    aff_files = _shard_files(d_ext, affected)
+    if aff_files:
+        parts.append(
+            rd.read_parquet(**fsio.ray_file_list(aff_files)).map_batches(
+                drop_updated, batch_format="pyarrow"
             )
-        if n_fresh:
-            parts.append(rd.read_parquet(d_delta))
-        if parts:
-            merged = parts[0]
-            for p in parts[1:]:
-                merged = merged.union(p)
-            merged = merged.map_batches(
-                functools.partial(_add_doc_shard, n_shards=n_shards),
-                batch_format="pyarrow",
-            )
-            merged.write_parquet(
-                d_ext_new,
-                partition_cols=["doc_shard"],
-                min_rows_per_file=cfg.min_rows_per_file,
-            )
-        for s in affected:
-            part = f"doc_shard={s}"
-            old_part = os.path.join(d_ext, part)
-            new_part = os.path.join(d_ext_new, part)
-            if fsio.isdir(old_part):
-                fsio.rmtree(old_part)
-            if fsio.isdir(new_part):
-                fsio.replace(new_part, old_part)
-        fsio.rmtree(d_ext_new, ignore_errors=True)
-    else:
-        # flat layout (doc_shards == 1 or a pre-partitioning index):
-        # full read+rewrite, as before
-        survivors = rd.read_parquet(d_ext).map_batches(
-            drop_updated, batch_format="pyarrow"
         )
-        merged = (
-            survivors.union(rd.read_parquet(d_delta))
-            if n_fresh
-            else survivors
+    if delta_files:
+        parts.append(rd.read_parquet(**fsio.ray_file_list(delta_files)))
+    if parts:
+        merged = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+        merged.map_batches(
+            functools.partial(_add_doc_shard, n_shards=n_shards),
+            batch_format="pyarrow",
+        ).write_parquet(
+            d_ext_new,
+            partition_cols=["doc_shard"],
+            min_rows_per_file=cfg.min_rows_per_file,
         )
-        merged.write_parquet(
-            d_ext_new, min_rows_per_file=cfg.min_rows_per_file
-        )
-        fsio.rmtree(d_ext)
-        fsio.replace(d_ext_new, d_ext)
+    for s in affected:
+        part = f"doc_shard={s}"
+        old_part = os.path.join(d_ext, part)
+        new_part = os.path.join(d_ext_new, part)
+        if fsio.isdir(old_part):
+            fsio.rmtree(old_part)
+        if fsio.isdir(new_part):
+            fsio.replace(new_part, old_part)
+    fsio.rmtree(d_ext_new, ignore_errors=True)
     n_ext = _count_parquet(d_ext)
     fsio.rmtree(d_delta, ignore_errors=True)
 
-    # ---- per-shard content tokens: the incremental contract --------------
-    # Untouched doc_shard partitions are byte-identical on disk.  Record
-    # that fact for the resumed build: each shard keeps the fingerprint
-    # of the last write that touched it, so the sharded segments AND
-    # forward stages (keyed on these tokens, build_index.
-    # _run_sharded_stage) re-tokenize only the affected shards.  The
-    # globally-derived stages (lexicon df, docstats norms — both depend
-    # on corpus-wide df/N by SEMANTICS) still recompute.
-    old_man = mf.load_manifest(d_ext) or {}
-    fp_ext_old = old_man.get("fingerprint", "")
+    # ---- per-shard fingerprints: the incremental contract ----------------
+    # Untouched doc_shard partitions are byte-identical on disk, so they
+    # keep the fingerprint of the last write that touched them; the
+    # rewritten ones get the new key.  The sharded segments and forward
+    # stages (build_index._run_sharded_stage) key their part manifests
+    # on these, so the resumed build below re-tokenizes only the
+    # affected shards.  The globally-derived stages (lexicon df,
+    # docstats norms — both depend on corpus-wide df/N by SEMANTICS)
+    # still recompute.
     fp_ext = _fp("extracted", sem, input_key)
-    full_rebuild = (
-        cfg.doc_shards <= 1 or len(affected) >= n_shards or not ext_partitioned
-    )
-    if full_rebuild:
-        try:
-            fsio.remove(os.path.join(index_dir, "_shard_tokens.json"))
-        except Exception:
-            pass
-    else:
-        prev = _load_shard_tokens(index_dir, fp_ext_old)
-        tokens = {
-            str(s): (
-                fp_ext
-                if s in set(affected)
-                else prev.get(str(s), fp_ext_old)
-            )
-            for s in range(n_shards)
-        }
-        _write_shard_tokens(index_dir, fp_ext, tokens)
-    mf.write_manifest(d_ext, fp_ext, n_ext, extra={"updated": True})
+    shard_fps = mf.load_manifest(d_ext)["shard_fps"]
+    shard_fps.update({str(s): fp_ext for s in affected})
+    mf.write_manifest(d_ext, fp_ext, n_ext,
+                      extra={"updated": True, "shard_fps": shard_fps})
 
     # ---- everything downstream via the normal (resumable) build ----------
-    # segments/forward prune to the affected shards via the tokens above;
-    # the sharded stage path must be on for the pruning to apply
-    # (partitioned_build is physical layout only — not in semantic_key)
-    if not full_rebuild and not cfg.partitioned_build:
-        cfg = dataclasses.replace(cfg, partitioned_build=True)
     def _no_corpus():
         raise RuntimeError(
             "corpus must not be re-read: extracted stage is primed"
@@ -359,7 +270,6 @@ def update_index(
         "fresh_docs": int(n_fresh),
         "removed_docs": int(len(removed_ids)),
         "affected_shards": [int(s) for s in affected],
-        "full_segment_rebuild": bool(full_rebuild),
     }
     mf.write_json(os.path.join(index_dir, "meta.json"), report)
     return report

@@ -2556,7 +2556,7 @@ def oracle_sql():
             GROUP BY p.doc_id
         """,
         # BM25 (k1=1.2, b=0.75, Robertson idf); arithmetic association
-        # mirrors Searcher._term_partial_bm25 exactly
+        # mirrors Searcher._partial (bm25=True) exactly
         "bm25_search": _SCORE_CTES + f"""
             , dl AS (
                 SELECT doc_id,

@@ -212,14 +212,36 @@ def write_json(path: str, obj: Any) -> None:
 
 def parquet_read_table(paths, **kwargs):
     """``pq.read_table`` that also accepts URI lists (pyarrow infers a
-    filesystem from a single URI string but rejects lists of them)."""
+    filesystem from a single URI string but rejects lists of them).
+    Reads exactly the files' own columns: pyarrow would otherwise infer
+    a ``doc_shard`` column from the ``doc_shard=N`` path segment of a
+    multi-file list, and a table written back from it would carry a
+    partition column inside the partition dir."""
     import pyarrow.parquet as pq
 
+    kwargs.setdefault("partitioning", None)
     if isinstance(paths, str) or not paths or not is_uri(paths[0]):
         return pq.read_table(paths, **kwargs)
     fs, _ = _fs(paths[0])
     stripped = [fs._strip_protocol(p) for p in paths]
     return pq.read_table(stripped, filesystem=fs, **kwargs)
+
+
+def ray_file_list(paths: list[str]) -> dict:
+    """``paths``/``filesystem`` kwargs for a Ray read over an explicit
+    file list.  Ray resolves a list's filesystem from its first entry
+    and then rejects every further ``file://`` URI, so URI lists go in
+    scheme-stripped with their filesystem passed explicitly (wrapped
+    for pyarrow here: Ray's own fsspec wrapping needs aiohttp)."""
+    from pyarrow.fs import FSSpecHandler, PyFileSystem
+
+    if not paths or not is_uri(paths[0]):
+        return {"paths": paths}
+    fs, _ = _fs(paths[0])
+    return {
+        "paths": [fs._strip_protocol(p) for p in paths],
+        "filesystem": PyFileSystem(FSSpecHandler(fs)),
+    }
 
 
 def parquet_write_table(table, path: str, **kwargs) -> None:

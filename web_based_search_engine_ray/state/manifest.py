@@ -48,11 +48,10 @@ def load_manifest(stage_dir: str, *, manifest_path: str | None = None) -> dict |
         return None
 
 
-def is_complete(stage_dir: str, fingerprint: str, *,
-                manifest_path: str | None = None) -> bool:
+def is_complete(stage_dir: str, fingerprint: str) -> bool:
     if not fsio.isdir(stage_dir):
         return False
-    m = load_manifest(stage_dir, manifest_path=manifest_path)
+    m = load_manifest(stage_dir)
     return m is not None and m.get("fingerprint") == fingerprint
 
 
@@ -79,15 +78,14 @@ def run_stage(
     *,
     resume: bool = True,
     extra_metrics: dict | None = None,
-    manifest_path: str | None = None,
 ) -> StageResult:
     """Run ``build_fn(stage_dir)`` (which must write parquet into
     ``stage_dir`` and return a row count) unless a matching manifest
     already marks the stage complete."""
     name = os.path.basename(stage_dir.rstrip("/"))
-    mp = manifest_path or _manifest_path(stage_dir)
-    if resume and is_complete(stage_dir, fingerprint, manifest_path=mp):
-        m = load_manifest(stage_dir, manifest_path=mp)
+    mp = _manifest_path(stage_dir)
+    if resume and is_complete(stage_dir, fingerprint):
+        m = load_manifest(stage_dir)
         return StageResult(name, stage_dir, m.get("rows", -1), 0.0, True, m)
     if fsio.exists(stage_dir):
         fsio.rmtree(stage_dir)
@@ -119,9 +117,9 @@ def write_manifest(
     wall_sec: float = 0.0,
     extra: dict | None = None,
 ) -> None:
-    """Mark an externally-built stage directory complete (used by
-    ``update_index``, which builds some stages itself and lets
-    ``build_index(resume=True)`` skip them)."""
+    """Mark a stage directory built outside :func:`run_stage` complete
+    (``update_index``'s extracted/ rewrite, and the per-shard stages of
+    ``build_index``)."""
     manifest = {
         "stage": os.path.basename(stage_dir.rstrip("/")),
         "fingerprint": fingerprint,
