@@ -1,0 +1,313 @@
+"""Result hydration and the result-page renderers.
+
+``Searcher.hydrate`` reads a store loaded on its first call; it must give
+the frame of the filtered-scan implementation kept below as the
+reference (same columns, dtypes, defaults for ids missing from docmeta
+or forward, sorted link sets, top-``max_keywords`` keywords), read no
+file after that first call, and never load on a shard Searcher.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.dataset as pads
+import pytest
+
+MODIFIED_IDS = (3, 10, 17)
+REMOVED_IDS = (5, 12)
+
+
+def reference_hydrate(index_dir: str, results: pd.DataFrame,
+                      max_keywords: int) -> pd.DataFrame:
+    """Four filtered Dataset scans per call, then per-row pandas lookups
+    (the implementation the store replaced)."""
+    import os
+
+    from web_based_search_engine_ray.pipelines.search import _empty_results
+
+    def ds(name):
+        return pads.dataset(os.path.join(index_dir, name), format="parquet")
+
+    if results.empty:
+        return _empty_results(True)
+    ids = results["doc_id"].tolist()
+    meta = ds("docmeta").to_table(
+        filter=pc.field("doc_id").isin(ids)
+    ).to_pandas().set_index("doc_id")
+    fwd = ds("forward").to_table(
+        columns=["doc_id", "terms", "title_tfs", "body_tfs"],
+        filter=pc.field("doc_id").isin(ids),
+    ).to_pandas().set_index("doc_id")
+    urls = meta["url"].to_dict()
+    child = ds("edges").to_table(
+        columns=["src_doc_id", "dst_url"],
+        filter=pc.field("src_doc_id").isin(ids),
+    ).to_pandas()
+    parent = ds("edges").to_table(
+        columns=["src_url", "dst_url"],
+        filter=pc.field("dst_url").isin(list(urls.values())),
+    ).to_pandas()
+    child_map = child.groupby("src_doc_id")["dst_url"].apply(
+        lambda s: sorted(set(s))
+    ).to_dict()
+    parent_by_url = parent.groupby("dst_url")["src_url"].apply(
+        lambda s: sorted(set(s))
+    ).to_dict()
+
+    rows = []
+    for doc_id, score in zip(results["doc_id"], results["score"]):
+        m = meta.loc[doc_id] if doc_id in meta.index else None
+        kw: list[tuple[str, int]] = []
+        if doc_id in fwd.index:
+            f = fwd.loc[doc_id]
+            freqs = [
+                (t, int(a) + int(b))
+                for t, a, b in zip(f["terms"], f["title_tfs"], f["body_tfs"])
+            ]
+            freqs.sort(key=lambda x: (-x[1], x[0]))
+            kw = freqs[:max_keywords]
+        url = urls.get(doc_id, "")
+        rows.append(
+            {
+                "doc_id": doc_id,
+                "score": score,
+                "title": (m["title"] if m is not None else ""),
+                "url": url,
+                "last_modified": (m["last_modified"] if m is not None
+                                  else None),
+                "page_size": int(m["page_size"]) if m is not None else 0,
+                "keywords": kw,
+                "parent_links": parent_by_url.get(url, []),
+                "child_links": child_map.get(doc_id, []),
+            }
+        )
+    return pd.DataFrame(rows)
+
+
+def _all_ids(index_dir: str) -> np.ndarray:
+    import os
+
+    ids = pads.dataset(os.path.join(index_dir, "docmeta"),
+                       format="parquet").to_table(columns=["doc_id"])
+    return np.sort(ids["doc_id"].to_numpy())
+
+
+def _assert_parity(index_dir: str, ids, chunk: int = 50) -> None:
+    """Every id, in result-sized chunks with descending scores, through
+    one Searcher (so later chunks hit the loaded store)."""
+    from web_based_search_engine_ray.pipelines.search import Searcher
+
+    s = Searcher(index_dir)
+    ids = np.asarray(ids, dtype=np.int64)
+    for i in range(0, len(ids), chunk):
+        part = ids[i:i + chunk]
+        res = pd.DataFrame({"doc_id": part,
+                            "score": np.linspace(1.0, 0.5, len(part))})
+        pd.testing.assert_frame_equal(
+            s.hydrate(res),
+            reference_hydrate(index_dir, res, s.cfg.max_keywords),
+            check_dtype=True,
+        )
+
+
+@pytest.fixture(scope="module")
+def sf_index(ray_session, sf_dir):
+    from web_based_search_engine_ray.config import IndexConfig
+    from web_based_search_engine_ray.registry import get_index
+
+    return get_index(sf_dir, IndexConfig())
+
+
+def test_hydrate_matches_reference_every_doc(sf_index):
+    ids = _all_ids(sf_index)
+    assert len(ids) == 500
+    _assert_parity(sf_index, ids)
+
+
+def _updated_corpus(sf_dir: str):
+    """The sf corpus with ``MODIFIED_IDS`` rewritten (newer ``warc_ts``, new
+    text) and ``REMOVED_IDS`` gone (a full-sync snapshot)."""
+    import ray.data as rd
+
+    from web_based_search_engine_ray.sources.webcorpus import synth_batch
+
+    def modify(batch: pa.Table) -> pa.Table:
+        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+        texts = [t + " freshly updated hydration tokens"
+                 if i in MODIFIED_IDS else t
+                 for i, t in zip(ids, batch["text"].to_pylist())]
+        web = synth_batch(batch.set_column(
+            batch.schema.get_field_index("text"), "text",
+            pa.array(texts, pa.string())))
+        ts = web["warc_ts"].to_numpy(zero_copy_only=False).astype(
+            "datetime64[us]")
+        ts = np.where(np.isin(ids, MODIFIED_IDS),
+                      ts + np.timedelta64(1, "D"), ts)
+        return web.set_column(web.schema.get_field_index("warc_ts"),
+                              "warc_ts", pa.array(ts, pa.timestamp("us")))
+
+    return (
+        rd.read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id", "text", "lang"],
+                        override_num_blocks=4)
+        .filter(expr=f"doc_id not in {list(REMOVED_IDS)}")
+        .map_batches(modify, batch_format="pyarrow")
+    )
+
+
+def test_hydrate_matches_reference_after_update(ray_session, sf_dir,
+                                                tmp_path_factory):
+    from web_based_search_engine_ray.config import IndexConfig
+    from web_based_search_engine_ray.pipelines.build_index import build_index
+    from web_based_search_engine_ray.pipelines.update_index import (
+        update_index,
+    )
+    from web_based_search_engine_ray.sources.webcorpus import synth_corpus
+
+    cfg = IndexConfig(shuffle_partitions=4, num_buckets=4, doc_shards=2)
+    idx = str(tmp_path_factory.mktemp("hydrate_upd") / "idx")
+    build_index(lambda: synth_corpus(sf_dir), idx, cfg, input_key="v1",
+                resume=False)
+    report = update_index(lambda: _updated_corpus(sf_dir), idx, cfg,
+                          input_key="v2", remove_missing=True)
+    assert report["update"]["removed_docs"] == len(REMOVED_IDS)
+    assert report["update"]["fresh_docs"] == len(MODIFIED_IDS)
+    ids = _all_ids(idx)
+    assert not set(REMOVED_IDS) & set(ids.tolist())
+    # the removed ids ride along: absent from docmeta and forward
+    _assert_parity(idx, np.concatenate([list(REMOVED_IDS), ids]))
+
+
+def test_hydrate_ids_missing_from_docmeta_and_forward(sf_index):
+    from web_based_search_engine_ray.pipelines.search import Searcher
+
+    ids = [7, 10**9, 3, -1, 10**9 + 1]
+    _assert_parity(sf_index, ids)
+    res = pd.DataFrame({"doc_id": ids, "score": [0.9, 0.8, 0.7, 0.6,
+                                                 float("nan")]})
+    out = Searcher(sf_index).hydrate(res)
+    absent = out[out["doc_id"] >= 10**9]
+    assert absent["title"].tolist() == ["", ""]
+    assert absent["url"].tolist() == ["", ""]
+    assert absent["page_size"].tolist() == [0, 0]
+    assert absent["keywords"].tolist() == [[], []]
+    assert absent["parent_links"].tolist() == [[], []]
+    assert absent["child_links"].tolist() == [[], []]
+    # only absent ids (the scan reference raises here: its parent-link
+    # filter gets an empty url list): the row the reference builds
+    only = pd.DataFrame({"doc_id": [10**9], "score": [1.0]})
+    pd.testing.assert_frame_equal(
+        Searcher(sf_index).hydrate(only),
+        pd.DataFrame([{"doc_id": 10**9, "score": 1.0, "title": "",
+                       "url": "", "last_modified": None, "page_size": 0,
+                       "keywords": [], "parent_links": [],
+                       "child_links": []}]),
+        check_dtype=True)
+
+
+def test_hydrate_reads_no_file_after_first_call(sf_index, monkeypatch):
+    from web_based_search_engine_ray.pipelines.search import Searcher
+
+    s = Searcher(sf_index)
+    assert s.hydrate_store_bytes == 0
+    res = s.search({"spark", "merge"}, k=20, hydrate=False)
+    assert len(res)
+    first = s.hydrate(res)
+    assert s.hydrate_store_bytes > 0
+
+    calls = []
+    real = pads.dataset
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(pads, "dataset", counted)
+    for _ in range(20):
+        pd.testing.assert_frame_equal(s.hydrate(res), first)
+    assert calls == []
+
+
+def test_shard_searcher_loads_no_hydrate_store(sf_index):
+    from web_based_search_engine_ray.pipelines.search import Searcher
+
+    s = Searcher(sf_index, doc_shard=0)
+    out = s.search_many(["spark merge", 'window "merge batch"'], k=10)
+    assert len(out)
+    assert s.hydrate_store_bytes == 0
+
+
+def _page_frame() -> pd.DataFrame:
+    return pd.DataFrame({
+        "doc_id": [1, 2],
+        "score": [0.73484, 0.5],
+        "title": ['<b>"Fish" & Chips</b>', "plain"],
+        "url": ["https://x/a?b=1&c=<2>", "https://x/2"],
+        "last_modified": [pd.Timestamp("2024-01-01 00:00:01"), pd.NaT],
+        "page_size": [123, 0],
+        "keywords": [[("merg", 3), ("<tag>", 1)], []],
+        "parent_links": [["https://x/0", "https://x/'q'"], []],
+        "child_links": [[], []],
+    })
+
+
+def test_result_renderers_golden():
+    from web_based_search_engine_ray.pipelines.search import format_results
+    from web_based_search_engine_ray.pipelines.server import (
+        _render_result_page,
+    )
+
+    df = _page_frame()
+    assert df["last_modified"].dtype.kind == "M"
+    assert format_results(df) == (
+        '0.7348\t<b>"Fish" & Chips</b>\n'
+        "\thttps://x/a?b=1&c=<2>\n"
+        "\t2024-01-01 00:00:01, 123\n"
+        "\tmerg 3; <tag> 1; \n"
+        "\tParent Links:\n"
+        "\thttps://x/0\n"
+        "\thttps://x/'q'\n"
+        "\tChild Links:\n"
+        "\n\n"
+        "0.5000\tplain\n"
+        "\thttps://x/2\n"
+        "\tNaT, 0\n"
+        "\t\n"
+        "\tParent Links:\n"
+        "\tChild Links:\n"
+    )
+    assert _render_result_page({"spark", "merg"}, ["merg"], df) == (
+        '<!DOCTYPE html>\n<html lang="en">\n'
+        "<head><title>Search Results</title></head>\n<body>\n"
+        '<form action="/result">\n'
+        '<input type="text" name="search" '
+        'placeholder="Enter your search query">\n'
+        '<input type="submit" value="Search">\n</form>\n'
+        "<h1>Search Results</h1>\n"
+        "<h4>Search keywords: [&#x27;merg&#x27;, &#x27;spark&#x27;]</h4>\n"
+        "<h4>Search phrase: [&#x27;merg&#x27;]</h4>\n"
+        "<ol>\n"
+        "<li>\n"
+        '<h3>0.7348 <a href="https://x/a?b=1&amp;c=&lt;2&gt;">'
+        "&lt;b&gt;&quot;Fish&quot; &amp; Chips&lt;/b&gt;</a></h3>\n"
+        '<a href="https://x/a?b=1&amp;c=&lt;2&gt;">'
+        "https://x/a?b=1&amp;c=&lt;2&gt;</a>\n"
+        "<p>2024-01-01 00:00:01, 123</p>\n"
+        "<p>Keywords: merg 3; &lt;tag&gt; 1</p>\n"
+        "<p>Parent Links:</p>\n<ul>\n"
+        '<li><a href="https://x/0">https://x/0</a></li>\n'
+        '<li><a href="https://x/&#x27;q&#x27;">'
+        "https://x/&#x27;q&#x27;</a></li>\n"
+        "</ul>\n<p>Child Links:</p>\n<ul>\n</ul>\n</li>\n"
+        "<li>\n"
+        '<h3>0.5000 <a href="https://x/2">plain</a></h3>\n'
+        '<a href="https://x/2">https://x/2</a>\n'
+        "<p>NaT, 0</p>\n"
+        "<p>Keywords: </p>\n"
+        "<p>Parent Links:</p>\n<ul>\n"
+        "</ul>\n<p>Child Links:</p>\n<ul>\n</ul>\n</li>\n"
+        "</ol>\n</body>\n</html>"
+    )

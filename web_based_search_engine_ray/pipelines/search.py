@@ -21,8 +21,9 @@ Reproduces the reference search path exactly (``Indexer.search``,
   groups (not tie order) are the conformance surface (SURVEY.md §2.6);
 - hydration (title, url, last_modified, page_size, top-5 keywords,
   parent/child links — ``Indexer.buildSearchResult``,
-  ``Indexer.java:194-231``) touches only the k result rows via
-  filtered parquet reads.
+  ``Indexer.java:194-231``) looks up only the k result rows, by
+  ``doc_id``, in a store of the hydration columns that a Searcher loads
+  on its first hydrated query (the reference's keyed point lookups).
 
 Scale note (10^12 docs): a shard ``Searcher`` reads ONLY its
 ``docstats/doc_shard=<s>`` partition (per-actor doc state scales
@@ -72,7 +73,8 @@ def _load_cfg(d: dict) -> IndexConfig:
 
 class Searcher:
     """Loads the small artifacts once (lexicon, docstats, meta); posting
-    runs and hydration rows are filtered parquet reads."""
+    runs are filtered parquet reads; hydration rows come from a store
+    loaded on the first :meth:`hydrate`."""
 
     #: max cached terms (decoded posting arrays); the Zipfian query
     #: distribution makes even a small cache very effective
@@ -165,15 +167,8 @@ class Searcher:
             format="parquet",
             partitioning="hive",
         )
-        self._docmeta = pads.dataset(
-            os.path.join(index_dir, "docmeta"), format="parquet"
-        )
-        self._forward = pads.dataset(
-            os.path.join(index_dir, "forward"), format="parquet"
-        )
-        self._edges = pads.dataset(
-            os.path.join(index_dir, "edges"), format="parquet"
-        )
+        #: hydration rows, loaded by the first :meth:`hydrate`
+        self._hydrate_store: _HydrateStore | None = None
 
     # ------------------------------------------------------------------ utils
     #: byte budget for cached lexicon buckets (admission-controlled
@@ -986,63 +981,136 @@ class Searcher:
         )
 
     # --------------------------------------------------------------- hydrate
+    @property
+    def hydrate_store_bytes(self) -> int:
+        """Arrow + numpy bytes of the hydration store; 0 until the first
+        :meth:`hydrate` loads it (shard Searchers never hydrate)."""
+        return self._hydrate_store.nbytes if self._hydrate_store else 0
+
     def hydrate(self, results: pd.DataFrame) -> pd.DataFrame:
-        """``Indexer.buildSearchResult`` for the k result rows only."""
+        """``Indexer.buildSearchResult`` for the k result rows only.
+
+        The rows come from a :class:`_HydrateStore` loaded on the first
+        call and kept for this Searcher's life, so a request is a few
+        ``np.searchsorted`` + ``take`` calls and reads no file.  Its
+        memory is O(docs) for a Searcher that hydrates: about 540 B/doc
+        (2.7 MB Arrow + numpy) on the 5,000-doc indexes of both
+        ``perfbench`` workloads.  Docs missing from docmeta or forward
+        get ``""``/``None``/``0``/``[]``."""
         if results.empty:
             return _empty_results(True)
-        ids = results["doc_id"].tolist()
-        meta = self._docmeta.to_table(
-            filter=pc.field("doc_id").isin(ids)
-        ).to_pandas().set_index("doc_id")
-        fwd = self._forward.to_table(
-            columns=["doc_id", "terms", "title_tfs", "body_tfs"],
-            filter=pc.field("doc_id").isin(ids),
-        ).to_pandas().set_index("doc_id")
-        urls = meta["url"].to_dict()
-        child = self._edges.to_table(
-            columns=["src_doc_id", "dst_url"],
-            filter=pc.field("src_doc_id").isin(ids),
-        ).to_pandas()
-        parent = self._edges.to_table(
-            columns=["src_url", "dst_url"],
-            filter=pc.field("dst_url").isin(list(urls.values())),
-        ).to_pandas()
-        child_map = child.groupby("src_doc_id")["dst_url"].apply(
-            lambda s: sorted(set(s))
-        ).to_dict()
-        parent_by_url = parent.groupby("dst_url")["src_url"].apply(
-            lambda s: sorted(set(s))
-        ).to_dict()
+        if self._hydrate_store is None:
+            self._hydrate_store = _HydrateStore(self.index_dir,
+                                                self.cfg.max_keywords)
+        return self._hydrate_store.rows(results)
 
-        rows = []
-        for doc_id, score in zip(results["doc_id"], results["score"]):
-            m = meta.loc[doc_id] if doc_id in meta.index else None
-            kw: list[tuple[str, int]] = []
-            if doc_id in fwd.index:
-                f = fwd.loc[doc_id]
-                freqs = [
-                    (t, int(a) + int(b))
-                    for t, a, b in zip(f["terms"], f["title_tfs"], f["body_tfs"])
-                ]
-                # top-5 by freq desc; term asc tie-break (reference tie
-                # order is HashMap-nondeterministic, SearchResult.java:33-44)
-                freqs.sort(key=lambda x: (-x[1], x[0]))
-                kw = freqs[: self.cfg.max_keywords]
-            url = urls.get(doc_id, "")
-            rows.append(
-                {
-                    "doc_id": doc_id,
-                    "score": score,
-                    "title": (m["title"] if m is not None else ""),
-                    "url": url,
-                    "last_modified": (m["last_modified"] if m is not None else None),
-                    "page_size": int(m["page_size"]) if m is not None else 0,
-                    "keywords": kw,
-                    "parent_links": parent_by_url.get(url, []),
-                    "child_links": child_map.get(doc_id, []),
-                }
-            )
-        return pd.DataFrame(rows)
+
+class _HydrateStore:
+    """The hydration columns of one index version, each table sorted by
+    an int64 doc id kept beside it as a numpy key array:
+
+    - ``meta``: docmeta ``url, title, page_size, last_modified``;
+    - ``keywords``: each doc's top ``max_keywords`` ``(term, freq)`` by
+      title+body freq desc, term asc (a fixed tie order: the
+      reference's is HashMap-nondeterministic, ``SearchResult.java:33-44``)
+      — Arrow sorts strings by UTF-8 bytes, which is the code-point
+      order of Python's ``sort``;
+    - ``child``: the distinct ``dst_url`` of edges by ``src_doc_id``;
+    - ``parent``: the distinct ``src_url`` of edges whose ``dst_url`` is
+      the doc's url (edges joined to docmeta on the url).
+
+    Link rows are sorted by (doc id, url), so a doc's rows are already
+    the sorted set the result page prints."""
+
+    def __init__(self, index_dir: str, max_keywords: int):
+        def read(name: str, columns: list[str]) -> pa.Table:
+            return pads.dataset(os.path.join(index_dir, name),
+                                format="parquet").to_table(columns=columns)
+
+        meta = read("docmeta", ["doc_id", "url", "title", "page_size",
+                                "last_modified"])
+        edges = read("edges", ["src_doc_id", "src_url", "dst_url"])
+        parents = edges.join(meta.select(["url", "doc_id"]),
+                             keys="dst_url", right_keys="url")
+        tables = {
+            "meta": meta.sort_by("doc_id"),
+            "keywords": _top_keywords(
+                read("forward", ["doc_id", "terms", "title_tfs",
+                                 "body_tfs"]), max_keywords),
+            "child": _link_sets(edges, "src_doc_id", "dst_url"),
+            "parent": _link_sets(parents, "doc_id", "src_url"),
+        }
+        self.keys = {n: t["doc_id"].to_numpy() for n, t in tables.items()}
+        self.tables = {n: t.drop_columns(["doc_id"]).combine_chunks()
+                       for n, t in tables.items()}
+        self.nbytes = sum(t.nbytes for t in self.tables.values()) + sum(
+            k.nbytes for k in self.keys.values())
+
+    def _groups(self, name: str, ids: np.ndarray) -> list[list]:
+        """Per id, its rows of table ``name``: values when the table has
+        one column, tuples of the columns otherwise."""
+        keys = self.keys[name]
+        lo = np.searchsorted(keys, ids, "left")
+        n = np.searchsorted(keys, ids, "right") - lo
+        ends = np.cumsum(n)
+        rows = np.repeat(lo - (ends - n), n) + np.arange(ends[-1])
+        cols = [c.to_pylist() for c in self.tables[name].take(rows).columns]
+        vals = cols[0] if len(cols) == 1 else list(zip(*cols))
+        return [vals[e - m:e] for e, m in zip(ends.tolist(), n.tolist())]
+
+    def rows(self, results: pd.DataFrame) -> pd.DataFrame:
+        doc_ids = results["doc_id"].tolist()
+        ids = np.asarray(doc_ids, dtype=np.int64)
+        keys = self.keys["meta"]
+        pos = np.searchsorted(keys, ids)
+        found = np.searchsorted(keys, ids, "right") > pos
+        meta = self.tables["meta"].take(pos[found])
+
+        def fill(vals: list, default) -> list:
+            it = iter(vals)
+            return [next(it) if f else default for f in found.tolist()]
+
+        # Python objects, so pandas infers each column's dtype as it does
+        # for the reference's row dicts (pandas Timestamps, not datetimes)
+        return pd.DataFrame({
+            "doc_id": doc_ids,
+            "score": results["score"].tolist(),
+            "title": fill(meta["title"].to_pylist(), ""),
+            "url": fill(meta["url"].to_pylist(), ""),
+            "last_modified": fill(
+                meta["last_modified"].to_pandas().tolist(), None),
+            "page_size": fill(meta["page_size"].to_pylist(), 0),
+            "keywords": self._groups("keywords", ids),
+            "parent_links": self._groups("parent", ids),
+            "child_links": self._groups("child", ids),
+        })
+
+
+def _top_keywords(fwd: pa.Table, max_keywords: int) -> pa.Table:
+    """``(doc_id, term, freq)`` of each forward row's top
+    ``max_keywords`` terms, sorted by (doc_id, freq desc, term)."""
+    terms = fwd["terms"].combine_chunks()
+    freq = pc.add(
+        *(pc.list_flatten(fwd[c].combine_chunks()).cast(pa.int64())
+          for c in ("title_tfs", "body_tfs")))
+    flat = pa.table({
+        "doc_id": fwd["doc_id"].combine_chunks().take(
+            pc.list_parent_indices(terms)),
+        "term": pc.list_flatten(terms),
+        "freq": freq,
+    }).sort_by([("doc_id", "ascending"), ("freq", "descending"),
+                ("term", "ascending")])
+    ids = flat["doc_id"].to_numpy()
+    rank = np.arange(len(ids)) - np.searchsorted(ids, ids)
+    return flat.filter(pa.array(rank < max_keywords))
+
+
+def _link_sets(edges: pa.Table, key: str, url: str) -> pa.Table:
+    """The distinct ``(key, url)`` pairs of ``edges`` as ``(doc_id,
+    url)``, sorted by both."""
+    return (edges.group_by([key, url]).aggregate([])
+            .select([key, url]).rename_columns(["doc_id", "url"])
+            .sort_by([("doc_id", "ascending"), ("url", "ascending")]))
 
 
 def format_result(row) -> str:
@@ -1066,7 +1134,7 @@ def format_result(row) -> str:
 
 
 def format_results(df: pd.DataFrame) -> str:
-    return "\n\n".join(format_result(r) for _, r in df.iterrows())
+    return "\n\n".join(format_result(r) for r in df.to_dict("records"))
 
 
 def dump_index(index_dir: str, *, max_rows: int = 20) -> str:

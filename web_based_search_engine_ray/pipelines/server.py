@@ -17,8 +17,12 @@ and shared across requests.  ``Searcher.search`` mutates per-instance
 scratch state (the dense score accumulator ``_acc`` / ``_touched`` and
 the decode caches), so concurrent handler threads must NOT interleave
 calls — a per-server ``threading.Lock`` serializes the search section
-(form/404 routes stay lock-free).  This is a demo/debug surface; batch
-workloads should use ``pipelines.search.ShardedSearcher.batch_search``.
+(form/404 routes stay lock-free).  Hydration reads a per-Searcher store
+of the result-page columns that the first ``/result`` request loads,
+under that same lock; like the lexicon and docstats caches it is never
+reloaded, so a server serves the one index version it started on.
+This is a demo/debug surface; batch workloads should use
+``pipelines.search.ShardedSearcher.batch_search``.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ def _render_result_page(keyword_stems, phrase_stems, results) -> str:
     ]
     if len(results) == 0:
         parts.append("<p>No matching document found.</p>\n")
-    for _, r in results.iterrows():
+    for r in results.to_dict("records"):
         url = html.escape(str(r["url"]), quote=True)
         kw = "; ".join(f"{w} {f}" for w, f in r["keywords"])
         parts.append(
