@@ -41,14 +41,22 @@ def test_format_result_block(ray_session, tmp_path_factory):
     assert format_results(pd.DataFrame([row, row])).count("0.7348\t") == 2
 
 
-def test_filter_fresh(ray_session, tmp_path_factory, sf_dir):
-    import ray.data as rd
-
+def _fresh(corpus, index_dir):
+    """The update's fresh corpus rows: classify join + corpus filter."""
     from web_based_search_engine_ray.config import IndexConfig
-    from web_based_search_engine_ray.pipelines.build_index import (
-        build_index,
-        filter_fresh,
+    from web_based_search_engine_ray.pipelines.update_index import (
+        classify_snapshot,
+        fresh_rows,
     )
+
+    return fresh_rows(
+        corpus, classify_snapshot(corpus, index_dir, IndexConfig())
+    )
+
+
+def test_classify_fresh(ray_session, tmp_path_factory, sf_dir):
+    from web_based_search_engine_ray.config import IndexConfig
+    from web_based_search_engine_ray.pipelines.build_index import build_index
     from web_based_search_engine_ray.sources.webcorpus import synth_corpus
 
     out = str(tmp_path_factory.mktemp("fresh") / "idx")
@@ -59,7 +67,7 @@ def test_filter_fresh(ray_session, tmp_path_factory, sf_dir):
                 input_key="freshtest", resume=False)
 
     # identical snapshot → nothing is fresh
-    assert filter_fresh(synth_corpus(sf_dir), out).count() == 0
+    assert _fresh(synth_corpus(sf_dir), out).count() == 0
 
     # bump warc_ts on 3 docs → exactly those are fresh
     def bump(batch: pa.Table) -> pa.Table:
@@ -76,30 +84,10 @@ def test_filter_fresh(ray_session, tmp_path_factory, sf_dir):
         )
 
     updated = synth_corpus(sf_dir).map_batches(bump, batch_format="pyarrow")
-    fresh = filter_fresh(updated, out).to_pandas()
+    fresh = _fresh(updated, out).to_pandas()
     assert sorted(fresh["doc_id"]) == [0, 1, 2]
-
-    # the Bloom anti-join path must agree exactly with the broadcast
-    # dict, and must never fall back to the driver-side url dict
-    import web_based_search_engine_ray.pipelines.build_index as bi
-
-    def _no_exact(*a, **k):
-        raise AssertionError(
-            "bloom mode must not materialize the full url dict"
-        )
-
-    orig = bi._filter_fresh_exact
-    bi._filter_fresh_exact = _no_exact
-    try:
-        assert filter_fresh(
-            synth_corpus(sf_dir), out, mode="bloom"
-        ).count() == 0
-        fresh_b = filter_fresh(updated, out, mode="bloom").to_pandas()
-    finally:
-        bi._filter_fresh_exact = orig
-    assert sorted(fresh_b["doc_id"]) == [0, 1, 2]
-    # schema parity with the exact path (full corpus rows survive)
-    assert set(fresh_b.columns) == set(fresh.columns)
+    # full corpus rows survive the filter
+    assert set(fresh.columns) == set(synth_corpus(sf_dir).columns())
 
 
 def test_dump_index(ray_session, sf_dir):
@@ -150,19 +138,14 @@ def test_embedding_lsh_finds_exact_pairs(ray_session):
     assert lsh_pairs == expected
 
 
-def test_filter_fresh_bloom_drops_stale_duplicate_rows(
+def test_classify_drops_stale_duplicate_rows(
     ray_session, tmp_path_factory, sf_dir
 ):
     """A corpus carrying BOTH a newer and a stale row for the same url
-    must keep only the newer row in bloom mode, exactly like the exact
-    path (regression: the per-URL fresh set kept both)."""
-    import ray.data as rd
-
+    must keep only the newer row (regression: a per-URL fresh set kept
+    both)."""
     from web_based_search_engine_ray.config import IndexConfig
-    from web_based_search_engine_ray.pipelines.build_index import (
-        build_index,
-        filter_fresh,
-    )
+    from web_based_search_engine_ray.pipelines.build_index import build_index
     from web_based_search_engine_ray.sources.webcorpus import synth_corpus
 
     out = str(tmp_path_factory.mktemp("freshdup") / "idx")
@@ -193,25 +176,22 @@ def test_filter_fresh_bloom_drops_stale_duplicate_rows(
     updated = synth_corpus(sf_dir).map_batches(
         dup_rows, batch_format="pyarrow"
     )
-    for mode in ("exact", "bloom"):
-        fresh = filter_fresh(updated, out, mode=mode).to_pandas()
-        assert list(fresh["doc_id"]) == [0], mode
-        # the surviving row is the NEWER one
-        assert len(fresh) == 1, mode
+    fresh = _fresh(updated, out).to_pandas()
+    assert list(fresh["doc_id"]) == [0]
+    # the surviving row is the NEWER one
+    assert len(fresh) == 1
 
 
-def test_filter_fresh_duplicate_docmeta_uses_newest_threshold(
+def test_classify_duplicate_docmeta_uses_newest_threshold(
     ray_session, tmp_path_factory
 ):
     """With ``dedup_urls=False`` docmeta may hold the same url more
     than once; the freshness threshold must be the NEWEST stored
-    ``last_modified`` in BOTH modes (regression: a file-order-dependent
-    first-match lookup used the stale row's timestamp, re-admitting
-    candidates older than the newest stored version)."""
+    ``last_modified`` (regression: a file-order-dependent first-match
+    lookup used the stale row's timestamp, re-admitting candidates
+    older than the newest stored version)."""
     import pyarrow.parquet as pq
     import ray.data as rd
-
-    from web_based_search_engine_ray.pipelines.build_index import filter_fresh
 
     idx = tmp_path_factory.mktemp("dupmeta")
     (idx / "docmeta").mkdir()
@@ -226,6 +206,7 @@ def test_filter_fresh_duplicate_docmeta_uses_newest_threshold(
         pa.table({
             "url": ["dup", "dup", "solo"],
             "last_modified": ts("2024-01-01", "2024-01-03", "2024-01-02"),
+            "doc_id": pa.array([7, 7, 9], type=pa.int64()),
         }),
         str(idx / "docmeta" / "part-0.parquet"),
     )
@@ -239,11 +220,6 @@ def test_filter_fresh_duplicate_docmeta_uses_newest_threshold(
             "2024-01-01",   # unknown url -> kept
         ),
     })
-    for mode in ("exact", "bloom"):
-        kept = filter_fresh(
-            rd.from_arrow(corpus), str(idx), mode=mode
-        ).to_pandas()
-        got = sorted(zip(kept["url"], kept["warc_ts"].astype(str).str[:10]))
-        assert got == [
-            ("brand-new", "2024-01-01"), ("dup", "2024-01-04")
-        ], mode
+    kept = _fresh(rd.from_arrow(corpus), str(idx)).to_pandas()
+    got = sorted(zip(kept["url"], kept["warc_ts"].astype(str).str[:10]))
+    assert got == [("brand-new", "2024-01-01"), ("dup", "2024-01-04")]

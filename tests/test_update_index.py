@@ -414,3 +414,178 @@ def test_update_delta_duplicate_url_keeps_newest(ray_session,
     assert len(row) == 1
     want = web([3], ["x"], days=2)["warc_ts"][0].as_py()
     assert row["last_modified"].iloc[0] == pd.Timestamp(want)
+
+
+# ---- the classify join ----------------------------------------------------
+
+_DAY_US = 86_400_000_000
+
+
+def _random_sides(seed: int, docmeta_dir):
+    """Random stored (docmeta, written as 3 parquet files) and snapshot
+    tables over one url pool: urls 0-9 only stored, 10-29 on both
+    sides, 30-39 only in the snapshot; duplicates on both sides and
+    timestamps from 4 days, so snapshot maxima equal to the stored
+    maximum are common."""
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(seed)
+    s_url = rng.integers(0, 30, 60)
+    stored = pd.DataFrame({
+        "url": [f"u{i}" for i in s_url],
+        "last_modified": rng.integers(0, 4, 60) * _DAY_US,
+        "doc_id": s_url * 10 + 7,  # duplicate urls share their doc id
+    })
+    n_url = rng.integers(10, 40, 80)
+    snap = pd.DataFrame({
+        "url": [f"u{i}" for i in n_url],
+        "warc_ts": rng.integers(0, 4, 80) * _DAY_US,
+        "row": np.arange(80),
+    })
+    docmeta_dir.mkdir()
+    for i, part in enumerate(stored.iloc[j::3] for j in range(3)):
+        pq.write_table(
+            pa.table({
+                "url": pa.array(part["url"], pa.string()),
+                "last_modified": pa.array(part["last_modified"],
+                                          pa.timestamp("us")),
+                "doc_id": pa.array(part["doc_id"], pa.int64()),
+            }),
+            str(docmeta_dir / f"part-{i}.parquet"),
+        )
+    corpus = pa.table({
+        "url": pa.array(snap["url"], pa.string()),
+        "warc_ts": pa.array(snap["warc_ts"], pa.timestamp("us")),
+        "row": pa.array(snap["row"], pa.int64()),
+    })
+    return stored, snap, corpus
+
+
+def _reference_classes(stored, snap, remove_missing):
+    """Per-url freshness in pandas: fresh = unseen, or newest snapshot
+    row strictly newer than the newest stored row."""
+    thr = stored.groupby("url")["last_modified"].max()
+    newest = snap.groupby("url")["warc_ts"].max()
+    unseen = np.iinfo(np.int64).min
+    fresh = {u: int(thr.get(u, unseen)) for u, ts in newest.items()
+             if u not in thr.index or ts > thr[u]}
+    rows = snap[snap["url"].isin(list(fresh)) & (
+        snap["warc_ts"] > snap["url"].map(fresh).fillna(unseen))]
+    old = sorted(stored.loc[stored["url"].isin(list(fresh)), "doc_id"])
+    gone = stored[~stored["url"].isin(set(snap["url"]))]
+    removed = sorted(zip(gone["doc_id"], gone["url"])) if remove_missing else []
+    return fresh, sorted(rows["row"]), old, removed, thr, newest
+
+
+@pytest.mark.parametrize("remove_missing", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_classify_matches_pandas_reference(ray_session, tmp_path,
+                                           seed, remove_missing):
+    import ray.data as rd
+
+    from web_based_search_engine_ray.config import IndexConfig
+    from web_based_search_engine_ray.pipelines.update_index import (
+        classify_snapshot,
+        fresh_rows,
+    )
+
+    stored, snap, corpus = _random_sides(seed, tmp_path / "docmeta")
+    fresh, rows, old, removed, thr, newest = _reference_classes(
+        stored, snap, remove_missing)
+    # the data covers every case the predicate distinguishes
+    both = newest.index.intersection(thr.index)
+    assert (newest[both] == thr[both]).any()  # warc_ts == threshold
+    assert (newest[both] > thr[both]).any()
+    assert any(u not in thr.index for u in fresh)  # unseen urls
+    assert snap["url"].duplicated().any() and stored["url"].duplicated().any()
+
+    ds = rd.from_arrow(corpus)
+    cfg = IndexConfig(num_buckets=4, shuffle_partitions=4)
+    got = classify_snapshot(ds, str(tmp_path), cfg,
+                            remove_missing=remove_missing)
+    assert dict(zip(got.fresh_urls.to_pylist(),
+                    got.thresholds.tolist())) == fresh
+    assert sorted(got.old_ids.tolist()) == old
+    assert sorted(zip(got.removed_ids.tolist(),
+                      got.removed_urls.to_pylist())) == removed
+    kept = fresh_rows(ds, got).to_pandas()
+    assert sorted(kept["row"]) == rows
+
+
+def test_classify_driver_traffic(ray_session, tmp_path, monkeypatch):
+    """The driver never opens a docmeta file, and the corpus filter's
+    broadcast holds exactly the fresh urls."""
+    import pyarrow.dataset as pads
+    import ray
+    import ray.data as rd
+
+    from web_based_search_engine_ray.config import IndexConfig
+    from web_based_search_engine_ray.pipelines.update_index import (
+        classify_snapshot,
+        fresh_rows,
+    )
+
+    stored, snap, corpus = _random_sides(5, tmp_path / "docmeta")
+    fresh = _reference_classes(stored, snap, True)[0]
+    ds = rd.from_arrow(corpus)
+
+    opened = []
+    real_dataset = pads.dataset
+    monkeypatch.setattr(
+        pads, "dataset",
+        lambda *a, **kw: opened.append(a) or real_dataset(*a, **kw),
+    )
+    got = classify_snapshot(ds, str(tmp_path), IndexConfig(num_buckets=4),
+                            remove_missing=True)
+    assert opened == []
+
+    puts = []
+    real_put = ray.put
+    monkeypatch.setattr(
+        ray, "put", lambda v, **kw: puts.append(v) or real_put(v, **kw)
+    )
+    fresh_rows(ds, got)
+    assert len(puts) == 1
+    urls, thresholds = puts[0]
+    assert len(urls) == len(thresholds) == len(fresh) > 0
+
+
+def test_noop_update_returns_before_extract(ray_session, tmp_path,
+                                          monkeypatch):
+    """An unchanged snapshot reports 0 fresh / 0 removed / no shards,
+    and the update returns before extraction runs."""
+    import ray.data as rd
+
+    from web_based_search_engine_ray.config import IndexConfig
+    from web_based_search_engine_ray.pipelines import update_index as ui
+    from web_based_search_engine_ray.pipelines.build_index import build_index
+    from web_based_search_engine_ray.sources.webcorpus import synth_batch
+
+    base = synth_batch(pa.table({
+        "doc_id": pa.array(range(6), type=pa.int64()),
+        "text": pa.array([f"base document number {i}" for i in range(6)]),
+        "lang": pa.array(["en"] * 6),
+    }))
+    cfg = IndexConfig(shuffle_partitions=2, num_buckets=4, doc_shards=2)
+    idx = str(tmp_path / "idx")
+    build_index(lambda: rd.from_arrow(base), idx, cfg, input_key="n1",
+                resume=False)
+
+    def no_extract(*a, **kw):
+        raise AssertionError("extract ran on a no-op update")
+
+    meta = os.path.join(idx, "meta.json")
+    stamp = os.stat(meta).st_mtime_ns
+    writes = []
+    monkeypatch.setattr(ui, "_extract_task", no_extract)
+    monkeypatch.setattr(ui, "_write_extracted_lww",
+                        lambda *a, **kw: writes.append(a))
+    report = ui.update_index(lambda: rd.from_arrow(base), idx, cfg,
+                             input_key="n2", remove_missing=True)
+    assert report["update"] == {
+        "fresh_docs": 0, "removed_docs": 0, "affected_shards": []
+    }
+    assert writes == []
+    # nothing downstream ran: the index is untouched
+    assert os.stat(meta).st_mtime_ns == stamp
+    assert not os.path.exists(os.path.join(idx, "_extracted_delta"))

@@ -1,5 +1,7 @@
 """Block-Max WAND traversal: rank identity with the TAAT engine."""
 
+import heapq
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,82 @@ _QUERIES = [
     {"nosuchword"},
     {"spark", "merge", "join", "window", "batch", "stream", "filter"},
 ]
+
+
+def wand_topk_py(term_lists, *, bs: int, bm25: bool,
+                 inv_norm_bound: float, stat_ids: np.ndarray,
+                 norm: np.ndarray, k: int):
+    """Reference Python walk of ``data/wand_kernel.c``, with the
+    signature of ``cwand.wand_topk_c``: ``term_lists`` is
+    ``[(ids_i64, partials_f64, bmax_f64, ub_float), ...]`` in TERM
+    ORDER; returns ``(ids, scores)`` in (score desc, doc asc) order."""
+    # cursor state per term: [cursor, doc_ids, partials, block_max,
+    # term_ub, term_order]
+    lists = [[0, ids, part, bmax, ub, ti]
+             for ti, (ids, part, bmax, ub) in enumerate(term_lists)]
+    heap: list[tuple[float, int]] = []  # (score, -doc): root = worst
+    while True:
+        live = [L for L in lists if L[0] < len(L[1])]
+        if not live:
+            break
+        live.sort(key=lambda L: L[1][L[0]])
+        theta = heap[0] if len(heap) >= k else None
+        # WAND pivot: first cursor prefix whose summed term ubs could
+        # still beat θ.  The prefix SET is cursor-ordered (that's what
+        # defines the pivot), but each prefix's ubs are FOLDED IN TERM
+        # ORDER — IEEE addition is non-associative, and a cursor-order
+        # fold could land an ulp below the term-order score fold,
+        # skipping an exact-theta tie the TAAT path keeps.
+        pivot = None
+        for i in range(len(live)):
+            cum = 0.0
+            for L in sorted(live[: i + 1], key=lambda L: L[5]):
+                cum += L[4]
+            if theta is None or cum * inv_norm_bound >= theta[0]:
+                pivot = i
+                break
+        if pivot is None:
+            break
+        pl = live[pivot]
+        pivot_doc = int(pl[1][pl[0]])
+        if int(live[0][1][live[0][0]]) == pivot_doc:
+            # aligned: every list at pivot_doc is the sorted prefix
+            at = []
+            for L in live:
+                if L[0] < len(L[1]) and int(L[1][L[0]]) == pivot_doc:
+                    at.append(L)
+                else:
+                    break
+            at.sort(key=lambda L: L[5])  # term order for fp identity
+            if bm25:
+                nv = 1.0
+            else:
+                nv = float(norm[int(np.searchsorted(stat_ids, pivot_doc))])
+            blockub = 0.0
+            for L in at:
+                blockub += float(L[3][L[0] // bs])
+            bound_key = (blockub / nv, -pivot_doc)
+            if theta is None or bound_key > theta:
+                s = 0.0
+                for L in at:
+                    s += float(L[2][L[0]])
+                key = (s / nv, -pivot_doc)
+                if len(heap) < k:
+                    heapq.heappush(heap, key)
+                elif key > heap[0]:
+                    heapq.heapreplace(heap, key)
+            for L in at:
+                L[0] += 1
+        else:
+            # advance every list before the pivot to >= pivot_doc
+            for L in live[:pivot]:
+                c = L[0]
+                L[0] = c + int(
+                    np.searchsorted(L[1][c:], pivot_doc, side="left")
+                )
+    heap.sort(reverse=True)  # (score desc, doc asc)
+    return (np.array([-d for _, d in heap], dtype=np.int64),
+            np.array([s for s, _ in heap], dtype=np.float64))
 
 
 @pytest.fixture(scope="module")
@@ -80,20 +158,23 @@ def test_search_traversal_wand(idx):
 
 
 @pytest.mark.parametrize("mode", ["ref", "bm25"])
-def test_wand_c_kernel_bitwise_parity(idx, mode):
+def test_wand_c_kernel_bitwise_parity(idx, mode, monkeypatch):
     """The compiled kernel (data/wand_kernel.c) must match BOTH the
-    Python walk and the TAAT scorer bitwise."""
-    from web_based_search_engine_ray.stages.cwand import load_kernel
+    reference Python walk over the same term lists and the TAAT scorer
+    bitwise."""
+    from web_based_search_engine_ray.stages import cwand
 
-    if load_kernel() is None:
+    if cwand.load_kernel() is None:
         pytest.skip("no C compiler on this host")
     s = Searcher(idx)
     for k in (1, 7, 25):
         for words in _QUERIES:
             ids, vals = s.scores_arrays(words, mode=mode)
             top = _topk_indices(ids, vals, k)
-            ci, cv = s.scores_topk_wand(words, k=k, mode=mode, kernel="c")
-            pi, pv = s.scores_topk_wand(words, k=k, mode=mode, kernel="py")
+            ci, cv = s.scores_topk_wand(words, k=k, mode=mode)
+            with monkeypatch.context() as m:
+                m.setattr(cwand, "wand_topk_c", wand_topk_py)
+                pi, pv = s.scores_topk_wand(words, k=k, mode=mode)
             assert ci.tolist() == ids[top].tolist() == pi.tolist()
             assert np.array_equal(cv, vals[top])
             assert np.array_equal(cv, pv)
@@ -109,24 +190,22 @@ def test_wand_c_kernel_small_blocks(idx):
     for words in _QUERIES[:4]:
         ids, vals = s.scores_arrays(words)
         top = _topk_indices(ids, vals, 10)
-        ci, _ = s.scores_topk_wand(words, k=10, kernel="c")
+        ci, _ = s.scores_topk_wand(words, k=10)
         assert ci.tolist() == ids[top].tolist()
 
 
 def test_wand_kernel_fallbacks(idx):
-    """kernel='auto' must return results even when the compiled path
-    declines (k over compiled capacity); kernel='c' raises then."""
+    """A k over the compiled capacity makes the kernel decline; the
+    method must then return the exhaustive TAAT top-k."""
     from web_based_search_engine_ray.stages import cwand
 
     s = Searcher(idx)
     big_k = cwand.MAX_K + 1
     ids, vals = s.scores_arrays({"spark", "merge"})
     top = _topk_indices(ids, vals, big_k)
-    gi, _ = s.scores_topk_wand({"spark", "merge"}, k=big_k, kernel="auto")
+    gi, gv = s.scores_topk_wand({"spark", "merge"}, k=big_k)
     assert gi.tolist() == ids[top].tolist()
-    if cwand.load_kernel() is not None:
-        with pytest.raises(RuntimeError, match="compiled WAND"):
-            s.scores_topk_wand({"spark", "merge"}, k=big_k, kernel="c")
+    assert np.array_equal(gv, vals[top])
 
 
 def test_search_traversal_auto_rank_identity(idx):

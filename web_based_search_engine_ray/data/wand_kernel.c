@@ -1,7 +1,7 @@
-/* Block-Max WAND DAAT walk — compiled drop-in for the Python loop in
- * Searcher.scores_topk_wand (pipelines/search.py).  Semantics are a
- * LINE-FOR-LINE mirror of the Python walk so ranks and scores stay
- * bitwise identical:
+/* Block-Max WAND DAAT walk behind Searcher.scores_topk_wand
+ * (pipelines/search.py).  Semantics are a LINE-FOR-LINE mirror of the
+ * reference Python walk (wand_topk_py in tests/test_wand.py) so ranks
+ * and scores stay bitwise identical:
  *
  *  - live lists sorted by (current doc, term order) each iteration
  *    (Python: stable sort of term-ordered `lists` by cursor doc);

@@ -40,7 +40,7 @@ def fnv1a63_array(col) -> np.ndarray:
     column, reading the UTF-8 data buffer zero-copy: one vectorized
     xor/multiply per byte POSITION (bounded by the longest string), not
     one hash call per row.  Used for transient partitioning keys (url
-    buckets, Bloom probes) — persisted formats (term buckets, derived
+    buckets, edge buckets) — persisted formats (term buckets, derived
     doc ids) keep the md5-based ``stable_hash63`` for compatibility."""
     import pyarrow as pa
 
@@ -74,7 +74,7 @@ def fnv1a63_array(col) -> np.ndarray:
 
 def splitmix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer — derives a second independent
-    hash stream from a first one (double-hashing Bloom probes)."""
+    hash stream from a first one (edge-pair buckets, sketch hashes)."""
     x = x.astype(np.uint64)
     with np.errstate(over="ignore"):
         x = x + np.uint64(0x9E3779B97F4A7C15)

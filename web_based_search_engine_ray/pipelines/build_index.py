@@ -372,250 +372,6 @@ def _explode_links(batch: pa.Table) -> pa.Table:
     )
 
 
-#: docmeta row count above which ``filter_fresh(mode="auto")`` switches
-#: from the exact driver-dict semi-join to the Bloom anti-join path.
-FRESH_EXACT_THRESHOLD = 200_000
-
-
-def filter_fresh(corpus, index_dir: str, *, mode: str = "auto"):
-    """Freshness anti-join (the batch form of ``Indexer.isFreshDocument``,
-    ``Indexer.java:77-85``): keep only corpus rows whose url is unseen
-    OR whose ``warc_ts`` is strictly newer than the indexed
-    ``last_modified``.
-
-    Two physical plans, same semantics:
-
-    - ``exact`` — broadcast the whole (url → last_modified) dict
-      (semi-join without a shuffle).  Right for small indexes; the
-      driver materializes every indexed url.
-    - ``bloom`` — web-scale path, no full-url set ever reaches the
-      driver: (1) a Bloom filter over the stored urls is built
-      distributedly and broadcast (``state.bloom``); (2) a SKINNY
-      (url, warc_ts) pass probes it — definite negatives are fresh by
-      construction; (3) probable hits go through a url-hash-bucket
-      shuffle against the stored (url, last_modified) rows
-      (vectorized ``pc.index_in`` per bucket) which emits the PROBED
-      stored urls' (url, last_modified) threshold rows; (4) those
-      thresholds — bounded by the probed-url count, not the index
-      size — are broadcast and the full corpus filters PER ROW on
-      ``bloom-negative OR no-threshold OR warc_ts > threshold`` —
-      row-for-row identical to the exact path (a per-URL fresh set
-      would also keep a fresh url's stale older duplicates).  The
-      corpus plan executes twice ((2) and (4)); pass a column-pruned
-      parquet read so the skinny pass never loads ``html``.
-
-    ``mode="auto"`` picks by stored row count (``FRESH_EXACT_THRESHOLD``,
-    from parquet metadata only).  ``pipelines.update_index.update_index``
-    consumes this predicate to upsert incrementally, rebuilding only
-    the doc shards that contain touched documents.
-    """
-    import pyarrow.dataset as pads
-
-    d_meta = os.path.join(index_dir, "docmeta")
-    if mode == "auto":
-        n_stored = pads.dataset(
-            d_meta, format="parquet", partitioning="hive"
-        ).count_rows()
-        mode = "exact" if n_stored <= FRESH_EXACT_THRESHOLD else "bloom"
-    if mode == "exact":
-        return _filter_fresh_exact(corpus, d_meta)
-    if mode == "bloom":
-        return _filter_fresh_bloom(corpus, d_meta)
-    raise ValueError(f"unknown freshness mode {mode!r}")
-
-
-def _filter_fresh_exact(corpus, d_meta: str):
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-    import ray
-
-    meta = pads.dataset(d_meta, format="parquet").to_table(
-        columns=["url", "last_modified"]
-    )
-    # docmeta may hold duplicate urls when ``dedup_urls=False``; the
-    # freshness threshold is the NEWEST stored version (max), not
-    # whichever row a file-order-dependent lookup happens to hit
-    meta = meta.group_by("url").aggregate([("last_modified", "max")])
-    # broadcast as (Arrow url array, int64 threshold array) — zero-copy
-    # from plasma per task, vs a Python dict that every task unpickles
-    known_urls = meta["url"].combine_chunks()
-    known_ts = (
-        meta["last_modified_max"].to_numpy(zero_copy_only=False)
-        .astype("datetime64[us]").astype(np.int64)
-    )
-    ref = ray.put((known_urls, known_ts))
-
-    def fresh_only(batch: pa.Table) -> pa.Table:
-        urls_k, ts_k = ray.get(ref)
-        idx = pc.index_in(batch["url"], value_set=urls_k)
-        pos = idx.fill_null(-1).to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = (
-            batch["warc_ts"].to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").astype(np.int64)
-        )
-        found = pos >= 0
-        keep = ~found
-        hit = np.flatnonzero(found)
-        keep[hit] = ts[hit] > ts_k[pos[hit]]
-        return batch.filter(pa.array(keep))
-
-    return corpus.map_batches(fresh_only, batch_format="pyarrow")
-
-
-def _ts_us(col) -> np.ndarray:
-    return (
-        col.to_numpy(zero_copy_only=False)
-        .astype("datetime64[us]").astype(np.int64)
-    )
-
-
-def _bucketed_url_join(sides, combine, *, num_buckets: int, out_cols: dict):
-    """Shared scaffold for the skinny url-keyed bucket-shuffle joins
-    (the freshness threshold probe here and ``update_index``'s
-    full-sync anti-join): each side is ``(dataset, payload_fn,
-    stored_flag)`` — rows are tagged ``(url, payload int64, stored,
-    fbucket = fnv1a63(url) % num_buckets)``, unioned (schema-stable),
-    bucket-grouped, and ``combine(group)`` runs vectorized per bucket.
-    Returns a pandas DataFrame with exactly ``out_cols``
-    ({name: numpy dtype}) even when the join result is empty (an empty
-    ``map_groups`` output loses its schema)."""
-    import functools
-
-    import pandas as pd
-
-    from web_based_search_engine_ray.functions.hashing import fnv1a63_array
-    from web_based_search_engine_ray.util import coalesce
-
-    def tag(batch: pa.Table, payload_fn, stored: bool) -> pa.Table:
-        return pa.table(
-            {
-                "url": batch["url"],
-                "payload": pa.array(
-                    np.asarray(payload_fn(batch), dtype=np.int64),
-                    type=pa.int64(),
-                ),
-                "stored": pa.array(np.full(batch.num_rows, stored)),
-                "fbucket": pa.array(
-                    fnv1a63_array(batch["url"]) % num_buckets,
-                    type=pa.int64(),
-                ),
-            }
-        )
-
-    tagged = [
-        ds.map_batches(
-            functools.partial(tag, payload_fn=pf, stored=flag),
-            batch_format="pyarrow",
-        )
-        for ds, pf, flag in sides
-    ]
-    u = tagged[0]
-    for t in tagged[1:]:
-        u = u.union(t)
-    df = (
-        coalesce(u)
-        .groupby("fbucket")
-        .map_groups(combine, batch_format="pyarrow")
-        .to_pandas()
-    )
-    if df.empty or any(c not in df.columns for c in out_cols):
-        df = pd.DataFrame(
-            {c: np.empty(0, dtype=d) for c, d in out_cols.items()}
-        )
-    return df[list(out_cols)]
-
-
-def _filter_fresh_bloom(corpus, d_meta: str, *, num_buckets: int = 64):
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-    import ray
-    import ray.data as rd
-
-    from web_based_search_engine_ray.functions.hashing import fnv1a63_array
-    from web_based_search_engine_ray.state.bloom import (
-        BloomFilter,
-        build_bloom_distributed,
-    )
-
-    n_stored = pads.dataset(
-        d_meta, format="parquet", partitioning="hive"
-    ).count_rows()
-    meta_ds = rd.read_parquet(d_meta, columns=["url", "last_modified"])
-    bloom = build_bloom_distributed(meta_ds, n_stored)
-    bloom_ref = ray.put((bloom.m_bits, bloom.k, bloom.bits))
-
-    def _bloom_hits(urls_col) -> np.ndarray:
-        m, k, bits = ray.get(bloom_ref)
-        return BloomFilter(m, k, bits).contains(fnv1a63_array(urls_col))
-
-    # skinny pass: probable-known (url, warc_ts) rows only
-    def probe(batch: pa.Table) -> pa.Table:
-        hit = _bloom_hits(batch["url"])
-        return batch.filter(pa.array(hit))
-
-    probable = corpus.select_columns(["url", "warc_ts"]).map_batches(
-        probe, batch_format="pyarrow"
-    )
-
-    def check(group: pa.Table) -> pa.Table:
-        # Emit the stored (url, last_modified) THRESHOLD rows for every
-        # stored url probed by >= 1 candidate.  The final pass then
-        # applies the per-ROW predicate ``ts > threshold`` — identical
-        # to the exact path — instead of a per-URL fresh set (which
-        # would also keep a fresh url's STALE older duplicate rows).
-        is_stored = group["stored"].to_numpy(zero_copy_only=False)
-        stored_t = group.filter(pa.array(is_stored))
-        cand = group.filter(pa.array(~is_stored))
-        probed = pc.is_in(
-            stored_t["url"], value_set=cand["url"].combine_chunks()
-        )
-        hit_stored = stored_t.filter(probed)
-        # max per url: docmeta duplicates (``dedup_urls=False``) must
-        # resolve to the NEWEST stored version, same as the exact path
-        agg = (
-            hit_stored.select(["url", "payload"])
-            .group_by("url").aggregate([("payload", "max")])
-        )
-        return pa.table({"url": agg["url"], "payload": agg["payload_max"]})
-
-    thresh_df = _bucketed_url_join(
-        [
-            (probable, lambda b: _ts_us(b["warc_ts"]), False),
-            (meta_ds, lambda b: _ts_us(b["last_modified"]), True),
-        ],
-        check,
-        num_buckets=num_buckets,
-        out_cols={"url": object, "payload": np.int64},
-    )
-    # bounded by the PROBED stored-url count (worst case — the whole
-    # index re-crawled in one batch — degenerates to the exact path's
-    # broadcast size)
-    thresh_ref = ray.put(
-        (
-            pa.array(thresh_df["url"], type=pa.string()),
-            thresh_df["payload"].to_numpy(dtype=np.int64),
-        )
-    )
-
-    def final(batch: pa.Table) -> pa.Table:
-        hit = _bloom_hits(batch["url"])
-        keep = ~hit  # definite-new
-        if hit.any():
-            t_urls, t_ts = ray.get(thresh_ref)
-            pos = pc.index_in(batch["url"], value_set=t_urls)
-            unseen = pc.is_null(pos).to_numpy(zero_copy_only=False)
-            posn = pos.fill_null(-1).to_numpy(zero_copy_only=False)
-            # bloom false positive (no stored row) -> fresh
-            keep |= hit & unseen
-            seen = hit & ~unseen
-            if seen.any():
-                ts = _ts_us(batch["warc_ts"])
-                keep[seen] = ts[seen] > t_ts[posn[seen].astype(np.int64)]
-        return batch.filter(pa.array(keep))
-
-    return corpus.map_batches(final, batch_format="pyarrow")
-
-
 def build_index(
     corpus_fn,
     out_dir: str,

@@ -17,10 +17,10 @@ Scale shape (100 TB corpus, ~10^6..10^8 benchmark n-grams):
   SQL-mirrorable fold the MinHash oracle pins), and membership is one
   ``np.isin`` against the broadcast sorted array.
 - If the benchmark set ever outgrew worker memory, the drop-in
-  replacement is the package's Bloom filter (``state.bloom``) as a
-  prefilter plus an exact shuffle semi-join on probable hits — same
-  two-sided hashing, documented here as the escalation path (not
-  needed for any real eval suite).
+  replacement is a url-bucket-style shuffle semi-join (as in
+  ``update_index.classify_snapshot``): both sides' n-gram hashes
+  bucketed by hash and matched per bucket — documented here as the
+  escalation path (not needed for any real eval suite).
 
 The n-gram hash is a pure function mirrored in SQL (md5 token hash →
 polynomial fold mod 2^61-1 with per-position constants

@@ -461,7 +461,8 @@ class Searcher:
 
         ``prune=True`` (requires ``k``) enables rank-safe MaxScore
         pruning (Turtle & Flood-style TAAT): terms are processed in
-        decreasing upper-bound order; once the k-th best provisional
+        sorted-term order, the exhaustive path's order, so every
+        returned score is bitwise equal to it; once the k-th best provisional
         score θ exceeds what the remaining terms could give ANY unseen
         doc (Σ remaining ub / min corpus norm), remaining terms only
         update existing candidates — and, run-level (block-max), only
@@ -503,8 +504,9 @@ class Searcher:
                     t: math.log10(self.n_docs / df) * u
                     for t, df, u in entries
                 }
-            entries.sort(key=lambda e: -ub[e[0]])
-            # remaining[i] = fold of ubs[i:] in TERM-PROCESSING order:
+            # remaining[i] = fold of ubs[i:] in TERM-PROCESSING order
+            # (sorted terms, the exhaustive path's order, so both paths
+            # sum each doc's partials identically):
             # fp addition is monotone (a<=a', b<=b' => fl(a+b) <=
             # fl(a'+b')) but NOT associative, so the bound must fold
             # the same way the accumulator does — a reversed cumsum can
@@ -617,15 +619,15 @@ class Searcher:
     #: posting-entries per block for the WAND traversal's block maxima
     WAND_BLOCK = 1024
 
-    def scores_topk_wand(self, words, k: int, mode: str = "ref",
-                         kernel: str = "auto"):
+    def scores_topk_wand(self, words, k: int, mode: str = "ref"):
         """DAAT **Block-Max WAND** top-k with a bounded min-heap — the
         north-star traversal (Broder et al. WAND; Ding & Suel
-        block-max), implemented over the decoded per-term partial
-        arrays: document-at-a-time cursors, pivot selection by
-        cumulative term upper bounds, a per-block maximum refinement
-        before full evaluation, and a k-bounded min-heap whose root is
-        the pruning threshold θ.
+        block-max), walked by the compiled kernel
+        (``data/wand_kernel.c`` via ``stages.cwand.wand_topk_c``) over
+        the decoded per-term partial arrays: document-at-a-time
+        cursors, pivot selection by cumulative term upper bounds, a
+        per-block maximum refinement before full evaluation, and a
+        k-bounded min-heap whose root is the pruning threshold θ.
 
         Exactness / rank identity with the TAAT engine
         (:meth:`scores_arrays` + ``_topk_indices``):
@@ -642,21 +644,13 @@ class Searcher:
           strictly below the root's key, so boundary ties resolve
           identically.
 
-        Engineering note (why TAAT stays the default): the pivot walk
-        is a per-document Python loop; on this runtime the vectorized
-        TAAT MaxScore path (block-max restricted decode + dense
-        accumulation) is faster by an order of magnitude at shard
-        scale, which is why it is the production scorer.  This method
-        completes the traversal-parity surface and is the drop-in spot
-        for a compiled kernel.  Multi-doc block skipping (jumping to
-        the min block boundary) is left out: it only accelerates the
-        Python loop this method deliberately doesn't optimize.
-
-        Degenerate-norm corpora (the reference's NaN case) have no
-        usable bounds: falls back to the exhaustive scorer + exact
-        top-k (same results, no pruning).
+        Falls back to the exhaustive scorer + exact top-k (same
+        results, no pruning) when the kernel declines (no C compiler,
+        more than ``cwand.MAX_TERMS`` terms or ``cwand.MAX_K``
+        results) and on degenerate-norm corpora (the reference's NaN
+        case), which have no usable bounds.
         """
-        import heapq
+        from web_based_search_engine_ray.stages.cwand import wand_topk_c
 
         if not k or k <= 0:
             raise ValueError("scores_topk_wand needs k >= 1")
@@ -672,17 +666,14 @@ class Searcher:
             return empty
         bm25 = mode == "bm25"
         if not bm25 and not self._can_prune:
-            ids, vals = self.scores_arrays(words, k=k, prune=False,
-                                           mode=mode)
-            top = _topk_indices(ids, vals, k)
-            return ids[top], vals[top]
+            return self._taat_topk(words, k, mode)
 
         bs = self.WAND_BLOCK
-        # cursor state per term: [cursor, doc_ids, partials, block_max,
-        # term_ub, term_order] — partials come from the same cache the
-        # TAAT path uses (dense images are re-sparsified zero-copy-ish)
+        # per-term (doc_ids, partials, block_max, term_ub) in term order
+        # — partials come from the same cache the TAAT path uses (dense
+        # images are re-sparsified zero-copy-ish)
         lists = []
-        for ti, (term, df) in enumerate(entries):
+        for term, df in entries:
             # per-term WAND view cached once: densified partials are
             # exactly the Zipf-head terms WAND queries hit, and
             # re-sparsifying them (two O(df) fancy-index copies) plus
@@ -710,104 +701,22 @@ class Searcher:
                         )
                         view = (ids_t, part, bmax, float(part.max()))
                 self._maybe_cache(self._wand_cache, key_w, view)
-            if view is None:
-                continue
-            lists.append([0, view[0], view[1], view[2], view[3], ti])
+            if view is not None:
+                lists.append(view)
         if not lists:
             return empty
+        got = wand_topk_c(
+            lists, bs=bs, bm25=bm25,
+            inv_norm_bound=1.0 if bm25 else 1.0 / self._min_norm,
+            stat_ids=self._stat_ids, norm=self._norm, k=k,
+        )
+        return got if got is not None else self._taat_topk(words, k, mode)
 
-        inv_norm_bound = 1.0 if bm25 else 1.0 / self._min_norm
-
-        # ---- compiled kernel seam: the C walk mirrors the loop below
-        # line for line (data/wand_kernel.c); kernel="auto" uses it
-        # when a C compiler is available, "py" forces this loop,
-        # "c" requires the kernel (tests) ----------------------------
-        if kernel in ("auto", "c"):
-            from web_based_search_engine_ray.stages.cwand import wand_topk_c
-
-            got = wand_topk_c(
-                [(L[1], L[2], L[3], L[4]) for L in lists],
-                bs=bs, bm25=bm25, inv_norm_bound=inv_norm_bound,
-                stat_ids=self._stat_ids, norm=self._norm, k=k,
-            )
-            if got is not None:
-                return got
-            if kernel == "c":
-                raise RuntimeError(
-                    "compiled WAND kernel unavailable (no C compiler "
-                    "or query exceeds compiled capacity); use "
-                    "kernel='auto' or 'py'"
-                )
-
-        heap: list[tuple[float, int]] = []  # (score, -doc): root = worst
-        while True:
-            live = [L for L in lists if L[0] < len(L[1])]
-            if not live:
-                break
-            live.sort(key=lambda L: L[1][L[0]])
-            theta = heap[0] if len(heap) >= k else None
-            # WAND pivot: first cursor prefix whose summed term ubs
-            # could still beat θ.  The prefix SET is cursor-ordered
-            # (that's what defines the pivot), but each prefix's ubs
-            # are FOLDED IN TERM ORDER — IEEE addition is
-            # non-associative, and a cursor-order fold could land an
-            # ulp below the term-order score fold, skipping an
-            # exact-theta tie the TAAT path keeps.  m is the query
-            # term count, so the O(m^2) refold is noise.
-            pivot = None
-            for i in range(len(live)):
-                cum = 0.0
-                for L in sorted(live[: i + 1], key=lambda L: L[5]):
-                    cum += L[4]
-                if theta is None or cum * inv_norm_bound >= theta[0]:
-                    pivot = i
-                    break
-            if pivot is None:
-                break
-            pl = live[pivot]
-            pivot_doc = int(pl[1][pl[0]])
-            if int(live[0][1][live[0][0]]) == pivot_doc:
-                # aligned: every list at pivot_doc is the sorted prefix
-                at = []
-                for L in live:
-                    if L[0] < len(L[1]) and int(L[1][L[0]]) == pivot_doc:
-                        at.append(L)
-                    else:
-                        break
-                at.sort(key=lambda L: L[5])  # term order for fp identity
-                if bm25:
-                    nv = 1.0
-                else:
-                    pos = int(np.searchsorted(self._stat_ids, pivot_doc))
-                    nv = float(self._norm[pos])
-                blockub = 0.0
-                for L in at:
-                    blockub += float(L[3][L[0] // bs])
-                bound_key = (blockub / nv, -pivot_doc)
-                if theta is None or bound_key > theta:
-                    s = 0.0
-                    for L in at:
-                        s += float(L[2][L[0]])
-                    key = (s / nv, -pivot_doc)
-                    if len(heap) < k:
-                        heapq.heappush(heap, key)
-                    elif key > heap[0]:
-                        heapq.heapreplace(heap, key)
-                for L in at:
-                    L[0] += 1
-            else:
-                # advance every list before the pivot to >= pivot_doc
-                for L in live[:pivot]:
-                    c = L[0]
-                    L[0] = c + int(
-                        np.searchsorted(L[1][c:], pivot_doc, side="left")
-                    )
-        if not heap:
-            return empty
-        heap.sort(reverse=True)  # (score desc, doc asc)
-        out_ids = np.array([-d for _, d in heap], dtype=np.int64)
-        out_vals = np.array([s for s, _ in heap], dtype=np.float64)
-        return out_ids, out_vals
+    def _taat_topk(self, words, k: int, mode: str):
+        """Exhaustive scoring + exact top-k: WAND's fallback."""
+        ids, vals = self.scores_arrays(words, k=k, prune=False, mode=mode)
+        top = _topk_indices(ids, vals, k)
+        return ids[top], vals[top]
 
     # ----------------------------------------------------------------- phrase
     def phrase_doc_array(self, phrase: list[str]) -> np.ndarray:
@@ -870,7 +779,7 @@ class Searcher:
         if mode != "bm25" and not self._can_prune:
             return "taat"  # degenerate norms: WAND falls back anyway
         if load_kernel() is None:
-            return "taat"  # the Python pivot walk loses to vector TAAT
+            return "taat"  # no kernel: WAND falls back to TAAT anyway
         dfs = []
         for w in words:
             t = self.stem_query_word(w)
@@ -884,10 +793,8 @@ class Searcher:
         from web_based_search_engine_ray.stages import cwand
 
         if len(dfs) > cwand.MAX_TERMS or k > cwand.MAX_K:
-            # over the compiled kernel's capacity wand_topk_c returns
-            # None and scores_topk_wand would fall back to the Python
-            # pivot walk — an order of magnitude SLOWER than vector
-            # TAAT, never a win
+            # over the compiled kernel's capacity scores_topk_wand
+            # falls back to exhaustive TAAT after building its views
             return "taat"
         sum_df, min_df, max_df = sum(dfs), min(dfs), max(dfs)
         if (

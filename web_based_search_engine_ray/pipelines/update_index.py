@@ -5,10 +5,15 @@ by the freshness check ``Indexer.java:77-85``).
 Strategy — leveraging the doc-partitioned layout so unchanged documents
 are never re-tokenized:
 
-1. ``filter_fresh`` picks corpus rows that are new or strictly newer
-   than the indexed version; they are extracted and written to
-   ``_extracted_delta/`` by the build's own ``_write_extracted_lww``
-   (``doc_shard``-partitioned, shard-local last-write-wins per url).
+1. ``classify_snapshot`` joins the snapshot's urls against docmeta
+   ONCE (a url-hash-bucket shuffle over two skinny sides) and returns
+   only delta-sized results: the fresh urls with their thresholds, the
+   old doc ids of those urls, and the removed docs.  ``fresh_rows``
+   keeps the corpus rows newer than their url's threshold; they are
+   extracted and written to ``_extracted_delta/`` by the build's own
+   ``_write_extracted_lww`` (``doc_shard``-partitioned, shard-local
+   last-write-wins per url).  An update with nothing fresh and nothing
+   removed returns before the full corpus is read.
 2. Only the ``extracted/doc_shard=S`` partitions holding touched
    documents are rewritten as (old rows minus updated/removed urls) ∪
    fresh rows (IO only, no parsing of unchanged docs); every other
@@ -26,13 +31,15 @@ are never re-tokenized:
 ``remove_missing=True`` adds full-sync deletion: indexed urls absent
 from the snapshot are dropped (their shards rebuilt), keeping df / N /
 norms globally consistent — completing the ``removeDocument`` surface
-the reference defines but never drives.
+the reference defines but never drives.  The removed rows come out of
+the same classify join as the fresh urls, so no second join runs.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -46,52 +53,180 @@ from web_based_search_engine_ray.pipelines.build_index import (
     _shard_files,
     _write_extracted_lww,
     build_index,
-    filter_fresh,
 )
 from web_based_search_engine_ray.state import fsio
 from web_based_search_engine_ray.state import manifest as mf
 
 
-def _removed_docs(corpus, index_dir: str, cfg: IndexConfig):
-    """(doc_id, url) of indexed docs ABSENT from the snapshot — a
-    url-hash-bucket shuffle anti-join over two skinny url columns
-    (``pc.index_in`` per bucket), no driver-side url sets.  Physical
-    plan shared with the freshness threshold probe
-    (``build_index._bucketed_url_join``)."""
+#: threshold of a url with no stored row: every snapshot row beats it
+_UNSEEN = np.iinfo(np.int64).min
+#: row kinds of the classify join's delta-sized result
+_FRESH, _OLD, _REMOVED = 0, 1, 2
+
+
+class SnapshotClasses(NamedTuple):
+    """Delta-sized result of :func:`classify_snapshot`."""
+
+    fresh_urls: pa.Array  # urls with a row newer than every stored version
+    thresholds: np.ndarray  # per fresh url: max stored last_modified
+    # (us), or _UNSEEN for a url with no stored row
+    old_ids: np.ndarray  # stored doc ids of the fresh urls
+    removed_ids: np.ndarray  # stored doc ids of urls absent from the snapshot
+    removed_urls: pa.Array
+
+
+def _ts_us(col) -> np.ndarray:
+    return (
+        col.to_numpy(zero_copy_only=False)
+        .astype("datetime64[us]").astype(np.int64)
+    )
+
+
+def _tag(t: pa.Table, ts_col: str, stored: bool, num_buckets: int) -> pa.Table:
+    from web_based_search_engine_ray.functions.hashing import fnv1a63_array
+
+    n = t.num_rows
+    return pa.table(
+        {
+            "url": t["url"],
+            "ts": pa.array(_ts_us(t[ts_col]), type=pa.int64()),
+            "doc_id": (
+                t["doc_id"].cast(pa.int64()) if stored
+                else pa.array(np.full(n, -1, dtype=np.int64))
+            ),
+            "stored": pa.array(np.full(n, stored)),
+            "fbucket": pa.array(
+                fnv1a63_array(t["url"]) % num_buckets, type=pa.int64()
+            ),
+        }
+    )
+
+
+def _read_stored(batch: pa.Table, *, num_buckets: int) -> pa.Table:
+    """One docmeta file per task, read worker-side: the driver lists
+    the files but never opens one."""
+    t = fsio.parquet_read_table(
+        batch["path"].to_pylist(), columns=["url", "last_modified", "doc_id"]
+    )
+    return _tag(t, "last_modified", True, num_buckets)
+
+
+def _classify_bucket(group: pa.Table, *, remove_missing: bool) -> pa.Table:
+    """Classify every url of one hash bucket.  A url is fresh when it
+    is unseen or its newest snapshot row is strictly newer than its
+    newest stored row (``Indexer.isFreshDocument``)."""
     import pyarrow.compute as pc
+
+    is_stored = group["stored"].to_numpy(zero_copy_only=False)
+    st = group.filter(pa.array(is_stored))
+    snap = group.filter(pa.array(~is_stored))
+    # max on both sides: docmeta holds duplicate urls when
+    # ``dedup_urls=False``, and the threshold is the NEWEST stored version
+    thr = st.group_by("url").aggregate([("ts", "max")])
+    new = snap.group_by("url").aggregate([("ts", "max")])
+    pos = (
+        pc.index_in(new["url"], value_set=thr["url"].combine_chunks())
+        .fill_null(-1).to_numpy(zero_copy_only=False).astype(np.int64)
+    )
+    threshold = np.full(len(pos), _UNSEEN, dtype=np.int64)
+    seen = pos >= 0
+    threshold[seen] = thr["ts_max"].to_numpy(zero_copy_only=False)[pos[seen]]
+    fresh = new["ts_max"].to_numpy(zero_copy_only=False) > threshold
+    fresh_urls = new["url"].filter(pa.array(fresh)).combine_chunks()
+
+    def rows(kind: int, urls, vals) -> pa.Table:
+        return pa.table({
+            "kind": pa.array(np.full(len(urls), kind, dtype=np.int8)),
+            "url": urls,
+            "val": pa.array(vals, type=pa.int64()),
+        })
+
+    out = [rows(_FRESH, fresh_urls, threshold[fresh])]
+    old = st.filter(pc.is_in(st["url"], value_set=fresh_urls))
+    out.append(rows(_OLD, old["url"], old["doc_id"].to_numpy()))
+    if remove_missing:
+        gone = st.filter(pc.invert(pc.is_in(
+            st["url"], value_set=new["url"].combine_chunks()
+        )))
+        out.append(rows(_REMOVED, gone["url"], gone["doc_id"].to_numpy()))
+    return pa.concat_tables(out)
+
+
+def classify_snapshot(corpus, index_dir: str, cfg: IndexConfig, *,
+                      remove_missing: bool = False) -> SnapshotClasses:
+    """The update's one url join: a url-hash-bucket shuffle over two
+    skinny sides, the snapshot's ``(url, warc_ts)`` and docmeta's
+    ``(url, last_modified, doc_id)``, classified vectorized per bucket
+    (:func:`_classify_bucket`).  Only the delta-sized result reaches
+    the driver: the fresh urls with their thresholds, the stored doc
+    ids of the fresh urls, and (with ``remove_missing``) the stored
+    ``(doc_id, url)`` rows whose url the snapshot lacks.  Neither side's
+    full url set is ever materialized on the driver."""
+    import pandas as pd
     import ray.data as rd
 
-    from web_based_search_engine_ray.pipelines.build_index import (
-        _bucketed_url_join,
-    )
+    from web_based_search_engine_ray.util import coalesce
 
-    snap = corpus.select_columns(["url"])
-    stored_side = rd.read_parquet(
-        os.path.join(index_dir, "docmeta"), columns=["doc_id", "url"]
+    nb = cfg.num_buckets
+    d_meta = os.path.join(index_dir, "docmeta")
+    meta_files = [f for f in fsio.walk_files(d_meta) if f.endswith(".parquet")]
+    snap = corpus.select_columns(["url", "warc_ts"]).map_batches(
+        functools.partial(_tag, ts_col="warc_ts", stored=False,
+                          num_buckets=nb),
+        batch_format="pyarrow",
     )
-
-    def gone(group: pa.Table) -> pa.Table:
-        is_stored = group["stored"].to_numpy(zero_copy_only=False)
-        st = group.filter(pa.array(is_stored))
-        snap_urls = group.filter(pa.array(~is_stored))["url"].combine_chunks()
-        missing = pc.is_null(pc.index_in(st["url"], value_set=snap_urls))
-        out = st.filter(missing)
-        return pa.table({"doc_id": out["payload"], "url": out["url"]})
-
-    df = _bucketed_url_join(
-        [
-            (snap, lambda b: np.full(b.num_rows, -1, dtype=np.int64), False),
-            (
-                stored_side,
-                lambda b: b["doc_id"].to_numpy(zero_copy_only=False),
-                True,
-            ),
-        ],
-        gone,
-        num_buckets=cfg.num_buckets,
-        out_cols={"doc_id": np.int64, "url": object},
+    stored = rd.from_items([{"path": f} for f in meta_files]).map_batches(
+        functools.partial(_read_stored, num_buckets=nb),
+        batch_size=1, batch_format="pyarrow",
     )
-    return df
+    df = (
+        coalesce(snap.union(stored))
+        .groupby("fbucket")
+        .map_groups(
+            functools.partial(_classify_bucket, remove_missing=remove_missing),
+            batch_format="pyarrow",
+        )
+        .to_pandas()
+    )
+    # an empty map_groups output loses its schema
+    if df.empty or "kind" not in df.columns:
+        df = pd.DataFrame({"kind": np.empty(0, dtype=np.int8),
+                           "url": np.empty(0, dtype=object),
+                           "val": np.empty(0, dtype=np.int64)})
+    kind = df["kind"].to_numpy()
+
+    def part(k: int):
+        sel = df[kind == k]
+        return (pa.array(sel["url"], type=pa.string()),
+                sel["val"].to_numpy(dtype=np.int64))
+
+    fresh_urls, thresholds = part(_FRESH)
+    removed_urls, removed_ids = part(_REMOVED)
+    return SnapshotClasses(fresh_urls, thresholds, part(_OLD)[1],
+                           removed_ids, removed_urls)
+
+
+def fresh_rows(corpus, classes: SnapshotClasses):
+    """Corpus rows newer than their url's threshold.  Stale duplicates
+    of a fresh url are dropped here; ``_write_extracted_lww`` then keeps
+    the newest of the rest.  The broadcast holds the fresh urls only."""
+    import pyarrow.compute as pc
+    import ray
+
+    ref = ray.put((classes.fresh_urls, classes.thresholds))
+
+    def keep_fresh(batch: pa.Table) -> pa.Table:
+        urls, thr = ray.get(ref)  # zero-copy from plasma
+        pos = (
+            pc.index_in(batch["url"], value_set=urls)
+            .fill_null(-1).to_numpy(zero_copy_only=False).astype(np.int64)
+        )
+        keep = pos >= 0
+        hit = np.flatnonzero(keep)
+        keep[hit] = _ts_us(batch["warc_ts"])[hit] > thr[pos[hit]]
+        return batch.filter(pa.array(keep))
+
+    return corpus.map_batches(keep_fresh, batch_format="pyarrow")
 
 
 def update_index(
@@ -113,6 +248,7 @@ def update_index(
     (``PostingIndex.removeDocument`` exists but nothing ever calls it
     for disappeared urls).  The default keeps reference behavior:
     unseen urls stay indexed forever."""
+    import pyarrow.compute as pc
     import ray
     import ray.data as rd
 
@@ -132,72 +268,45 @@ def update_index(
             "build_index instead of updating across formats"
         )
     d_ext = os.path.join(index_dir, "extracted")
-    fresh_ext = filter_fresh(corpus_fn(), index_dir).map_batches(
-        functools.partial(_extract_task, verify=cfg.verify_extraction),
-        batch_format="pyarrow",
-        batch_size=cfg.extract_batch_size,
-    )
     d_delta = os.path.join(index_dir, "_extracted_delta")
     fsio.rmtree(d_delta, ignore_errors=True)
-    _write_extracted_lww(fresh_ext, d_delta, cfg)
-    delta_files = _shard_files(d_delta, range(cfg.doc_shards))
-    delta_meta = (
-        fsio.parquet_read_table(delta_files, columns=["url", "doc_id"])
-        if delta_files else pa.table({"url": pa.array([], pa.string()),
-                                      "doc_id": pa.array([], pa.int64())})
-    )
-    n_fresh = delta_meta.num_rows
+    corpus = corpus_fn()
+    classes = classify_snapshot(corpus, index_dir, cfg,
+                                remove_missing=remove_missing)
+    if not len(classes.fresh_urls) and not len(classes.removed_ids):
+        stored_meta["update"] = {"fresh_docs": 0, "affected_shards": [],
+                                 "removed_docs": 0}
+        return stored_meta
 
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-
-    # ---- urls deleted from the snapshot (full-sync mode) -----------------
-    removed_urls: set = set()
-    removed_ids = np.empty(0, dtype=np.int64)
-    if remove_missing:
-        # distributed anti-join: skinny (url) sides only, shuffled by
-        # url-hash bucket and matched vectorized per bucket — neither
-        # the snapshot's nor the index's full url set ever reaches the
-        # driver.  Only the RESULT (deleted urls + their doc_ids,
-        # bounded by the deletion count) is collected.
-        removed = _removed_docs(corpus_fn(), index_dir, cfg)
-        removed_urls = set(removed["url"])
-        removed_ids = removed["doc_id"].to_numpy()
-
-    if n_fresh == 0 and not removed_urls:
-        fsio.rmtree(d_delta, ignore_errors=True)
-        report = mf.read_json(os.path.join(index_dir, "meta.json"))
-        report["update"] = {"fresh_docs": 0, "affected_shards": [],
-                           "removed_docs": 0}
-        return report
-
-    fresh_urls = set(delta_meta["url"].to_pylist())
-    fresh_ids = delta_meta["doc_id"].to_numpy(zero_copy_only=False)
-
-    # old doc ids of the updated urls (their postings live in shards
-    # that must be rebuilt even if the new doc_id hashes elsewhere)
-    if fresh_urls:
-        old_meta = pads.dataset(
-            os.path.join(index_dir, "docmeta"), format="parquet"
-        ).to_table(
-            columns=["doc_id", "url"],
-            filter=pc.field("url").isin(list(fresh_urls)),
+    if len(classes.fresh_urls):
+        _write_extracted_lww(
+            fresh_rows(corpus, classes).map_batches(
+                functools.partial(_extract_task, verify=cfg.verify_extraction),
+                batch_format="pyarrow",
+                batch_size=cfg.extract_batch_size,
+            ),
+            d_delta, cfg,
         )
-        old_ids = old_meta["doc_id"].to_numpy(zero_copy_only=False)
-    else:
-        old_ids = np.empty(0, dtype=np.int64)
-
-    n_shards = cfg.doc_shards
-    affected = sorted(
-        set((fresh_ids % n_shards).tolist())
-        | set((old_ids % n_shards).tolist())
-        | set((removed_ids % n_shards).tolist())
+    delta_files = _shard_files(d_delta, range(cfg.doc_shards))
+    fresh_ids = (
+        fsio.parquet_read_table(delta_files, columns=["doc_id"])["doc_id"]
+        .to_numpy() if delta_files else np.empty(0, dtype=np.int64)
     )
+    n_fresh = len(fresh_ids)
+
+    # old doc ids of the updated urls count too: their postings live in
+    # shards that must be rebuilt even if the new doc_id hashes elsewhere
+    n_shards = cfg.doc_shards
+    affected = np.unique(np.concatenate(
+        [fresh_ids, classes.old_ids, classes.removed_ids]
+    ) % n_shards).tolist()
 
     # ---- rewrite extracted/: old minus (updated ∪ removed), plus delta ---
     # touched urls are bounded by the update size (fresh + removed), so
     # the broadcast set is delta-sized, never index-sized
-    urls_ref = ray.put(pa.array(sorted(fresh_urls | removed_urls)))
+    urls_ref = ray.put(
+        pa.concat_arrays([classes.fresh_urls, classes.removed_urls])
+    )
 
     def drop_updated(batch: pa.Table) -> pa.Table:
         known = ray.get(urls_ref)  # zero-copy Arrow array from plasma
@@ -267,9 +376,9 @@ def update_index(
         _no_corpus, index_dir, cfg, input_key=input_key, resume=True
     )
     report["update"] = {
-        "fresh_docs": int(n_fresh),
-        "removed_docs": int(len(removed_ids)),
-        "affected_shards": [int(s) for s in affected],
+        "fresh_docs": n_fresh,
+        "removed_docs": len(classes.removed_ids),
+        "affected_shards": affected,
     }
     mf.write_json(os.path.join(index_dir, "meta.json"), report)
     return report

@@ -1,14 +1,16 @@
 """ctypes loader for the compiled Block-Max WAND kernel.
 
-``data/wand_kernel.c`` is a line-for-line mirror of the Python DAAT
-walk in :meth:`Searcher.scores_topk_wand`; this module compiles it
-ONCE per host (cached ``.so`` keyed by source md5 under ``/tmp``) with
-the system C compiler and exposes it as a numpy-friendly callable.
-Entirely optional: hosts without a compiler simply keep the Python
-walk (``load_kernel()`` returns ``None``), and every caller treats
-that as the fallback signal.  ``-ffp-contract=off`` keeps the float
-folds bitwise-identical to numpy (FMA contraction would change IEEE
-rounding and break rank parity with the TAAT engine).
+``data/wand_kernel.c`` is the DAAT walk behind
+:meth:`Searcher.scores_topk_wand` (its reference Python walk,
+``wand_topk_py``, lives in ``tests/test_wand.py``); this module
+compiles it ONCE per host (cached ``.so`` keyed by source md5 under
+``$TMPDIR``) with the system C compiler and exposes it as a numpy-friendly
+callable.  Entirely optional: on hosts without a compiler
+``load_kernel()`` returns ``None``, and ``scores_topk_wand`` answers
+with the exhaustive TAAT top-k instead (same results, no pruning).
+``-ffp-contract=off`` keeps the float folds bitwise-identical to numpy
+(FMA contraction would change IEEE rounding and break rank parity with
+the TAAT engine).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ _SRC = os.path.join(
     "data", "wand_kernel.c",
 )
 
-#: heap capacity compiled into the kernel; larger k falls back to Python
+#: heap capacity compiled into the kernel; larger k falls back to TAAT
 MAX_K = 4096
 #: max query terms compiled into the kernel
 MAX_TERMS = 64
@@ -92,7 +94,7 @@ def _compile() -> str | None:
 
 def load_kernel():
     """The compiled entry point, or ``None`` when no C compiler is
-    available (callers fall back to the Python walk)."""
+    available (callers fall back to exhaustive TAAT)."""
     global _lib, _load_failed
     if _lib is not None:
         return _lib
