@@ -3,14 +3,19 @@ events, dedup — checked against brute-force implementations."""
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from web_based_search_engine_ray.config import IndexConfig
-from web_based_search_engine_ray.stages import codec
+from web_based_search_engine_ray.functions.hashing import stable_hash63
+from web_based_search_engine_ray.stages import codec, postings
 from web_based_search_engine_ray.stages.postings import (
+    SEGMENT_SCHEMA,
     TokenizeEncode,
     compact_bucket,
 )
@@ -99,6 +104,374 @@ def test_compact_chunks_hot_terms():
     assert sum(compacted["df_run"].to_pylist()) == 40
     decoded = _decode_rows(compacted)
     assert sorted(decoded["hot"].keys()) == list(range(40))
+
+
+# ---- reference: the per-term, per-run, per-doc loops the array
+# merge and the array run assembly replaced (kept to pin their output)
+
+
+def _varbyte_encode(values) -> bytes:
+    v = np.asarray(values, dtype=np.uint64)
+    return codec.varbyte_encode_slices(v, [v.size])[0].tobytes()
+
+
+def _encode_sorted(values) -> bytes:
+    v = np.asarray(values, dtype=np.int64)
+    return _varbyte_encode(codec.delta_concat(v, [v.size]))
+
+
+def _encode_slices_list(values, lengths) -> list[bytes]:
+    blob, offs = codec.varbyte_encode_slices(values, lengths)
+    blob = blob.tobytes()
+    return [blob[offs[i]:offs[i + 1]] for i in range(len(lengths))]
+
+
+def _varbyte_slice_points(blob: bytes, counts) -> np.ndarray:
+    """Byte offsets splitting ``blob`` into groups of ``counts[i]``
+    varbyte values each, without decoding."""
+    counts = np.asarray(counts, dtype=np.int64)
+    b = np.frombuffer(blob, dtype=np.uint8)
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    if b.size == 0:
+        return out
+    value_ends = np.flatnonzero((b & 0x80) == 0) + 1
+    cum = np.cumsum(counts)
+    nz = cum > 0
+    out[1:][nz] = value_ends[cum[nz] - 1]
+    np.maximum.accumulate(out, out=out)
+    return out
+
+
+def _segment_table_rows(rows, shards, buckets, runs, num_buckets):
+    if not rows["term"]:
+        return SEGMENT_SCHEMA.empty_table()
+    shards_np = np.asarray(shards, dtype=np.int64)
+    buckets_np = np.asarray(buckets, dtype=np.int64)
+    cols = {
+        "doc_shard": pa.array(shards_np, type=pa.int32()),
+        "bucket": pa.array(buckets_np, type=pa.int32()),
+        "part_key": pa.array(shards_np * num_buckets + buckets_np,
+                             type=pa.int64()),
+        "run": pa.array(runs, type=pa.int32()),
+    }
+    for f in SEGMENT_SCHEMA:
+        if f.name not in cols:
+            cols[f.name] = pa.array(rows[f.name], type=f.type)
+    return pa.table(cols, schema=SEGMENT_SCHEMA)
+
+
+def _new_rows():
+    return {k: [] for k in ("term", "df_run", "min_doc", "max_doc",
+                            "ub_run", "doc_gaps", "title_tfs",
+                            "body_tfs", "title_pos", "body_pos")}
+
+
+def compact_bucket_loop(group: pa.Table, *, max_run_docs: int,
+                        num_buckets: int) -> pa.Table:
+    """Reference ``compact_bucket``: decodes every run of a multi-run
+    term one at a time and splices position bytes doc by doc."""
+    if group.num_rows == 0:
+        return SEGMENT_SCHEMA.empty_table()
+    terms_np = np.asarray(group["term"])
+    order = np.argsort(terms_np, kind="stable")
+    terms_np = terms_np[order]
+    new_term = np.ones(len(terms_np), dtype=bool)
+    new_term[1:] = terms_np[1:] != terms_np[:-1]
+    starts = np.flatnonzero(new_term)
+    ends = np.concatenate((starts[1:], [len(terms_np)]))
+
+    passthrough_idx = []
+    rows = _new_rows()
+    buckets, runs, shards = [], [], []
+    ub_runs_np = group["ub_run"].to_numpy(zero_copy_only=False)
+    bucket = int(group["bucket"][0].as_py())
+    doc_shard = int(group["doc_shard"][0].as_py())
+    gap_blobs = group["doc_gaps"].to_pylist()
+    ttf_blobs = group["title_tfs"].to_pylist()
+    btf_blobs = group["body_tfs"].to_pylist()
+    tpos_blobs = group["title_pos"].to_pylist()
+    bpos_blobs = group["body_pos"].to_pylist()
+
+    for s, e in zip(starts, ends):
+        idxs = order[s:e]
+        if e - s == 1:
+            passthrough_idx.append(int(idxs[0]))
+            continue
+        term = str(terms_np[s])
+        ids_parts, ttf_parts, btf_parts = [], [], []
+        tpos_pieces: list[bytes] = []
+        bpos_pieces: list[bytes] = []
+        for i in idxs:
+            i = int(i)
+            ids = codec.decode_sorted(gap_blobs[i])
+            ttfs = codec.varbyte_decode(ttf_blobs[i]).astype(np.int64)
+            btfs = codec.varbyte_decode(btf_blobs[i]).astype(np.int64)
+            ids_parts.append(ids)
+            ttf_parts.append(ttfs)
+            btf_parts.append(btfs)
+            tb, bb = tpos_blobs[i], bpos_blobs[i]
+            tcuts = _varbyte_slice_points(tb, ttfs)
+            bcuts = _varbyte_slice_points(bb, btfs)
+            tpos_pieces.extend(
+                tb[tcuts[j]:tcuts[j + 1]] for j in range(len(ids))
+            )
+            bpos_pieces.extend(
+                bb[bcuts[j]:bcuts[j + 1]] for j in range(len(ids))
+            )
+        ids = np.concatenate(ids_parts)
+        sort = np.argsort(ids, kind="stable")
+        ids = ids[sort]
+        ttfs = np.concatenate(ttf_parts)[sort]
+        btfs = np.concatenate(btf_parts)[sort]
+        ub_merged = float(ub_runs_np[idxs].max())
+        for chunk, cs in enumerate(range(0, len(ids), max_run_docs)):
+            ce = min(cs + max_run_docs, len(ids))
+            sel = sort[cs:ce]
+            rows["term"].append(term)
+            rows["df_run"].append(int(ce - cs))
+            rows["min_doc"].append(int(ids[cs]))
+            rows["max_doc"].append(int(ids[ce - 1]))
+            rows["ub_run"].append(ub_merged)
+            rows["doc_gaps"].append(_encode_sorted(ids[cs:ce]))
+            rows["title_tfs"].append(_varbyte_encode(ttfs[cs:ce]))
+            rows["body_tfs"].append(_varbyte_encode(btfs[cs:ce]))
+            rows["title_pos"].append(b"".join(tpos_pieces[j] for j in sel))
+            rows["body_pos"].append(b"".join(bpos_pieces[j] for j in sel))
+            buckets.append(bucket)
+            runs.append(chunk)
+            shards.append(doc_shard)
+
+    merged = _segment_table_rows(rows, shards, buckets, runs, num_buckets)
+    if passthrough_idx:
+        kept = group.take(pa.array(passthrough_idx, type=pa.int64()))
+        kept = kept.select([f.name for f in SEGMENT_SCHEMA])
+        kept = kept.cast(SEGMENT_SCHEMA)
+        merged = (
+            pa.concat_tables([kept, merged]) if merged.num_rows else kept
+        )
+    return merged
+
+
+def tokenize_encode_loop(enc: TokenizeEncode, batch: pa.Table) -> pa.Table:
+    """Reference ``TokenizeEncode.__call__``: single-doc runs, then
+    multi-doc runs, appended row by row."""
+    terms, out_doc, tpos, bpos, tfmax = enc.extract(batch)
+    if not terms:
+        return SEGMENT_SCHEMA.empty_table()
+    terms_np = np.asarray(terms, dtype=object)
+    docs_np = np.asarray(out_doc, dtype=np.int64)
+    tfmax_np = np.asarray(tfmax, dtype=np.float64)
+    shards_np = docs_np % max(1, enc.cfg.doc_shards)
+    order = np.lexsort((docs_np, terms_np, shards_np))
+    terms_np, docs_np = terms_np[order], docs_np[order]
+    shards_np, tfmax_np = shards_np[order], tfmax_np[order]
+    tpos = [tpos[i] for i in order]
+    bpos = [bpos[i] for i in order]
+    new_term = np.ones(len(terms_np), dtype=bool)
+    new_term[1:] = (terms_np[1:] != terms_np[:-1]) | (
+        shards_np[1:] != shards_np[:-1]
+    )
+    starts = np.flatnonzero(new_term)
+    ends = np.concatenate((starts[1:], [len(terms_np)]))
+    sizes = ends - starts
+    all_ttf = np.array([len(x) for x in tpos], dtype=np.int64)
+    all_btf = np.array([len(x) for x in bpos], dtype=np.int64)
+    a = enc.cfg.title_weight
+    all_ratio = (a * all_ttf + (1.0 - a) * all_btf) / tfmax_np
+    rows = _new_rows()
+    buckets, out_shards = [], []
+    nb = enc.cfg.num_buckets
+
+    def flat(lists, idx):
+        parts = [np.asarray(lists[i], np.int64) for i in idx]
+        return np.concatenate(parts) if parts else np.empty(0, np.int64)
+
+    for is_multi in (False, True):
+        sel = (sizes > 1) == is_multi
+        r_starts, r_ends = starts[sel], ends[sel]
+        if not r_starts.size:
+            continue
+        lens = r_ends - r_starts
+        idx = np.concatenate([np.arange(s, e) for s, e in zip(r_starts, r_ends)])
+        offs = np.concatenate(([0], np.cumsum(lens)))[:-1]
+        ttfs, btfs = all_ttf[idx], all_btf[idx]
+        gaps = _encode_slices_list(codec.delta_concat(docs_np[idx], lens), lens)
+        ttf_b = _encode_slices_list(ttfs, lens)
+        btf_b = _encode_slices_list(btfs, lens)
+        tpos_b = _encode_slices_list(
+            codec.delta_concat(flat(tpos, idx), ttfs),
+            np.add.reduceat(ttfs, offs),
+        )
+        bpos_b = _encode_slices_list(
+            codec.delta_concat(flat(bpos, idx), btfs),
+            np.add.reduceat(btfs, offs),
+        )
+        ub = np.maximum.reduceat(all_ratio[idx], offs)
+        for j, (s, e) in enumerate(zip(r_starts, r_ends)):
+            term = str(terms_np[s])
+            rows["term"].append(term)
+            rows["df_run"].append(int(e - s))
+            rows["min_doc"].append(int(docs_np[s]))
+            rows["max_doc"].append(int(docs_np[e - 1]))
+            rows["ub_run"].append(float(ub[j]))
+            rows["doc_gaps"].append(gaps[j])
+            rows["title_tfs"].append(ttf_b[j])
+            rows["body_tfs"].append(btf_b[j])
+            rows["title_pos"].append(tpos_b[j])
+            rows["body_pos"].append(bpos_b[j])
+            buckets.append(stable_hash63(term) % nb)
+            out_shards.append(int(shards_np[s]))
+    run0 = int(docs_np[0] % (1 << 30))
+    return _segment_table_rows(
+        rows, out_shards, buckets, [run0] * len(buckets), nb
+    )
+
+
+def _parquet_bytes(t: pa.Table) -> bytes:
+    sink = io.BytesIO()
+    pq.write_table(t, sink)
+    return sink.getvalue()
+
+
+def _assert_same_table(got: pa.Table, want: pa.Table):
+    assert got.schema.equals(want.schema)
+    assert got.equals(want)
+    assert _parquet_bytes(got) == _parquet_bytes(want)
+
+
+def _random_blocks(seed: int, n_blocks: int = 6, docs_per_block: int = 12):
+    """Random document blocks that reach every varbyte width: doc ids
+    past 2^21, tfs of 128+ (a long repeated word), position gaps of
+    128+ (rare words far apart), empty titles, and a block of docs that
+    share no term with any other block."""
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{i}" for i in range(40)]
+    ids = rng.choice(np.arange(1, 1 << 23), n_blocks * docs_per_block,
+                     replace=False)
+    ids[: docs_per_block // 2] += 1 << 40  # 6-byte gaps
+    blocks = []
+    for b in range(n_blocks):
+        rows = []
+        for d in ids[b * docs_per_block:(b + 1) * docs_per_block]:
+            n_title = int(rng.integers(0, 4)) if rng.random() < 0.7 else 0
+            title = " ".join(rng.choice(vocab[:10], n_title))
+            words = list(rng.choice(vocab, int(rng.integers(1, 30))))
+            if rng.random() < 0.3:  # tf >= 128
+                words += ["hot"] * int(rng.integers(128, 300))
+            if rng.random() < 0.3:  # position gap >= 128
+                words += ["far"] + ["pad"] * int(rng.integers(128, 200))
+                words += ["far"]
+            if b == n_blocks - 1:  # terms private to this block
+                words = [f"solo{d % 7}x{k}" for k in range(3)]
+            rng.shuffle(words)
+            rows.append((int(d), title, " ".join(words)))
+        blocks.append(_mk_batch(rows))
+    return blocks
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tokenize_encode_matches_loop(seed):
+    for cfg in (
+        IndexConfig(use_stemming=False, use_stopwords=False,
+                    num_buckets=3, doc_shards=2),
+        IndexConfig(num_buckets=1),
+    ):
+        enc = TokenizeEncode(cfg)
+        for block in _random_blocks(seed):
+            _assert_same_table(enc(block), tokenize_encode_loop(enc, block))
+        empty = _mk_batch([(1, "", ""), (2, "", "")])
+        _assert_same_table(enc(empty), tokenize_encode_loop(enc, empty))
+
+
+def _groups(seed: int, cfg: IndexConfig):
+    """Per-part_key groups of a random build's runs, each given as a
+    slice of a multi-chunk table (as Ray's group concatenation and the
+    perfbench replay pass them)."""
+    enc = TokenizeEncode(cfg)
+    runs = pa.concat_tables([enc(b) for b in _random_blocks(seed)])
+    keys = runs["part_key"].to_numpy()
+    for key in np.unique(keys):
+        g = runs.filter(pa.array(keys == key))
+        pieces = [g.slice(i, 5) for i in range(0, g.num_rows, 5)]
+        big = pa.concat_tables([runs.slice(0, 3), *pieces, runs.slice(0, 2)])
+        yield big.slice(3, g.num_rows)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_compact_bucket_matches_loop(seed):
+    cfg = IndexConfig(use_stemming=False, use_stopwords=False,
+                      num_buckets=3, doc_shards=2)
+    n_groups = n_merged = 0
+    for group in _groups(seed, cfg):
+        assert group["term"].num_chunks > 1
+        n_groups += 1
+        terms = group["term"].to_pylist()
+        n_merged += len(terms) > len(set(terms))
+        single = [t for t in terms if terms.count(t) == 1]
+        only_single = group.filter(pa.compute.is_in(
+            group["term"], pa.array(single, pa.string())))
+        for g in (group, only_single, group.slice(0, 0)):
+            for max_run_docs in (1, 7, 5_000_000):
+                kw = dict(max_run_docs=max_run_docs, num_buckets=3)
+                _assert_same_table(compact_bucket(g, **kw),
+                                   compact_bucket_loop(g, **kw))
+    assert n_groups == 6 and n_merged == 6
+
+
+def test_compact_bucket_splits_oversized_columns(monkeypatch):
+    """Past ``MAX_CHUNK_BYTES`` per binary column the merged rows are
+    emitted as several row-slices, each within the cap."""
+    cfg = IndexConfig(use_stemming=False, use_stopwords=False,
+                      num_buckets=1)
+    group = next(_groups(0, cfg))
+    want = compact_bucket_loop(group, max_run_docs=3, num_buckets=1)
+    cap = 2 * max(max(map(len, want[c].to_pylist()))
+                  for c in postings._BLOB_COLUMNS)
+    monkeypatch.setattr(postings, "MAX_CHUNK_BYTES", cap)
+    got = compact_bucket(group, max_run_docs=3, num_buckets=1)
+    assert got.equals(want)
+    assert got["doc_gaps"].num_chunks > 2
+    for name in postings._BLOB_COLUMNS:
+        for ch in got[name].chunks:
+            assert pa.compute.sum(pa.compute.binary_length(ch)).as_py() <= cap
+    monkeypatch.setattr(postings, "MAX_CHUNK_BYTES", cap // 4)
+    with pytest.raises(ValueError, match=f"exceeds {cap // 4} bytes"):
+        compact_bucket(group, max_run_docs=1000, num_buckets=1)
+
+
+#: sha256 over every ``segments`` row of the sf0.001 build below,
+#: pinned from the run-at-a-time merge that the array merge replaced
+SEGMENTS_SF0001_DIGEST = (
+    "7580d8e75e0c4b11e454908f4b03a5b1509e02849026838d54cc2759954f64e6"
+)
+
+
+def test_segment_bytes_pinned(ray_session, sf_dir, tmp_path):
+    """The segments of a build where runs both merge and re-chunk
+    (64-doc tokenize batches, 64-doc runs, 2 shards × 8 buckets) hash
+    to the pinned digest: encoder and merge changes cannot drift the
+    bytes silently."""
+    import hashlib
+
+    import pyarrow.dataset as pads
+
+    from web_based_search_engine_ray.pipelines.build_index import build_index
+    from web_based_search_engine_ray.sources.webcorpus import synth_corpus
+
+    cfg = IndexConfig(doc_shards=2, num_buckets=8, tokenize_batch_size=64,
+                      max_run_docs=64)
+    out = str(tmp_path / "idx")
+    build_index(lambda: synth_corpus(sf_dir), out, cfg,
+                input_key="segment-digest", resume=False)
+    seg = pads.dataset(f"{out}/segments", format="parquet",
+                       partitioning="hive").to_table()
+    seg = seg.sort_by([(c, "ascending")
+                       for c in ("doc_shard", "bucket", "term", "run")])
+    h = hashlib.sha256()
+    for row in seg.select([f.name for f in SEGMENT_SCHEMA]).to_pylist():
+        h.update(repr(tuple(row.values())).encode())
+    assert int(seg["df_run"].to_numpy().max()) == 64
+    assert h.hexdigest() == SEGMENTS_SF0001_DIGEST, seg.num_rows
 
 
 def test_sessionize_matches_bruteforce(ray_session, sf_dir):

@@ -39,9 +39,13 @@ the shards whose extracted rows changed since they were written (see
 ``_run_sharded_stage``), so a fresh build and an incremental update run
 the same code.
 
-Skew (Zipf-head terms at web scale): compaction re-chunks a hot term's
-merged list into runs of ≤ ``max_run_docs`` docs, so no task ever holds
-a mega-term's full posting list; the query side unions runs and
+segments is local-index-then-merge: ``TokenizeEncode`` writes one
+compressed run per (term, tokenize batch), and ``compact_bucket`` merges
+each (doc_shard, term bucket) group's runs as whole-column arrays (one
+bulk decode, one sort, one encode; positions spliced as bytes).  Skew
+(Zipf-head terms at web scale): the merge re-chunks a hot term's list
+into runs of ≤ ``max_run_docs`` docs, so no output run holds a
+mega-term's full posting list; the query side unions runs and
 df = Σ df_run.  Shuffle inputs are coalesced to
 ``cfg.shuffle_partitions`` blocks first (Ray sort-shuffle cost scales
 with block count).

@@ -16,56 +16,48 @@ from __future__ import annotations
 import numpy as np
 
 
-def varbyte_encode(values: np.ndarray) -> bytes:
-    """Encode a 1-D array of unsigned ints to varbyte bytes."""
-    blob, _ = _encode_with_nbytes(values)
-    return blob
-
-
-def _encode_with_nbytes(values: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """Encode and also return the per-value byte lengths (callers that
-    need both — slice splitting — avoid a second 8-pass length scan)."""
+def varbyte_encode_slices(values: np.ndarray,
+                          lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Encode ``values`` in one vectorized pass and cut the blob into
+    slices of ``lengths[i]`` values each → ``(blob, offsets)``: the
+    ``uint8`` bytes and the ``len(lengths) + 1`` int64 byte offsets of
+    the slices (zero lengths allowed).  The (blob, offsets) pair is an
+    Arrow binary column's layout, so callers build columns from it
+    without per-row ``bytes`` objects."""
     v = np.ascontiguousarray(values, dtype=np.uint64)
-    if v.size == 0:
-        return b"", np.empty(0, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
     if v.size and int(v.max()) >= (1 << 63):
         raise ValueError("varbyte values must be < 2**63")
     nbytes = varbyte_nbytes(v)
     ends = np.cumsum(nbytes)
-    total = int(ends[-1])
     starts = ends - nbytes
-    out = np.zeros(total, dtype=np.uint8)
-    max_len = int(nbytes.max())
-    for k in range(max_len):
-        sel = nbytes > k
+    out = np.zeros(int(ends[-1]) if v.size else 0, dtype=np.uint8)
+    for k in range(int(nbytes.max()) if v.size else 0):
+        sel = np.flatnonzero(nbytes > k)
         chunk = (v[sel] >> np.uint64(7 * k)) & np.uint64(0x7F)
-        idx = starts[sel] + k
-        cont = (nbytes[sel] - 1) > k  # set continuation bit unless last byte
-        out[idx] = chunk.astype(np.uint8) | (cont.astype(np.uint8) << 7)
-    return out.tobytes(), nbytes
+        cont = (nbytes[sel] - 1) > k  # continuation bit unless last byte
+        out[starts[sel] + k] = chunk.astype(np.uint8) | (
+            cont.astype(np.uint8) << 7
+        )
+    byte_ends = np.concatenate(([0], ends))
+    return out, byte_ends[np.concatenate(([0], np.cumsum(lengths)))]
 
 
-def varbyte_decode(blob: bytes) -> np.ndarray:
-    """Decode varbyte bytes back to a uint64 array."""
+def varbyte_decode(blob) -> np.ndarray:
+    """Decode varbyte bytes (``bytes`` or a ``uint8`` array holding any
+    number of back-to-back encodings) to a uint64 array: one shift-or
+    pass per byte position, bounded by the longest value."""
     b = np.frombuffer(blob, dtype=np.uint8)
-    if b.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    is_end = (b & 0x80) == 0
-    n = int(is_end.sum())
-    # group id of each byte = number of ends strictly before it
-    group = np.zeros(b.size, dtype=np.int64)
-    np.cumsum(is_end[:-1], out=group[1:])
-    # position of byte within its group
-    group_starts = np.zeros(n, dtype=np.int64)
-    end_idx = np.flatnonzero(is_end)
-    group_starts[1:] = end_idx[:-1] + 1
-    pos_in_group = np.arange(b.size, dtype=np.int64) - group_starts[group]
-    vals = np.zeros(n, dtype=np.uint64)
-    np.add.at(
-        vals,
-        group,
-        (b.astype(np.uint64) & np.uint64(0x7F)) << (np.uint64(7) * pos_in_group.astype(np.uint64)),
-    )
+    ends = np.flatnonzero(b < 0x80)
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    nbytes = ends - starts + 1
+    vals = (b[starts] & 0x7F).astype(np.uint64)
+    for k in range(1, int(nbytes.max()) if ends.size else 0):
+        sel = np.flatnonzero(nbytes > k)
+        vals[sel] |= (b[starts[sel] + k] & 0x7F).astype(np.uint64) << (
+            np.uint64(7 * k)
+        )
     return vals
 
 
@@ -79,83 +71,9 @@ def varbyte_nbytes(values: np.ndarray) -> np.ndarray:
     return nbytes
 
 
-def varbyte_encode_slices(values: np.ndarray, lengths: np.ndarray) -> list[bytes]:
-    """Encode ``values`` once, then split the blob into per-slice bytes
-    (slice i covers ``lengths[i]`` values).  One vectorized encode + a
-    cheap bytes-slice per output — the fast path for encoding many tiny
-    independent runs (Zipf-tail terms)."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if len(lengths) == 0:
-        return []
-    blob, nb = _encode_with_nbytes(values)
-    byte_ends = np.cumsum(nb)
-    val_ends = np.cumsum(lengths)
-    slice_ends = np.zeros(len(lengths), dtype=np.int64)
-    nz = val_ends > 0
-    slice_ends[nz] = byte_ends[val_ends[nz] - 1]
-    np.maximum.accumulate(slice_ends, out=slice_ends)
-    out = []
-    start = 0
-    for e in slice_ends:
-        out.append(blob[start:e])
-        start = e
-    return out
-
-
-def delta_encode(sorted_values: np.ndarray) -> np.ndarray:
-    """Gaps of an ascending array (first element absolute)."""
-    a = np.ascontiguousarray(sorted_values, dtype=np.int64)
-    if a.size == 0:
-        return a.astype(np.uint64)
-    out = np.empty_like(a)
-    out[0] = a[0]
-    np.subtract(a[1:], a[:-1], out=out[1:])
-    if a.size > 1 and (out[1:] < 0).any():
-        raise ValueError("delta_encode input must be ascending")
-    return out.astype(np.uint64)
-
-
-def delta_decode(gaps: np.ndarray) -> np.ndarray:
-    return np.cumsum(gaps.astype(np.int64)).astype(np.int64)
-
-
-def encode_sorted(values: np.ndarray) -> bytes:
-    return varbyte_encode(delta_encode(values))
-
-
 def decode_sorted(blob: bytes) -> np.ndarray:
-    return delta_decode(varbyte_decode(blob))
-
-
-def varbyte_slice_points(blob: bytes, counts: np.ndarray) -> np.ndarray:
-    """Byte offsets splitting ``blob`` into groups of ``counts[i]``
-    varbyte values each (without decoding the values): returns
-    ``len(counts)+1`` offsets.  Enables zero-decode reordering of
-    per-doc position runs — within-doc deltas are invariant under doc
-    reordering, so compaction can splice position bytes directly."""
-    counts = np.asarray(counts, dtype=np.int64)
-    b = np.frombuffer(blob, dtype=np.uint8)
-    out = np.zeros(len(counts) + 1, dtype=np.int64)
-    if b.size == 0:
-        return out
-    value_ends = np.flatnonzero((b & 0x80) == 0) + 1  # byte after each value
-    cum = np.cumsum(counts)
-    nz = cum > 0
-    out[1:][nz] = value_ends[cum[nz] - 1]
-    np.maximum.accumulate(out, out=out)
-    return out
-
-
-def encode_position_lists(lists: list[np.ndarray]) -> bytes:
-    """Concatenate per-doc position lists (each sorted ascending), delta
-    within each list, varbyte the whole run.  Slice lengths are stored
-    separately (the tf arrays)."""
-    if not lists:
-        return b""
-    gaps = []
-    for arr in lists:
-        gaps.append(delta_encode(np.asarray(arr, dtype=np.int64)))
-    return varbyte_encode(np.concatenate(gaps) if gaps else np.empty(0, np.uint64))
+    """Doc-id run bytes → ascending int64 doc ids (gap cumsum)."""
+    return np.cumsum(varbyte_decode(blob).astype(np.int64))
 
 
 def delta_concat(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -174,38 +92,22 @@ def delta_concat(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return gaps.astype(np.uint64)
 
 
-def encode_concat_positions(flat: np.ndarray, lengths: np.ndarray) -> bytes:
-    """Vectorized :func:`encode_position_lists` for pre-concatenated
-    position lists.  ``flat`` holds all sublists back-to-back (each
-    ascending); ``lengths`` are the sublist sizes (zeros allowed)."""
-    if np.asarray(flat).size == 0:
-        return b""
-    return varbyte_encode(delta_concat(flat, lengths))
-
-
-def decode_concat_positions(blob: bytes, lengths: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`encode_concat_positions`; returns the flat
-    concatenated positions (slice with ``lengths`` offsets)."""
+def undelta_concat(gaps: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`delta_concat`: a cumsum restarted at every
+    sublist (int64 wrap-around cancels, so first elements may be any
+    int64)."""
+    gaps = np.asarray(gaps).astype(np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    gaps = varbyte_decode(blob).astype(np.int64)
     if gaps.size == 0:
         return gaps
     c = np.cumsum(gaps)
     excl = c - gaps  # exclusive cumsum
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
     nz = lengths > 0
-    base = np.repeat(excl[starts[nz]], lengths[nz])
-    return c - base
+    return c - np.repeat(excl[starts[nz]], lengths[nz])
 
 
-def decode_position_lists(blob: bytes, lengths: np.ndarray) -> list[np.ndarray]:
-    """Inverse of :func:`encode_position_lists` given per-doc lengths."""
-    flat = varbyte_decode(blob).astype(np.int64)
-    out: list[np.ndarray] = []
-    offset = 0
-    for ln in lengths:
-        ln = int(ln)
-        seg = flat[offset:offset + ln]
-        out.append(np.cumsum(seg))
-        offset += ln
-    return out
+def decode_concat_positions(blob: bytes, lengths: np.ndarray) -> np.ndarray:
+    """Position run bytes → the flat concatenated per-doc positions
+    (slice with ``lengths`` offsets; ``lengths`` are the doc tfs)."""
+    return undelta_concat(varbyte_decode(blob), lengths)

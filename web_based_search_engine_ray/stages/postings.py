@@ -12,11 +12,17 @@ plan:
    touches raw (term, doc, positions) rows;
 2. ``compact_bucket`` merges the compressed runs per term inside a
    term-hash-bucket groupby — the only term shuffle moves already
-   compressed bytes.  Skew handling (Zipf head at web scale,
-   SURVEY.md §4): a term's merged list is re-chunked into runs of at
-   most ``max_run_docs`` docs, so no task ever materializes a
+   compressed bytes.  The merge works on whole-group arrays: one bulk
+   varbyte decode of the doc-gap and tf columns, one (term, doc id)
+   sort, one encode per column, and position bytes moved by a single
+   gather without being decoded.  Skew handling (Zipf head at web
+   scale, SURVEY.md §4): a term's merged list is re-chunked into runs
+   of at most ``max_run_docs`` docs, so no output run holds a
    mega-term's full posting list; the query side unions runs and
    df = Σ df_run.
+
+Both stages build their binary columns straight from an encoded
+``uint8`` blob and its row offsets (no per-row ``bytes`` objects).
 
 The segment row schema is shared by both stages; all runs of a term
 carry the same ``bucket`` (hash(term) % num_buckets), which the forward
@@ -26,11 +32,13 @@ group, so Σ df_run there is the global df).
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 import pyarrow as pa
 
 from web_based_search_engine_ray.config import IndexConfig
-from web_based_search_engine_ray.functions.hashing import stable_hash63
+from web_based_search_engine_ray.functions.hashing import stable_hash63_array
 from web_based_search_engine_ray.functions.stopwords import stopword_set
 from web_based_search_engine_ray.functions.tokenize import TOKEN_RE, stem_word
 from web_based_search_engine_ray.stages import codec
@@ -156,41 +164,95 @@ class PostingExtractor:
         )
 
 
-def _segment_table(rows: dict[str, list], shards, buckets, runs,
-                   num_buckets: int) -> pa.Table:
-    n = len(rows["term"])
+#: byte cap of one Arrow binary chunk (int32 offsets); a larger output
+#: column is emitted as several row-slices that each fit
+MAX_CHUNK_BYTES = (1 << 31) - 1
+
+_BLOB_COLUMNS = ("doc_gaps", "title_tfs", "body_tfs", "title_pos", "body_pos")
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``concat(arange(s, s + l) for s, l in zip(starts, lens))`` as one
+    vectorized gather index."""
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1] if lens.size else 0) - np.repeat(
+        ends - lens - starts, lens
+    )
+
+
+def _binary_parts(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """A binary column's bytes as ``(uint8 data, int64 offsets)``, its
+    chunks (and any slice offsets) concatenated."""
+    datas, offsets, base = [], [np.zeros(1, np.int64)], 0
+    for ch in col.chunks:
+        if not len(ch):
+            continue
+        odt = np.int64 if pa.types.is_large_binary(ch.type) else np.int32
+        _, obuf, dbuf = ch.buffers()
+        o = np.frombuffer(obuf, odt, len(ch) + 1,
+                          ch.offset * np.dtype(odt).itemsize).astype(np.int64)
+        if o[-1] > o[0]:
+            datas.append(np.frombuffer(dbuf, np.uint8, o[-1] - o[0], o[0]))
+        offsets.append(o[1:] - o[0] + base)
+        base += int(o[-1] - o[0])
+    data = np.concatenate(datas) if datas else np.empty(0, np.uint8)
+    return data, np.concatenate(offsets)
+
+
+def _row_cuts(offsets: list[np.ndarray]) -> list[int]:
+    """Row boundaries splitting the rows so that no slice holds more
+    than ``MAX_CHUNK_BYTES`` of any binary column."""
+    n = len(offsets[0]) - 1
+    cuts = [0]
+    while cuts[-1] < n:
+        a = cuts[-1]
+        b = min(
+            int(np.searchsorted(o, o[a] + MAX_CHUNK_BYTES, "right")) - 1
+            for o in offsets
+        )
+        if b <= a:
+            raise ValueError(
+                f"one segment run exceeds {MAX_CHUNK_BYTES} bytes"
+            )
+        cuts.append(min(b, n))
+    return cuts
+
+
+def _segment_table(cols: dict, num_buckets: int) -> pa.Table:
+    """``SEGMENT_SCHEMA`` table from per-row arrays; the binary columns
+    are given as ``(uint8 blob, int64 offsets)`` pairs."""
+    n = len(cols["term"])
     if not n:
         return SEGMENT_SCHEMA.empty_table()
-    shards_np = np.asarray(shards, dtype=np.int64)
-    buckets_np = np.asarray(buckets, dtype=np.int64)
-    return pa.table(
-        {
-            "doc_shard": pa.array(shards_np, type=pa.int32()),
-            "bucket": pa.array(buckets_np, type=pa.int32()),
-            "part_key": pa.array(
-                shards_np * num_buckets + buckets_np, type=pa.int64()
-            ),
-            "term": pa.array(rows["term"], type=pa.string()),
-            "run": pa.array(runs, type=pa.int32()),
-            "df_run": pa.array(rows["df_run"], type=pa.int64()),
-            "min_doc": pa.array(rows["min_doc"], type=pa.int64()),
-            "max_doc": pa.array(rows["max_doc"], type=pa.int64()),
-            "ub_run": pa.array(rows["ub_run"], type=pa.float64()),
-            "doc_gaps": pa.array(rows["doc_gaps"], type=pa.binary()),
-            "title_tfs": pa.array(rows["title_tfs"], type=pa.binary()),
-            "body_tfs": pa.array(rows["body_tfs"], type=pa.binary()),
-            "title_pos": pa.array(rows["title_pos"], type=pa.binary()),
-            "body_pos": pa.array(rows["body_pos"], type=pa.binary()),
-        },
-        schema=SEGMENT_SCHEMA,
+    cols["part_key"] = (
+        np.asarray(cols["doc_shard"], np.int64) * num_buckets
+        + np.asarray(cols["bucket"], np.int64)
     )
+    cuts = _row_cuts([cols[c][1] for c in _BLOB_COLUMNS])
+    parts = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        arrays = []
+        for f in SEGMENT_SCHEMA:
+            if f.name in _BLOB_COLUMNS:
+                blob, offs = cols[f.name]
+                o = offs[a:b + 1]
+                arrays.append(pa.Array.from_buffers(f.type, b - a, [
+                    None,
+                    pa.py_buffer((o - o[0]).astype(np.int32)),
+                    pa.py_buffer(blob[o[0]:o[-1]]),
+                ]))
+            else:
+                arrays.append(pa.array(cols[f.name][a:b], type=f.type))
+        parts.append(pa.Table.from_arrays(arrays, schema=SEGMENT_SCHEMA))
+    return pa.concat_tables(parts)
 
 
 class TokenizeEncode(PostingExtractor):
     """Actor-pool stage: documents block → one compressed posting run
     per term in the block (``SEGMENT_SCHEMA`` rows).  The reference's
     binary-search posting insertion (``PostingIndex.java:66-84``)
-    becomes one sort + vectorized delta/varbyte encode per term."""
+    becomes one sort + one delta/varbyte encode per column over all of
+    the block's runs."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         terms, out_doc, tpos, bpos, tfmax = self.extract(batch)
@@ -198,145 +260,50 @@ class TokenizeEncode(PostingExtractor):
             return SEGMENT_SCHEMA.empty_table()
         terms_np = np.asarray(terms, dtype=object)
         docs_np = np.asarray(out_doc, dtype=np.int64)
-        tfmax_np = np.asarray(tfmax, dtype=np.float64)
-        n_shards = max(1, self.cfg.doc_shards)
-        shards_np = docs_np % n_shards
+        shards_np = docs_np % max(1, self.cfg.doc_shards)
         order = np.lexsort((docs_np, terms_np, shards_np))
-        terms_np, docs_np = terms_np[order], docs_np[order]
-        shards_np = shards_np[order]
-        tfmax_np = tfmax_np[order]
-        tpos = [tpos[i] for i in order]
-        bpos = [bpos[i] for i in order]
-
-        new_term = np.ones(len(terms_np), dtype=bool)
-        new_term[1:] = (terms_np[1:] != terms_np[:-1]) | (
-            shards_np[1:] != shards_np[:-1]
+        new_run = np.ones(len(order), dtype=bool)
+        new_run[1:] = (terms_np[order[1:]] != terms_np[order[:-1]]) | (
+            shards_np[order[1:]] != shards_np[order[:-1]]
         )
-        starts = np.flatnonzero(new_term)
-        ends = np.concatenate((starts[1:], [len(terms_np)]))
-        sizes = ends - starts
+        starts = np.flatnonzero(new_run)
+        sizes = np.diff(np.append(starts, len(order)))
+        # single-doc runs (the Zipf tail) first, then multi-doc runs,
+        # each in (doc_shard, term) order; postings in output order
+        run_order = np.argsort(sizes > 1, kind="stable")
+        lens = sizes[run_order]
+        post = order[_ranges(starts[run_order], lens)]
+        first = np.cumsum(lens) - lens
 
-        all_ttf = np.fromiter(map(len, tpos), np.int64, len(tpos))
-        all_btf = np.fromiter(map(len, bpos), np.int64, len(bpos))
+        ttf = np.fromiter(map(len, tpos), np.int64, len(tpos))
+        btf = np.fromiter(map(len, bpos), np.int64, len(bpos))
         a = self.cfg.title_weight
-        all_ratio = (a * all_ttf + (1.0 - a) * all_btf) / tfmax_np
-
-        rows = {k: [] for k in ("term", "df_run", "min_doc", "max_doc",
-                                "ub_run", "doc_gaps", "title_tfs",
-                                "body_tfs", "title_pos", "body_pos")}
-        buckets = []
-        out_shards = []
-        nb = self.cfg.num_buckets
-
-        # --- fast path: single-doc runs (the Zipf tail is most of the
-        # vocabulary) — one vectorized encode + bytes slicing instead of
-        # six codec calls per term
-        single = sizes == 1
-        s_idx = starts[single]
-        if s_idx.size:
-            ones = np.ones(len(s_idx), dtype=np.int64)
-            gap_blobs = codec.varbyte_encode_slices(
-                docs_np[s_idx].astype(np.uint64), ones
+        ratio = (a * ttf + (1.0 - a) * btf) / np.asarray(tfmax, np.float64)
+        docs = docs_np[post]
+        run_terms = terms_np[post[first]]
+        cols = {
+            "doc_shard": shards_np[post[first]],
+            "bucket": stable_hash63_array(run_terms) % self.cfg.num_buckets,
+            "term": run_terms,
+            "run": np.full(len(lens), docs_np[order[0]] % (1 << 30)),
+            "df_run": lens,
+            "min_doc": docs[first],
+            "max_doc": docs[first + lens - 1],
+            "ub_run": np.maximum.reduceat(ratio[post], first),
+            "doc_gaps": codec.varbyte_encode_slices(
+                codec.delta_concat(docs, lens), lens
+            ),
+        }
+        for name, tf, pos in (("title", ttf, tpos), ("body", btf, bpos)):
+            flat = np.fromiter(chain.from_iterable(pos), np.int64, tf.sum())
+            tf_post = tf[post]
+            flat = flat[_ranges((np.cumsum(tf) - tf)[post], tf_post)]
+            cols[f"{name}_tfs"] = codec.varbyte_encode_slices(tf_post, lens)
+            cols[f"{name}_pos"] = codec.varbyte_encode_slices(
+                codec.delta_concat(flat, tf_post),
+                np.add.reduceat(tf_post, first),
             )
-            ttfs_s = all_ttf[s_idx]
-            btfs_s = all_btf[s_idx]
-            ttf_blobs = codec.varbyte_encode_slices(
-                ttfs_s.astype(np.uint64), ones
-            )
-            btf_blobs = codec.varbyte_encode_slices(
-                btfs_s.astype(np.uint64), ones
-            )
-            tflat = (
-                np.concatenate([np.asarray(tpos[i], np.int64) for i in s_idx])
-                if ttfs_s.sum() else np.empty(0, np.int64)
-            )
-            bflat = (
-                np.concatenate([np.asarray(bpos[i], np.int64) for i in s_idx])
-                if btfs_s.sum() else np.empty(0, np.int64)
-            )
-            tpos_blobs = codec.varbyte_encode_slices(
-                codec.delta_concat(tflat, ttfs_s), ttfs_s
-            )
-            bpos_blobs = codec.varbyte_encode_slices(
-                codec.delta_concat(bflat, btfs_s), btfs_s
-            )
-            for j, i in enumerate(s_idx):
-                term = str(terms_np[i])
-                rows["term"].append(term)
-                rows["df_run"].append(1)
-                rows["min_doc"].append(int(docs_np[i]))
-                rows["max_doc"].append(int(docs_np[i]))
-                rows["ub_run"].append(float(all_ratio[i]))
-                rows["doc_gaps"].append(gap_blobs[j])
-                rows["title_tfs"].append(ttf_blobs[j])
-                rows["body_tfs"].append(btf_blobs[j])
-                rows["title_pos"].append(tpos_blobs[j])
-                rows["body_pos"].append(bpos_blobs[j])
-                buckets.append(stable_hash63(term) % nb)
-                out_shards.append(int(shards_np[i]))
-
-        # --- general path: multi-doc runs, batch-encoded like the
-        # singles (frame-wise delta + one sliced varbyte pass per
-        # column instead of five codec calls per term)
-        m_starts = starts[~single]
-        m_ends = ends[~single]
-        if m_starts.size:
-            run_lens = (m_ends - m_starts).astype(np.int64)
-            multi_mask = np.repeat(~single, sizes)
-            rows_multi = np.flatnonzero(multi_mask)
-            ids_all = docs_np[multi_mask]
-            ttfs_all = all_ttf[multi_mask]
-            btfs_all = all_btf[multi_mask]
-            gap_blobs_m = codec.varbyte_encode_slices(
-                codec.delta_concat(ids_all, run_lens), run_lens
-            )
-            ttf_blobs_m = codec.varbyte_encode_slices(
-                ttfs_all.astype(np.uint64), run_lens
-            )
-            btf_blobs_m = codec.varbyte_encode_slices(
-                btfs_all.astype(np.uint64), run_lens
-            )
-            tflat_all = (
-                np.concatenate(
-                    [np.asarray(tpos[i], np.int64) for i in rows_multi]
-                )
-                if ttfs_all.sum() else np.empty(0, np.int64)
-            )
-            bflat_all = (
-                np.concatenate(
-                    [np.asarray(bpos[i], np.int64) for i in rows_multi]
-                )
-                if btfs_all.sum() else np.empty(0, np.int64)
-            )
-            offs = np.concatenate(([0], np.cumsum(run_lens)))[:-1]
-            tpos_counts = np.add.reduceat(ttfs_all, offs)
-            bpos_counts = np.add.reduceat(btfs_all, offs)
-            tpos_blobs_m = codec.varbyte_encode_slices(
-                codec.delta_concat(tflat_all, ttfs_all), tpos_counts
-            )
-            bpos_blobs_m = codec.varbyte_encode_slices(
-                codec.delta_concat(bflat_all, btfs_all), bpos_counts
-            )
-            ratio_multi = all_ratio[multi_mask]
-            ub_m = np.maximum.reduceat(ratio_multi, offs)
-            for j, s in enumerate(m_starts):
-                term = str(terms_np[s])
-                rows["term"].append(term)
-                rows["df_run"].append(int(run_lens[j]))
-                rows["min_doc"].append(int(docs_np[s]))
-                rows["max_doc"].append(int(docs_np[m_ends[j] - 1]))
-                rows["ub_run"].append(float(ub_m[j]))
-                rows["doc_gaps"].append(gap_blobs_m[j])
-                rows["title_tfs"].append(ttf_blobs_m[j])
-                rows["body_tfs"].append(btf_blobs_m[j])
-                rows["title_pos"].append(tpos_blobs_m[j])
-                rows["body_pos"].append(bpos_blobs_m[j])
-                buckets.append(stable_hash63(term) % nb)
-                out_shards.append(int(shards_np[s]))
-        run0 = int(docs_np[0] % (1 << 30))
-        return _segment_table(
-            rows, out_shards, buckets, [run0] * len(buckets), nb
-        )
+        return _segment_table(cols, self.cfg.num_buckets)
 
 
 def compact_bucket(group: pa.Table, *, max_run_docs: int,
@@ -346,10 +313,14 @@ def compact_bucket(group: pa.Table, *, max_run_docs: int,
     runs of ≤ ``max_run_docs`` docs.
 
     Single-run terms (the Zipf tail — the vast majority) pass through
-    untouched.  For multi-run terms only doc-id gaps and tf arrays are
-    decoded; per-doc POSITION payloads are never decoded — within-doc
-    deltas are invariant under doc reordering, so position runs are
-    spliced at byte level (``codec.varbyte_slice_points``)."""
+    untouched, ahead of the merged rows.  The multi-run terms are merged
+    as whole-group arrays: one varbyte decode of each doc-gap / tf
+    column buffer, one ``lexsort`` by (term, doc id) whose rank within
+    the term gives the output run, and one encode per column.  Position
+    bytes are never decoded: within-doc deltas are invariant under doc
+    reordering, so each doc's position bytes (located from the value
+    ends of the source buffer and the doc tfs) are spliced into the
+    output by a single gather."""
     if group.num_rows == 0:
         return SEGMENT_SCHEMA.empty_table()
     terms_np = np.asarray(group["term"])
@@ -358,93 +329,90 @@ def compact_bucket(group: pa.Table, *, max_run_docs: int,
     new_term = np.ones(len(terms_np), dtype=bool)
     new_term[1:] = terms_np[1:] != terms_np[:-1]
     starts = np.flatnonzero(new_term)
-    ends = np.concatenate((starts[1:], [len(terms_np)]))
-
-    passthrough_idx = []
-    rows = {k: [] for k in ("term", "df_run", "min_doc", "max_doc",
-                            "ub_run", "doc_gaps", "title_tfs",
-                            "body_tfs", "title_pos", "body_pos")}
-    buckets, runs, shards = [], [], []
-    ub_runs_np = group["ub_run"].to_numpy(zero_copy_only=False)
-    bucket = int(group["bucket"][0].as_py())
-    doc_shard = int(group["doc_shard"][0].as_py())
-
-    gap_blobs = group["doc_gaps"].to_pylist()
-    ttf_blobs = group["title_tfs"].to_pylist()
-    btf_blobs = group["body_tfs"].to_pylist()
-    tpos_blobs = group["title_pos"].to_pylist()
-    bpos_blobs = group["body_pos"].to_pylist()
-
-    for s, e in zip(starts, ends):
-        idxs = order[s:e]
-        if e - s == 1:
-            passthrough_idx.append(int(idxs[0]))
-            continue
-        term = str(terms_np[s])
-        ids_parts, ttf_parts, btf_parts = [], [], []
-        tpos_pieces: list[bytes] = []  # per-doc byte slices, run order
-        bpos_pieces: list[bytes] = []
-        for i in idxs:
-            i = int(i)
-            ids = codec.decode_sorted(gap_blobs[i])
-            ttfs = codec.varbyte_decode(ttf_blobs[i]).astype(np.int64)
-            btfs = codec.varbyte_decode(btf_blobs[i]).astype(np.int64)
-            ids_parts.append(ids)
-            ttf_parts.append(ttfs)
-            btf_parts.append(btfs)
-            tb = tpos_blobs[i]
-            bb = bpos_blobs[i]
-            tcuts = codec.varbyte_slice_points(tb, ttfs)
-            bcuts = codec.varbyte_slice_points(bb, btfs)
-            tpos_pieces.extend(
-                tb[tcuts[j]:tcuts[j + 1]] for j in range(len(ids))
-            )
-            bpos_pieces.extend(
-                bb[bcuts[j]:bcuts[j + 1]] for j in range(len(ids))
-            )
-        ids = np.concatenate(ids_parts)
-        sort = np.argsort(ids, kind="stable")
-        ids = ids[sort]
-        ttfs = np.concatenate(ttf_parts)[sort]
-        btfs = np.concatenate(btf_parts)[sort]
-        # merged-run bound: max of the source runs' bounds (conservative
-        # — rank-safe; exact per-chunk bounds would need per-doc tfMax)
-        ub_merged = float(ub_runs_np[idxs].max())
-        # chunk into bounded runs; positions are byte-spliced per doc
-        for chunk, cs in enumerate(range(0, len(ids), max_run_docs)):
-            ce = min(cs + max_run_docs, len(ids))
-            sel = sort[cs:ce]
-            rows["term"].append(term)
-            rows["df_run"].append(int(ce - cs))
-            rows["min_doc"].append(int(ids[cs]))
-            rows["max_doc"].append(int(ids[ce - 1]))
-            rows["ub_run"].append(ub_merged)
-            rows["doc_gaps"].append(codec.encode_sorted(ids[cs:ce]))
-            rows["title_tfs"].append(
-                codec.varbyte_encode(ttfs[cs:ce].astype(np.uint64))
-            )
-            rows["body_tfs"].append(
-                codec.varbyte_encode(btfs[cs:ce].astype(np.uint64))
-            )
-            rows["title_pos"].append(
-                b"".join(tpos_pieces[j] for j in sel)
-            )
-            rows["body_pos"].append(
-                b"".join(bpos_pieces[j] for j in sel)
-            )
-            buckets.append(bucket)
-            runs.append(chunk)
-            shards.append(doc_shard)
-
-    merged = _segment_table(rows, shards, buckets, runs, num_buckets)
-    if passthrough_idx:
-        kept = group.take(pa.array(passthrough_idx, type=pa.int64()))
-        kept = kept.select([f.name for f in SEGMENT_SCHEMA])
-        kept = kept.cast(SEGMENT_SCHEMA)
-        merged = (
-            pa.concat_tables([kept, merged]) if merged.num_rows else kept
+    sizes = np.diff(np.append(starts, len(terms_np)))
+    multi = sizes > 1
+    merged = SEGMENT_SCHEMA.empty_table()
+    if multi.any():
+        merged = _merge_runs(
+            group, order[np.repeat(multi, sizes)], sizes[multi],
+            terms_np[starts[multi]], max_run_docs, num_buckets,
         )
-    return merged
+    if multi.all():
+        return merged
+    kept = group.take(pa.array(order[starts[~multi]], type=pa.int64()))
+    kept = kept.select([f.name for f in SEGMENT_SCHEMA])
+    kept = kept.cast(SEGMENT_SCHEMA)
+    return pa.concat_tables([kept, merged]) if merged.num_rows else kept
+
+
+def _merge_runs(group: pa.Table, src: np.ndarray, runs_per_term: np.ndarray,
+                terms: np.ndarray, max_run_docs: int,
+                num_buckets: int) -> pa.Table:
+    """Merge the source runs ``src`` (row indices of ``group``, grouped
+    by term in ``terms`` order, ``runs_per_term`` each) into chunked
+    doc-sorted runs."""
+    run_term = np.repeat(np.arange(len(terms)), runs_per_term)
+
+    def column(name):
+        """(bytes, value-end mask, first value index per row) of a
+        varbyte column"""
+        data, offs = _binary_parts(group[name])
+        is_end = data < 0x80
+        return data, is_end, np.concatenate(([0], np.cumsum(is_end)))[offs]
+
+    data, _, gap_first = column("doc_gaps")
+    df = np.diff(gap_first)[src]
+    gaps = codec.varbyte_decode(data)[_ranges(gap_first[src], df)]
+    ids = codec.undelta_concat(gaps, df)
+    doc_term = np.repeat(run_term, df)
+    perm = np.lexsort((ids, doc_term))
+    ids = ids[perm]
+    term_docs = np.bincount(doc_term, minlength=len(terms))
+    rank = np.arange(len(ids)) - np.repeat(
+        np.cumsum(term_docs) - term_docs, term_docs
+    )
+    row_first = np.flatnonzero(rank % max_run_docs == 0)
+    lens = np.diff(np.append(row_first, len(ids)))
+    row_term = doc_term[perm][row_first]
+    # merged-run bound: max of the term's source-run bounds
+    # (conservative — rank-safe; exact per-chunk bounds would need
+    # per-doc tfMax)
+    ub_src = group["ub_run"].to_numpy()[src]
+    ub_term = np.maximum.reduceat(ub_src, np.cumsum(runs_per_term)
+                                  - runs_per_term)
+    cols = {
+        "doc_shard": np.full(len(lens), group["doc_shard"][0].as_py()),
+        "bucket": np.full(len(lens), group["bucket"][0].as_py()),
+        "term": terms[row_term],
+        "run": rank[row_first] // max_run_docs,
+        "df_run": lens,
+        "min_doc": ids[row_first],
+        "max_doc": ids[row_first + lens - 1],
+        "ub_run": ub_term[row_term],
+        "doc_gaps": codec.varbyte_encode_slices(
+            codec.delta_concat(ids, lens), lens
+        ),
+    }
+    for name in ("title", "body"):
+        data, _, tf_first = column(f"{name}_tfs")
+        tf = codec.varbyte_decode(data)[_ranges(tf_first[src], df)]
+        tf = tf.astype(np.int64)
+        cols[f"{name}_tfs"] = codec.varbyte_encode_slices(tf[perm], lens)
+        # each source doc's position byte range: its first value is
+        # the run's first value plus the tfs of the docs before it
+        data, is_end, pos_first = column(f"{name}_pos")
+        doc_first_val = (
+            np.repeat(pos_first[src], df) + codec.undelta_concat(tf, df) - tf
+        )
+        val_start = np.concatenate(([0], np.flatnonzero(is_end) + 1))
+        lo = val_start[doc_first_val][perm]
+        nbytes = val_start[doc_first_val + tf][perm] - lo
+        byte_ends = np.concatenate(([0], np.cumsum(nbytes)))
+        cols[f"{name}_pos"] = (
+            data[_ranges(lo, nbytes)],
+            byte_ends[np.append(row_first, len(ids))],
+        )
+    return _segment_table(cols, num_buckets)
 
 
 class ForwardRows(PostingExtractor):
