@@ -185,16 +185,17 @@ def test_classify_drops_stale_duplicate_rows(
 def test_classify_duplicate_docmeta_uses_newest_threshold(
     ray_session, tmp_path_factory
 ):
-    """With ``dedup_urls=False`` docmeta may hold the same url more
-    than once; the freshness threshold must be the NEWEST stored
-    ``last_modified`` (regression: a file-order-dependent first-match
-    lookup used the stale row's timestamp, re-admitting candidates
-    older than the newest stored version)."""
+    """If the stored rows hold the same url more than once (the build
+    keeps one row per url; this writes duplicates directly), the
+    freshness threshold must be the NEWEST stored ``last_modified``
+    (regression: a file-order-dependent first-match lookup used the
+    stale row's timestamp, re-admitting candidates older than the
+    newest stored version)."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
     idx = tmp_path_factory.mktemp("dupmeta")
-    (idx / "docmeta").mkdir()
+    (idx / "extracted" / "doc_shard=0").mkdir(parents=True)
 
     def ts(*days):
         return pa.array(
@@ -208,7 +209,7 @@ def test_classify_duplicate_docmeta_uses_newest_threshold(
             "last_modified": ts("2024-01-01", "2024-01-03", "2024-01-02"),
             "doc_id": pa.array([7, 7, 9], type=pa.int64()),
         }),
-        str(idx / "docmeta" / "part-0.parquet"),
+        str(idx / "extracted" / "doc_shard=0" / "part-0.parquet"),
     )
     corpus = pa.table({
         "url": ["dup", "dup", "solo", "brand-new"],

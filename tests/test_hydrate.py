@@ -2,8 +2,8 @@
 
 ``Searcher.hydrate`` reads a store loaded on its first call; it must give
 the frame of the filtered-scan implementation kept below as the
-reference (same columns, dtypes, defaults for ids missing from docmeta
-or forward, sorted link sets, top-``max_keywords`` keywords), read no
+reference (same columns, dtypes, defaults for ids missing from
+extracted or forward, sorted link sets, top-``max_keywords`` keywords), read no
 file after that first call, and never load on a shard Searcher.
 """
 
@@ -34,26 +34,28 @@ def reference_hydrate(index_dir: str, results: pd.DataFrame,
     if results.empty:
         return _empty_results(True)
     ids = results["doc_id"].tolist()
-    meta = ds("docmeta").to_table(
-        filter=pc.field("doc_id").isin(ids)
+    meta = ds("extracted").to_table(
+        columns=["doc_id", "url", "title", "page_size", "last_modified"],
+        filter=pc.field("doc_id").isin(ids),
     ).to_pandas().set_index("doc_id")
     fwd = ds("forward").to_table(
         columns=["doc_id", "terms", "title_tfs", "body_tfs"],
         filter=pc.field("doc_id").isin(ids),
     ).to_pandas().set_index("doc_id")
     urls = meta["url"].to_dict()
-    child = ds("edges").to_table(
-        columns=["src_doc_id", "dst_url"],
-        filter=pc.field("src_doc_id").isin(ids),
-    ).to_pandas()
-    parent = ds("edges").to_table(
-        columns=["src_url", "dst_url"],
-        filter=pc.field("dst_url").isin(list(urls.values())),
-    ).to_pandas()
-    child_map = child.groupby("src_doc_id")["dst_url"].apply(
+    # one row per (page, link): the edges, exploded here in pandas
+    child = ds("extracted").to_table(
+        columns=["doc_id", "links"],
+        filter=pc.field("doc_id").isin(ids),
+    ).to_pandas().explode("links").dropna()
+    parent = ds("extracted").to_table(
+        columns=["url", "links"],
+    ).to_pandas().explode("links")
+    parent = parent[parent["links"].isin(list(urls.values()))]
+    child_map = child.groupby("doc_id")["links"].apply(
         lambda s: sorted(set(s))
     ).to_dict()
-    parent_by_url = parent.groupby("dst_url")["src_url"].apply(
+    parent_by_url = parent.groupby("links")["url"].apply(
         lambda s: sorted(set(s))
     ).to_dict()
 
@@ -90,7 +92,7 @@ def reference_hydrate(index_dir: str, results: pd.DataFrame,
 def _all_ids(index_dir: str) -> np.ndarray:
     import os
 
-    ids = pads.dataset(os.path.join(index_dir, "docmeta"),
+    ids = pads.dataset(os.path.join(index_dir, "extracted"),
                        format="parquet").to_table(columns=["doc_id"])
     return np.sort(ids["doc_id"].to_numpy())
 
@@ -127,24 +129,26 @@ def test_hydrate_matches_reference_every_doc(sf_index):
     _assert_parity(sf_index, ids)
 
 
-def _updated_corpus(sf_dir: str):
-    """The sf corpus with ``MODIFIED_IDS`` rewritten (newer ``warc_ts``, new
-    text) and ``REMOVED_IDS`` gone (a full-sync snapshot)."""
+def _updated_corpus(sf_dir: str, modified=MODIFIED_IDS, removed=REMOVED_IDS):
+    """The sf corpus with ``modified`` rewritten (newer ``warc_ts``, new
+    text) and ``removed`` gone (a full-sync snapshot)."""
     import ray.data as rd
 
     from web_based_search_engine_ray.sources.webcorpus import synth_batch
 
+    modified, removed = list(modified), [int(i) for i in removed]
+
     def modify(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
         texts = [t + " freshly updated hydration tokens"
-                 if i in MODIFIED_IDS else t
+                 if i in modified else t
                  for i, t in zip(ids, batch["text"].to_pylist())]
         web = synth_batch(batch.set_column(
             batch.schema.get_field_index("text"), "text",
             pa.array(texts, pa.string())))
         ts = web["warc_ts"].to_numpy(zero_copy_only=False).astype(
             "datetime64[us]")
-        ts = np.where(np.isin(ids, MODIFIED_IDS),
+        ts = np.where(np.isin(ids, modified),
                       ts + np.timedelta64(1, "D"), ts)
         return web.set_column(web.schema.get_field_index("warc_ts"),
                               "warc_ts", pa.array(ts, pa.timestamp("us")))
@@ -153,9 +157,67 @@ def _updated_corpus(sf_dir: str):
         rd.read_parquet(f"{sf_dir}/documents.parquet",
                         columns=["doc_id", "text", "lang"],
                         override_num_blocks=4)
-        .filter(expr=f"doc_id not in {list(REMOVED_IDS)}")
+        .filter(expr=f"doc_id not in {removed}")
         .map_batches(modify, batch_format="pyarrow")
     )
+
+
+#: sha256 over ``repr`` of every hydrated row of the sf0.001 build and of
+#: its seeded update (see ``test_hydrated_rows_pinned``)
+HYDRATED_BUILD_DIGEST = (
+    "e4324c4ccc72f895081b06c2eb64516a671e886a15ba88443f9020f81615fd13"
+)
+HYDRATED_UPDATE_DIGEST = (
+    "57f9097dc6c99df11d51d9df9922f462e3558556df7a3dd57af685af8295b61b"
+)
+
+
+def _hydrated_digest(index_dir: str, ids: np.ndarray) -> str:
+    """Every id through one ``Searcher.hydrate``, in 50-id chunks."""
+    import hashlib
+
+    from web_based_search_engine_ray.pipelines.search import Searcher
+
+    s, h = Searcher(index_dir), hashlib.sha256()
+    for i in range(0, len(ids), 50):
+        part = ids[i:i + 50]
+        res = pd.DataFrame({"doc_id": part,
+                            "score": np.linspace(1.0, 0.5, len(part))})
+        for row in s.hydrate(res).to_dict("records"):
+            h.update(repr(tuple(row.values())).encode())
+    return h.hexdigest()
+
+
+def test_hydrated_rows_pinned(ray_session, sf_dir, tmp_path):
+    """The hydrated rows of every doc id, after a two-shard build and
+    after a seeded full-sync update (removed ids ride along as default
+    rows), hash to the pinned digests: a change in where hydration
+    reads its columns cannot drift the result rows."""
+    from web_based_search_engine_ray.config import IndexConfig
+    from web_based_search_engine_ray.pipelines.build_index import build_index
+    from web_based_search_engine_ray.pipelines.update_index import (
+        update_index,
+    )
+    from web_based_search_engine_ray.sources.webcorpus import synth_corpus
+
+    cfg = IndexConfig(doc_shards=2)
+    idx = str(tmp_path / "idx")
+    build_index(lambda: synth_corpus(sf_dir), idx, cfg, input_key="pin1",
+                resume=False)
+    ids = np.sort(pads.dataset(f"{idx}/extracted", format="parquet")
+                  .to_table(columns=["doc_id"])["doc_id"].to_numpy())
+    assert len(ids) == 500
+    built = _hydrated_digest(idx, ids)
+
+    pick = np.random.default_rng(8).permutation(ids)
+    modified, removed = np.sort(pick[:15]), np.sort(pick[15:20])
+    report = update_index(
+        lambda: _updated_corpus(sf_dir, modified, removed), idx, cfg,
+        input_key="pin2", remove_missing=True)
+    assert report["update"]["fresh_docs"] == len(modified)
+    assert report["update"]["removed_docs"] == len(removed)
+    assert (built, _hydrated_digest(idx, ids)) == (
+        HYDRATED_BUILD_DIGEST, HYDRATED_UPDATE_DIGEST)
 
 
 def test_hydrate_matches_reference_after_update(ray_session, sf_dir,
@@ -177,7 +239,7 @@ def test_hydrate_matches_reference_after_update(ray_session, sf_dir,
     assert report["update"]["fresh_docs"] == len(MODIFIED_IDS)
     ids = _all_ids(idx)
     assert not set(REMOVED_IDS) & set(ids.tolist())
-    # the removed ids ride along: absent from docmeta and forward
+    # the removed ids ride along: absent from extracted and forward
     _assert_parity(idx, np.concatenate([list(REMOVED_IDS), ids]))
 
 

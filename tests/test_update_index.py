@@ -136,6 +136,48 @@ def test_update_report(updated_and_rebuilt):
     }
 
 
+def test_index_holds_only_the_stage_dirs(updated_and_rebuilt):
+    """A fresh build and an update write the five stage dirs and no
+    other (underscore-prefixed dirs are bookkeeping): page columns and
+    link edges are read from extracted/, never from a copy."""
+    from web_based_search_engine_ray.pipelines.build_index import STAGES
+
+    inc_dir, full_dir, _, _ = updated_and_rebuilt
+    assert sorted(STAGES) == ["docstats", "extracted", "forward", "lexicon",
+                              "segments"]
+    for d in (full_dir, inc_dir):
+        dirs = {e for e in os.listdir(d)
+                if os.path.isdir(os.path.join(d, e)) and e[0] != "_"}
+        assert dirs == set(STAGES), d
+
+
+def test_update_refuses_format_6_index(ray_session, tmp_path):
+    """A format-6 index (its meta.json has the config with
+    ``dedup_urls`` and no semantic key) is refused with the
+    semantic-config error before anything is read or written."""
+    import json
+
+    from web_based_search_engine_ray.config import IndexConfig
+    from web_based_search_engine_ray.pipelines.update_index import (
+        update_index,
+    )
+
+    cfg = IndexConfig(doc_shards=2)
+    idx = tmp_path / "idx"
+    idx.mkdir()
+    (idx / "meta.json").write_text(json.dumps({
+        "n_docs": 6, "config": {**cfg.to_dict(), "dedup_urls": True},
+        "input_key": "v1", "stages": [],
+    }))
+
+    def no_corpus():
+        raise AssertionError("corpus read before the format check")
+
+    with pytest.raises(ValueError, match="semantic config"):
+        update_index(no_corpus, str(idx), cfg, input_key="v2")
+    assert sorted(os.listdir(idx)) == ["meta.json"]
+
+
 def test_unaffected_partitions_untouched(updated_and_rebuilt):
     inc_dir, _, _, mtimes = updated_and_rebuilt
     for (stage, s), old in mtimes.items():
@@ -225,7 +267,7 @@ def _corpus_v3():
 
 def test_remove_missing_deletes_documents(ray_session, tmp_path_factory):
     """update_index(remove_missing=True) must equal a full rebuild of
-    the reduced snapshot: deleted docs gone from docmeta/search, df and
+    the reduced snapshot: deleted docs gone from extracted/search, df and
     norms globally consistent."""
     import pandas as pd
 
@@ -254,7 +296,7 @@ def test_remove_missing_deletes_documents(ray_session, tmp_path_factory):
     lf = _tbl(full_dir, "lexicon").sort_values("term").reset_index(drop=True)
     pd.testing.assert_frame_equal(li, lf)
 
-    meta = _tbl(inc_dir, "docmeta", cols=["doc_id"])
+    meta = _tbl(inc_dir, "extracted", cols=["doc_id"])
     assert not set(REMOVED_IDS) & set(meta["doc_id"])
 
     a, b = Searcher(inc_dir), Searcher(full_dir)
@@ -408,7 +450,7 @@ def test_update_delta_duplicate_url_keeps_newest(ray_session,
     assert s.search({"newerversion"}, k=10, hydrate=False)["doc_id"].tolist() == [3]
     assert s.search({"olderversion"}, k=10, hydrate=False).empty
     assert s.search({"brandnewurl"}, k=10, hydrate=False)["doc_id"].tolist() == [9]
-    meta = _tbl(idx, "docmeta", cols=["doc_id", "url", "last_modified"])
+    meta = _tbl(idx, "extracted", cols=["doc_id", "url", "last_modified"])
     assert sorted(meta["doc_id"]) == base_ids + [9]
     row = meta[meta.url == doc_url(3)]
     assert len(row) == 1
@@ -421,12 +463,12 @@ def test_update_delta_duplicate_url_keeps_newest(ray_session,
 _DAY_US = 86_400_000_000
 
 
-def _random_sides(seed: int, docmeta_dir):
-    """Random stored (docmeta, written as 3 parquet files) and snapshot
-    tables over one url pool: urls 0-9 only stored, 10-29 on both
-    sides, 30-39 only in the snapshot; duplicates on both sides and
-    timestamps from 4 days, so snapshot maxima equal to the stored
-    maximum are common."""
+def _random_sides(seed: int, index_dir):
+    """Random stored (``index_dir/extracted/doc_shard=0``, written as 3
+    parquet files) and snapshot tables over one url pool: urls 0-9 only
+    stored, 10-29 on both sides, 30-39 only in the snapshot; duplicates
+    on both sides and timestamps from 4 days, so snapshot maxima equal
+    to the stored maximum are common."""
     import pyarrow.parquet as pq
 
     rng = np.random.default_rng(seed)
@@ -442,7 +484,8 @@ def _random_sides(seed: int, docmeta_dir):
         "warc_ts": rng.integers(0, 4, 80) * _DAY_US,
         "row": np.arange(80),
     })
-    docmeta_dir.mkdir()
+    stored_dir = index_dir / "extracted" / "doc_shard=0"
+    stored_dir.mkdir(parents=True)
     for i, part in enumerate(stored.iloc[j::3] for j in range(3)):
         pq.write_table(
             pa.table({
@@ -451,7 +494,7 @@ def _random_sides(seed: int, docmeta_dir):
                                           pa.timestamp("us")),
                 "doc_id": pa.array(part["doc_id"], pa.int64()),
             }),
-            str(docmeta_dir / f"part-{i}.parquet"),
+            str(stored_dir / f"part-{i}.parquet"),
         )
     corpus = pa.table({
         "url": pa.array(snap["url"], pa.string()),
@@ -489,7 +532,7 @@ def test_classify_matches_pandas_reference(ray_session, tmp_path,
         fresh_rows,
     )
 
-    stored, snap, corpus = _random_sides(seed, tmp_path / "docmeta")
+    stored, snap, corpus = _random_sides(seed, tmp_path)
     fresh, rows, old, removed, thr, newest = _reference_classes(
         stored, snap, remove_missing)
     # the data covers every case the predicate distinguishes
@@ -513,8 +556,8 @@ def test_classify_matches_pandas_reference(ray_session, tmp_path,
 
 
 def test_classify_driver_traffic(ray_session, tmp_path, monkeypatch):
-    """The driver never opens a docmeta file, and the corpus filter's
-    broadcast holds exactly the fresh urls."""
+    """The driver never opens a stored extracted file, and the corpus
+    filter's broadcast holds exactly the fresh urls."""
     import pyarrow.dataset as pads
     import ray
     import ray.data as rd
@@ -525,7 +568,7 @@ def test_classify_driver_traffic(ray_session, tmp_path, monkeypatch):
         fresh_rows,
     )
 
-    stored, snap, corpus = _random_sides(5, tmp_path / "docmeta")
+    stored, snap, corpus = _random_sides(5, tmp_path)
     fresh = _reference_classes(stored, snap, True)[0]
     ds = rd.from_arrow(corpus)
 
@@ -535,7 +578,9 @@ def test_classify_driver_traffic(ray_session, tmp_path, monkeypatch):
         pads, "dataset",
         lambda *a, **kw: opened.append(a) or real_dataset(*a, **kw),
     )
-    got = classify_snapshot(ds, str(tmp_path), IndexConfig(num_buckets=4),
+    # two doc shards: the read task of doc_shard=1 finds no files
+    got = classify_snapshot(ds, str(tmp_path),
+                            IndexConfig(num_buckets=4, doc_shards=2),
                             remove_missing=True)
     assert opened == []
 

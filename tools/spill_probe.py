@@ -12,9 +12,9 @@ each its own process-isolated Ray session:
    mid-stage (fixed wall delay), then resumed (``resume=True``, same
    ``input_key``).  The resumed run must skip completed stages and
    finish.
-3. ``compare`` — lexicon + docstats + docmeta of both indexes must be
-   value-identical (bit-identical norms), proving pressure + crash +
-   resume changes nothing.
+3. ``compare`` — lexicon + docstats + the extracted page columns of
+   both indexes must be value-identical (bit-identical norms), proving
+   pressure + crash + resume changes nothing.
 
 Prints ONE JSON line; record the result in BASELINE.md.
 
@@ -135,12 +135,14 @@ def _artifact_hash(idx_dir: str) -> dict:
     import pyarrow.dataset as pads
 
     out = {}
-    for stage, key in (("lexicon", "term"), ("docstats", "doc_id"),
-                       ("docmeta", "doc_id")):
+    pages = ["doc_id", "url", "title", "page_size", "last_modified", "lang"]
+    for stage, key, cols in (("lexicon", "term", None),
+                             ("docstats", "doc_id", None),
+                             ("extracted", "doc_id", pages)):
         t = (
             pads.dataset(os.path.join(idx_dir, stage), format="parquet",
                          partitioning="hive")
-            .to_table()
+            .to_table(columns=cols)
             .to_pandas()
             .sort_values(key)
             .reset_index(drop=True)

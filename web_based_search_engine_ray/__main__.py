@@ -185,11 +185,12 @@ def main(argv=None):
             import ray.data as rd
 
             from web_based_search_engine_ray.pipelines.graph import pagerank
+            from web_based_search_engine_ray.stages.extract import link_edges
 
             edges = rd.read_parquet(
-                os.path.join(args.index, "edges"),
-                columns=["src_url", "dst_url"],
-            )
+                os.path.join(args.index, "extracted"),
+                columns=["doc_id", "url", "links"],
+            ).map_batches(link_edges, batch_format="pyarrow")
             res = (
                 pagerank(edges, iters=args.iters)
                 .to_pandas()

@@ -26,9 +26,6 @@ class IndexConfig:
     use_stemming: bool = True          # Indexer.stemWord, Indexer.java:70
     max_results: int = 50              # App.java:24
     max_keywords: int = 5              # SearchResult.java:12
-    # Last-write-wins per url by warc_ts before indexing (reference
-    # freshness semantics, Indexer.java:77-85, expressed batch-style).
-    dedup_urls: bool = True
     # Verify extracted body text is byte-identical to the input table's
     # ``text`` column (the per-row invariant from BASELINE.json).
     verify_extraction: bool = True
@@ -67,11 +64,10 @@ class IndexConfig:
             "title_weight": self.title_weight,
             "use_stopwords": self.use_stopwords,
             "use_stemming": self.use_stemming,
-            "dedup_urls": self.dedup_urls,
             "num_buckets": self.num_buckets,
             "max_run_docs": self.max_run_docs,
             "doc_shards": self.doc_shards,
-            "format_version": 6,  # bump when artifact schemas change
+            "format_version": 7,  # bump when artifact schemas change
         }
         return hashlib.md5(json.dumps(sem, sort_keys=True).encode()).hexdigest()[:12]
 

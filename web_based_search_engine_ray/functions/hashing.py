@@ -18,11 +18,6 @@ def stable_hash63(s: str | bytes) -> int:
     return int.from_bytes(hashlib.md5(b).digest()[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
 
 
-def term_bucket(term: str, num_buckets: int) -> int:
-    """Deterministic term → segment-partition bucket."""
-    return stable_hash63(term) % num_buckets
-
-
 def stable_hash63_array(strings: "np.ndarray | list[str]") -> np.ndarray:
     """Vectorized-ish stable_hash63 over a sequence of strings."""
     return np.fromiter(

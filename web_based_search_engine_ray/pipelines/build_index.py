@@ -11,10 +11,10 @@ manifest (resume skips complete stages):
       ▼
     extracted/   partitioned by doc_shard; last-write-wins per url by
                  warc_ts as a per-shard detect-then-compact pass (doc_id
-                 is a function of url, so a url never spans shards)
-                                                          [no shuffle]
-      ├─ docmeta/   (projection)
-      ├─ edges/     (links exploded)
+                 is a function of url, so a url never spans shards).
+                 Also the page-column and link-graph store: readers
+                 project its columns, and ``stages.extract.link_edges``
+                 flattens its ``links`` lists into edges  [no shuffle]
       ▼
     segments/    tokenize+encode (task pool w/ per-worker state) → one
                  compressed posting run per (term, block) — local
@@ -30,7 +30,7 @@ manifest (resume skips complete stages):
     docstats/    forward × broadcast(lexicon df) → doc_len_norm
                                                           [no shuffle]
       ▼
-    meta.json    N, config, stage metrics
+    meta.json    N, config, semantic key, stage metrics
 
 Every sharded stage (extracted, segments, forward, docstats) is
 partitioned ``doc_shard=0..doc_shards-1``; an unsharded index is the
@@ -75,8 +75,7 @@ from web_based_search_engine_ray.state import manifest as mf
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("extracted", "docmeta", "edges", "segments", "lexicon", "forward",
-          "docstats")
+STAGES = ("extracted", "segments", "lexicon", "forward", "docstats")
 
 
 def _fp(*parts: str) -> str:
@@ -115,7 +114,6 @@ def _lww_shard_dedup_task(batch: pa.Table) -> pa.Table:
     every per-shard stage here assumes — size ``doc_shards`` to the
     corpus).  Returns one row of (shard, rows, dups_removed)."""
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
 
     shards, rows_out, dups_out = [], [], []
     for shard, d in zip(
@@ -201,9 +199,9 @@ def _lww_group_extracted(group: pa.Table) -> pa.Table:
 
 
 def _write_extracted_lww(ds, stage_dir: str, cfg: IndexConfig) -> None:
-    """Write extracted rows ``doc_shard``-partitioned, then (with
-    ``cfg.dedup_urls``) run one detect-then-compact task per shard dir
-    (:func:`_lww_shard_dedup_task`).  Because doc_id = f(url), a url's
+    """Write extracted rows ``doc_shard``-partitioned, then run one
+    detect-then-compact task per shard dir (:func:`_lww_shard_dedup_task`),
+    so every url has one row: its newest.  Because doc_id = f(url), a url's
     occurrences are confined to one shard dir, so url-dedup needs NO
     exchange at all: the previous design — Ray's ``groupby(lww_key)`` —
     cost an all-to-all SORT of the full extracted payload (measured 12 s
@@ -222,8 +220,6 @@ def _write_extracted_lww(ds, stage_dir: str, cfg: IndexConfig) -> None:
         partition_cols=["doc_shard"],
         min_rows_per_file=cfg.min_rows_per_file,
     )
-    if not cfg.dedup_urls:
-        return
     dirs = [
         {"shard": s, "dir": os.path.join(stage_dir, f"doc_shard={s}")}
         for s in range(cfg.doc_shards)
@@ -311,7 +307,7 @@ def _lexicon_bucket_task(batch: pa.Table) -> pa.Table:
     live in exactly one bucket and merged runs carry the max of their
     sources' bounds.  Reading inside the task guarantees the whole
     bucket aggregates at once (block splits can't duplicate terms)."""
-    import pyarrow.parquet as pq
+    import pyarrow.compute as pc
 
     out = [_LEXICON_SCHEMA.empty_table()]
     for bucket, seg_dir in zip(
@@ -341,7 +337,7 @@ def _lexicon_bucket_task(batch: pa.Table) -> pa.Table:
                         md5_hash64(g["term"].to_pylist()), type=pa.uint64()
                     ),
                     "df": g["df_run_sum"],
-                    "ub_adj": pc_cast_f64(g["ub_run_max"]),
+                    "ub_adj": pc.cast(g["ub_run_max"], pa.float64()),
                     "bucket": pa.array(
                         np.full(g.num_rows, bucket, dtype=np.int64)
                     ),
@@ -349,31 +345,6 @@ def _lexicon_bucket_task(batch: pa.Table) -> pa.Table:
             )
         )
     return pa.concat_tables(out)
-
-
-def pc_cast_f64(col):
-    import pyarrow.compute as pc
-
-    return pc.cast(col, pa.float64())
-
-
-def _explode_links(batch: pa.Table) -> pa.Table:
-    links = batch["links"].combine_chunks()
-    if isinstance(links, pa.ChunkedArray):
-        links = links.chunk(0) if links.num_chunks else pa.array([], pa.list_(pa.string()))
-    offsets = links.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    values = links.values
-    values = values.slice(offsets[0], offsets[-1] - offsets[0])
-    lens = np.diff(offsets - offsets[0])
-    idx = np.repeat(np.arange(batch.num_rows), lens)
-    take = pa.array(idx)
-    return pa.table(
-        {
-            "src_doc_id": batch["doc_id"].take(take),
-            "src_url": batch["url"].take(take),
-            "dst_url": values,
-        }
-    )
 
 
 def build_index(
@@ -426,42 +397,6 @@ def build_index(
         )
     )
     shard_fps = results[-1].extra["shard_fps"]
-
-    # ---- stage: docmeta ----------------------------------------------------
-    fp_meta = _fp("docmeta", fp_ext)
-    d_meta = os.path.join(out_dir, "docmeta")
-
-    def _build_docmeta(stage_dir: str) -> int:
-        ds = rd.read_parquet(
-            d_ext,
-            columns=["doc_id", "url", "title", "page_size", "last_modified", "lang"],
-        )
-        ds.write_parquet(stage_dir, min_rows_per_file=cfg.min_rows_per_file)
-        return _count_parquet(stage_dir)
-
-    results.append(mf.run_stage(d_meta, fp_meta, _build_docmeta, resume=resume))
-
-    # ---- stage: edges ------------------------------------------------------
-    fp_edges = _fp("edges", fp_ext)
-    d_edges = os.path.join(out_dir, "edges")
-
-    def _build_edges(stage_dir: str) -> int:
-        ds = rd.read_parquet(d_ext, columns=["doc_id", "url", "links"])
-        ds = ds.map_batches(_explode_links, batch_format="pyarrow")
-        ds.write_parquet(stage_dir, min_rows_per_file=cfg.min_rows_per_file)
-        _ensure_nonempty_schema(
-            stage_dir,
-            pa.schema(
-                [
-                    ("src_doc_id", pa.int64()),
-                    ("src_url", pa.string()),
-                    ("dst_url", pa.string()),
-                ]
-            ),
-        )
-        return _count_parquet(stage_dir)
-
-    results.append(mf.run_stage(d_edges, fp_edges, _build_edges, resume=resume))
 
     # ---- sharded stages: segments, forward ---------------------------------
     d_parts = os.path.join(out_dir, "_part_manifests")
@@ -706,6 +641,7 @@ def build_index(
     report = {
         "n_docs": n_docs,
         "config": cfg.to_dict(),
+        "semantic_key": sem,
         "input_key": input_key,
         "total_wall_sec": round(time.perf_counter() - t_start, 4),
         "stages": [

@@ -22,7 +22,8 @@ Reproduces the reference search path exactly (``Indexer.search``,
 - hydration (title, url, last_modified, page_size, top-5 keywords,
   parent/child links — ``Indexer.buildSearchResult``,
   ``Indexer.java:194-231``) looks up only the k result rows, by
-  ``doc_id``, in a store of the hydration columns that a Searcher loads
+  ``doc_id``, in a store of the hydration columns (extracted's page
+  columns and links, forward's keyword counts) that a Searcher loads
   on its first hydrated query (the reference's keyed point lookups).
 
 Scale note (10^12 docs): a shard ``Searcher`` reads ONLY its
@@ -36,10 +37,11 @@ path: broker actors split the batch and share the shard actors
 (an unsharded index is the one-shard case).
 
 The reader speaks the layout ``build_index`` writes (``format_version``
-6): a ``bucket=``-partitioned lexicon with ``ub_adj``, ``n_tokens`` in
+7): a ``bucket=``-partitioned lexicon with ``ub_adj``, ``n_tokens`` in
 docstats plus ``docstats/_STATS.json``, and ``doc_shard=`` partitions
-of segments, forward and docstats (``doc_shard=0`` alone when
-``doc_shards == 1``).
+of extracted, segments, forward and docstats (``doc_shard=0`` alone
+when ``doc_shards == 1``).  Page columns and link edges are read from
+extracted; there is no separate page-metadata or edge table.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from web_based_search_engine_ray.functions.hashing import stable_hash63
 from web_based_search_engine_ray.state import fsio
 from web_based_search_engine_ray.functions.tokenize import stem_word, tokenize
 from web_based_search_engine_ray.stages import codec
+from web_based_search_engine_ray.stages.extract import link_edges
 from web_based_search_engine_ray.state import manifest as mf
 
 
@@ -220,10 +223,6 @@ class Searcher:
     def lex_df(self, term: str) -> int:
         e = self._lex_entry(term)
         return e[0] if e else 0
-
-    def lex_ub(self, term: str) -> float:
-        e = self._lex_entry(term)
-        return e[1] if e else math.inf
 
     def stem_query_word(self, word: str) -> str | None:
         return stem_word(
@@ -902,7 +901,7 @@ class Searcher:
         ``np.searchsorted`` + ``take`` calls and reads no file.  Its
         memory is O(docs) for a Searcher that hydrates: about 540 B/doc
         (2.7 MB Arrow + numpy) on the 5,000-doc indexes of both
-        ``perfbench`` workloads.  Docs missing from docmeta or forward
+        ``perfbench`` workloads.  Docs missing from extracted or forward
         get ``""``/``None``/``0``/``[]``."""
         if results.empty:
             return _empty_results(True)
@@ -916,15 +915,18 @@ class _HydrateStore:
     """The hydration columns of one index version, each table sorted by
     an int64 doc id kept beside it as a numpy key array:
 
-    - ``meta``: docmeta ``url, title, page_size, last_modified``;
+    - ``meta``: the extracted pages' ``url, title, page_size,
+      last_modified``;
     - ``keywords``: each doc's top ``max_keywords`` ``(term, freq)`` by
       title+body freq desc, term asc (a fixed tie order: the
       reference's is HashMap-nondeterministic, ``SearchResult.java:33-44``)
       — Arrow sorts strings by UTF-8 bytes, which is the code-point
       order of Python's ``sort``;
-    - ``child``: the distinct ``dst_url`` of edges by ``src_doc_id``;
-    - ``parent``: the distinct ``src_url`` of edges whose ``dst_url`` is
-      the doc's url (edges joined to docmeta on the url).
+    - ``child``: the distinct ``dst_url`` of the link edges
+      (:func:`~web_based_search_engine_ray.stages.extract.link_edges`
+      of the pages' ``links``) by ``src_doc_id``;
+    - ``parent``: the distinct ``src_url`` of the edges whose ``dst_url``
+      is the doc's url (edges joined to the pages on the url).
 
     Link rows are sorted by (doc id, url), so a doc's rows are already
     the sorted set the result page prints."""
@@ -934,9 +936,10 @@ class _HydrateStore:
             return pads.dataset(os.path.join(index_dir, name),
                                 format="parquet").to_table(columns=columns)
 
-        meta = read("docmeta", ["doc_id", "url", "title", "page_size",
-                                "last_modified"])
-        edges = read("edges", ["src_doc_id", "src_url", "dst_url"])
+        pages = read("extracted", ["doc_id", "url", "title", "page_size",
+                                   "last_modified", "links"])
+        edges = link_edges(pages)
+        meta = pages.drop_columns(["links"])
         parents = edges.join(meta.select(["url", "doc_id"]),
                              keys="dst_url", right_keys="url")
         tables = {
@@ -1053,8 +1056,7 @@ def dump_index(index_dir: str, *, max_rows: int = 20) -> str:
     out = []
     meta = mf.read_json(os.path.join(index_dir, "meta.json"))
     out.append(f"meta: n_docs={meta['n_docs']}")
-    for name in ("docmeta", "lexicon", "docstats", "forward", "edges",
-                 "segments"):
+    for name in ("extracted", "lexicon", "docstats", "forward", "segments"):
         path = os.path.join(index_dir, name)
         if not fsio.isdir(path):
             continue

@@ -18,7 +18,8 @@ scratch state (the dense score accumulator ``_acc`` / ``_touched`` and
 the decode caches), so concurrent handler threads must NOT interleave
 calls — a per-server ``threading.Lock`` serializes the search section
 (form/404 routes stay lock-free).  Hydration reads a per-Searcher store
-of the result-page columns that the first ``/result`` request loads,
+of the result-page columns (extracted's page columns and link lists,
+forward's keyword counts) that the first ``/result`` request loads,
 under that same lock; like the lexicon and docstats caches it is never
 reloaded, so a server serves the one index version it started on.
 This is a demo/debug surface; batch workloads should use

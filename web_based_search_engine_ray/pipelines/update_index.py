@@ -5,9 +5,10 @@ by the freshness check ``Indexer.java:77-85``).
 Strategy — leveraging the doc-partitioned layout so unchanged documents
 are never re-tokenized:
 
-1. ``classify_snapshot`` joins the snapshot's urls against docmeta
-   ONCE (a url-hash-bucket shuffle over two skinny sides) and returns
-   only delta-sized results: the fresh urls with their thresholds, the
+1. ``classify_snapshot`` joins the snapshot's urls against the stored
+   ``url, last_modified, doc_id`` columns of ``extracted/`` ONCE (a
+   url-hash-bucket shuffle over two skinny sides) and returns only
+   delta-sized results: the fresh urls with their thresholds, the
    old doc ids of those urls, and the removed docs.  ``fresh_rows``
    keeps the corpus rows newer than their url's threshold; they are
    extracted and written to ``_extracted_delta/`` by the build's own
@@ -22,11 +23,12 @@ are never re-tokenized:
    per-shard fingerprints: rewritten shards get the new key, the rest
    keep theirs.  ``build_index(resume=True)`` then regenerates
    everything downstream, and its shard runner rebuilds segments and
-   forward only for shards whose fingerprint changed.  docmeta, edges,
-   lexicon and docstats recompute corpus-wide, so df/idf and every
-   doc's cosine norm are globally consistent after the update (the
-   reference gets the same property by recomputing doc length per
-   query).
+   forward only for shards whose fingerprint changed.  lexicon and
+   docstats recompute corpus-wide, so df/idf and every doc's cosine
+   norm are globally consistent after the update (the reference gets
+   the same property by recomputing doc length per query).  Page
+   columns and link edges need no recompute: readers take them from
+   ``extracted/``, which step 2 already brought up to date.
 
 ``remove_missing=True`` adds full-sync deletion: indexed urls absent
 from the snapshot are dropped (their shards rebuilt), keeping df / N /
@@ -62,6 +64,10 @@ from web_based_search_engine_ray.state import manifest as mf
 _UNSEEN = np.iinfo(np.int64).min
 #: row kinds of the classify join's delta-sized result
 _FRESH, _OLD, _REMOVED = 0, 1, 2
+#: the stored side's columns (a doc shard with no docs has no files)
+_STORED_SCHEMA = pa.schema([("url", pa.string()),
+                            ("last_modified", pa.timestamp("us")),
+                            ("doc_id", pa.int64())])
 
 
 class SnapshotClasses(NamedTuple):
@@ -103,11 +109,12 @@ def _tag(t: pa.Table, ts_col: str, stored: bool, num_buckets: int) -> pa.Table:
 
 
 def _read_stored(batch: pa.Table, *, num_buckets: int) -> pa.Table:
-    """One docmeta file per task, read worker-side: the driver lists
-    the files but never opens one."""
-    t = fsio.parquet_read_table(
-        batch["path"].to_pylist(), columns=["url", "last_modified", "doc_id"]
-    )
+    """One ``extracted/doc_shard=S`` partition per task, listed and read
+    worker-side (``url, last_modified, doc_id`` only): the driver opens
+    no stored file."""
+    files = _shard_files(batch["ext"][0].as_py(), batch["shard"].to_pylist())
+    t = (fsio.parquet_read_table(files, columns=_STORED_SCHEMA.names)
+         if files else _STORED_SCHEMA.empty_table())
     return _tag(t, "last_modified", True, num_buckets)
 
 
@@ -120,8 +127,8 @@ def _classify_bucket(group: pa.Table, *, remove_missing: bool) -> pa.Table:
     is_stored = group["stored"].to_numpy(zero_copy_only=False)
     st = group.filter(pa.array(is_stored))
     snap = group.filter(pa.array(~is_stored))
-    # max on both sides: docmeta holds duplicate urls when
-    # ``dedup_urls=False``, and the threshold is the NEWEST stored version
+    # max on both sides: the threshold is the NEWEST stored version
+    # (extracted keeps one row per url, but the join does not rely on it)
     thr = st.group_by("url").aggregate([("ts", "max")])
     new = snap.group_by("url").aggregate([("ts", "max")])
     pos = (
@@ -155,8 +162,9 @@ def _classify_bucket(group: pa.Table, *, remove_missing: bool) -> pa.Table:
 def classify_snapshot(corpus, index_dir: str, cfg: IndexConfig, *,
                       remove_missing: bool = False) -> SnapshotClasses:
     """The update's one url join: a url-hash-bucket shuffle over two
-    skinny sides, the snapshot's ``(url, warc_ts)`` and docmeta's
-    ``(url, last_modified, doc_id)``, classified vectorized per bucket
+    skinny sides, the snapshot's ``(url, warc_ts)`` and the stored
+    ``(url, last_modified, doc_id)`` columns of ``extracted/`` (one read
+    task per ``doc_shard`` partition), classified vectorized per bucket
     (:func:`_classify_bucket`).  Only the delta-sized result reaches
     the driver: the fresh urls with their thresholds, the stored doc
     ids of the fresh urls, and (with ``remove_missing``) the stored
@@ -168,14 +176,15 @@ def classify_snapshot(corpus, index_dir: str, cfg: IndexConfig, *,
     from web_based_search_engine_ray.util import coalesce
 
     nb = cfg.num_buckets
-    d_meta = os.path.join(index_dir, "docmeta")
-    meta_files = [f for f in fsio.walk_files(d_meta) if f.endswith(".parquet")]
+    d_ext = os.path.join(index_dir, "extracted")
     snap = corpus.select_columns(["url", "warc_ts"]).map_batches(
         functools.partial(_tag, ts_col="warc_ts", stored=False,
                           num_buckets=nb),
         batch_format="pyarrow",
     )
-    stored = rd.from_items([{"path": f} for f in meta_files]).map_batches(
+    stored = rd.from_items(
+        [{"ext": d_ext, "shard": s} for s in range(cfg.doc_shards)]
+    ).map_batches(
         functools.partial(_read_stored, num_buckets=nb),
         batch_size=1, batch_format="pyarrow",
     )
@@ -256,11 +265,10 @@ def update_index(
     sem = cfg.semantic_key()
     # refuse to mix segment formats: untouched shard partitions are kept
     # byte-identical, so the stored index must have been built with the
-    # same semantic config (incl. format_version) as this update
+    # same semantic config (incl. format_version) as this update; an
+    # index older than format 7 records no key and is refused too
     stored_meta = mf.read_json(os.path.join(index_dir, "meta.json"))
-    from web_based_search_engine_ray.pipelines.search import _load_cfg
-
-    stored_sem = _load_cfg(stored_meta["config"]).semantic_key()
+    stored_sem = stored_meta.get("semantic_key")
     if stored_sem != sem:
         raise ValueError(
             f"index at {index_dir} was built with semantic config "

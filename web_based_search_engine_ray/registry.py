@@ -200,8 +200,11 @@ def q_phrase_search(sf_dir: str):
 def q_link_edges(sf_dir: str):
     import pyarrow.dataset as pads
 
+    from web_based_search_engine_ray.stages.extract import link_edges
+
     idx = get_index(sf_dir, ORACLE_CONFIG)
-    t = pads.dataset(os.path.join(idx, "edges"), format="parquet").to_table()
+    t = pads.dataset(os.path.join(idx, "extracted"), format="parquet")
+    t = link_edges(t.to_table(columns=["doc_id", "url", "links"]))
     return t.select(["src_url", "dst_url"])
 
 
@@ -211,15 +214,12 @@ def q_pagerank(sf_dir: str):
     the unrolled SQL oracle computes the identical recurrence).
     Scores rounded to 9dp on both sides (values ~1/N; fp summation
     order is the only divergence and sits ~1e-18 off the grid)."""
-    import pyarrow.dataset as pads
     import ray.data as rd
 
     from web_based_search_engine_ray.pipelines.graph import pagerank
 
-    idx = get_index(sf_dir, ORACLE_CONFIG)
-    t = pads.dataset(os.path.join(idx, "edges"), format="parquet").to_table()
     res = pagerank(
-        rd.from_arrow(t.select(["src_url", "dst_url"])),
+        rd.from_arrow(q_link_edges(sf_dir)),
         damping=0.85,
         iters=_PAGERANK_ITERS,
     ).to_pandas()
@@ -276,8 +276,9 @@ def q_docmeta(sf_dir: str):
     import pyarrow.dataset as pads
 
     idx = get_index(sf_dir, ORACLE_CONFIG)
-    t = pads.dataset(os.path.join(idx, "docmeta"), format="parquet").to_table()
-    return t.select(["doc_id", "url", "title", "last_modified", "lang"])
+    t = pads.dataset(os.path.join(idx, "extracted"), format="parquet")
+    return t.to_table(columns=["doc_id", "url", "title", "last_modified",
+                               "lang"])
 
 
 # ------------------------------------------------- stemmed SQL oracles

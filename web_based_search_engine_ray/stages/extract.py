@@ -107,3 +107,28 @@ class Extractor:
                 "lang": lang,
             }
         )
+
+
+_EDGE_SCHEMA = pa.schema([
+    ("src_doc_id", pa.int64()),
+    ("src_url", pa.string()),
+    ("dst_url", pa.string()),
+])
+
+
+def link_edges(table: pa.Table) -> pa.Table:
+    """The link graph of extracted pages as ``(src_doc_id, src_url,
+    dst_url)`` rows: one per entry of a page's ``links`` list, in page
+    then link order.  ``table`` needs ``doc_id``, ``url`` and ``links``;
+    a zero-row table (columnless or not) gives the typed empty table."""
+    import pyarrow.compute as pc
+
+    if table.num_rows == 0:
+        return _EDGE_SCHEMA.empty_table()
+    links = table["links"].combine_chunks()
+    src = pc.list_parent_indices(links)
+    return pa.table({
+        "src_doc_id": table["doc_id"].take(src),
+        "src_url": table["url"].take(src),
+        "dst_url": pc.list_flatten(links),
+    }, schema=_EDGE_SCHEMA)

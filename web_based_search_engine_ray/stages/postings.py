@@ -67,11 +67,13 @@ SEGMENT_SCHEMA = pa.schema(
 
 
 class PostingExtractor:
-    """Actor-pool stage: documents → flat positional posting rows
-    (``term, doc_id, title_positions, body_positions``).
+    """Shared tokenizer of the segments and forward stages: documents →
+    per-(term, doc) title/body positions (:meth:`extract`), which
+    :class:`TokenizeEncode` encodes into posting runs and
+    :class:`ForwardRows` folds into per-doc term/tf lists.
 
-    ``__init__`` holds per-actor state (stopword set, compiled regex) —
-    once per actor, not per batch.
+    ``__init__`` holds per-actor state (stopword set, compiled regex,
+    stem memo) — once per actor, not per batch.
     """
 
     #: bound on the per-actor token→stem memo (Zipf vocabulary ⇒ the
@@ -151,17 +153,6 @@ class PostingExtractor:
                 bpos.append(bl)
                 tfmax.append(m)
         return terms, out_doc, tpos, bpos, tfmax
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        terms, out_doc, tpos, bpos, _tfmax = self.extract(batch)
-        return pa.table(
-            {
-                "term": pa.array(terms, type=pa.string()),
-                "doc_id": pa.array(out_doc, type=pa.int64()),
-                "title_positions": pa.array(tpos, type=pa.list_(pa.int32())),
-                "body_positions": pa.array(bpos, type=pa.list_(pa.int32())),
-            }
-        )
 
 
 #: byte cap of one Arrow binary chunk (int32 offsets); a larger output
