@@ -7,6 +7,7 @@ shapes can't appear in the fixed sf testdata the SQL oracles run on.
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pytest
 
@@ -191,3 +192,29 @@ def test_pair_bucket_embedding_columns():
     out = _pb_batch(t, val_col="cosine", val_type=pa.float64(),
                     a_col="vec_a", b_col="vec_b")
     assert out["pb"].to_pylist() == [(31 + 3) % 64, (62 + 70) % 64]
+
+
+def test_key_run_pairs_edges():
+    """Every i < j pair within each run of equal sorted keys; a run of
+    exactly ``cap`` rows is kept, ``cap + 1`` is skipped and counted,
+    singletons give nothing and empty input gives empty arrays."""
+    from web_based_search_engine_ray.pipelines.dedup import _key_run_pairs
+
+    ii, jj, skipped = _key_run_pairs(np.empty(0, np.int64), 3)
+    assert ii.dtype == jj.dtype == np.int64
+    assert (len(ii), len(jj), skipped) == (0, 0, 0)
+
+    ii, jj, skipped = _key_run_pairs(np.array([1, 2, 3]), 3)
+    assert (len(ii), len(jj), skipped) == (0, 0, 0)
+
+    # runs: 5 x1 (singleton), 7 x3 (== cap), 9 x4 (cap + 1), 11 x2
+    keys = np.array([5, 7, 7, 7, 9, 9, 9, 9, 11, 11])
+    ii, jj, skipped = _key_run_pairs(keys, 3)
+    assert skipped == 1
+    assert sorted(zip(ii.tolist(), jj.tolist())) == [
+        (1, 2), (1, 3), (2, 3), (8, 9)
+    ]
+    assert (keys[ii] == keys[jj]).all()
+
+    ii, jj, skipped = _key_run_pairs(keys, 1)
+    assert (len(ii), skipped) == (0, 3)

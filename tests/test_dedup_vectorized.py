@@ -74,7 +74,7 @@ def test_shingle_fold_polynomial_definition():
     assert _shingle_hashes("", 3).size == 0
 
 
-@pytest.mark.parametrize("fn_name", ["minhash", "simhash"])
+@pytest.mark.parametrize("fn_name", ["minhash", "simhash", "embedding"])
 def test_band_bucket_cap_blocks_quadratic_blowup(ray_session, fn_name):
     """An adversarial constant corpus (every doc identical) lands all
     docs in one band bucket per band; the cap must skip those groups
@@ -82,6 +82,7 @@ def test_band_bucket_cap_blocks_quadratic_blowup(ray_session, fn_name):
     import ray.data as rd
 
     from web_based_search_engine_ray.pipelines.dedup import (
+        embedding_dup_pairs,
         minhash_lsh_pairs,
         simhash_pairs,
     )
@@ -96,9 +97,49 @@ def test_band_bucket_cap_blocks_quadratic_blowup(ray_session, fn_name):
     ds = rd.from_arrow(t)
     if fn_name == "minhash":
         pairs = minhash_lsh_pairs(ds, max_band_bucket=100).to_pandas()
-    else:
+    elif fn_name == "simhash":
         pairs = simhash_pairs(ds, max_band_bucket=100).to_pandas()
+    else:
+        vec = np.random.default_rng(5).standard_normal(64).tolist()
+        vecs = rd.from_arrow(pa.table(
+            {
+                "vec_id": pa.array(np.arange(n), type=pa.int64()),
+                "embedding": pa.array([vec] * n,
+                                      type=pa.list_(pa.float32())),
+            }
+        ))
+        pairs = embedding_dup_pairs(vecs, max_band_bucket=100).to_pandas()
     assert len(pairs) == 0  # capped, not quadratic
+
+
+EMBEDDING_LSH_ROWS = 70
+EMBEDDING_LSH_SHA256 = (
+    "98e9e3b7c30f1b0efcb44735fc06ee3c22f6f8e6d615e9f4f9a199783b4b1912"
+)
+
+
+def test_embedding_lsh_pairs_pinned(ray_session, sf_dir):
+    """The LSH cosine finder has no SQL oracle: pin its sorted output
+    on the sf0.001 embeddings (threshold 0.3) by digest.  The digest
+    was produced by this body on the previous per-family
+    implementation of the pair plan."""
+    import ray.data as rd
+
+    from web_based_search_engine_ray.pipelines.dedup import (
+        embedding_dup_pairs,
+    )
+
+    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
+                         columns=["vec_id", "embedding"])
+    out = embedding_dup_pairs(ds, threshold=0.3).to_pandas()
+    assert list(out.columns) == ["vec_a", "vec_b", "cosine"]
+    assert [str(t) for t in out.dtypes] == ["int64", "int64", "float64"]
+    rows = sorted(zip(out["vec_a"].tolist(), out["vec_b"].tolist(),
+                      out["cosine"].tolist()))
+    digest = hashlib.sha256(
+        "\n".join(f"{a},{b},{c.hex()}" for a, b, c in rows).encode()
+    ).hexdigest()
+    assert (len(rows), digest) == (EMBEDDING_LSH_ROWS, EMBEDDING_LSH_SHA256)
 
 
 def test_connected_components_and_keep_min(ray_session):
@@ -302,6 +343,49 @@ def test_keep_mask_vectorized_million_ids():
     assert _keep_mask(ids, np.empty(0, dtype=np.int64)).all()
 
 
+@pytest.mark.parametrize("id_set", ["two_buckets", "empty"])
+@pytest.mark.parametrize("broadcast_limit", [20_000_000, -1],
+                         ids=["broadcast", "bucketed"])
+@pytest.mark.parametrize("keep", [True, False], ids=["keep", "drop"])
+def test_filter_by_ids_matches_isin(ray_session, tmp_path, keep,
+                                    broadcast_limit, id_set):
+    """Both modes x both strategies equal an ``np.isin`` filter.  The
+    id set covers only buckets 0 and 3 of 8 (the other buckets hold no
+    ids) or is empty; ``broadcast_limit=-1`` forces the bucketed join
+    even for the empty set."""
+    import ray.data as rd
+
+    from web_based_search_engine_ray.pipelines.dedup import filter_by_ids
+
+    n = 300
+    doc_ids = np.arange(n, dtype=np.int64)
+    docs = rd.from_arrow(pa.table(
+        {"doc_id": pa.array(doc_ids),
+         "text": pa.array([f"doc {i}" for i in range(n)])}
+    ))
+    rng = np.random.default_rng(9)
+    if id_set == "empty":
+        sel = np.empty(0, dtype=np.int64)
+    else:
+        cand = doc_ids[np.isin(doc_ids % 8, [0, 3])]
+        sel = rng.choice(cand, size=40, replace=False)
+        # ids outside the corpus select nothing
+        sel = np.concatenate([sel, [n + 8, n + 11]])
+    ids = rd.from_arrow(pa.table({"doc_id": pa.array(sel, pa.int64())}))
+    out = filter_by_ids(
+        docs, ids, keep=keep, broadcast_limit=broadcast_limit,
+        n_buckets=8, spill_dir=str(tmp_path / "ids"),
+    ).to_pandas()
+    want = doc_ids[np.isin(doc_ids, sel) == keep]
+    if len(want) == 0:
+        # Ray Data may hand back an all-empty result without columns
+        assert len(out) == 0
+        return
+    assert sorted(out["doc_id"]) == want.tolist()
+    assert list(out.columns) == ["doc_id", "text"]
+    assert (out["text"] == "doc " + out["doc_id"].astype(str)).all()
+
+
 def test_keep_min_anti_join_path_matches_broadcast(ray_session, tmp_path):
     """broadcast_limit=0 forces the bucketed anti-join shuffle; the
     survivor set must be identical to the broadcast path."""
@@ -483,10 +567,10 @@ def test_brute_force_topk_driver_intake_bounded(ray_session):
     import ray.data as rd
 
     from web_based_search_engine_ray.pipelines.similarity import (
-        _normalize,
         _topk_partials_merged,
         brute_force_topk,
     )
+    from web_based_search_engine_ray.util import unit_rows
 
     rng = np.random.default_rng(11)
     n, dim, nq, k = 2000, 8, 1000, 3
@@ -500,7 +584,7 @@ def test_brute_force_topk_driver_intake_bounded(ray_session):
     ds = rd.from_arrow(t).repartition(32)  # many blocks
     q = emb[:nq]
 
-    merged = _topk_partials_merged(ds, _normalize(q.astype(np.float64)), k)
+    merged = _topk_partials_merged(ds, unit_rows(q.astype(np.float64)), k)
     assert merged.count() <= nq * k
 
     res = brute_force_topk(ds, q, k=k)
@@ -508,8 +592,8 @@ def test_brute_force_topk_driver_intake_bounded(ray_session):
 
     # numpy reference over float32-roundtripped embeddings (the table
     # stores list<float>, so normalize what the engine actually reads)
-    m = _normalize(emb.astype(np.float32).astype(np.float64))
-    qn = _normalize(q.astype(np.float32).astype(np.float64))
+    m = unit_rows(emb.astype(np.float32).astype(np.float64))
+    qn = unit_rows(q.astype(np.float32).astype(np.float64))
     sims = qn @ m.T
     for qid in (0, 7, 999):
         order = np.lexsort((np.arange(n), -sims[qid]))[:k]

@@ -140,8 +140,6 @@ def main(argv=None):
 
             serve(args.index, port=args.port)
         elif args.cmd == "export":
-            import numpy as np
-            import pyarrow as pa
             import ray.data as rd
 
             from web_based_search_engine_ray.pipelines.export import (
@@ -153,25 +151,16 @@ def main(argv=None):
                 from web_based_search_engine_ray.pipelines.clean import (
                     clean_corpus,
                 )
+                from web_based_search_engine_ray.pipelines.dedup import (
+                    filter_by_ids,
+                )
 
                 kept, funnel = clean_corpus(
                     docs.select_columns(["doc_id", "text"])
                 )
                 print(json.dumps({"funnel": funnel}, indent=1),
                       file=sys.stderr)
-                # broadcast semi-join of kept ids (sorted array via
-                # ray.put)
-                ids = np.sort(
-                    kept.to_pandas()["doc_id"].to_numpy()
-                )
-                ids_ref = ray.put(ids)
-
-                def keep_only(b: pa.Table) -> pa.Table:
-                    arr = ray.get(ids_ref)
-                    d = b["doc_id"].to_numpy(zero_copy_only=False)
-                    return b.filter(pa.array(np.isin(d, arr)))
-
-                docs = docs.map_batches(keep_only, batch_format="pyarrow")
+                docs = filter_by_ids(docs, kept, keep=True)
             manifest = export_dataset(
                 docs,
                 args.out,

@@ -12,13 +12,22 @@ list; patterns follow the public MinHash/LSH and SimHash literature):
                 Hamming verification
 - embedding:    cosine ≥ τ near-dup pairs over the embeddings table
 
+The three LSH families share one pair plan (``_bucket_pairs``): each
+only emits its band-key rows and supplies a similarity measure
+(agreeing-permutation fraction, 64-bit Hamming distance, unit-row
+cosine).  The plan shuffles key rows by ``key % 64``, enumerates the
+``i < j`` pairs of every key run (``_key_run_pairs``, which the
+Jaccard shingle index uses too), keeps pairs passing the measure's
+threshold and drops pairs found in several bands with one more
+shuffle.
+
 Scale notes: every shuffle is keyed by a hash (uniform); the shingle
 inverted index caps shingle df (a shingle shared by >`max_shingle_df`
 docs is dropped from pair generation — standard frequency capping,
 logged via a per-task warning) so hot shingles cannot produce quadratic
-pair blowup, and the minhash/simhash/embedding LSH paths cap band-bucket
-group size (``max_band_bucket``) the same way.  When any cap fires the
-emitted pair set is a LOWER BOUND of the uncapped result.
+pair blowup, and the LSH pair plan caps band-bucket group size
+(``max_band_bucket``) the same way.  When any cap fires the emitted
+pair set is a LOWER BOUND of the uncapped result.
 
 Hashing is vectorized: each unique token is md5-hashed once per worker
 (memoized), shingle hashes are a polynomial fold of the token hashes
@@ -39,7 +48,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from web_based_search_engine_ray.functions.tokenize import TOKEN_RE
-from web_based_search_engine_ray.util import coalesce, embedding_matrix
+from web_based_search_engine_ray.util import (
+    coalesce,
+    embedding_matrix,
+    unit_rows,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -125,6 +138,101 @@ def _unique_pairs(a: np.ndarray, b: np.ndarray):
     starts = np.flatnonzero(new)
     counts = np.diff(np.concatenate((starts, [len(sa)])))
     return order[starts], counts
+
+
+def _key_run_pairs(keys: np.ndarray, cap: int):
+    """``(ii, jj, n_skipped)``: the ``i < j`` row pairs within each run
+    of equal values in the SORTED ``keys``.  Runs longer than ``cap``
+    are skipped and counted in ``n_skipped``; singletons give no pair.
+    Runs of one length share one ``triu_indices`` pattern."""
+    n = len(keys)
+    if n == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64), 0
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sizes = np.diff(np.r_[starts, n])
+    live = (sizes >= 2) & (sizes <= cap)
+    ii_parts, jj_parts = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for size in np.unique(sizes[live]):
+        ti, tj = np.triu_indices(size, 1)
+        s = starts[live & (sizes == size)][:, None]
+        ii_parts.append((s + ti).ravel())
+        jj_parts.append((s + tj).ravel())
+    return (np.concatenate(ii_parts), np.concatenate(jj_parts),
+            int((sizes > cap).sum()))
+
+
+def _bucket_pairs(rows, *, key: str, ident: str, cols: tuple[str, str, str],
+                  val_type: pa.DataType, measure, max_bucket: int,
+                  name: str):
+    """The LSH pair plan shared by every band-bucket finder.
+
+    ``rows`` holds one row per (item, band): the band key ``key``, the
+    item id ``ident`` and whatever ``measure`` reads.  Rows are shuffled
+    by ``key % 64``; within a bucket every pair of rows sharing a key
+    (runs over ``max_bucket`` rows are skipped with one lower-bound
+    warning) goes to ``measure(group, ii, jj) -> (values, keep)``.
+    Kept pairs come out as ``cols = (a, b, value)`` with ``a < b`` and
+    are deduplicated across bands by a second shuffle on ``pb``."""
+    a_col, b_col, val_col = cols
+    empty = pa.schema(
+        [(a_col, pa.int64()), (b_col, pa.int64()), (val_col, val_type)]
+    ).empty_table()
+
+    def with_bucket(batch: pa.Table) -> pa.Table:
+        # coarse bucket: one map_groups call per bucket, not per key
+        # (key cardinality ~ items · bands)
+        keys = batch[key].to_numpy(zero_copy_only=False)
+        return batch.append_column(
+            "bucket", pa.array(keys % 64, type=pa.int64())
+        )
+
+    def pairs_in_bucket(group: pa.Table) -> pa.Table:
+        if group.num_rows < 2:
+            return empty
+        group = group.sort_by([(key, "ascending"), (ident, "ascending")])
+        ii, jj, n_skipped = _key_run_pairs(
+            group[key].to_numpy(zero_copy_only=False), max_bucket
+        )
+        if n_skipped:
+            logger.warning(
+                "%s: skipped %d band buckets larger than %d; pair set "
+                "is a lower bound", name, n_skipped, max_bucket,
+            )
+        if len(ii) == 0:
+            return empty
+        vals, keep = measure(group, ii, jj)
+        ids = group[ident].to_numpy(zero_copy_only=False)
+        a = np.minimum(ids[ii], ids[jj])
+        b = np.maximum(ids[ii], ids[jj])
+        keep &= a != b
+        return pa.table(
+            {
+                a_col: pa.array(a[keep], type=pa.int64()),
+                b_col: pa.array(b[keep], type=pa.int64()),
+                val_col: pa.array(vals[keep], type=val_type),
+            }
+        )
+
+    def first_of_pair(group: pa.Table) -> pa.Table:
+        first, _counts = _unique_pairs(
+            group[a_col].to_numpy(zero_copy_only=False),
+            group[b_col].to_numpy(zero_copy_only=False),
+        )
+        return group.select(list(cols)).take(first)
+
+    pairs = (
+        coalesce(rows.map_batches(with_bucket, batch_format="pyarrow"))
+        .groupby("bucket")
+        .map_groups(pairs_in_bucket, batch_format="pyarrow")
+        .map_batches(
+            functools.partial(_pb_batch, val_col=val_col, val_type=val_type,
+                              a_col=a_col, b_col=b_col),
+            batch_format="pyarrow",
+        )
+    )
+    return coalesce(pairs).groupby("pb").map_groups(
+        first_of_pair, batch_format="pyarrow"
+    )
 
 
 def _tokens(text: str) -> list[str]:
@@ -240,48 +348,23 @@ def jaccard_dup_pairs(
 
     def pairs_in_bucket(group: pa.Table) -> pa.Table:
         group = group.sort_by([("shingle", "ascending"), ("doc_id", "ascending")])
-        sh = group["shingle"].to_numpy(zero_copy_only=False)
         docs = group["doc_id"].to_numpy(zero_copy_only=False)
         sizes = group["set_size"].to_numpy(zero_copy_only=False)
-        uniq, starts = np.unique(sh, return_index=True)
-        ends = np.concatenate((starts[1:], [len(sh)]))
-        n_capped = 0
-        a_parts, b_parts, sa_parts, sb_parts = [], [], [], []
-        for s, e in zip(starts, ends):
-            n = e - s
-            if n > max_shingle_df:
-                n_capped += 1
-                continue
-            if n < 2:
-                continue
-            d = docs[s:e]
-            sz = sizes[s:e]
-            ii, jj = np.triu_indices(n, 1)
-            a_parts.append(d[ii])
-            b_parts.append(d[jj])
-            sa_parts.append(sz[ii])
-            sb_parts.append(sz[jj])
+        ii, jj, n_capped = _key_run_pairs(
+            group["shingle"].to_numpy(zero_copy_only=False), max_shingle_df
+        )
         if n_capped:
             logger.warning(
                 "jaccard_dup_pairs: skipped %d shingles with df > %d "
                 "(pair set is a lower bound)", n_capped, max_shingle_df
             )
-        if not a_parts:
-            return pa.table(
-                {"doc_a": pa.array([], pa.int64()),
-                 "doc_b": pa.array([], pa.int64()),
-                 "size_a": pa.array([], pa.int64()),
-                 "size_b": pa.array([], pa.int64()),
-                 "pair_bucket": pa.array([], pa.int64())}
-            )
-        a = np.concatenate(a_parts)
-        b = np.concatenate(b_parts)
+        a, b = docs[ii], docs[jj]
         return pa.table(
             {
                 "doc_a": pa.array(a, type=pa.int64()),
                 "doc_b": pa.array(b, type=pa.int64()),
-                "size_a": pa.array(np.concatenate(sa_parts), type=pa.int64()),
-                "size_b": pa.array(np.concatenate(sb_parts), type=pa.int64()),
+                "size_a": pa.array(sizes[ii], type=pa.int64()),
+                "size_b": pa.array(sizes[jj], type=pa.int64()),
                 "pair_bucket": pa.array(
                     (a * 1_000_003 + b) % num_buckets, type=pa.int64()
                 ),
@@ -420,17 +503,9 @@ def minhash_lsh_pairs(
         )
         return inst(batch)
 
-    sigs = ds.map_batches(_minhash_task, batch_format="pyarrow")
-
     def band_rows(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        if n == 0:
-            return pa.table(
-                {"band_key": pa.array([], pa.int64()),
-                 "doc_id": pa.array([], pa.int64()),
-                 "signature": pa.array([], pa.list_(pa.int64()))}
-            )
-        sigs_np = np.asarray(batch["signature"].to_pylist(), dtype=np.int64)
+        sigs_np = embedding_matrix(batch["signature"], dtype=np.int64)
         key_parts = []
         fnv = np.uint64(1099511628211)
         for band in range(bands):
@@ -442,91 +517,28 @@ def minhash_lsh_pairs(
                 key = key * fnv + seg[:, c].astype(np.uint64)
             key_parts.append((key >> np.uint64(1)).astype(np.int64))
         idx = pa.array(np.tile(np.arange(n), bands))
-        keys = np.concatenate(key_parts)
         return pa.table(
             {
-                "band_key": pa.array(keys, type=pa.int64()),
-                # coarse bucket: one map_groups call per bucket, not per
-                # band_key (band_key cardinality ~ n·bands)
-                "bucket": pa.array(keys % 64, type=pa.int64()),
+                "band_key": pa.array(np.concatenate(key_parts),
+                                     type=pa.int64()),
                 "doc_id": batch["doc_id"].take(idx),
                 "signature": batch["signature"].take(idx),
             }
         )
 
-    def candidates_bucket(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"doc_a": pa.array([], pa.int64()),
-             "doc_b": pa.array([], pa.int64()),
-             "est_jaccard": pa.array([], pa.float64())}
-        )
-        if group.num_rows < 2:
-            return empty
-        group = group.sort_by([("band_key", "ascending"), ("doc_id", "ascending")])
-        keys = group["band_key"].to_numpy(zero_copy_only=False)
-        docs = group["doc_id"].to_numpy(zero_copy_only=False)
-        new = np.ones(len(keys), dtype=bool)
-        new[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(new)
-        ends = np.concatenate((starts[1:], [len(keys)]))
-        sizes = ends - starts
-        capped = sizes > max_band_bucket
-        if capped.any():
-            logger.warning(
-                "minhash_lsh_pairs: skipped %d band buckets larger than "
-                "%d (max %d members); pair set is a lower bound",
-                int(capped.sum()), max_band_bucket, int(sizes.max()),
-            )
-        multi = (sizes >= 2) & ~capped
-        if not multi.any():
-            return empty
-        ii_parts, jj_parts = [], []
-        for s, e in zip(starts[multi], ends[multi]):
-            ii, jj = np.triu_indices(e - s, 1)
-            ii_parts.append(ii + s)
-            jj_parts.append(jj + s)
-        ii = np.concatenate(ii_parts)
-        jj = np.concatenate(jj_parts)
-        sigs_np = np.asarray(group["signature"].to_pylist(), dtype=np.int64)
+    def agreeing_fraction(group: pa.Table, ii, jj):
+        sigs_np = embedding_matrix(group["signature"], dtype=np.int64)
         est = (sigs_np[ii] == sigs_np[jj]).mean(axis=1)
-        a = np.minimum(docs[ii], docs[jj])
-        b = np.maximum(docs[ii], docs[jj])
-        keep = (est >= threshold) & (a != b)
-        return pa.table(
-            {
-                "doc_a": pa.array(a[keep], type=pa.int64()),
-                "doc_b": pa.array(b[keep], type=pa.int64()),
-                "est_jaccard": pa.array(est[keep], type=pa.float64()),
-            }
-        )
+        return est, est >= threshold
 
-    pairs = (
-        coalesce(sigs.map_batches(band_rows, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(candidates_bucket, batch_format="pyarrow")
+    return _bucket_pairs(
+        ds.map_batches(_minhash_task, batch_format="pyarrow")
+        .map_batches(band_rows, batch_format="pyarrow"),
+        key="band_key", ident="doc_id",
+        cols=("doc_a", "doc_b", "est_jaccard"), val_type=pa.float64(),
+        measure=agreeing_fraction, max_bucket=max_band_bucket,
+        name="minhash_lsh_pairs",
     )
-
-    # dedup pairs found in multiple bands
-    def dedup_pairs(group: pa.Table) -> pa.Table:
-        a = group["doc_a"].to_numpy(zero_copy_only=False)
-        b = group["doc_b"].to_numpy(zero_copy_only=False)
-        est = group["est_jaccard"].to_numpy(zero_copy_only=False)
-        first, _counts = _unique_pairs(a, b)
-        return pa.table(
-            {
-                "doc_a": pa.array(a[first], type=pa.int64()),
-                "doc_b": pa.array(b[first], type=pa.int64()),
-                "est_jaccard": pa.array(est[first], type=pa.float64()),
-            }
-        )
-
-    pairs = pairs.map_batches(
-        functools.partial(
-            _pb_batch, val_col="est_jaccard", val_type=pa.float64()
-        ),
-        batch_format="pyarrow",
-    )
-    return coalesce(pairs).groupby("pb").map_groups(dedup_pairs, batch_format="pyarrow")
 
 
 # ------------------------------------------------------------------- SimHash
@@ -577,97 +589,32 @@ def simhash_pairs(ds, *, max_hamming: int = 3, bands: int = 4,
     def band_rows(batch: pa.Table) -> pa.Table:
         docs = batch["doc_id"].to_numpy(zero_copy_only=False)
         sh = batch["simhash"].to_numpy(zero_copy_only=False).view(np.uint64)
-        keys, dids, full = [], [], []
-        for band in range(bands):
-            seg = (sh >> np.uint64(16 * band)) & np.uint64(0xFFFF)
-            keys.append(seg.astype(np.int64) * bands + band)
-            dids.append(docs)
-            full.append(sh.view(np.int64))
-        key = np.concatenate(keys)
+        keys = [
+            ((sh >> np.uint64(16 * band)) & np.uint64(0xFFFF)).astype(np.int64)
+            * bands + band
+            for band in range(bands)
+        ]
         return pa.table(
             {
-                "band_key": pa.array(key, type=pa.int64()),
-                "bucket": pa.array(key % 64, type=pa.int64()),
-                "doc_id": pa.array(np.concatenate(dids), type=pa.int64()),
-                "simhash": pa.array(np.concatenate(full), type=pa.int64()),
+                "band_key": pa.array(np.concatenate(keys), type=pa.int64()),
+                "doc_id": pa.array(np.tile(docs, bands), type=pa.int64()),
+                "simhash": pa.array(np.tile(sh.view(np.int64), bands),
+                                    type=pa.int64()),
             }
         )
 
-    def verify_bucket(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"doc_a": pa.array([], pa.int64()),
-             "doc_b": pa.array([], pa.int64()),
-             "hamming": pa.array([], pa.int64())}
-        )
-        if group.num_rows < 2:
-            return empty
-        group = group.sort_by([("band_key", "ascending"), ("doc_id", "ascending")])
-        keys = group["band_key"].to_numpy(zero_copy_only=False)
-        docs = group["doc_id"].to_numpy(zero_copy_only=False)
+    def hamming(group: pa.Table, ii, jj):
         sh = group["simhash"].to_numpy(zero_copy_only=False).view(np.uint64)
-        new = np.ones(len(keys), dtype=bool)
-        new[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(new)
-        ends = np.concatenate((starts[1:], [len(keys)]))
-        sizes = ends - starts
-        capped = sizes > max_band_bucket
-        if capped.any():
-            logger.warning(
-                "simhash_pairs: skipped %d band buckets larger than %d; "
-                "pair set is a lower bound", int(capped.sum()), max_band_bucket,
-            )
-        multi = (sizes >= 2) & ~capped
-        if not multi.any():
-            return empty
-        ii_parts, jj_parts = [], []
-        for s, e in zip(starts[multi], ends[multi]):
-            ii, jj = np.triu_indices(e - s, 1)
-            ii_parts.append(ii + s)
-            jj_parts.append(jj + s)
-        ii = np.concatenate(ii_parts)
-        jj = np.concatenate(jj_parts)
-        x = sh[ii] ^ sh[jj]
-        ham = np.zeros(len(x), dtype=np.int64)
-        for _ in range(64):
-            ham += (x & np.uint64(1)).astype(np.int64)
-            x = x >> np.uint64(1)
-        a = np.minimum(docs[ii], docs[jj])
-        b = np.maximum(docs[ii], docs[jj])
-        keep = (ham <= max_hamming) & (a != b)
-        return pa.table(
-            {
-                "doc_a": pa.array(a[keep], type=pa.int64()),
-                "doc_b": pa.array(b[keep], type=pa.int64()),
-                "hamming": pa.array(ham[keep], type=pa.int64()),
-            }
-        )
+        x = (sh[ii] ^ sh[jj]).view(np.uint8).reshape(-1, 8)
+        ham = np.unpackbits(x, axis=1).sum(axis=1, dtype=np.int64)
+        return ham, ham <= max_hamming
 
-    pairs = (
-        coalesce(sigs.map_batches(band_rows, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(verify_bucket, batch_format="pyarrow")
+    return _bucket_pairs(
+        sigs.map_batches(band_rows, batch_format="pyarrow"),
+        key="band_key", ident="doc_id", cols=("doc_a", "doc_b", "hamming"),
+        val_type=pa.int64(), measure=hamming, max_bucket=max_band_bucket,
+        name="simhash_pairs",
     )
-
-    def dedup(group: pa.Table) -> pa.Table:
-        a = group["doc_a"].to_numpy(zero_copy_only=False)
-        b = group["doc_b"].to_numpy(zero_copy_only=False)
-        h = group["hamming"].to_numpy(zero_copy_only=False)
-        first, _counts = _unique_pairs(a, b)
-        return pa.table(
-            {
-                "doc_a": pa.array(a[first], type=pa.int64()),
-                "doc_b": pa.array(b[first], type=pa.int64()),
-                "hamming": pa.array(h[first], type=pa.int64()),
-            }
-        )
-
-    pairs = pairs.map_batches(
-        functools.partial(
-            _pb_batch, val_col="hamming", val_type=pa.int64()
-        ),
-        batch_format="pyarrow",
-    )
-    return coalesce(pairs).groupby("pb").map_groups(dedup, batch_format="pyarrow")
 
 
 # ------------------------------------------------------- embedding near-dup
@@ -688,106 +635,35 @@ def embedding_dup_pairs(ds, *, threshold: float = 0.95, n_planes: int = 8,
         if n == 0:
             return pa.table(
                 {"table_key": pa.array([], pa.int64()),
-                 "bucket": pa.array([], pa.int64()),
                  "vec_id": pa.array([], pa.int64()),
                  "embedding": batch["embedding"]}
             )
-        keys, ids_idx = [], []
+        keys = []
         for t in range(n_tables):
             signs = (emb @ planes[t].T) > 0
             key = np.zeros(n, dtype=np.int64)
             for i in range(n_planes):
                 key |= signs[:, i].astype(np.int64) << i
             keys.append(key * n_tables + t)
-            ids_idx.append(np.arange(n))
-        key = np.concatenate(keys)
-        idx = pa.array(np.concatenate(ids_idx))
+        idx = pa.array(np.tile(np.arange(n), n_tables))
         return pa.table(
             {
-                "table_key": pa.array(key, type=pa.int64()),
-                "bucket": pa.array(key % 64, type=pa.int64()),
+                "table_key": pa.array(np.concatenate(keys), type=pa.int64()),
                 "vec_id": batch["vec_id"].take(idx),
                 "embedding": batch["embedding"].take(idx),
             }
         )
 
-    def verify_bucket(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"vec_a": pa.array([], pa.int64()),
-             "vec_b": pa.array([], pa.int64()),
-             "cosine": pa.array([], pa.float64())}
-        )
-        if group.num_rows < 2:
-            return empty
-        group = group.sort_by([("table_key", "ascending"), ("vec_id", "ascending")])
-        keys = group["table_key"].to_numpy(zero_copy_only=False)
-        ids = group["vec_id"].to_numpy(zero_copy_only=False)
-        new = np.ones(len(keys), dtype=bool)
-        new[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(new)
-        ends = np.concatenate((starts[1:], [len(keys)]))
-        sizes = ends - starts
-        capped = sizes > max_band_bucket
-        if capped.any():
-            logger.warning(
-                "embedding_dup_pairs: skipped %d LSH buckets larger than "
-                "%d; pair set is a lower bound",
-                int(capped.sum()), max_band_bucket,
-            )
-        multi = (sizes >= 2) & ~capped
-        if not multi.any():
-            return empty
-        emb = embedding_matrix(group["embedding"])
-        nrm = np.linalg.norm(emb, axis=1, keepdims=True)
-        nrm[nrm == 0] = 1.0
-        emb = emb / nrm
-        ii_parts, jj_parts = [], []
-        for s, e in zip(starts[multi], ends[multi]):
-            ii, jj = np.triu_indices(e - s, 1)
-            ii_parts.append(ii + s)
-            jj_parts.append(jj + s)
-        ii = np.concatenate(ii_parts)
-        jj = np.concatenate(jj_parts)
+    def cosine(group: pa.Table, ii, jj):
+        emb = unit_rows(embedding_matrix(group["embedding"]))
         cos = np.einsum("ij,ij->i", emb[ii], emb[jj])
-        a = np.minimum(ids[ii], ids[jj])
-        b = np.maximum(ids[ii], ids[jj])
-        keep = (cos >= threshold) & (a != b)
-        return pa.table(
-            {
-                "vec_a": pa.array(a[keep], type=pa.int64()),
-                "vec_b": pa.array(b[keep], type=pa.int64()),
-                "cosine": pa.array(cos[keep], type=pa.float64()),
-            }
-        )
+        return cos, cos >= threshold
 
-    pairs = (
-        coalesce(ds.map_batches(add_buckets, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(verify_bucket, batch_format="pyarrow")
-    )
-
-    def dedup(group: pa.Table) -> pa.Table:
-        a = group["vec_a"].to_numpy(zero_copy_only=False)
-        b = group["vec_b"].to_numpy(zero_copy_only=False)
-        c = group["cosine"].to_numpy(zero_copy_only=False)
-        first, _counts = _unique_pairs(a, b)
-        return pa.table(
-            {
-                "vec_a": pa.array(a[first], type=pa.int64()),
-                "vec_b": pa.array(b[first], type=pa.int64()),
-                "cosine": pa.array(c[first], type=pa.float64()),
-            }
-        )
-
-    pairs = pairs.map_batches(
-        functools.partial(
-            _pb_batch, val_col="cosine", val_type=pa.float64(),
-            a_col="vec_a", b_col="vec_b",
-        ),
-        batch_format="pyarrow",
-    )
-    return coalesce(pairs).groupby("pb").map_groups(
-        dedup, batch_format="pyarrow"
+    return _bucket_pairs(
+        ds.map_batches(add_buckets, batch_format="pyarrow"),
+        key="table_key", ident="vec_id", cols=("vec_a", "vec_b", "cosine"),
+        val_type=pa.float64(), measure=cosine, max_bucket=max_band_bucket,
+        name="embedding_dup_pairs",
     )
 
 
@@ -1042,6 +918,117 @@ def _keep_mask(ids: np.ndarray, gone: np.ndarray) -> np.ndarray:
     return ~np.isin(ids, gone)
 
 
+def filter_by_ids(ds, ids, *, keep: bool, id_col: str = "doc_id",
+                  broadcast_limit: int = 20_000_000, n_buckets: int = 64,
+                  spill_dir: str | None = None,
+                  max_group_rows: int | None = 32_000_000):
+    """Rows of ``ds`` whose ``id_col`` is in (``keep=True``) or not in
+    (``keep=False``) the ``id_col`` column of the Dataset ``ids``.
+
+    ``ids`` is materialized once.  Two strategies:
+
+    - ``|ids| <= broadcast_limit`` (default 2e7 ids ≈ 160 MB): the
+      ids are collected as ONE sorted contiguous int64 numpy array,
+      ``ray.put`` once, and every batch filters with ``np.isin`` —
+      zero Python-object overhead (~8 B/id vs ~60 B/id for a set).
+    - above the limit: a bucketed join — ids are hive-partitioned by
+      ``id % n_buckets`` to ``spill_dir``, ``ds`` is shuffled once by
+      the same bucket, and each group task reads ONLY its bucket's id
+      file (task-side discovery; the full id set never centralizes)."""
+    import ray
+
+    # materialize ONCE: the count() guard and the collect/spill below
+    # would otherwise each re-execute the pipeline behind ``ids``
+    ids = ids.select_columns([id_col]).materialize()
+
+    def select(batch: pa.Table, sel: np.ndarray) -> pa.Table:
+        d = batch[id_col].to_numpy(zero_copy_only=False).astype(
+            np.int64, copy=False
+        )
+        mask = _keep_mask(d, sel)
+        return batch.filter(pa.array(~mask if keep else mask))
+
+    if ids.count() <= broadcast_limit:
+        parts = [
+            b[id_col].to_numpy(zero_copy_only=False)
+            for b in ids.iter_batches(batch_format="pyarrow")
+        ]
+        sel = (
+            np.unique(np.concatenate(parts))
+            if parts else np.empty(0, dtype=np.int64)
+        )
+        ref = ray.put(np.ascontiguousarray(sel))
+        return ds.map_batches(
+            lambda b: select(b, ray.get(ref)), batch_format="pyarrow"
+        )
+
+    # ---- bucketed join (id set too big to broadcast) ----
+    # spill_dir on a real cluster must be SHARED storage (an fsspec
+    # URI works end to end); the tempfile default is single-node
+    import os
+    import tempfile
+
+    import pyarrow.dataset as pads
+
+    from web_based_search_engine_ray.state import fsio
+    from web_based_search_engine_ray.util import check_group_budget
+
+    spill = spill_dir or tempfile.mkdtemp(prefix="idfilter_", dir="/tmp")
+    sentinel = os.path.join(spill, "_SPILL_OK")
+
+    def with_bucket(b: pa.Table) -> pa.Table:
+        d = b[id_col].to_numpy(zero_copy_only=False).astype(
+            np.int64, copy=False
+        )
+        return b.append_column(
+            "__id_bucket", pa.array(d % n_buckets, type=pa.int64())
+        )
+
+    ids.map_batches(with_bucket, batch_format="pyarrow").write_parquet(
+        spill, partition_cols=["__id_bucket"]
+    )
+    # sentinel: lets join tasks distinguish "this bucket has no ids"
+    # (root visible, subdir absent) from "spill root not visible from
+    # this worker" (driver-local /tmp on a multi-node cluster → MUST
+    # fail loudly, or the filter is silently never applied)
+    fsio.makedirs(spill)  # an empty id set writes no file
+    with fsio.open_file(sentinel, "w") as f:
+        f.write("ok")
+
+    def join(group: pa.Table) -> pa.Table:
+        bkt = int(group["__id_bucket"][0].as_py())
+        check_group_budget(
+            len(group), max_group_rows, stage="filter_by_ids.bucket_join",
+            key=bkt,
+            hint="raise n_buckets (each join group holds "
+                 "corpus/n_buckets rows) or max_group_rows",
+        )
+        out = group.drop_columns(["__id_bucket"])
+        if not fsio.isfile(sentinel):
+            raise RuntimeError(
+                f"filter_by_ids: spill root {spill!r} is not visible "
+                "from this worker (sentinel missing). On a multi-node "
+                "cluster pass spill_dir= on SHARED storage (an fsspec "
+                "URI); the tempfile default is single-node."
+            )
+        part = os.path.join(spill, f"__id_bucket={bkt}")
+        if not fsio.isdir(part):
+            sel = np.empty(0, dtype=np.int64)  # root visible, bucket empty
+        else:
+            sel = np.unique(
+                pads.dataset(part, format="parquet")
+                .to_table(columns=[id_col])[id_col]
+                .to_numpy(zero_copy_only=False)
+            )
+        return select(out, sel)
+
+    return (
+        ds.map_batches(with_bucket, batch_format="pyarrow")
+        .groupby("__id_bucket")
+        .map_groups(join, batch_format="pyarrow")
+    )
+
+
 def dedup_keep_min(ds, pairs, *, id_col: str = "doc_id",
                    broadcast_limit: int = 20_000_000,
                    n_buckets: int = 64,
@@ -1054,21 +1041,11 @@ def dedup_keep_min(ds, pairs, *, id_col: str = "doc_id",
     connected component.  Docs in no pair survive untouched.
 
     The drop set (component members above the root) is bounded by the
-    duplicate count, not the corpus.  Two finalize strategies:
-
-    - ``|drop| <= broadcast_limit`` (default 2e7 ids ≈ 160 MB): the
-      ids are collected as ONE sorted contiguous int64 numpy array,
-      ``ray.put`` once, and every batch filters with ``np.isin`` —
-      zero Python-object overhead (~8 B/id vs ~60 B/id for a set).
-    - above the limit (billions of dups at 100 TB): a bucketed
-      anti-join — drop ids are hive-partitioned by ``id % n_buckets``
-      to ``spill_dir``, the corpus is shuffled once by the same
-      bucket, and each group task reads ONLY its bucket's id file
-      (task-side discovery; the full drop set never centralizes)."""
-    import ray
-
+    duplicate count, not the corpus; :func:`filter_by_ids` removes it,
+    broadcast up to ``broadcast_limit`` ids and as a bucketed join
+    (``n_buckets``, ``spill_dir``, ``max_group_rows``) above."""
     # CC sizing is caller-controllable: at the billions-of-dups scale
-    # that needs the anti-join finalize, the CC buckets need sizing too
+    # that needs the bucketed finalize, the CC buckets need sizing too
     comp = connected_components(
         pairs, num_buckets=cc_num_buckets,
         max_group_rows=cc_max_group_rows,
@@ -1076,111 +1053,13 @@ def dedup_keep_min(ds, pairs, *, id_col: str = "doc_id",
 
     def _drops(b: pa.Table) -> pa.Table:
         d = b.filter(pc.invert(pc.equal(b["node"], b["component"])))
-        return pa.table(
-            {"drop_id": pc.cast(d["node"], pa.int64())}
-        )
+        return pa.table({id_col: pc.cast(d["node"], pa.int64())})
 
-    # materialize ONCE: the count() guard and the collect/spill below
-    # would otherwise each re-execute the whole pairs→CC pipeline
-    drop_ds = comp.map_batches(
-        _drops, batch_format="pyarrow"
-    ).materialize()
-    n_drop = drop_ds.count()
-
-    if n_drop <= broadcast_limit:
-        parts = [
-            b["drop_id"].to_numpy(zero_copy_only=False)
-            for b in drop_ds.iter_batches(batch_format="pyarrow")
-        ]
-        gone = (
-            np.unique(np.concatenate(parts))
-            if parts else np.empty(0, dtype=np.int64)
-        )
-        ref = ray.put(np.ascontiguousarray(gone))
-
-        def keep(batch: pa.Table) -> pa.Table:
-            g = ray.get(ref)
-            ids = batch[id_col].to_numpy(zero_copy_only=False).astype(
-                np.int64, copy=False
-            )
-            return batch.filter(pa.array(_keep_mask(ids, g)))
-
-        return ds.map_batches(keep, batch_format="pyarrow")
-
-    # ---- bucketed anti-join path (drop set too big to broadcast) ----
-    # spill_dir on a real cluster must be SHARED storage (an fsspec
-    # URI works end to end); the tempfile default is single-node
-    import os
-    import tempfile
-
-    import pyarrow.dataset as pads
-
-    from web_based_search_engine_ray.state import fsio
-
-    spill = spill_dir or tempfile.mkdtemp(prefix="keepmin_", dir="/tmp")
-
-    def _bucket_drop(b: pa.Table) -> pa.Table:
-        ids = b["drop_id"].to_numpy(zero_copy_only=False)
-        return b.append_column(
-            "__km_bucket", pa.array(ids % n_buckets, type=pa.int64())
-        )
-
-    drop_ds.map_batches(
-        _bucket_drop, batch_format="pyarrow"
-    ).write_parquet(spill, partition_cols=["__km_bucket"])
-    # sentinel: lets anti-join tasks distinguish "this bucket has no
-    # drops" (root visible, subdir absent → legitimately keep all)
-    # from "spill root not visible from this worker" (driver-local
-    # /tmp on a multi-node cluster → MUST fail loudly, or drops are
-    # silently never applied)
-    with fsio.open_file(
-        os.path.join(spill, "_KEEPMIN_SPILL_OK"), "w"
-    ) as f:
-        f.write("ok")
-
-    def _bucket_docs(b: pa.Table) -> pa.Table:
-        ids = b[id_col].to_numpy(zero_copy_only=False).astype(
-            np.int64, copy=False
-        )
-        return b.append_column(
-            "__km_bucket", pa.array(ids % n_buckets, type=pa.int64())
-        )
-
-    def _anti(group: pa.Table) -> pa.Table:
-        from web_based_search_engine_ray.util import check_group_budget
-
-        check_group_budget(
-            len(group), max_group_rows, stage="dedup_keep_min.anti_join",
-            key=int(group["__km_bucket"][0].as_py()) if len(group) else None,
-            hint="raise n_buckets (each anti-join group holds "
-                 "corpus/n_buckets rows) or max_group_rows",
-        )
-        bkt = int(group["__km_bucket"][0].as_py())
-        out = group.drop_columns(["__km_bucket"])
-        if not fsio.isfile(os.path.join(spill, "_KEEPMIN_SPILL_OK")):
-            raise RuntimeError(
-                f"dedup_keep_min anti-join: spill root {spill!r} is not "
-                "visible from this worker (sentinel missing). On a "
-                "multi-node cluster pass spill_dir= on SHARED storage "
-                "(an fsspec URI); the tempfile default is single-node."
-            )
-        part = os.path.join(spill, f"__km_bucket={bkt}")
-        if not fsio.isdir(part):
-            return out  # root visible, bucket empty → genuinely no drops
-        g = np.unique(
-            pads.dataset(part, format="parquet")
-            .to_table(columns=["drop_id"])["drop_id"]
-            .to_numpy(zero_copy_only=False)
-        )
-        ids = out[id_col].to_numpy(zero_copy_only=False).astype(
-            np.int64, copy=False
-        )
-        return out.filter(pa.array(_keep_mask(ids, g)))
-
-    return (
-        ds.map_batches(_bucket_docs, batch_format="pyarrow")
-        .groupby("__km_bucket")
-        .map_groups(_anti, batch_format="pyarrow")
+    return filter_by_ids(
+        ds, comp.map_batches(_drops, batch_format="pyarrow"), keep=False,
+        id_col=id_col, broadcast_limit=broadcast_limit,
+        n_buckets=n_buckets, spill_dir=spill_dir,
+        max_group_rows=max_group_rows,
     )
 
 
@@ -1204,19 +1083,13 @@ def embedding_dup_pairs_exact(ds, *, threshold: float = 0.98,
         )
     mat_tbl = ds.select_columns(["vec_id", "embedding"]).to_pandas()
     ids_all = mat_tbl["vec_id"].to_numpy()
-    m = np.asarray(mat_tbl["embedding"].tolist(), dtype=np.float64)
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    m = m / norms
+    m = unit_rows(np.asarray(mat_tbl["embedding"].tolist(), dtype=np.float64))
     ref = ray.put((ids_all, m))
 
     def pairs(batch: pa.Table) -> pa.Table:
         ids_a, mat = ray.get(ref)
         ids_b = batch["vec_id"].to_numpy(zero_copy_only=False)
-        emb = embedding_matrix(batch["embedding"])
-        n = np.linalg.norm(emb, axis=1, keepdims=True)
-        n[n == 0] = 1.0
-        emb = emb / n
+        emb = unit_rows(embedding_matrix(batch["embedding"]))
         sim = emb @ mat.T
         bi, ai = np.nonzero(sim >= threshold)
         a = ids_a[ai]
@@ -1256,10 +1129,7 @@ def semantic_dup_pairs_grouped(ds, *, group_col: str = "label",
                  "matmul is O(g^2))",
         )
         ids = group[id_col].to_numpy(zero_copy_only=False)
-        m = embedding_matrix(group[emb_col])
-        norms = np.linalg.norm(m, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        m = m / norms
+        m = unit_rows(embedding_matrix(group[emb_col]))
         sim = m @ m.T
         ai, bi = np.nonzero(np.triu(sim >= threshold, k=1))
         a, b = ids[ai], ids[bi]

@@ -1069,26 +1069,24 @@ def dump_index(index_dir: str, *, max_rows: int = 20) -> str:
 
 def _merge_query_results(parts: list[pd.DataFrame], k: int) -> pd.DataFrame:
     """Merge per-shard (query_id, doc_id, score) frames into exact
-    per-query top-k (score desc, doc_id asc, NaN last)."""
+    per-query top-k (score desc, doc_id asc, NaN last): one lexsort,
+    rank = position minus the query's first position."""
     if not parts:
         return pd.DataFrame(columns=["query_id", "rank", "doc_id", "score"])
-    merged = pd.concat(parts, ignore_index=True)
-    nan = merged["score"].isna()
-    merged = pd.concat(
-        [
-            merged[~nan].sort_values(
-                ["query_id", "score", "doc_id"],
-                ascending=[True, False, True],
-            ),
-            merged[nan].sort_values(["query_id", "doc_id"]),
-        ],
-        ignore_index=True,
+    qid, did, sc = (
+        np.concatenate([p[c].to_numpy() for p in parts])
+        for c in ("query_id", "doc_id", "score")
     )
-    merged = merged.sort_values("query_id", kind="stable", ignore_index=True)
-    merged["rank"] = merged.groupby("query_id").cumcount()
-    merged = merged[merged["rank"] < k].reset_index(drop=True)
-    merged["doc_id"] = merged["doc_id"].astype(np.int64)
-    return merged[["query_id", "rank", "doc_id", "score"]]
+    order = np.lexsort((did, -sc, qid))
+    qid, did, sc = qid[order], did[order].astype(np.int64), sc[order]
+    n = len(qid)
+    starts = np.flatnonzero(np.r_[True, qid[1:] != qid[:-1]])
+    rank = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
+    top = rank < k
+    return pd.DataFrame(
+        {"query_id": qid[top], "rank": rank[top], "doc_id": did[top],
+         "score": sc[top]}
+    )
 
 
 class _Broker:

@@ -18,13 +18,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from web_based_search_engine_ray.util import embedding_matrix
-
-
-def _normalize(m: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(m, axis=1, keepdims=True)
-    n[n == 0] = 1.0
-    return m / n
+from web_based_search_engine_ray.util import embedding_matrix, unit_rows
 
 
 def deterministic_centroids(ids: np.ndarray, mat: np.ndarray,
@@ -39,7 +33,7 @@ def deterministic_centroids(ids: np.ndarray, mat: np.ndarray,
     pattern — FAISS trains IVF centroids on a sample); the distributed
     Lloyd in :meth:`IvfIndex.fit` remains the at-scale default."""
     order = np.argsort(np.asarray(ids), kind="mergesort")
-    m = _normalize(np.asarray(mat, dtype=np.float64)[order])
+    m = unit_rows(np.asarray(mat, dtype=np.float64)[order])
     if len(m) < n_clusters:
         raise ValueError(
             f"need >= {n_clusters} vectors, got {len(m)}"
@@ -51,7 +45,7 @@ def deterministic_centroids(ids: np.ndarray, mat: np.ndarray,
         np.add.at(sums, assign, m)
         counts = np.bincount(assign, minlength=len(cents))
         nz = counts > 0
-        cents[nz] = _normalize(sums[nz] / counts[nz, None])
+        cents[nz] = unit_rows(sums[nz] / counts[nz, None])
     return np.round(cents, round_to)
 
 
@@ -66,7 +60,7 @@ def _block_partials(ds, q: np.ndarray, k: int):
     def block_topk(batch: pa.Table) -> pa.Table:
         qm = ray.get(qref)
         ids = batch["vec_id"].to_numpy(zero_copy_only=False)
-        emb = _normalize(embedding_matrix(batch["embedding"]))
+        emb = unit_rows(embedding_matrix(batch["embedding"]))
         sim = qm @ emb.T  # (nq, nb)
         nq, nb = sim.shape
         kk = min(k, nb)
@@ -162,7 +156,7 @@ def brute_force_topk(ds, query_vecs: np.ndarray, k: int = 10,
     block count is unknown."""
     import ray
 
-    q = _normalize(np.atleast_2d(np.asarray(query_vecs, dtype=np.float64)))
+    q = unit_rows(np.atleast_2d(np.asarray(query_vecs, dtype=np.float64)))
     if merge not in ("auto", "driver", "distributed"):
         raise ValueError(f"merge={merge!r}")
     if merge == "auto":
@@ -227,7 +221,7 @@ class IvfIndex:
         #: runs the assignment + partitioned store
         self.centroids: np.ndarray | None = (
             None if centroids is None
-            else _normalize(np.asarray(centroids, dtype=np.float64))
+            else unit_rows(np.asarray(centroids, dtype=np.float64))
         )
         self.store_dir = store_dir  # cluster-partitioned parquet
         self._cluster_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -246,7 +240,7 @@ class IvfIndex:
         sample = ds.random_sample(
             min(1.0, (self.n_clusters * 32) / max(1, n_total)), seed=self.seed
         ).to_pandas()
-        m = _normalize(np.asarray(sample["embedding"].tolist(), dtype=np.float64))
+        m = unit_rows(np.asarray(sample["embedding"].tolist(), dtype=np.float64))
         rng = np.random.default_rng(self.seed)
         init_idx = rng.choice(len(m), size=min(self.n_clusters, len(m)), replace=False)
         cents = m[np.sort(init_idx)]
@@ -256,7 +250,7 @@ class IvfIndex:
 
             def partial(batch: pa.Table) -> pa.Table:
                 c = ray.get(cref)
-                emb = _normalize(
+                emb = unit_rows(
                     embedding_matrix(batch["embedding"])
                 )
                 assign = np.argmax(emb @ c.T, axis=1)
@@ -286,7 +280,7 @@ class IvfIndex:
                 minlength=len(cents),
             )
             nonzero = counts > 0
-            cents[nonzero] = _normalize(sums[nonzero] / counts[nonzero, None])
+            cents[nonzero] = unit_rows(sums[nonzero] / counts[nonzero, None])
         self.centroids = cents
         return self._store_assignment(ds, cents)
 
@@ -298,7 +292,7 @@ class IvfIndex:
 
         def assign(batch: pa.Table) -> pa.Table:
             c = ray.get(cref)
-            emb = _normalize(
+            emb = unit_rows(
                 embedding_matrix(batch["embedding"])
             )
             a = np.argmax(emb @ c.T, axis=1)
@@ -347,14 +341,14 @@ class IvfIndex:
                 columns=["vec_id", "embedding"]
             )
             ids = t["vec_id"].to_numpy(zero_copy_only=False)
-            emb = _normalize(embedding_matrix(t["embedding"]))
+            emb = unit_rows(embedding_matrix(t["embedding"]))
             out = (ids, emb)
         self._cluster_cache[cluster] = out
         return out
 
     def search(self, query_vecs: np.ndarray, k: int = 10, nprobe: int = 4) -> pd.DataFrame:
         assert self.centroids is not None, "fit() first"
-        q = _normalize(np.atleast_2d(np.asarray(query_vecs, dtype=np.float64)))
+        q = unit_rows(np.atleast_2d(np.asarray(query_vecs, dtype=np.float64)))
         out = []
         for qid, qv in enumerate(q):
             # stable deterministic probe order: cosine desc, cluster asc

@@ -59,8 +59,9 @@ def worker_singleton(key, factory):
 
 
 def embedding_matrix(col, dtype="float64"):
-    """(n, dim) numpy matrix from an Arrow ``list<float>`` column
-    WITHOUT per-element Python objects.  Uses the flat ``values``
+    """(n, dim) numpy matrix from an Arrow ``list<float>`` (or
+    ``list<int64>``, e.g. MinHash signatures) column WITHOUT
+    per-element Python objects.  Uses the flat ``values``
     buffer of the ListArray (zero-copy from the object store for the
     float read; one cast to ``dtype``).  Requires rows of uniform
     length and no nulls — both guaranteed by the embeddings schema;
@@ -88,6 +89,16 @@ def embedding_matrix(col, dtype="float64"):
     return np.ascontiguousarray(flat.reshape(n, dim)).astype(
         dtype, copy=False
     )
+
+
+def unit_rows(m):
+    """``m`` with every row scaled to unit L2 norm; all-zero rows stay
+    zero (their norm is taken as 1)."""
+    import numpy as np
+
+    n = np.linalg.norm(m, axis=1, keepdims=True)
+    n[n == 0] = 1.0
+    return m / n
 
 
 def check_group_budget(n_rows: int, max_rows, *, stage: str, key, hint: str):
