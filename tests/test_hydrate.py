@@ -1,13 +1,18 @@
 """Result hydration and the result-page renderers.
 
-``Searcher.hydrate`` reads a store loaded on its first call; it must give
-the frame of the filtered-scan implementation kept below as the
-reference (same columns, dtypes, defaults for ids missing from
-extracted or forward, sorted link sets, top-``max_keywords`` keywords), read no
-file after that first call, and never load on a shard Searcher.
+``Searcher.hydrate`` reads a store loaded on its first call and returns
+Arrow rows; through ``hydrated_frame`` they must give the frame of the
+filtered-scan implementation kept below as the reference (same
+columns, dtypes, defaults for ids missing from extracted or forward,
+sorted link sets, top-``max_keywords`` keywords).  It reads no file
+after that first call and never loads on a shard Searcher.  The HTTP
+page rendered from those rows must be byte-equal to the pandas
+row-at-a-time renderer kept below as the reference.
 """
 
 from __future__ import annotations
+
+import html
 
 import numpy as np
 import pandas as pd
@@ -100,7 +105,10 @@ def _all_ids(index_dir: str) -> np.ndarray:
 def _assert_parity(index_dir: str, ids, chunk: int = 50) -> None:
     """Every id, in result-sized chunks with descending scores, through
     one Searcher (so later chunks hit the loaded store)."""
-    from web_based_search_engine_ray.pipelines.search import Searcher
+    from web_based_search_engine_ray.pipelines.search import (
+        Searcher,
+        hydrated_frame,
+    )
 
     s = Searcher(index_dir)
     ids = np.asarray(ids, dtype=np.int64)
@@ -109,7 +117,7 @@ def _assert_parity(index_dir: str, ids, chunk: int = 50) -> None:
         res = pd.DataFrame({"doc_id": part,
                             "score": np.linspace(1.0, 0.5, len(part))})
         pd.testing.assert_frame_equal(
-            s.hydrate(res),
+            hydrated_frame(s.hydrate(res)),
             reference_hydrate(index_dir, res, s.cfg.max_keywords),
             check_dtype=True,
         )
@@ -173,17 +181,21 @@ HYDRATED_UPDATE_DIGEST = (
 
 
 def _hydrated_digest(index_dir: str, ids: np.ndarray) -> str:
-    """Every id through one ``Searcher.hydrate``, in 50-id chunks."""
+    """Every id through one ``Searcher.hydrate`` and the frame
+    converter of ``search(hydrate=True)``, in 50-id chunks."""
     import hashlib
 
-    from web_based_search_engine_ray.pipelines.search import Searcher
+    from web_based_search_engine_ray.pipelines.search import (
+        Searcher,
+        hydrated_frame,
+    )
 
     s, h = Searcher(index_dir), hashlib.sha256()
     for i in range(0, len(ids), 50):
         part = ids[i:i + 50]
         res = pd.DataFrame({"doc_id": part,
                             "score": np.linspace(1.0, 0.5, len(part))})
-        for row in s.hydrate(res).to_dict("records"):
+        for row in hydrated_frame(s.hydrate(res)).to_dict("records"):
             h.update(repr(tuple(row.values())).encode())
     return h.hexdigest()
 
@@ -244,13 +256,16 @@ def test_hydrate_matches_reference_after_update(ray_session, sf_dir,
 
 
 def test_hydrate_ids_missing_from_docmeta_and_forward(sf_index):
-    from web_based_search_engine_ray.pipelines.search import Searcher
+    from web_based_search_engine_ray.pipelines.search import (
+        Searcher,
+        hydrated_frame,
+    )
 
     ids = [7, 10**9, 3, -1, 10**9 + 1]
     _assert_parity(sf_index, ids)
     res = pd.DataFrame({"doc_id": ids, "score": [0.9, 0.8, 0.7, 0.6,
                                                  float("nan")]})
-    out = Searcher(sf_index).hydrate(res)
+    out = hydrated_frame(Searcher(sf_index).hydrate(res))
     absent = out[out["doc_id"] >= 10**9]
     assert absent["title"].tolist() == ["", ""]
     assert absent["url"].tolist() == ["", ""]
@@ -262,7 +277,7 @@ def test_hydrate_ids_missing_from_docmeta_and_forward(sf_index):
     # filter gets an empty url list): the row the reference builds
     only = pd.DataFrame({"doc_id": [10**9], "score": [1.0]})
     pd.testing.assert_frame_equal(
-        Searcher(sf_index).hydrate(only),
+        hydrated_frame(Searcher(sf_index).hydrate(only)),
         pd.DataFrame([{"doc_id": 10**9, "score": 1.0, "title": "",
                        "url": "", "last_modified": None, "page_size": 0,
                        "keywords": [], "parent_links": [],
@@ -289,7 +304,7 @@ def test_hydrate_reads_no_file_after_first_call(sf_index, monkeypatch):
 
     monkeypatch.setattr(pads, "dataset", counted)
     for _ in range(20):
-        pd.testing.assert_frame_equal(s.hydrate(res), first)
+        assert s.hydrate(res).equals(first)
     assert calls == []
 
 
@@ -300,6 +315,129 @@ def test_shard_searcher_loads_no_hydrate_store(sf_index):
     out = s.search_many(["spark merge", 'window "merge batch"'], k=10)
     assert len(out)
     assert s.hydrate_store_bytes == 0
+
+
+def reference_render_page(keyword_stems, phrase_stems,
+                          results: pd.DataFrame) -> str:
+    """The result page from the hydrated frame, one ``html.escape`` per
+    value (the renderer the Arrow one replaced)."""
+    parts = [
+        "<!DOCTYPE html>\n<html lang=\"en\">\n",
+        "<head><title>Search Results</title></head>\n<body>\n",
+        '<form action="/result">\n'
+        '<input type="text" name="search" placeholder="Enter your search query">\n'
+        '<input type="submit" value="Search">\n</form>\n',
+        "<h1>Search Results</h1>\n",
+        f"<h4>Search keywords: {html.escape(str(sorted(keyword_stems)))}</h4>\n",
+        f"<h4>Search phrase: {html.escape(str(list(phrase_stems)))}</h4>\n",
+        "<ol>\n",
+    ]
+    if len(results) == 0:
+        parts.append("<p>No matching document found.</p>\n")
+    for r in results.to_dict("records"):
+        url = html.escape(str(r["url"]), quote=True)
+        kw = "; ".join(f"{w} {f}" for w, f in r["keywords"])
+        parts.append(
+            "<li>\n"
+            f"<h3>{r['score']:.4f} <a href=\"{url}\">"
+            f"{html.escape(str(r['title']))}</a></h3>\n"
+            f"<a href=\"{url}\">{url}</a>\n"
+            f"<p>{html.escape(str(r['last_modified']))}, {int(r['page_size'])}</p>\n"
+            f"<p>Keywords: {html.escape(kw)}</p>\n"
+            "<p>Parent Links:</p>\n<ul>\n"
+            + "".join(
+                f'<li><a href="{html.escape(u, quote=True)}">'
+                f"{html.escape(u)}</a></li>\n"
+                for u in r["parent_links"]
+            )
+            + "</ul>\n<p>Child Links:</p>\n<ul>\n"
+            + "".join(
+                f'<li><a href="{html.escape(u, quote=True)}">'
+                f"{html.escape(u)}</a></li>\n"
+                for u in r["child_links"]
+            )
+            + "</ul>\n</li>\n"
+        )
+    parts.append("</ol>\n</body>\n</html>")
+    return "".join(parts)
+
+
+def _as_rows(df: pd.DataFrame) -> pa.Table:
+    """A hydrated frame in ``Searcher.hydrate``'s Arrow row form."""
+    return pa.table({
+        "doc_id": pa.array(df["doc_id"], pa.int64()),
+        "score": pa.array(df["score"], pa.float64()),
+        "title": pa.array(df["title"], pa.string()),
+        "url": pa.array(df["url"], pa.string()),
+        "last_modified": pa.array(df["last_modified"], pa.timestamp("us")),
+        "page_size": pa.array(df["page_size"], pa.int64()),
+        "keywords": pa.array(
+            [[{"term": t, "freq": f} for t, f in kw] for kw in df["keywords"]],
+            pa.large_list(pa.struct([("term", pa.string()),
+                                     ("freq", pa.int64())]))),
+        "parent_links": pa.array(df["parent_links"],
+                                 pa.large_list(pa.string())),
+        "child_links": pa.array(df["child_links"],
+                                pa.large_list(pa.string())),
+    })
+
+
+_STEMS = ({"spark", "merg"}, ["merg"])
+
+
+def test_render_matches_reference_every_doc(sf_index):
+    """Every doc id in 50-id chunks with descending scores, ids missing
+    from extracted among them, ids missing only, and the empty result:
+    the page from the Arrow rows is the reference's page of the
+    reference hydration."""
+    from web_based_search_engine_ray.pipelines.search import (
+        Searcher,
+        _empty_results,
+    )
+    from web_based_search_engine_ray.pipelines.server import (
+        _render_result_page,
+    )
+
+    s = Searcher(sf_index)
+
+    def check(ids, want_frame=None):
+        res = pd.DataFrame({"doc_id": np.asarray(ids, dtype=np.int64),
+                            "score": np.linspace(1.0, 0.5, len(ids))})
+        if want_frame is None:
+            want_frame = reference_hydrate(sf_index, res, s.cfg.max_keywords)
+        page = _render_result_page(*_STEMS, s.hydrate(res))
+        assert page == reference_render_page(*_STEMS, want_frame)
+        return page
+
+    ids = _all_ids(sf_index)
+    for i in range(0, len(ids), 50):
+        check(ids[i:i + 50])
+    check([7, 10**9, 3, -1])
+    # ids missing only: the frame the reference hydration built (the
+    # scan reference itself raises on an empty url list)
+    missing = check([10**9, -1], pd.DataFrame([
+        {"doc_id": d, "score": sc, "title": "", "url": "",
+         "last_modified": None, "page_size": 0, "keywords": [],
+         "parent_links": [], "child_links": []}
+        for d, sc in ((10**9, 1.0), (-1, 0.5))]))
+    assert "<p>None, 0</p>" in missing
+    empty = s.search({"zzznope"}, k=10, hydrate=False)
+    assert _render_result_page(*_STEMS, s.hydrate(empty)) == (
+        reference_render_page(*_STEMS, _empty_results(True)))
+
+
+def test_render_matches_reference_on_html_special_rows():
+    from web_based_search_engine_ray.pipelines.search import hydrated_frame
+    from web_based_search_engine_ray.pipelines.server import (
+        _render_result_page,
+    )
+
+    df = _page_frame()
+    rows = _as_rows(df)
+    pd.testing.assert_frame_equal(hydrated_frame(rows), df)
+    for part in (rows, rows.slice(1), rows.slice(0, 1)):
+        assert _render_result_page(*_STEMS, part) == reference_render_page(
+            *_STEMS, hydrated_frame(part))
 
 
 def _page_frame() -> pd.DataFrame:
@@ -341,7 +479,8 @@ def test_result_renderers_golden():
         "\tParent Links:\n"
         "\tChild Links:\n"
     )
-    assert _render_result_page({"spark", "merg"}, ["merg"], df) == (
+    assert _render_result_page({"spark", "merg"}, ["merg"],
+                               _as_rows(df)) == (
         '<!DOCTYPE html>\n<html lang="en">\n'
         "<head><title>Search Results</title></head>\n<body>\n"
         '<form action="/result">\n'

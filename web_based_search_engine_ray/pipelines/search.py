@@ -719,39 +719,40 @@ class Searcher:
 
     # ----------------------------------------------------------------- phrase
     def phrase_doc_array(self, phrase: list[str]) -> np.ndarray:
-        """Left-fold positional merge (non-associative, order preserved —
-        ``PostingIndex.java:230-247``): per field, advance the prefix's
-        position keys by +1 and intersect with the next word's keys; a
-        doc survives while either field retains a position.  Returns
+        """Positional phrase match per field (``PostingIndex.java:230-247``).
+        The reference left-folds in query order — advance the prefix's
+        position keys by +1, intersect with the next word's keys — and a
+        doc survives while either field retains a position.  That fold
+        keeps the starts ``s`` with ``s + i`` in word ``i``'s keys for
+        every ``i``: an intersection, which any order gives.  So the
+        words are taken rarest first (df from the cached
+        :meth:`postings`; an absent word ends the match before any
+        position is decoded), each step tests only the surviving starts,
+        and the match stops at the first empty intersection.  Returns
         the SORTED doc-id array (vectorized membership tests)."""
         terms = [w for w in (self.stem_query_word(x) for x in phrase) if w]
         empty = np.empty(0, dtype=np.int64)
         if not terms:
             return empty
-        lists = []
+        df = {}
         for term in terms:
-            p = self.postings_with_positions(term)
-            lists.append(p if p is not None else (empty, empty))
-        def isect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            # both sides are sorted unique (position keys are built from
-            # doc-ordinal-major sorted decode), so membership is one
-            # searchsorted — ~3x cheaper than intersect1d's re-sort
-            if not a.size or not b.size:
-                return a[:0]
-            idx = np.searchsorted(b, a)
-            idx[idx == b.size] = b.size - 1
-            return a[b[idx] == a]
-
-        tkeys, bkeys = lists[0]
-        for ct, cb in lists[1:]:
-            tkeys = isect_sorted(tkeys + 1, ct)
-            bkeys = isect_sorted(bkeys + 1, cb)
-            if not tkeys.size and not bkeys.size:
+            if term not in df:
+                p = self.postings(term)
+                if p is None:
+                    return empty
+                df[term] = len(p[0])
+        order = sorted(range(len(terms)), key=lambda i: df[terms[i]])
+        # the surviving keys of the rarest word r, that is starts + r
+        r = order[0]
+        keys = self.postings_with_positions(terms[r])
+        for i in order[1:]:
+            keys = tuple(k[_in_sorted(k + (i - r), ki)] for k, ki in
+                         zip(keys, self.postings_with_positions(terms[i])))
+            if not keys[0].size and not keys[1].size:
                 return empty
-        ordinals = np.unique(
-            np.concatenate((tkeys, bkeys)) >> np.int64(self.POS_BITS)
-        )
-        return self._stat_ids[ordinals]
+        ends = np.concatenate(keys)
+        ends += len(terms) - 1 - r
+        return self._stat_ids[np.unique(ends >> np.int64(self.POS_BITS))]
 
     def documents_with_phrase(self, phrase: list[str]) -> set[int]:
         """Set facade over :meth:`phrase_doc_array` (reference-shaped
@@ -835,7 +836,7 @@ class Searcher:
             df = pd.DataFrame({"doc_id": ids, "score": vals})
             if not len(df):
                 return _empty_results(hydrate)
-            return self.hydrate(df) if hydrate else df
+            return hydrated_frame(self.hydrate(df)) if hydrate else df
         # pruning is rank-safe only for a plain top-k (a phrase semi-join
         # could promote below-threshold docs into the final top-k)
         ids, vals = self.scores_arrays(
@@ -845,22 +846,14 @@ class Searcher:
             w for w in (self.stem_query_word(x) for x in phrase) if w
         ]
         if stemmed_phrase and len(ids):
-            allowed = self.phrase_doc_array(phrase)
             # vectorized sorted-membership semi-join
-            p = np.searchsorted(allowed, ids)
-            p_c = np.clip(p, 0, max(0, len(allowed) - 1))
-            mask = (
-                allowed[p_c] == ids if len(allowed)
-                else np.zeros(len(ids), dtype=bool)
-            )
+            mask = _in_sorted(ids, self.phrase_doc_array(phrase))
             ids, vals = ids[mask], vals[mask]
         if not len(ids):
             return _empty_results(hydrate)
         top = _topk_indices(ids, vals, k)
         df = pd.DataFrame({"doc_id": ids[top], "score": vals[top]})
-        if hydrate:
-            df = self.hydrate(df)
-        return df
+        return hydrated_frame(self.hydrate(df)) if hydrate else df
 
     def search_many(self, queries: list[str], k: int | None = None,
                     prune: bool = True,
@@ -893,18 +886,20 @@ class Searcher:
         :meth:`hydrate` loads it (shard Searchers never hydrate)."""
         return self._hydrate_store.nbytes if self._hydrate_store else 0
 
-    def hydrate(self, results: pd.DataFrame) -> pd.DataFrame:
-        """``Indexer.buildSearchResult`` for the k result rows only.
+    def hydrate(self, results: pd.DataFrame) -> pa.Table:
+        """``Indexer.buildSearchResult`` for the k result rows only, as
+        one Arrow table: ``doc_id, score`` from ``results``, then the
+        :class:`_HydrateStore` columns ``title, url, last_modified,
+        page_size, keywords, parent_links, child_links``.
+        :func:`hydrated_frame` gives its pandas form.
 
-        The rows come from a :class:`_HydrateStore` loaded on the first
-        call and kept for this Searcher's life, so a request is a few
-        ``np.searchsorted`` + ``take`` calls and reads no file.  Its
-        memory is O(docs) for a Searcher that hydrates: about 540 B/doc
-        (2.7 MB Arrow + numpy) on the 5,000-doc indexes of both
-        ``perfbench`` workloads.  Docs missing from extracted or forward
-        get ``""``/``None``/``0``/``[]``."""
-        if results.empty:
-            return _empty_results(True)
+        The store is loaded on the first call and kept for this
+        Searcher's life, so a request is one ``np.searchsorted`` and one
+        ``take`` and reads no file.  Its memory is O(docs) for a
+        Searcher that hydrates: about 470 B/doc (2.35 MB Arrow + numpy)
+        on the 5,000-doc indexes of both ``perfbench`` workloads.  Docs
+        missing from extracted get the store's default row (``""``,
+        null, ``0``, empty lists)."""
         if self._hydrate_store is None:
             self._hydrate_store = _HydrateStore(self.index_dir,
                                                 self.cfg.max_keywords)
@@ -912,24 +907,25 @@ class Searcher:
 
 
 class _HydrateStore:
-    """The hydration columns of one index version, each table sorted by
-    an int64 doc id kept beside it as a numpy key array:
+    """The result-page columns of one index version as one table whose
+    row ``i`` belongs to doc ``keys[i]`` (an int64 numpy array, sorted),
+    plus one default row at the end for ids that have no page:
 
-    - ``meta``: the extracted pages' ``url, title, page_size,
-      last_modified``;
-    - ``keywords``: each doc's top ``max_keywords`` ``(term, freq)`` by
-      title+body freq desc, term asc (a fixed tie order: the
-      reference's is HashMap-nondeterministic, ``SearchResult.java:33-44``)
-      — Arrow sorts strings by UTF-8 bytes, which is the code-point
-      order of Python's ``sort``;
-    - ``child``: the distinct ``dst_url`` of the link edges
-      (:func:`~web_based_search_engine_ray.stages.extract.link_edges`
-      of the pages' ``links``) by ``src_doc_id``;
-    - ``parent``: the distinct ``src_url`` of the edges whose ``dst_url``
-      is the doc's url (edges joined to the pages on the url).
+    - ``title, url, last_modified, page_size``: the extracted page's
+      columns (default ``""``, ``""``, null, ``0``);
+    - ``keywords``: the doc's top ``max_keywords`` ``(term, freq)``
+      structs from forward, by title+body freq desc, term asc (a fixed
+      tie order: the reference's is HashMap-nondeterministic,
+      ``SearchResult.java:33-44``) — Arrow sorts strings by UTF-8
+      bytes, which is the code-point order of Python's ``sort``;
+    - ``child_links``: the sorted distinct ``dst_url`` of the page's
+      link edges
+      (:func:`~web_based_search_engine_ray.stages.extract.link_edges`);
+    - ``parent_links``: the sorted distinct ``src_url`` of the edges
+      whose ``dst_url`` is the page's url.
 
-    Link rows are sorted by (doc id, url), so a doc's rows are already
-    the sorted set the result page prints."""
+    The three list columns hold each doc's edges ⋈ pages and keyword
+    rows pre-joined, so a request expands them for its k rows only."""
 
     def __init__(self, index_dir: str, max_keywords: int):
         def read(name: str, columns: list[str]) -> pa.Table:
@@ -939,61 +935,79 @@ class _HydrateStore:
         pages = read("extracted", ["doc_id", "url", "title", "page_size",
                                    "last_modified", "links"])
         edges = link_edges(pages)
-        meta = pages.drop_columns(["links"])
-        parents = edges.join(meta.select(["url", "doc_id"]),
-                             keys="dst_url", right_keys="url")
-        tables = {
-            "meta": meta.sort_by("doc_id"),
-            "keywords": _top_keywords(
-                read("forward", ["doc_id", "terms", "title_tfs",
-                                 "body_tfs"]), max_keywords),
-            "child": _link_sets(edges, "src_doc_id", "dst_url"),
-            "parent": _link_sets(parents, "doc_id", "src_url"),
-        }
-        self.keys = {n: t["doc_id"].to_numpy() for n, t in tables.items()}
-        self.tables = {n: t.drop_columns(["doc_id"]).combine_chunks()
-                       for n, t in tables.items()}
-        self.nbytes = sum(t.nbytes for t in self.tables.values()) + sum(
-            k.nbytes for k in self.keys.values())
+        parents = edges.join(pages.select(["url", "doc_id"]),
+                             keys="dst_url", right_keys="url",
+                             join_type="inner")
+        meta = pages.drop_columns(["links"]).sort_by("doc_id")
+        self.keys = meta["doc_id"].to_numpy()
+        kw = _top_keywords(read("forward", ["doc_id", "terms", "title_tfs",
+                                            "body_tfs"]), max_keywords)
+        # a doc with no page gets the default row, keywords included
+        kw = kw.filter(pc.is_in(kw["doc_id"], value_set=pa.array(self.keys)))
+        child = _link_sets(edges, "src_doc_id", "dst_url")
+        parent = _link_sets(parents, "doc_id", "src_url")
 
-    def _groups(self, name: str, ids: np.ndarray) -> list[list]:
-        """Per id, its rows of table ``name``: values when the table has
-        one column, tuples of the columns otherwise."""
-        keys = self.keys[name]
-        lo = np.searchsorted(keys, ids, "left")
-        n = np.searchsorted(keys, ids, "right") - lo
-        ends = np.cumsum(n)
-        rows = np.repeat(lo - (ends - n), n) + np.arange(ends[-1])
-        cols = [c.to_pylist() for c in self.tables[name].take(rows).columns]
-        vals = cols[0] if len(cols) == 1 else list(zip(*cols))
-        return [vals[e - m:e] for e, m in zip(ends.tolist(), n.tolist())]
+        def with_default(name: str, value) -> pa.Array:
+            col = meta[name].combine_chunks()
+            return pa.concat_arrays([col, pa.array([value], col.type)])
 
-    def rows(self, results: pd.DataFrame) -> pd.DataFrame:
-        doc_ids = results["doc_id"].tolist()
-        ids = np.asarray(doc_ids, dtype=np.int64)
-        keys = self.keys["meta"]
-        pos = np.searchsorted(keys, ids)
-        found = np.searchsorted(keys, ids, "right") > pos
-        meta = self.tables["meta"].take(pos[found])
+        def lists(rows: pa.Table, values: pa.Array) -> pa.Array:
+            # rows: sorted by a doc_id column whose ids are all in keys
+            starts = np.searchsorted(rows["doc_id"].to_numpy(), self.keys)
+            offsets = np.concatenate((starts, [len(values)] * 2))
+            return pa.LargeListArray.from_arrays(pa.array(offsets), values)
 
-        def fill(vals: list, default) -> list:
-            it = iter(vals)
-            return [next(it) if f else default for f in found.tolist()]
-
-        # Python objects, so pandas infers each column's dtype as it does
-        # for the reference's row dicts (pandas Timestamps, not datetimes)
-        return pd.DataFrame({
-            "doc_id": doc_ids,
-            "score": results["score"].tolist(),
-            "title": fill(meta["title"].to_pylist(), ""),
-            "url": fill(meta["url"].to_pylist(), ""),
-            "last_modified": fill(
-                meta["last_modified"].to_pandas().tolist(), None),
-            "page_size": fill(meta["page_size"].to_pylist(), 0),
-            "keywords": self._groups("keywords", ids),
-            "parent_links": self._groups("parent", ids),
-            "child_links": self._groups("child", ids),
+        self.table = pa.table({
+            "title": with_default("title", ""),
+            "url": with_default("url", ""),
+            "last_modified": with_default("last_modified", None),
+            "page_size": with_default("page_size", 0),
+            "keywords": lists(kw, pa.StructArray.from_arrays(
+                [kw["term"].combine_chunks(), kw["freq"].combine_chunks()],
+                names=["term", "freq"])),
+            "parent_links": lists(parent, parent["url"].combine_chunks()),
+            "child_links": lists(child, child["url"].combine_chunks()),
         })
+        self.nbytes = self.table.nbytes + self.keys.nbytes
+
+    def rows(self, results: pd.DataFrame) -> pa.Table:
+        ids = np.asarray(results["doc_id"], dtype=np.int64)
+        pos = np.searchsorted(self.keys, ids)
+        hit = pos < len(self.keys)
+        hit[hit] = self.keys[pos[hit]] == ids[hit]
+        rows = self.table.take(np.where(hit, pos, len(self.keys)))
+        score = np.asarray(results["score"], dtype=np.float64)
+        return rows.add_column(0, "doc_id", pa.array(ids)).add_column(
+            1, "score", pa.array(score))
+
+
+def hydrated_frame(rows: pa.Table) -> pd.DataFrame:
+    """The pandas form of :meth:`Searcher.hydrate`'s rows, as the
+    reference's row dicts give it: Python values per cell, so pandas
+    infers each column's dtype (``last_modified`` holds ``None``
+    objects when no row has a timestamp, as when every id lacks a page,
+    and datetimes with ``NaT`` otherwise), keywords as ``(term, freq)``
+    tuples and links as lists."""
+    if not rows.num_rows:
+        return _empty_results(True)
+    kw = rows["keywords"].combine_chunks()
+    flat = kw.flatten()
+    pairs = list(zip(flat.field("term").to_pylist(),
+                     flat.field("freq").to_pylist()))
+    ends = np.cumsum(pc.list_value_length(kw).to_numpy()).tolist()
+    lm = rows["last_modified"]
+    return pd.DataFrame({
+        "doc_id": rows["doc_id"].to_pylist(),
+        "score": rows["score"].to_pylist(),
+        "title": rows["title"].to_pylist(),
+        "url": rows["url"].to_pylist(),
+        "last_modified": (lm.to_pandas().tolist() if lm.null_count < len(lm)
+                          else [None] * len(lm)),
+        "page_size": rows["page_size"].to_pylist(),
+        "keywords": [pairs[a:b] for a, b in zip([0] + ends, ends)],
+        "parent_links": rows["parent_links"].to_pylist(),
+        "child_links": rows["child_links"].to_pylist(),
+    })
 
 
 def _top_keywords(fwd: pa.Table, max_keywords: int) -> pa.Table:
@@ -1109,6 +1123,16 @@ class _Broker:
         out = _merge_query_results(parts, k)
         out["query_id"] += base_qid
         return out
+
+
+def _in_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the values of ``a`` found in the sorted array ``b``: one
+    ``searchsorted``, about 3x cheaper than ``intersect1d``'s re-sort."""
+    if not b.size:
+        return np.zeros(a.shape, dtype=bool)
+    idx = np.searchsorted(b, a)
+    idx[idx == b.size] = b.size - 1
+    return b[idx] == a
 
 
 def _topk_indices(ids: np.ndarray, vals: np.ndarray, k: int) -> np.ndarray:

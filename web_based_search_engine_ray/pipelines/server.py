@@ -16,12 +16,20 @@ environment); one in-process ``Searcher`` is loaded once at startup
 and shared across requests.  ``Searcher.search`` mutates per-instance
 scratch state (the dense score accumulator ``_acc`` / ``_touched`` and
 the decode caches), so concurrent handler threads must NOT interleave
-calls — a per-server ``threading.Lock`` serializes the search section
-(form/404 routes stay lock-free).  Hydration reads a per-Searcher store
-of the result-page columns (extracted's page columns and link lists,
-forward's keyword counts) that the first ``/result`` request loads,
-under that same lock; like the lexicon and docstats caches it is never
-reloaded, so a server serves the one index version it started on.
+calls — a per-server ``threading.Lock`` serializes the search and
+hydrate calls (form/404 routes and the page render stay lock-free).
+Hydration reads a per-Searcher store of the result-page rows
+(extracted's page columns and link lists, forward's keyword counts)
+that the first ``/result`` request loads, under that same lock; the
+page is rendered from those Arrow rows.
+
+A running server is not isolated from ``update_index`` on its index:
+the update deletes and replaces segment files under a live
+``Searcher``, whose next reads can then fail (``FileNotFoundError``)
+or return pre-update scores from its caches, and a lexicon bucket or
+the hydrate store first loaded after the update mixes the new index
+version with the old.  Restart the server after an update; index
+generations that keep a reader's version live are ROADMAP direction 2.
 This is a demo/debug surface; batch workloads should use
 ``pipelines.search.ShardedSearcher.batch_search``.
 """
@@ -32,6 +40,10 @@ import html
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from web_based_search_engine_ray.pipelines.search import Searcher, parse_query
 
@@ -48,7 +60,36 @@ _INDEX_PAGE = """<!DOCTYPE html>
 </html>"""
 
 
-def _render_result_page(keyword_stems, phrase_stems, results) -> str:
+#: ``html.escape`` (``quote=True``) as ordered substring replacements
+_ESCAPES = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"),
+            ("'", "&#x27;"))
+
+
+def _escape(arr: pa.StringArray) -> pa.Array:
+    """``html.escape`` of each value; a replacement whose character is
+    not in the values' bytes is skipped."""
+    data = arr.buffers()[2]
+    data = data.to_pybytes() if data is not None else b""
+    for old, new in _ESCAPES:
+        if old.encode() in data:
+            arr = pc.replace_substring(arr, old, new)
+    return arr
+
+
+def _join_lists(lists: pa.Array, items: pa.Array, sep: str) -> pa.Array:
+    """Per list of ``lists``, its ``items`` (one per flattened value)
+    joined by ``sep``."""
+    offsets = lists.offsets.to_numpy()
+    return pc.binary_join(pa.LargeListArray.from_arrays(
+        pa.array(offsets - offsets[0]), items), sep)
+
+
+def _render_result_page(keyword_stems, phrase_stems, rows: pa.Table) -> str:
+    """The ``result.jte`` page for :meth:`Searcher.hydrate`'s rows.  All
+    text values (titles, urls, keyword terms, links) are HTML-escaped
+    in one column-wise pass, and each row's block is joined
+    column-wise from them; only the score and timestamp strings are
+    formatted per row."""
     parts = [
         "<!DOCTYPE html>\n<html lang=\"en\">\n",
         "<head><title>Search Results</title></head>\n<body>\n",
@@ -60,32 +101,40 @@ def _render_result_page(keyword_stems, phrase_stems, results) -> str:
         f"<h4>Search phrase: {html.escape(str(list(phrase_stems)))}</h4>\n",
         "<ol>\n",
     ]
-    if len(results) == 0:
+    if rows.num_rows == 0:
         parts.append("<p>No matching document found.</p>\n")
-    for r in results.to_dict("records"):
-        url = html.escape(str(r["url"]), quote=True)
-        kw = "; ".join(f"{w} {f}" for w, f in r["keywords"])
-        parts.append(
-            "<li>\n"
-            f"<h3>{r['score']:.4f} <a href=\"{url}\">"
-            f"{html.escape(str(r['title']))}</a></h3>\n"
-            f"<a href=\"{url}\">{url}</a>\n"
-            f"<p>{html.escape(str(r['last_modified']))}, {int(r['page_size'])}</p>\n"
-            f"<p>Keywords: {html.escape(kw)}</p>\n"
-            "<p>Parent Links:</p>\n<ul>\n"
-            + "".join(
-                f'<li><a href="{html.escape(u, quote=True)}">'
-                f"{html.escape(u)}</a></li>\n"
-                for u in r["parent_links"]
-            )
-            + "</ul>\n<p>Child Links:</p>\n<ul>\n"
-            + "".join(
-                f'<li><a href="{html.escape(u, quote=True)}">'
-                f"{html.escape(u)}</a></li>\n"
-                for u in r["child_links"]
-            )
-            + "</ul>\n</li>\n"
-        )
+    else:
+        rows = rows.combine_chunks()
+        kw, parent, child = (rows[c].chunk(0) for c in (
+            "keywords", "parent_links", "child_links"))
+        pairs = kw.flatten()
+        texts = [rows["title"].chunk(0), rows["url"].chunk(0),
+                 pairs.field("term"), parent.flatten(), child.flatten()]
+        escaped = _escape(pa.concat_arrays(texts))
+        ends = np.cumsum([len(t) for t in texts]).tolist()
+        title, url, term, parent_url, child_url = (
+            escaped.slice(a, b - a) for a, b in zip([0] + ends, ends))
+        links = [_join_lists(lists, pc.binary_join_element_wise(
+            '<li><a href="', u, '">', u, "</a></li>\n", ""), "")
+            for lists, u in ((parent, parent_url), (child, child_url))]
+        lm = rows["last_modified"]
+        # a frame column with no timestamp at all holds None, not NaT
+        no_time = "NaT" if lm.null_count < len(lm) else "None"
+        blocks = pc.binary_join_element_wise(
+            "<li>\n<h3>",
+            pa.array([f"{x:.4f}" for x in rows["score"].to_numpy().tolist()]),
+            ' <a href="', url, '">', title, '</a></h3>\n<a href="', url,
+            '">', url, "</a>\n<p>",
+            pa.array([no_time if t is None else str(t)
+                      for t in lm.to_pylist()], pa.string()),
+            ", ", rows["page_size"].cast(pa.string()),
+            "</p>\n<p>Keywords: ",
+            _join_lists(kw, pc.binary_join_element_wise(
+                term, pairs.field("freq").cast(pa.string()), " "), "; "),
+            "</p>\n<p>Parent Links:</p>\n<ul>\n", links[0],
+            "</ul>\n<p>Child Links:</p>\n<ul>\n", links[1],
+            "</ul>\n</li>\n", "")
+        parts.extend(blocks.to_numpy(zero_copy_only=False).tolist())
     parts.append("</ol>\n</body>\n</html>")
     return "".join(parts)
 
@@ -114,14 +163,14 @@ class _Handler(BaseHTTPRequestHandler):
             words, phrase = parse_query(q)
             s = self.searcher
             with self.search_lock:
-                res = s.search(words, phrase, hydrate=True)
+                rows = s.hydrate(s.search(words, phrase, hydrate=False))
             kw_stems = {
                 w for w in (s.stem_query_word(x) for x in words) if w
             }
             ph_stems = [
                 w for w in (s.stem_query_word(x) for x in phrase) if w
             ]
-            self._send(200, _render_result_page(kw_stems, ph_stems, res))
+            self._send(200, _render_result_page(kw_stems, ph_stems, rows))
         else:
             self._send(404, "<h1>404</h1>")
 
