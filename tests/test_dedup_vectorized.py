@@ -51,16 +51,16 @@ def test_simhash_batch_matches_reference_formula():
 def test_shingle_fold_polynomial_definition():
     """Shingle hash = polynomial fold of md5 token hashes mod 2^61-1 —
     the exact contract the SQL oracles mirror."""
+    from web_based_search_engine_ray.functions.hashing import md5_u64
     from web_based_search_engine_ray.pipelines.dedup import (
         _MERSENNE,
         SHINGLE_BASE,
         _shingle_hashes,
-        token_hash,
     )
 
     text = "alpha beta gamma delta"
     toks = ["alpha", "beta", "gamma", "delta"]
-    hs = [token_hash(t) % _MERSENNE for t in toks]
+    hs = [md5_u64(t) % _MERSENNE for t in toks]
     expected = set()
     for i in range(len(toks) - 2):
         s = hs[i]

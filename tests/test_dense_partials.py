@@ -42,9 +42,11 @@ def test_dense_matches_sparse_bitwise(idx, mode):
         # bit-for-bit: adding 0.0 to a non-negative float is exact
         np.testing.assert_array_equal(val_s, val_d)
         if len(ids_d):
-            assert (dense._partial_cache and any(
+            partials = [v for (kind, _, _), v in dense._cache.items()
+                        if kind == "partial"]
+            assert (partials and any(
                 v is not None and len(v) == 5 and v[3] is not None
-                for v in dense._partial_cache.values()
+                for v in partials
             )), "forced densification did not produce dense images"
 
 

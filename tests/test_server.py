@@ -95,3 +95,31 @@ def test_concurrent_requests_get_the_serial_page(server):
     for q, (status, page) in got:
         assert status == 200
         assert page == want[q][1]
+
+
+def test_each_query_word_is_stemmed_once(server, monkeypatch):
+    """A phrase query that the server's Searcher answers and the server
+    renders runs Porter at most once per distinct word (the search, the
+    phrase match and the page header share one memoized stemmer), and
+    the same query again runs it not at all."""
+    from collections import Counter
+
+    from web_based_search_engine_ray.functions import tokenize
+
+    calls = Counter()
+    porter = tokenize.strip_affixes
+
+    def counted(word):
+        calls[word] += 1
+        return porter(word)
+
+    monkeypatch.setattr(tokenize, "strip_affixes", counted)
+    _, base = server
+    # mixed-case raw tokens, which no other test stems in this process
+    query = 'wInDoW sPaRk "MeRgE bAtCh"'
+    status, page = _get(base, query)
+    assert status == 200 and _RESULT_URL.findall(page)
+    assert max(calls.values(), default=0) <= 1, calls
+    calls.clear()
+    assert _get(base, query)[1] == page
+    assert not calls, calls

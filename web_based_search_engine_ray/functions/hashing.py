@@ -12,22 +12,60 @@ import hashlib
 import numpy as np
 
 
-def stable_hash63(s: str | bytes) -> int:
-    """First 8 bytes of md5, masked to 63 bits (non-negative int64)."""
+_MASK63_INT = 0x7FFF_FFFF_FFFF_FFFF
+_MASK63 = np.uint64(_MASK63_INT)
+
+
+def md5_u64(s: str | bytes) -> int:
+    """First 8 bytes (big-endian) of md5 as an unsigned 64-bit int —
+    SQL-expressible as ``CAST('0x' || substr(md5(s),1,16) AS UBIGINT)``.
+    Its 63-bit forms: ``& mask`` (:func:`stable_hash63`: term buckets,
+    derived doc ids) and ``>> 1`` (exact-duplicate text keys)."""
     b = s.encode("utf-8") if isinstance(s, str) else s
-    return int.from_bytes(hashlib.md5(b).digest()[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
+    return int.from_bytes(hashlib.md5(b).digest()[:8], "big")
 
 
-def stable_hash63_array(strings: "np.ndarray | list[str]") -> np.ndarray:
-    """Vectorized-ish stable_hash63 over a sequence of strings."""
-    return np.fromiter(
-        (stable_hash63(s) for s in strings), dtype=np.int64, count=len(strings)
-    )
+#: per-worker string → md5_u64 memo of :func:`md5_u64_array` (tokens
+#: and terms repeat heavily across batches; md5 runs once per unique
+#: string)
+_MD5_MEMO: dict[str, int] = {}
+_MD5_MEMO_CAP = 1 << 20
+
+
+def _md5_u64_memo(s: str) -> int:
+    h = _MD5_MEMO.get(s)
+    if h is None:
+        h = md5_u64(s)
+        if len(_MD5_MEMO) < _MD5_MEMO_CAP:
+            _MD5_MEMO[s] = h
+    return h
+
+
+def md5_u64_array(strings) -> np.ndarray:
+    """uint64 :func:`md5_u64` per string, through the per-worker memo."""
+    return np.fromiter(map(_md5_u64_memo, strings), dtype=np.uint64,
+                       count=len(strings))
+
+
+def text_key63_array(texts) -> np.ndarray:
+    """int64 exact-duplicate key per text: :func:`md5_u64` ``>> 1``.
+    Whole texts rarely repeat, so they skip the memo."""
+    return np.fromiter((md5_u64(t) >> 1 for t in texts), dtype=np.int64,
+                       count=len(texts))
+
+
+def stable_hash63(s: str | bytes) -> int:
+    """:func:`md5_u64` masked to 63 bits (non-negative int64)."""
+    return md5_u64(s) & _MASK63_INT
+
+
+def stable_hash63_array(strings) -> np.ndarray:
+    """:func:`stable_hash63` per string, as int64."""
+    return (md5_u64_array(strings) & _MASK63).astype(np.int64)
 
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
-_MASK63 = np.uint64(0x7FFF_FFFF_FFFF_FFFF)
 
 
 def fnv1a63_array(col) -> np.ndarray:

@@ -10,7 +10,8 @@ Semantics pinned to the reference:
   dropping them here is observationally identical.
 - ``stem_word`` (``Indexer.stemWord``, ``Indexer.java:65-75``):
   lowercase → stopword test on the *raw lowercased token* → Porter
-  ``strip_affixes`` → drop if blank.
+  ``strip_affixes`` → drop if blank.  :func:`stemmer` memoizes it per
+  process; the index build and the query side both stem through it.
 - Positions (used for phrase search) are indices into the
   *post-filter* term sequence: dropped tokens (stopwords, blanks) do
   not take a position (``Indexer.java:117-140`` builds the filtered
@@ -19,6 +20,7 @@ Semantics pinned to the reference:
 
 from __future__ import annotations
 
+import functools
 import re
 
 from web_based_search_engine_ray.functions.porter import strip_affixes
@@ -26,6 +28,11 @@ from web_based_search_engine_ray.functions.stopwords import stopword_set
 
 TOKEN_PATTERN = r"[^a-zA-Z0-9_-]+"
 TOKEN_RE = re.compile(TOKEN_PATTERN)
+
+#: bound on each memoized stemmer's raw-token → stem table (a Zipf
+#: vocabulary keeps the working set small; the cap only guards
+#: pathological inputs)
+STEM_MEMO_CAP = 1 << 20
 
 
 def tokenize(text: str) -> list[str]:
@@ -38,19 +45,28 @@ def stem_word(
     *,
     use_stopwords: bool = True,
     use_stemming: bool = True,
-    _stops: frozenset[str] | None = None,
 ) -> str | None:
     """Normalize one raw token; ``None`` means the token is dropped."""
     w = word.lower()
-    if use_stopwords:
-        stops = _stops if _stops is not None else stopword_set()
-        if w in stops:
-            return None
+    if use_stopwords and w in stopword_set():
+        return None
     if use_stemming:
         w = strip_affixes(w)
     if not w or w.isspace():
         return None
     return w
+
+
+@functools.lru_cache(maxsize=None)
+def stemmer(use_stopwords: bool, use_stemming: bool, /):
+    """This process's memoized :func:`stem_word` for one
+    ``(use_stopwords, use_stemming)`` pair: raw token → stem or
+    ``None``, each distinct token stemmed once (LRU-bounded by
+    ``STEM_MEMO_CAP``)."""
+    return functools.lru_cache(maxsize=STEM_MEMO_CAP)(
+        functools.partial(stem_word, use_stopwords=use_stopwords,
+                          use_stemming=use_stemming)
+    )
 
 
 def analyze(
@@ -60,17 +76,5 @@ def analyze(
     use_stemming: bool = True,
 ) -> list[str]:
     """Tokenize + normalize; the i-th element's index IS its position."""
-    stops = stopword_set() if use_stopwords else None
-    out = []
-    for tok in TOKEN_RE.split(text):
-        if not tok:
-            continue
-        w = stem_word(
-            tok,
-            use_stopwords=use_stopwords,
-            use_stemming=use_stemming,
-            _stops=stops,
-        )
-        if w is not None:
-            out.append(w)
-    return out
+    stem = stemmer(use_stopwords, use_stemming)
+    return [w for w in map(stem, tokenize(text)) if w is not None]

@@ -63,6 +63,7 @@ import numpy as np
 import pyarrow as pa
 
 from web_based_search_engine_ray.config import IndexConfig
+from web_based_search_engine_ray.functions.hashing import md5_u64_array
 from web_based_search_engine_ray.stages.extract import Extractor
 from web_based_search_engine_ray.state import fsio
 from web_based_search_engine_ray.stages.postings import (
@@ -72,6 +73,7 @@ from web_based_search_engine_ray.stages.postings import (
     doc_stats_batch,
 )
 from web_based_search_engine_ray.state import manifest as mf
+from web_based_search_engine_ray.util import auto_parallelism
 
 logger = logging.getLogger(__name__)
 
@@ -249,16 +251,7 @@ def _shuffle_parts(cfg: IndexConfig) -> int:
     """Shuffle parallelism (see IndexConfig.shuffle_partitions): Ray's
     sort shuffle costs scale with input block count, so tiny test-scale
     blocks are coalesced before every groupby."""
-    if cfg.shuffle_partitions:
-        return cfg.shuffle_partitions
-    try:
-        import ray
-
-        if ray.is_initialized():
-            return max(8, int(ray.cluster_resources().get("CPU", 4)) * 2)
-    except Exception:
-        pass
-    return 16
+    return cfg.shuffle_partitions or auto_parallelism()
 
 
 def _extract_task(batch: pa.Table, *, verify: bool) -> pa.Table:
@@ -327,14 +320,12 @@ def _lexicon_bucket_task(batch: pa.Table) -> pa.Table:
         )
         # hash HERE (parallel across bucket tasks) so the docstats df
         # broadcast needs no driver-side string materialization/md5 pass
-        from web_based_search_engine_ray.stages.postings import md5_hash64
-
         out.append(
             pa.table(
                 {
                     "term": g["term"],
                     "term_hash": pa.array(
-                        md5_hash64(g["term"].to_pylist()), type=pa.uint64()
+                        md5_u64_array(g["term"].to_pylist()), type=pa.uint64()
                     ),
                     "df": g["df_run_sum"],
                     "ub_adj": pc.cast(g["ub_run_max"], pa.float64()),

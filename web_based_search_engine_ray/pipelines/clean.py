@@ -18,11 +18,10 @@ in the funnel dict.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
 
+from web_based_search_engine_ray.functions.hashing import text_key63_array
 from web_based_search_engine_ray.util import coalesce, worker_singleton
 
 
@@ -78,14 +77,7 @@ def clean_corpus(
     nb = np.int64(num_buckets)
 
     def add_hash(batch: pa.Table) -> pa.Table:
-        hs = np.fromiter(
-            (
-                int.from_bytes(hashlib.md5(t.encode()).digest()[:8], "big") >> 1
-                for t in batch["text"].to_pylist()
-            ),
-            dtype=np.int64,
-            count=len(batch),
-        )
+        hs = text_key63_array(batch["text"].to_pylist())
         return batch.append_column(
             "bucket", pa.array(hs % nb, type=pa.int64())
         ).append_column("text_hash", pa.array(hs, type=pa.int64()))

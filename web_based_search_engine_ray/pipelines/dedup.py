@@ -40,13 +40,16 @@ modular arithmetic).
 from __future__ import annotations
 
 import functools
-import hashlib
 import logging
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from web_based_search_engine_ray.functions.hashing import (
+    md5_u64_array,
+    text_key63_array,
+)
 from web_based_search_engine_ray.functions.tokenize import TOKEN_RE
 from web_based_search_engine_ray.util import (
     coalesce,
@@ -59,17 +62,6 @@ logger = logging.getLogger(__name__)
 _MERSENNE = (1 << 61) - 1
 #: polynomial base for shingle hashes (mirrored in the SQL oracles)
 SHINGLE_BASE = 1_000_003
-
-# Per-worker token → md5-derived uint64 memo (tokens repeat heavily
-# across documents; md5 per unique token instead of per occurrence).
-_TOKEN_MEMO: dict[str, int] = {}
-_TOKEN_MEMO_CAP = 1 << 20
-
-
-def token_hash(tok: str) -> int:
-    """uint64 from the first 8 bytes (big-endian) of md5(token) —
-    SQL-expressible as ``CAST('0x' || substr(md5(tok),1,16) AS UBIGINT)``."""
-    return int.from_bytes(hashlib.md5(tok.encode()).digest()[:8], "big")
 
 
 def _batch_token_hash_arrays(texts: list[str]):
@@ -89,16 +81,7 @@ def _batch_token_hash_arrays(texts: list[str]):
     if not flat:
         return np.empty(0, dtype=np.uint64), offsets
     uniq, inv = np.unique(np.array(flat, dtype=object), return_inverse=True)
-    memo = _TOKEN_MEMO
-    hv_uniq = np.empty(len(uniq), dtype=np.uint64)
-    for i, tok in enumerate(uniq):
-        h = memo.get(tok)
-        if h is None:
-            h = token_hash(tok)
-            if len(memo) < _TOKEN_MEMO_CAP:
-                memo[tok] = h
-        hv_uniq[i] = h
-    return hv_uniq[inv], offsets
+    return md5_u64_array(uniq)[inv], offsets
 
 
 def _pb_batch(t: pa.Table, val_col: str, val_type: pa.DataType,
@@ -273,14 +256,7 @@ def exact_dedup(ds, *, num_buckets: int = 64):
     + per-group first (vectorized per bucket)."""
 
     def add_hash(batch: pa.Table) -> pa.Table:
-        hs = np.fromiter(
-            (
-                int.from_bytes(hashlib.md5(t.encode()).digest()[:8], "big") >> 1
-                for t in batch["text"].to_pylist()
-            ),
-            dtype=np.int64,
-            count=len(batch),
-        )
+        hs = text_key63_array(batch["text"].to_pylist())
         return pa.table(
             {
                 "doc_id": batch["doc_id"],

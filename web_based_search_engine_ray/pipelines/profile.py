@@ -10,11 +10,10 @@ driver-side step is O(groups), never O(rows).
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
 
+from web_based_search_engine_ray.functions.hashing import text_key63_array
 from web_based_search_engine_ray.functions.tokenize import TOKEN_RE
 
 
@@ -83,16 +82,7 @@ def dup_rate_by_group(ds, *, group_col: str = "source",
 
     def partial(batch: pa.Table) -> pa.Table:
         groups = np.asarray(batch[group_col].to_pylist(), dtype=object)
-        hashes = np.fromiter(
-            (
-                int.from_bytes(
-                    hashlib.md5(t.encode()).digest()[:8], "big"
-                ) >> 1
-                for t in batch[text_col].to_pylist()
-            ),
-            dtype=np.int64,
-            count=len(groups),
-        )
+        hashes = text_key63_array(batch[text_col].to_pylist())
         order = np.lexsort((hashes, groups))
         g, h = groups[order], hashes[order]
         new = np.ones(len(g), dtype=bool)

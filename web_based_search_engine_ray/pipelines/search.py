@@ -58,7 +58,7 @@ import pyarrow.dataset as pads
 from web_based_search_engine_ray.config import IndexConfig
 from web_based_search_engine_ray.functions.hashing import stable_hash63
 from web_based_search_engine_ray.state import fsio
-from web_based_search_engine_ray.functions.tokenize import stem_word, tokenize
+from web_based_search_engine_ray.functions.tokenize import stemmer, tokenize
 from web_based_search_engine_ray.stages import codec
 from web_based_search_engine_ray.stages.extract import link_edges
 from web_based_search_engine_ray.state import manifest as mf
@@ -77,14 +77,23 @@ def _load_cfg(d: dict) -> IndexConfig:
 class Searcher:
     """Loads the small artifacts once (lexicon, docstats, meta); posting
     runs are filtered parquet reads; hydration rows come from a store
-    loaded on the first :meth:`hydrate`."""
+    loaded on the first :meth:`hydrate`.
 
-    #: max cached terms (decoded posting arrays); the Zipfian query
-    #: distribution makes even a small cache very effective
-    CACHE_TERMS = 65536
-    #: byte budget across all decode caches — a count-only cap would
-    #: let a handful of web-scale Zipf-head posting lists exhaust the
-    #: actor heap
+    Every query word goes through one term path: :meth:`stem_query_word`
+    (the process's memoized stemmer, shared with the index build) and
+    :meth:`_terms` (lexicon df and upper bound, sorted and distinct).
+    Everything decoded from a term's runs (postings, phrase keys,
+    per-scorer partials, WAND views) lives in one admission-only decode
+    cache (:meth:`_cached`); the lexicon buckets keep their own byte
+    budget, so decoded postings cannot crowd them out."""
+
+    #: max entries of the decode cache (four kinds per term); the
+    #: Zipfian query distribution makes even a small cache very
+    #: effective
+    CACHE_TERMS = 4 * 65536
+    #: byte budget of the decode cache — a count-only cap would let a
+    #: handful of web-scale Zipf-head posting lists exhaust the actor
+    #: heap
     CACHE_BYTES = 512 * 1024 * 1024
     #: df / shard-size ratio above which a term's cached partial also
     #: keeps a dense (values, mask) image for streaming accumulation
@@ -107,18 +116,15 @@ class Searcher:
         meta = mf.read_json(os.path.join(index_dir, "meta.json"))
         self.n_docs: int = meta["n_docs"]
         self.cfg = _load_cfg(meta["config"])
-        self._post_cache: dict[str, tuple | None] = {}
-        self._pos_cache: dict[str, tuple | None] = {}
-        self._partial_cache: dict[str, tuple | None] = {}
-        #: per-term WAND views (sparse ids/partials/block-max/ub),
-        #: built once per term from the partial cache
-        self._wand_cache: dict[tuple, tuple | None] = {}
+        #: the decode cache, keyed by ``(kind, bm25, term)`` with
+        #: ``bm25=None`` for the scorer-independent kinds
+        self._cache: dict[tuple, tuple | None] = {}
+        self._cache_bytes = 0
         #: decode counters (block-max pruning effectiveness measurement)
         self.run_stats = {"considered": 0, "decoded": 0}
         #: reusable dense scoring buffers (allocated on first query)
         self._acc: np.ndarray | None = None
         self._touched: np.ndarray | None = None
-        self._cache_bytes = 0
 
         # Lexicon: LAZY per-term-hash-bucket load.  The build writes
         # lexicon/bucket=N/ (same bucketing as segments), so a query
@@ -225,11 +231,19 @@ class Searcher:
         return e[0] if e else 0
 
     def stem_query_word(self, word: str) -> str | None:
-        return stem_word(
-            word,
-            use_stopwords=self.cfg.use_stopwords,
-            use_stemming=self.cfg.use_stemming,
-        )
+        return stemmer(self.cfg.use_stopwords, self.cfg.use_stemming)(word)
+
+    def _terms(self, words) -> list[tuple[str, int, float]]:
+        """The distinct stems of ``words`` found in the lexicon, as
+        sorted ``(term, df, ub_adj)``: sorted so that every scorer folds
+        a doc's partials in one order (set iteration is hash-salted per
+        process; fp addition is order-sensitive)."""
+        out = []
+        for t in sorted({t for t in map(self.stem_query_word, words) if t}):
+            e = self._lex_entry(t)
+            if e is not None and e[0] > 0:
+                out.append((t, *e))
+        return out
 
     def _term_runs(self, term: str, columns: list[str],
                    extra_filter=None) -> pa.Table:
@@ -241,27 +255,28 @@ class Searcher:
             flt = flt & extra_filter
         return self._segments.to_table(columns=columns, filter=flt)
 
-    def _maybe_cache(self, cache: dict, key, out) -> None:
-        """Admit ``out`` to a decode cache only within the count AND
-        byte budgets (no eviction — admission control keeps hot Zipf
-        terms that arrived first)."""
+    def _cached(self, key: tuple, build, *args):
+        """The decode cache's entry for ``key``, else ``build(*args)``,
+        admitted only within the count AND byte budgets (no eviction —
+        admission control keeps hot Zipf terms that arrived first)."""
+        if key in self._cache:
+            return self._cache[key]
+        out = build(*args)
         nbytes = (
             sum(a.nbytes for a in out if isinstance(a, np.ndarray))
             if out else 0
         )
-        if (len(cache) < self.CACHE_TERMS
+        if (len(self._cache) < self.CACHE_TERMS
                 and self._cache_bytes + nbytes <= self.CACHE_BYTES):
-            cache[key] = out
+            self._cache[key] = out
             self._cache_bytes += nbytes
+        return out
 
     def postings(self, term: str):
         """Merged runs → (doc_ids, title_tfs, body_tfs), doc-sorted.
         Decoded arrays are cached per term (bounded)."""
-        if term in self._post_cache:
-            return self._post_cache[term]
-        out = self._postings_uncached(term)
-        self._maybe_cache(self._post_cache, term, out)
-        return out
+        return self._cached(("postings", None, term),
+                            self._postings_uncached, term)
 
     def _postings_uncached(self, term: str):
         t = self._term_runs(term, ["df_run", "doc_gaps", "title_tfs", "body_tfs"])
@@ -306,11 +321,8 @@ class Searcher:
         left-fold intersection then runs entirely as vectorized
         ``np.intersect1d`` over sorted keys — advancing the prefix's
         positions by +1 is literally ``keys + 1``.  Cached per term."""
-        if term in self._pos_cache:
-            return self._pos_cache[term]
-        out = self._positions_uncached(term)
-        self._maybe_cache(self._pos_cache, term, out)
-        return out
+        return self._cached(("positions", None, term),
+                            self._positions_uncached, term)
 
     def _positions_uncached(self, term: str):
         t = self._term_runs(
@@ -382,36 +394,38 @@ class Searcher:
         (``num`` first — multiply is non-associative) mirrors the SQL
         oracle exactly."""
         pos = np.searchsorted(self._stat_ids, ids)
+        idf = self._idf(df, bm25)
         if bm25:
             tf = (ttf + btf).astype(np.float64)
-            idf = math.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
             K = self.BM25_K1 * (
                 1.0 - self.BM25_B
                 + self.BM25_B * self._n_tokens[pos] / self.avgdl
             )
             num = tf * (self.BM25_K1 + 1.0)
             return idf * num / (tf + K), pos
-        idf = math.log10(self.n_docs / df)
         a = self.cfg.title_weight
         adj = a * ttf + (1.0 - a) * btf
         return adj * idf / self._tf_max[pos], pos
+
+    def _idf(self, df: int, bm25: bool) -> float:
+        """Reference ``log10(N/df)``, or BM25's Robertson idf."""
+        if bm25:
+            return math.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
+        return math.log10(self.n_docs / df)
 
     def _term_partial(self, term: str, df: int, bm25: bool = False):
         """Decode a term's postings → (doc_ids, partial scores, doc
         ordinals, dense values|None, dense mask|None).  The partial
         scores depend only on the index (idf, tfMax / doc length), so
         the fully computed arrays are cached per term and scorer."""
-        key = ("bm25", term) if bm25 else term
-        cached = self._partial_cache.get(key)
-        if cached is not None:
-            return cached
+        return self._cached(("partial", bm25, term), self._partial_uncached,
+                            term, df, bm25)
+
+    def _partial_uncached(self, term: str, df: int, bm25: bool):
         p = self.postings(term)
-        out = (
-            None if p is None
-            else self._densify_partial(p[0], *self._partial(*p, df, bm25))
-        )
-        self._maybe_cache(self._partial_cache, key, out)
-        return out
+        if p is None:
+            return None
+        return self._densify_partial(p[0], *self._partial(*p, df, bm25))
 
     def scores(self, words, k: int | None = None,
                prune: bool = False) -> dict[int, float]:
@@ -470,14 +484,7 @@ class Searcher:
         never pruned; docs outside the top-k may be absent, so pruning
         is only used for plain top-k queries (not phrase semi-joins,
         not full score dumps)."""
-        terms = {w for w in (self.stem_query_word(x) for x in words) if w}
-        # sorted for a deterministic summation order (set iteration is
-        # hash-salted per process; fp addition is order-sensitive)
-        entries = []
-        for t in sorted(terms):
-            e = self._lex_entry(t)
-            if e is not None and e[0] > 0:
-                entries.append((t, e[0], e[1]))
+        entries = self._terms(words)
         if not entries:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
         bm25 = mode == "bm25"
@@ -488,21 +495,11 @@ class Searcher:
         prune = bool(prune and k) and (bm25 or self._can_prune)
 
         if prune:
-            if bm25:
-                # idf·(k1+1): sup over tf of tf(k1+1)/(tf+K) is k1+1
-                ub = {
-                    t: math.log(
-                        (self.n_docs - df + 0.5) / (df + 0.5) + 1.0
-                    ) * (self.BM25_K1 + 1.0)
-                    for t, df, _u in entries
-                }
-            else:
-                # idf × max(adjTF/tfMax): the most this term adds to
-                # any doc
-                ub = {
-                    t: math.log10(self.n_docs / df) * u
-                    for t, df, u in entries
-                }
+            # bm25: idf·(k1+1), since sup over tf of tf(k1+1)/(tf+K) is
+            # k1+1; reference: idf × max(adjTF/tfMax), the most this
+            # term adds to any doc
+            ubs = [self._idf(df, bm25) * (self.BM25_K1 + 1.0 if bm25 else u)
+                   for _t, df, u in entries]
             # remaining[i] = fold of ubs[i:] in TERM-PROCESSING order
             # (sorted terms, the exhaustive path's order, so both paths
             # sum each doc's partials identically):
@@ -511,7 +508,6 @@ class Searcher:
             # the same way the accumulator does — a reversed cumsum can
             # land an ulp BELOW the forward fold and prune a true
             # top-k doc (same hazard the WAND pivot fold refolds for)
-            ubs = [ub[t] for t, _, _ in entries]
             remaining = np.empty(len(ubs), dtype=np.float64)
             for i in range(len(ubs)):
                 s = 0.0
@@ -545,10 +541,9 @@ class Searcher:
             # pay for itself.
             uncached_suffix = [False] * (len(entries) + 1)
             for j in range(len(entries) - 1, -1, -1):
-                key_j = ("bm25", entries[j][0]) if bm25 else entries[j][0]
                 uncached_suffix[j] = (
                     uncached_suffix[j + 1]
-                    or key_j not in self._partial_cache
+                    or ("partial", bm25, entries[j][0]) not in self._cache
                 )
         try:
             for i, (term, df, _u) in enumerate(entries):
@@ -568,9 +563,7 @@ class Searcher:
                         restricted = True
                 if restricted:
                     # cached full partials beat a fresh filtered read
-                    tp = self._partial_cache.get(
-                        ("bm25", term) if bm25 else term, False
-                    )
+                    tp = self._cache.get(("partial", bm25, term), False)
                     if tp is False:
                         tp = self._partial_for_candidates(
                             term, df, self._stat_ids[touched], bm25=bm25
@@ -655,61 +648,47 @@ class Searcher:
             raise ValueError("scores_topk_wand needs k >= 1")
         empty = (np.empty(0, dtype=np.int64),
                  np.empty(0, dtype=np.float64))
-        terms = {w for w in (self.stem_query_word(x) for x in words) if w}
-        entries = []
-        for t in sorted(terms):
-            e = self._lex_entry(t)
-            if e is not None and e[0] > 0:
-                entries.append((t, e[0]))
+        entries = self._terms(words)
         if not entries:
             return empty
         bm25 = mode == "bm25"
         if not bm25 and not self._can_prune:
             return self._taat_topk(words, k, mode)
 
-        bs = self.WAND_BLOCK
-        # per-term (doc_ids, partials, block_max, term_ub) in term order
-        # — partials come from the same cache the TAAT path uses (dense
-        # images are re-sparsified zero-copy-ish)
-        lists = []
-        for term, df in entries:
-            # per-term WAND view cached once: densified partials are
-            # exactly the Zipf-head terms WAND queries hit, and
-            # re-sparsifying them (two O(df) fancy-index copies) plus
-            # the block-max reduceat on EVERY query would dwarf the
-            # walk itself
-            key_w = ("wand", "bm25", term) if bm25 else ("wand", term)
-            view = self._wand_cache.get(key_w, False)
-            if view is False:
-                tp = self._term_partial(term, df, bm25)
-                if tp is None:
-                    view = None
-                else:
-                    if tp[3] is not None:
-                        mask = tp[4]
-                        ids_t = self._stat_ids[mask]
-                        part = tp[3][mask]
-                    else:
-                        ids_t, part = tp[0], tp[1]
-                    n = len(ids_t)
-                    if n == 0:
-                        view = None
-                    else:
-                        bmax = np.maximum.reduceat(
-                            part, np.arange(0, n, bs)
-                        )
-                        view = (ids_t, part, bmax, float(part.max()))
-                self._maybe_cache(self._wand_cache, key_w, view)
-            if view is not None:
-                lists.append(view)
+        # per-term WAND view (doc_ids, partials, block_max, term_ub) in
+        # term order, cached once: densified partials are exactly the
+        # Zipf-head terms WAND queries hit, and re-sparsifying them (two
+        # O(df) fancy-index copies) plus the block-max reduceat on EVERY
+        # query would dwarf the walk itself
+        lists = [
+            v for term, df, _u in entries
+            if (v := self._cached(("wand", bm25, term), self._wand_view,
+                                  term, df, bm25)) is not None
+        ]
         if not lists:
             return empty
         got = wand_topk_c(
-            lists, bs=bs, bm25=bm25,
+            lists, bs=self.WAND_BLOCK, bm25=bm25,
             inv_norm_bound=1.0 if bm25 else 1.0 / self._min_norm,
             stat_ids=self._stat_ids, norm=self._norm, k=k,
         )
         return got if got is not None else self._taat_topk(words, k, mode)
+
+    def _wand_view(self, term: str, df: int, bm25: bool):
+        """A term's cached partials (dense images re-sparsified) with
+        their per-``WAND_BLOCK`` maxima and overall maximum."""
+        tp = self._term_partial(term, df, bm25)
+        if tp is None:
+            return None
+        if tp[3] is not None:
+            ids, part = self._stat_ids[tp[4]], tp[3][tp[4]]
+        else:
+            ids, part = tp[0], tp[1]
+        if not len(ids):
+            return None
+        bmax = np.maximum.reduceat(part, np.arange(0, len(ids),
+                                                   self.WAND_BLOCK))
+        return ids, part, bmax, float(part.max())
 
     def _taat_topk(self, words, k: int, mode: str):
         """Exhaustive scoring + exact top-k: WAND's fallback."""
@@ -780,14 +759,7 @@ class Searcher:
             return "taat"  # degenerate norms: WAND falls back anyway
         if load_kernel() is None:
             return "taat"  # no kernel: WAND falls back to TAAT anyway
-        dfs = []
-        for w in words:
-            t = self.stem_query_word(w)
-            if not t:
-                continue
-            e = self._lex_entry(t)
-            if e is not None and e[0] > 0:
-                dfs.append(e[0])
+        dfs = [df for _t, df, _u in self._terms(words)]
         if len(dfs) < 2:
             return "taat"  # single list: nothing to skip
         from web_based_search_engine_ray.stages import cwand
@@ -833,43 +805,38 @@ class Searcher:
             )
         if traversal == "wand" and not phrase and k:
             ids, vals = self.scores_topk_wand(words, k=k, mode=mode)
-            df = pd.DataFrame({"doc_id": ids, "score": vals})
-            if not len(df):
-                return _empty_results(hydrate)
-            return hydrated_frame(self.hydrate(df)) if hydrate else df
-        # pruning is rank-safe only for a plain top-k (a phrase semi-join
-        # could promote below-threshold docs into the final top-k)
-        ids, vals = self.scores_arrays(
-            words, k=k, prune=prune and not phrase, mode=mode
-        )
-        stemmed_phrase = [
-            w for w in (self.stem_query_word(x) for x in phrase) if w
-        ]
-        if stemmed_phrase and len(ids):
-            # vectorized sorted-membership semi-join
-            mask = _in_sorted(ids, self.phrase_doc_array(phrase))
-            ids, vals = ids[mask], vals[mask]
+        else:
+            # pruning is rank-safe only for a plain top-k (a phrase
+            # semi-join could promote below-threshold docs into the
+            # final top-k)
+            ids, vals = self.scores_arrays(
+                words, k=k, prune=prune and not phrase, mode=mode
+            )
+            if len(ids) and any(map(self.stem_query_word, phrase)):
+                # vectorized sorted-membership semi-join
+                mask = _in_sorted(ids, self.phrase_doc_array(phrase))
+                ids, vals = ids[mask], vals[mask]
+            top = _topk_indices(ids, vals, k)
+            ids, vals = ids[top], vals[top]
         if not len(ids):
             return _empty_results(hydrate)
-        top = _topk_indices(ids, vals, k)
-        df = pd.DataFrame({"doc_id": ids[top], "score": vals[top]})
+        df = pd.DataFrame({"doc_id": ids, "score": vals})
         return hydrated_frame(self.hydrate(df)) if hydrate else df
 
     def search_many(self, queries: list[str], k: int | None = None,
-                    prune: bool = True,
                     traversal: str = "auto") -> pd.DataFrame:
         """Batch form of :meth:`search` for shard fan-out: parse + score
         every query, returning one compact (query_id, doc_id, score)
         frame (no hydration).  One actor RPC per shard instead of one
-        per (query, shard).  MaxScore pruning is on by default (it is
-        rank-safe and auto-disabled for phrase queries); traversal
-        defaults to the cost-based auto choice (also rank-safe)."""
+        per (query, shard).  MaxScore pruning is on (it is rank-safe
+        and off for phrase queries); traversal defaults to the
+        cost-based auto choice (also rank-safe)."""
         k = k if k is not None else self.cfg.max_results
         qids, dids, scs = [], [], []
         for qid, q in enumerate(queries):
             words, phrase = parse_query(q)
             res = self.search(words, phrase, k=k, hydrate=False,
-                              prune=prune, traversal=traversal)
+                              prune=True, traversal=traversal)
             n = len(res)
             if n:
                 qids.extend([qid] * n)

@@ -15,9 +15,12 @@ Implementation notes: stdlib ``http.server`` (no web framework in this
 environment); one in-process ``Searcher`` is loaded once at startup
 and shared across requests.  ``Searcher.search`` mutates per-instance
 scratch state (the dense score accumulator ``_acc`` / ``_touched`` and
-the decode caches), so concurrent handler threads must NOT interleave
+the decode cache), so concurrent handler threads must NOT interleave
 calls — a per-server ``threading.Lock`` serializes the search and
 hydrate calls (form/404 routes and the page render stay lock-free).
+The page's keyword and phrase stems come from the process's memoized
+stemmer (thread-safe), which the search has already filled, so a
+query word is stemmed once however often it is shown.
 Hydration reads a per-Searcher store of the result-page rows
 (extracted's page columns and link lists, forward's keyword counts)
 that the first ``/result`` request loads, under that same lock; the
@@ -164,12 +167,8 @@ class _Handler(BaseHTTPRequestHandler):
             s = self.searcher
             with self.search_lock:
                 rows = s.hydrate(s.search(words, phrase, hydrate=False))
-            kw_stems = {
-                w for w in (s.stem_query_word(x) for x in words) if w
-            }
-            ph_stems = [
-                w for w in (s.stem_query_word(x) for x in phrase) if w
-            ]
+            kw_stems = {w for w in map(s.stem_query_word, words) if w}
+            ph_stems = [w for w in map(s.stem_query_word, phrase) if w]
             self._send(200, _render_result_page(kw_stems, ph_stems, rows))
         else:
             self._send(404, "<h1>404</h1>")

@@ -38,9 +38,11 @@ import numpy as np
 import pyarrow as pa
 
 from web_based_search_engine_ray.config import IndexConfig
-from web_based_search_engine_ray.functions.hashing import stable_hash63_array
-from web_based_search_engine_ray.functions.stopwords import stopword_set
-from web_based_search_engine_ray.functions.tokenize import TOKEN_RE, stem_word
+from web_based_search_engine_ray.functions.hashing import (
+    md5_u64_array,
+    stable_hash63_array,
+)
+from web_based_search_engine_ray.functions.tokenize import TOKEN_RE, stemmer
 from web_based_search_engine_ray.stages import codec
 
 SEGMENT_SCHEMA = pa.schema(
@@ -72,13 +74,10 @@ class PostingExtractor:
     :class:`TokenizeEncode` encodes into posting runs and
     :class:`ForwardRows` folds into per-doc term/tf lists.
 
-    ``__init__`` holds per-actor state (stopword set, compiled regex,
-    stem memo) — once per actor, not per batch.
+    Tokens are stemmed through the process's memoized
+    :func:`~web_based_search_engine_ray.functions.tokenize.stemmer`.
     """
 
-    #: bound on the per-actor token→stem memo (Zipf vocabulary ⇒ the
-    #: working set is tiny; the cap only guards pathological inputs)
-    MEMO_CAP = 1_000_000
     #: positions must fit the phrase-key packing (Searcher.POS_BITS):
     #: a pathological multi-million-token doc is indexed only on its
     #: first 2^22-1 filtered tokens (logged) instead of poisoning every
@@ -87,17 +86,13 @@ class PostingExtractor:
 
     def __init__(self, cfg: IndexConfig):
         self.cfg = cfg
-        self.stops = stopword_set() if cfg.use_stopwords else frozenset()
-        self.re = TOKEN_RE
-        self._memo: dict[str, str | None] = {}
         self._truncation_warned = False
 
     def _analyze(self, text: str) -> list[str]:
-        cfg = self.cfg
-        memo = self._memo
+        stem = stemmer(self.cfg.use_stopwords, self.cfg.use_stemming)
         limit = self.POS_LIMIT
         out = []
-        for tok in self.re.split(text):
+        for tok in TOKEN_RE.split(text):
             if not tok:
                 continue
             if len(out) >= limit:
@@ -110,17 +105,7 @@ class PostingExtractor:
                         "truncated to the position budget", limit,
                     )
                 break
-            if tok in memo:
-                w = memo[tok]
-            else:
-                w = stem_word(
-                    tok,
-                    use_stopwords=cfg.use_stopwords,
-                    use_stemming=cfg.use_stemming,
-                    _stops=self.stops,
-                )
-                if len(memo) < self.MEMO_CAP:
-                    memo[tok] = w
+            w = stem(tok)
             if w is not None:
                 out.append(w)
         return out
@@ -485,26 +470,6 @@ def _list_column_parts(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
     return values, lengths
 
 
-#: per-worker term → md5-hash memo for the docstats df lookup
-_DF_HASH_MEMO: dict[str, int] = {}
-
-
-def md5_hash64(terms) -> np.ndarray:
-    """uint64 md5-prefix hash per term (the docstats df-lookup key).
-    Run inside the lexicon bucket tasks so the hashing parallelizes
-    with the build instead of serializing on the driver."""
-    import hashlib
-
-    return np.fromiter(
-        (
-            int.from_bytes(hashlib.md5(t.encode()).digest()[:8], "big")
-            for t in terms
-        ),
-        dtype=np.uint64,
-        count=len(terms),
-    )
-
-
 def sorted_hash_lookup(hv: np.ndarray, dfs) -> tuple:
     """Sort pre-computed term hashes + align df values into the
     broadcastable ``(sorted_hashes, dfs)`` lookup.  Raises on a hash
@@ -558,17 +523,7 @@ def doc_stats_batch(batch: pa.Table, *, n_docs: int, df_ref) -> pa.Table:
         import ray
 
         hv_sorted, df_sorted = ray.get(df_ref)
-        memo = _DF_HASH_MEMO
-        uh = np.empty(len(uniq), dtype=np.uint64)
-        for i, t in enumerate(uniq):
-            h = memo.get(t)
-            if h is None:
-                h = int.from_bytes(
-                    __import__("hashlib").md5(t.encode()).digest()[:8], "big"
-                )
-                if len(memo) < 1 << 20:
-                    memo[t] = h
-            uh[i] = h
+        uh = md5_u64_array(uniq)
         df_uniq = df_sorted[np.searchsorted(hv_sorted, uh)]
     df_flat = df_uniq[inv]
     tf_max = batch["tf_max"].to_numpy(zero_copy_only=False)
