@@ -98,3 +98,52 @@ def test_star_graph_favors_center():
     assert got["center"] == max(got.values())
     leaf_vals = [v for k, v in got.items() if k != "center"]
     assert max(leaf_vals) == pytest.approx(min(leaf_vals), abs=1e-15)
+
+
+def test_cli_pagerank_keeps_top_k_on_workers(ray_session, tmp_path,
+                                             monkeypatch, capsys):
+    """The CLI ``pagerank`` verb prints the same top K as a pandas full
+    sort, while the driver collects at most K rows per block."""
+    import os
+
+    import pyarrow.parquet as pq
+    import ray
+
+    from web_based_search_engine_ray.__main__ import main
+    from web_based_search_engine_ray.sources.webcorpus import synth_batch
+    from web_based_search_engine_ray.stages.extract import link_edges
+
+    ids = np.arange(200, dtype=np.int64)
+    web = synth_batch(pa.table({
+        "doc_id": ids,
+        "text": pa.array([f"doc {i}" for i in ids]),
+        "lang": pa.array(["en"] * len(ids)),
+    }))
+    urls = web["url"].to_pylist()
+    # a cycle with chords, plus five pages outside the corpus that tie
+    links = [[urls[(i * 7 + 3) % 200], f"https://ext.example/{i % 5}"]
+             + [urls[(i + 1) % 200]] * (i % 2) for i in range(200)]
+    pages = pa.table({"doc_id": web["doc_id"], "url": web["url"],
+                      "links": pa.array(links, pa.list_(pa.string()))})
+    part = tmp_path / "idx" / "extracted" / "doc_shard=0"
+    part.mkdir(parents=True)
+    pq.write_table(pages, str(part / "part-0.parquet"))
+
+    ranks = pagerank(rd.from_arrow(link_edges(pages)), iters=10).materialize()
+    blocks = ranks.num_blocks()
+    want_all = ranks.to_pandas()
+    want = (want_all.sort_values(["pagerank", "url"], ascending=[False, True])
+            .head(3))
+
+    collected = []
+    real = rd.Dataset.to_pandas
+    monkeypatch.setattr(rd.Dataset, "to_pandas",
+                        lambda self, *a, **kw: collected.append(
+                            real(self, *a, **kw)) or collected[-1])
+    monkeypatch.setattr(ray, "shutdown", lambda *a, **kw: None)
+    main(["pagerank", "--index", os.path.join(tmp_path, "idx"),
+          "--top", "3"])
+    printed = capsys.readouterr().out
+    assert collected
+    assert max(len(f) for f in collected) <= 3 * blocks < len(want_all)
+    assert printed.strip() == want.to_string(index=False).strip()

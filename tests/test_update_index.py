@@ -400,6 +400,104 @@ def test_second_update_prunes_forward_and_segments(updated_and_rebuilt):
     assert hits["doc_id"].tolist() == [5]
 
 
+def _web(ids, texts, days=0):
+    """Synthetic web rows for ``ids``, crawled ``days`` after the base."""
+    from web_based_search_engine_ray.sources.webcorpus import synth_batch
+
+    t = synth_batch(pa.table({
+        "doc_id": pa.array(ids, type=pa.int64()),
+        "text": pa.array(texts, type=pa.string()),
+        "lang": pa.array(["en"] * len(ids)),
+    }))
+    ts = t["warc_ts"].to_numpy().astype("datetime64[us]")
+    return t.set_column(
+        t.schema.get_field_index("warc_ts"), "warc_ts",
+        pa.array(ts + np.timedelta64(days, "D"), type=pa.timestamp("us")),
+    )
+
+
+@pytest.fixture(scope="module")
+def split_update(ray_session, tmp_path_factory):
+    """A 2-shard index of docs 0-5 (shard 0 = 0/2/4, shard 1 = 1/3/5),
+    updated with doc 2 rewritten and an unseen doc 7, which lands in
+    shard 1 where no doc was modified or removed; plus a full rebuild
+    of the same snapshot.  Records the path of every
+    ``Dataset.write_parquet`` call the update makes."""
+    import ray.data as rd
+
+    from web_based_search_engine_ray.config import IndexConfig
+    from web_based_search_engine_ray.pipelines.build_index import build_index
+    from web_based_search_engine_ray.pipelines.update_index import update_index
+
+    base_ids = list(range(6))
+    base = _web(base_ids, [f"base document number {i}" for i in base_ids])
+    snapshot = [
+        base.filter(pa.array(base["doc_id"].to_numpy() != 2)),
+        _web([2], ["rewritten second document"], days=1),
+        _web([7], ["unseen splitshard document"]),
+    ]
+    cfg = IndexConfig(shuffle_partitions=2, num_buckets=4, doc_shards=2)
+    root = tmp_path_factory.mktemp("split")
+    idx, full = str(root / "idx"), str(root / "full")
+    build_index(lambda: rd.from_arrow(base), idx, cfg, input_key="s1",
+                resume=False)
+    written = []
+    real_write = rd.Dataset.write_parquet
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rd.Dataset, "write_parquet",
+                   lambda self, path, *a, **kw: written.append(path)
+                   or real_write(self, path, *a, **kw))
+        report = update_index(lambda: rd.from_arrow(snapshot), idx, cfg,
+                              input_key="s2")
+    build_index(lambda: rd.from_arrow(snapshot), full, cfg,
+                input_key="s2-full", resume=False)
+    return idx, full, report, written
+
+
+def test_update_writes_extracted_once(split_update):
+    """An update writes the touched extracted/ shards in one Dataset
+    write: no staging copy of the fresh rows is written first."""
+    idx, _, report, written = split_update
+    ext = [p for p in written
+           if os.path.basename(p.rstrip("/")).startswith("_extracted")
+           and os.path.dirname(p.rstrip("/")) == idx]
+    assert len(ext) == 1, written
+    assert report["update"] == {
+        "fresh_docs": 2, "removed_docs": 0, "affected_shards": [0, 1],
+    }
+    assert list(report["update"]) == ["fresh_docs", "removed_docs",
+                                      "affected_shards"]
+
+
+def test_new_url_in_untouched_shard(split_update):
+    """An unseen url whose shard holds no modified or removed doc makes
+    that shard affected: the shard keeps its old docs, gains the new
+    one, and the index equals a full rebuild."""
+    from web_based_search_engine_ray.pipelines.search import Searcher
+
+    idx, full, report, _ = split_update
+    assert 1 in report["update"]["affected_shards"]
+    shard1 = pads.dataset(os.path.join(idx, "extracted", "doc_shard=1"),
+                          format="parquet").to_table(columns=["doc_id"])
+    assert sorted(shard1["doc_id"].to_pylist()) == [1, 3, 5, 7]
+    for stage in ("extracted", "segments", "lexicon", "forward", "docstats"):
+        a, b = (
+            sorted(repr(sorted(r.items())) for r in pads.dataset(
+                os.path.join(d, stage), format="parquet", partitioning="hive"
+            ).to_table().to_pylist())
+            for d in (idx, full)
+        )
+        assert a == b, stage
+    a, b = Searcher(idx), Searcher(full)
+    for words in ({"splitshard"}, {"base", "document"}, {"rewritten"}):
+        ra = a.search(words, k=50, hydrate=False)
+        rb = b.search(words, k=50, hydrate=False)
+        assert ra["doc_id"].tolist() == rb["doc_id"].tolist(), words
+        np.testing.assert_array_equal(ra["score"].to_numpy(np.float64),
+                                      rb["score"].to_numpy(np.float64))
+    assert a.search({"splitshard"}, k=5, hydrate=False)["doc_id"].tolist() == [7]
+
+
 def test_update_delta_duplicate_url_keeps_newest(ray_session,
                                                  tmp_path_factory):
     """An update snapshot holding an older AND a newer row for one
@@ -411,25 +509,10 @@ def test_update_delta_duplicate_url_keeps_newest(ray_session,
     from web_based_search_engine_ray.pipelines.build_index import build_index
     from web_based_search_engine_ray.pipelines.search import Searcher
     from web_based_search_engine_ray.pipelines.update_index import update_index
-    from web_based_search_engine_ray.sources.webcorpus import (
-        doc_url,
-        synth_batch,
-    )
-
-    def web(ids, texts, days=0):
-        t = synth_batch(pa.table({
-            "doc_id": pa.array(ids, type=pa.int64()),
-            "text": pa.array(texts, type=pa.string()),
-            "lang": pa.array(["en"] * len(ids)),
-        }))
-        ts = t["warc_ts"].to_numpy().astype("datetime64[us]")
-        return t.set_column(
-            t.schema.get_field_index("warc_ts"), "warc_ts",
-            pa.array(ts + np.timedelta64(days, "D"), type=pa.timestamp("us")),
-        )
+    from web_based_search_engine_ray.sources.webcorpus import doc_url
 
     base_ids = list(range(6))
-    base = web(base_ids, [f"base document number {i}" for i in base_ids])
+    base = _web(base_ids, [f"base document number {i}" for i in base_ids])
     cfg = IndexConfig(shuffle_partitions=2, num_buckets=4, doc_shards=2)
     idx = str(tmp_path_factory.mktemp("dupdelta") / "idx")
     build_index(lambda: rd.from_arrow(base), idx, cfg, input_key="d1",
@@ -437,9 +520,9 @@ def test_update_delta_duplicate_url_keeps_newest(ray_session,
     # separate blocks: the newer row arrives BEFORE the older one
     snapshot = [
         base,
-        web([3], ["newerversion of three"], days=2),
-        web([3], ["olderversion of three"], days=1),
-        web([9], ["brandnewurl document"]),
+        _web([3], ["newerversion of three"], days=2),
+        _web([3], ["olderversion of three"], days=1),
+        _web([9], ["brandnewurl document"]),
     ]
     report = update_index(lambda: rd.from_arrow(snapshot), idx, cfg,
                           input_key="d2")
@@ -454,7 +537,7 @@ def test_update_delta_duplicate_url_keeps_newest(ray_session,
     assert sorted(meta["doc_id"]) == base_ids + [9]
     row = meta[meta.url == doc_url(3)]
     assert len(row) == 1
-    want = web([3], ["x"], days=2)["warc_ts"][0].as_py()
+    want = _web([3], ["x"], days=2)["warc_ts"][0].as_py()
     assert row["last_modified"].iloc[0] == pd.Timestamp(want)
 
 
@@ -463,12 +546,13 @@ def test_update_delta_duplicate_url_keeps_newest(ray_session,
 _DAY_US = 86_400_000_000
 
 
-def _random_sides(seed: int, index_dir):
+def _random_sides(seed: int, index_dir, with_ids: bool = False):
     """Random stored (``index_dir/extracted/doc_shard=0``, written as 3
     parquet files) and snapshot tables over one url pool: urls 0-9 only
     stored, 10-29 on both sides, 30-39 only in the snapshot; duplicates
     on both sides and timestamps from 4 days, so snapshot maxima equal
-    to the stored maximum are common."""
+    to the stored maximum are common.  ``with_ids`` gives the snapshot
+    a ``doc_id`` column of its own (one id per row, never a url hash)."""
     import pyarrow.parquet as pq
 
     rng = np.random.default_rng(seed)
@@ -483,6 +567,7 @@ def _random_sides(seed: int, index_dir):
         "url": [f"u{i}" for i in n_url],
         "warc_ts": rng.integers(0, 4, 80) * _DAY_US,
         "row": np.arange(80),
+        "doc_id": 5000 + np.arange(80),
     })
     stored_dir = index_dir / "extracted" / "doc_shard=0"
     stored_dir.mkdir(parents=True)
@@ -501,6 +586,15 @@ def _random_sides(seed: int, index_dir):
         "warc_ts": pa.array(snap["warc_ts"], pa.timestamp("us")),
         "row": pa.array(snap["row"], pa.int64()),
     })
+    if with_ids:
+        corpus = corpus.append_column(
+            "doc_id", pa.array(snap["doc_id"], pa.int64()))
+    else:
+        from web_based_search_engine_ray.functions.hashing import (
+            stable_hash63,
+        )
+
+        snap["doc_id"] = [stable_hash63(u) for u in snap["url"]]
     return stored, snap, corpus
 
 
@@ -517,13 +611,16 @@ def _reference_classes(stored, snap, remove_missing):
     old = sorted(stored.loc[stored["url"].isin(list(fresh)), "doc_id"])
     gone = stored[~stored["url"].isin(set(snap["url"]))]
     removed = sorted(zip(gone["doc_id"], gone["url"])) if remove_missing else []
-    return fresh, sorted(rows["row"]), old, removed, thr, newest
+    return (fresh, sorted(rows["row"]), old, removed, thr, newest,
+            sorted(set(rows["doc_id"])))
 
 
-@pytest.mark.parametrize("remove_missing", [False, True])
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed,remove_missing,with_ids", [
+    pytest.param(seed, rm, False, id=f"{seed}-{rm}")
+    for seed in (0, 1, 2) for rm in (False, True)
+] + [pytest.param(3, True, True, id="3-True-doc_id")])
 def test_classify_matches_pandas_reference(ray_session, tmp_path,
-                                           seed, remove_missing):
+                                           seed, remove_missing, with_ids):
     import ray.data as rd
 
     from web_based_search_engine_ray.config import IndexConfig
@@ -532,8 +629,8 @@ def test_classify_matches_pandas_reference(ray_session, tmp_path,
         fresh_rows,
     )
 
-    stored, snap, corpus = _random_sides(seed, tmp_path)
-    fresh, rows, old, removed, thr, newest = _reference_classes(
+    stored, snap, corpus = _random_sides(seed, tmp_path, with_ids)
+    fresh, rows, old, removed, thr, newest, fresh_ids = _reference_classes(
         stored, snap, remove_missing)
     # the data covers every case the predicate distinguishes
     both = newest.index.intersection(thr.index)
@@ -549,6 +646,9 @@ def test_classify_matches_pandas_reference(ray_session, tmp_path,
     assert dict(zip(got.fresh_urls.to_pylist(),
                     got.thresholds.tolist())) == fresh
     assert sorted(got.old_ids.tolist()) == old
+    # the Extractor's doc ids of the fresh rows: the snapshot's own
+    # doc_id column, else stable_hash63(url)
+    assert got.fresh_ids.tolist() == fresh_ids
     assert sorted(zip(got.removed_ids.tolist(),
                       got.removed_urls.to_pylist())) == removed
     kept = fresh_rows(ds, got).to_pandas()

@@ -176,12 +176,17 @@ def main(argv=None):
             from web_based_search_engine_ray.pipelines.graph import pagerank
             from web_based_search_engine_ray.stages.extract import link_edges
 
+            order = [("pagerank", "descending"), ("url", "ascending")]
             edges = rd.read_parquet(
                 os.path.join(args.index, "extracted"),
                 columns=["doc_id", "url", "links"],
             ).map_batches(link_edges, batch_format="pyarrow")
+            # each block keeps its own top K, so the driver collects at
+            # most K rows per block, never the whole node table
             res = (
                 pagerank(edges, iters=args.iters)
+                .map_batches(lambda t: t.sort_by(order).slice(0, args.top),
+                             batch_format="pyarrow", batch_size=None)
                 .to_pandas()
                 .sort_values(
                     ["pagerank", "url"], ascending=[False, True]

@@ -49,8 +49,9 @@ class IndexConfig:
     # doc stats, and an update rebuilds only the shards it touches.
     # 1 = the single partition doc_shard=0.
     doc_shards: int = 1
-    # Shuffle parallelism: groupby inputs are coalesced to this many
-    # blocks first (None = 2 × cluster CPUs).  Ray's sort shuffle cost
+    # Shuffle parallelism: the index plans read their inputs as this
+    # many blocks (None = 2 × cluster CPUs) and feed them to the
+    # groupby as read, with no repartition.  Ray's sort shuffle cost
     # scales with block count, which at test scale is dominated by
     # many tiny blocks; a 100-TB deployment should set this to
     # ~data_size / target_block_size instead.

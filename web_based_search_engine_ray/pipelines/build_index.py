@@ -46,9 +46,10 @@ bulk decode, one sort, one encode; positions spliced as bytes).  Skew
 (Zipf-head terms at web scale): the merge re-chunks a hot term's list
 into runs of ≤ ``max_run_docs`` docs, so no output run holds a
 mega-term's full posting list; the query side unions runs and
-df = Σ df_run.  Shuffle inputs are coalesced to
-``cfg.shuffle_partitions`` blocks first (Ray sort-shuffle cost scales
-with block count).
+df = Σ df_run.  No plan repartitions: reads are split to
+``cfg.shuffle_partitions`` blocks (Ray sort-shuffle cost scales with
+block count), and partitioned writes bound their file fan-out with
+``cfg.min_rows_per_file``.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ def _write_extracted_lww(ds, stage_dir: str, cfg: IndexConfig) -> None:
     parallelism levels), where the shard-local check costs one
     url-column projection per shard and rewrites only shards that
     actually contain duplicates.  Shared by the build's extracted/
-    stage and ``update_index``'s delta."""
+    stage and ``update_index``'s shard rewrite."""
     import ray.data as rd
 
     ds.map_batches(
@@ -248,9 +249,10 @@ def _shard_files(stage_dir: str, shards) -> list[str]:
 
 
 def _shuffle_parts(cfg: IndexConfig) -> int:
-    """Shuffle parallelism (see IndexConfig.shuffle_partitions): Ray's
-    sort shuffle costs scale with input block count, so tiny test-scale
-    blocks are coalesced before every groupby."""
+    """Read parallelism of the segments, forward and docstats plans (see
+    IndexConfig.shuffle_partitions): their reads are split to this many
+    blocks, so the segments groupby takes them as read and no plan
+    repartitions."""
     return cfg.shuffle_partitions or auto_parallelism()
 
 
@@ -590,9 +592,6 @@ def build_index(
         except ValueError:
             terms = lex_ds.to_table(columns=["term"])["term"].to_pylist()
             df_ref = dict(zip(terms, dfs.tolist()))
-        # compute at full parallelism; the tiny (doc_id, tf_max, norm)
-        # result is coalesced below so the partitioned write doesn't fan
-        # out to blocks × shards files
         ds = rd.read_parquet(
             d_fwd, columns=["doc_id", "terms", "title_tfs", "body_tfs",
                             "tf_max"],
@@ -603,15 +602,17 @@ def build_index(
             batch_format="pyarrow",
         )
         # partition by doc shard so each shard Searcher reads ONLY its
-        # slice (per-actor state scales 1/shards).  Coalesce first: a
-        # partitioned write fans out to blocks × shards files, and
-        # docstats blocks are tiny (24 B/doc).
+        # slice (per-actor state scales 1/shards); min_rows_per_file
+        # bounds the blocks × shards file fan-out of the tiny
+        # (24 B/doc) rows, as for extracted and forward
         stats.map_batches(
             functools.partial(_add_doc_shard, n_shards=cfg.doc_shards),
             batch_format="pyarrow",
-        ).repartition(
-            max(1, min(_shuffle_parts(cfg), 128 // cfg.doc_shards))
-        ).write_parquet(stage_dir, partition_cols=["doc_shard"])
+        ).write_parquet(
+            stage_dir,
+            partition_cols=["doc_shard"],
+            min_rows_per_file=cfg.min_rows_per_file,
+        )
         # global corpus stats for BM25 (avgdl must be corpus-wide, not
         # per shard) — one skinny column scan at build time
         tok = pads.dataset(stage_dir, format="parquet",
@@ -621,7 +622,7 @@ def build_index(
         total_tokens = int(
             np.sum(tok["n_tokens"].to_numpy(zero_copy_only=False))
         )
-        mf.write_json(
+        fsio.write_json(
             os.path.join(stage_dir, "_STATS.json"),
             {"total_tokens": total_tokens, "n_docs": int(n_docs)},
         )
@@ -645,7 +646,7 @@ def build_index(
             for r in results
         ],
     }
-    mf.write_json(os.path.join(out_dir, "meta.json"), report)
+    fsio.write_json(os.path.join(out_dir, "meta.json"), report)
     return report
 
 

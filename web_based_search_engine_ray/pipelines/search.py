@@ -61,7 +61,6 @@ from web_based_search_engine_ray.state import fsio
 from web_based_search_engine_ray.functions.tokenize import stemmer, tokenize
 from web_based_search_engine_ray.stages import codec
 from web_based_search_engine_ray.stages.extract import link_edges
-from web_based_search_engine_ray.state import manifest as mf
 
 
 def _load_cfg(d: dict) -> IndexConfig:
@@ -113,7 +112,7 @@ class Searcher:
         only postings + doc stats are shard-local."""
         self.index_dir = index_dir
         self.doc_shard = doc_shard
-        meta = mf.read_json(os.path.join(index_dir, "meta.json"))
+        meta = fsio.read_json(os.path.join(index_dir, "meta.json"))
         self.n_docs: int = meta["n_docs"]
         self.cfg = _load_cfg(meta["config"])
         #: the decode cache, keyed by ``(kind, bm25, term)`` with
@@ -159,7 +158,7 @@ class Searcher:
         self._n_tokens = n_tokens.astype(np.float64)
         # corpus-global average doc length (BM25 avgdl), written by the
         # build
-        gs = mf.read_json(os.path.join(d_stats, "_STATS.json"))
+        gs = fsio.read_json(os.path.join(d_stats, "_STATS.json"))
         self.avgdl = gs["total_tokens"] / max(1, gs["n_docs"])
         self._stat_ids = ids
         self._tf_max = tf_max.astype(np.float64)
@@ -1035,7 +1034,7 @@ def dump_index(index_dir: str, *, max_rows: int = 20) -> str:
     import pyarrow.dataset as pads
 
     out = []
-    meta = mf.read_json(os.path.join(index_dir, "meta.json"))
+    meta = fsio.read_json(os.path.join(index_dir, "meta.json"))
     out.append(f"meta: n_docs={meta['n_docs']}")
     for name in ("extracted", "lexicon", "docstats", "forward", "segments"):
         path = os.path.join(index_dir, name)
@@ -1169,7 +1168,7 @@ class ShardedSearcher:
         replicate shards behind brokers."""
         import ray
 
-        meta = mf.read_json(os.path.join(index_dir, "meta.json"))
+        meta = fsio.read_json(os.path.join(index_dir, "meta.json"))
         self.cfg = _load_cfg(meta["config"])
         self.num_shards = max(1, self.cfg.doc_shards)
         self.replicas = max(1, replicas)

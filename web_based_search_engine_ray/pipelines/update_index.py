@@ -7,17 +7,17 @@ are never re-tokenized:
 
 1. ``classify_snapshot`` joins the snapshot's urls against the stored
    ``url, last_modified, doc_id`` columns of ``extracted/`` ONCE (a
-   url-hash-bucket shuffle over two skinny sides) and returns only
-   delta-sized results: the fresh urls with their thresholds, the
-   old doc ids of those urls, and the removed docs.  ``fresh_rows``
-   keeps the corpus rows newer than their url's threshold; they are
-   extracted and written to ``_extracted_delta/`` by the build's own
-   ``_write_extracted_lww`` (``doc_shard``-partitioned, shard-local
-   last-write-wins per url).  An update with nothing fresh and nothing
-   removed returns before the full corpus is read.
-2. Only the ``extracted/doc_shard=S`` partitions holding touched
-   documents are rewritten as (old rows minus updated/removed urls) ∪
-   fresh rows (IO only, no parsing of unchanged docs); every other
+   url-hash-bucket shuffle over two skinny sides, no repartition) and
+   returns only delta-sized results: the fresh urls with their
+   thresholds and new doc ids, the old doc ids of those urls, and the
+   removed docs; together they name the affected doc shards.  An
+   update with nothing fresh and nothing removed returns before the
+   full corpus is read.
+2. Only the affected ``extracted/doc_shard=S`` partitions are
+   rewritten, in ONE write through the build's ``_write_extracted_lww``
+   (shard-local last-write-wins per url): (old rows minus
+   updated/removed urls) ∪ the fresh rows (``fresh_rows``) extracted in
+   the same plan.  Unchanged docs are never parsed; every other
    partition stays byte-identical on disk.
 3. The ``extracted/`` manifest is re-stamped with the new input key and
    per-shard fingerprints: rewritten shards get the new key, the rest
@@ -48,7 +48,6 @@ import pyarrow as pa
 
 from web_based_search_engine_ray.config import IndexConfig
 from web_based_search_engine_ray.pipelines.build_index import (
-    _add_doc_shard,
     _count_parquet,
     _extract_task,
     _fp,
@@ -56,6 +55,7 @@ from web_based_search_engine_ray.pipelines.build_index import (
     _write_extracted_lww,
     build_index,
 )
+from web_based_search_engine_ray.stages.extract import page_doc_ids
 from web_based_search_engine_ray.state import fsio
 from web_based_search_engine_ray.state import manifest as mf
 
@@ -63,7 +63,7 @@ from web_based_search_engine_ray.state import manifest as mf
 #: threshold of a url with no stored row: every snapshot row beats it
 _UNSEEN = np.iinfo(np.int64).min
 #: row kinds of the classify join's delta-sized result
-_FRESH, _OLD, _REMOVED = 0, 1, 2
+_FRESH, _OLD, _REMOVED, _NEW_ID = 0, 1, 2, 3
 #: the stored side's columns (a doc shard with no docs has no files)
 _STORED_SCHEMA = pa.schema([("url", pa.string()),
                             ("last_modified", pa.timestamp("us")),
@@ -77,6 +77,7 @@ class SnapshotClasses(NamedTuple):
     thresholds: np.ndarray  # per fresh url: max stored last_modified
     # (us), or _UNSEEN for a url with no stored row
     old_ids: np.ndarray  # stored doc ids of the fresh urls
+    fresh_ids: np.ndarray  # doc ids the fresh snapshot rows will get
     removed_ids: np.ndarray  # stored doc ids of urls absent from the snapshot
     removed_urls: pa.Array
 
@@ -88,7 +89,27 @@ def _ts_us(col) -> np.ndarray:
     )
 
 
+def _positions(values, value_set) -> np.ndarray:
+    """Index of each value in ``value_set``, -1 where absent."""
+    import pyarrow.compute as pc
+
+    return (pc.index_in(values, value_set=value_set)
+            .fill_null(-1).to_numpy(zero_copy_only=False).astype(np.int64))
+
+
+def _fresh_row_mask(urls, ts: np.ndarray, fresh_urls, thresholds) -> np.ndarray:
+    """Rows whose url is fresh and whose timestamp (us) beats that url's
+    threshold: the rows an update indexes."""
+    pos = _positions(urls, fresh_urls)
+    keep = pos >= 0
+    hit = np.flatnonzero(keep)
+    keep[hit] = ts[hit] > thresholds[pos[hit]]
+    return keep
+
+
 def _tag(t: pa.Table, ts_col: str, stored: bool, num_buckets: int) -> pa.Table:
+    """The join's rows; a snapshot batch without ``doc_id`` gets null ids
+    (:func:`_classify_bucket` hashes the fresh rows' urls)."""
     from web_based_search_engine_ray.functions.hashing import fnv1a63_array
 
     n = t.num_rows
@@ -97,8 +118,8 @@ def _tag(t: pa.Table, ts_col: str, stored: bool, num_buckets: int) -> pa.Table:
             "url": t["url"],
             "ts": pa.array(_ts_us(t[ts_col]), type=pa.int64()),
             "doc_id": (
-                t["doc_id"].cast(pa.int64()) if stored
-                else pa.array(np.full(n, -1, dtype=np.int64))
+                t["doc_id"].cast(pa.int64()) if "doc_id" in t.column_names
+                else pa.nulls(n, pa.int64())
             ),
             "stored": pa.array(np.full(n, stored)),
             "fbucket": pa.array(
@@ -131,10 +152,7 @@ def _classify_bucket(group: pa.Table, *, remove_missing: bool) -> pa.Table:
     # (extracted keeps one row per url, but the join does not rely on it)
     thr = st.group_by("url").aggregate([("ts", "max")])
     new = snap.group_by("url").aggregate([("ts", "max")])
-    pos = (
-        pc.index_in(new["url"], value_set=thr["url"].combine_chunks())
-        .fill_null(-1).to_numpy(zero_copy_only=False).astype(np.int64)
-    )
+    pos = _positions(new["url"], thr["url"].combine_chunks())
     threshold = np.full(len(pos), _UNSEEN, dtype=np.int64)
     seen = pos >= 0
     threshold[seen] = thr["ts_max"].to_numpy(zero_copy_only=False)[pos[seen]]
@@ -149,6 +167,16 @@ def _classify_bucket(group: pa.Table, *, remove_missing: bool) -> pa.Table:
         })
 
     out = [rows(_FRESH, fresh_urls, threshold[fresh])]
+    # the doc ids of the rows fresh_rows keeps, by the Extractor's rule
+    new_rows = snap.filter(pa.array(_fresh_row_mask(
+        snap["url"], snap["ts"].to_numpy(zero_copy_only=False), fresh_urls,
+        threshold[fresh],
+    )))
+    new_ids = new_rows["doc_id"]
+    if new_ids.null_count:
+        new_ids = pc.if_else(pc.is_null(new_ids),
+                             page_doc_ids(new_rows.select(["url"])), new_ids)
+    out.append(rows(_NEW_ID, new_rows["url"], new_ids.to_numpy()))
     old = st.filter(pc.is_in(st["url"], value_set=fresh_urls))
     out.append(rows(_OLD, old["url"], old["doc_id"].to_numpy()))
     if remove_missing:
@@ -162,22 +190,29 @@ def _classify_bucket(group: pa.Table, *, remove_missing: bool) -> pa.Table:
 def classify_snapshot(corpus, index_dir: str, cfg: IndexConfig, *,
                       remove_missing: bool = False) -> SnapshotClasses:
     """The update's one url join: a url-hash-bucket shuffle over two
-    skinny sides, the snapshot's ``(url, warc_ts)`` and the stored
-    ``(url, last_modified, doc_id)`` columns of ``extracted/`` (one read
-    task per ``doc_shard`` partition), classified vectorized per bucket
-    (:func:`_classify_bucket`).  Only the delta-sized result reaches
-    the driver: the fresh urls with their thresholds, the stored doc
-    ids of the fresh urls, and (with ``remove_missing``) the stored
-    ``(doc_id, url)`` rows whose url the snapshot lacks.  Neither side's
-    full url set is ever materialized on the driver."""
+    skinny sides, the snapshot's ``(url, warc_ts[, doc_id])`` and the
+    stored ``(url, last_modified, doc_id)`` columns of ``extracted/``
+    (one read task per ``doc_shard`` partition), classified vectorized
+    per bucket (:func:`_classify_bucket`).  Only the delta-sized result
+    reaches the driver: the fresh urls with their thresholds, the doc
+    ids their fresh rows will get (the Extractor's rule,
+    :func:`page_doc_ids`), the stored doc ids of the fresh urls, and
+    (with ``remove_missing``) the stored ``(doc_id, url)`` rows whose
+    url the snapshot lacks.  Neither side's full url set is ever
+    materialized on the driver."""
     import pandas as pd
     import ray.data as rd
 
-    from web_based_search_engine_ray.util import coalesce
-
     nb = cfg.num_buckets
     d_ext = os.path.join(index_dir, "extracted")
-    snap = corpus.select_columns(["url", "warc_ts"]).map_batches(
+    # a mapped corpus has no known schema and no read to push a
+    # projection into: its batches are tagged as they come
+    schema = corpus.schema(fetch_if_missing=False)
+    if schema is not None:
+        corpus = corpus.select_columns(
+            ["url", "warc_ts"] + ["doc_id"] * ("doc_id" in schema.names)
+        )
+    snap = corpus.map_batches(
         functools.partial(_tag, ts_col="warc_ts", stored=False,
                           num_buckets=nb),
         batch_format="pyarrow",
@@ -189,7 +224,7 @@ def classify_snapshot(corpus, index_dir: str, cfg: IndexConfig, *,
         batch_size=1, batch_format="pyarrow",
     )
     df = (
-        coalesce(snap.union(stored))
+        snap.union(stored)
         .groupby("fbucket")
         .map_groups(
             functools.partial(_classify_bucket, remove_missing=remove_missing),
@@ -212,28 +247,23 @@ def classify_snapshot(corpus, index_dir: str, cfg: IndexConfig, *,
     fresh_urls, thresholds = part(_FRESH)
     removed_urls, removed_ids = part(_REMOVED)
     return SnapshotClasses(fresh_urls, thresholds, part(_OLD)[1],
-                           removed_ids, removed_urls)
+                           np.unique(part(_NEW_ID)[1]), removed_ids,
+                           removed_urls)
 
 
 def fresh_rows(corpus, classes: SnapshotClasses):
     """Corpus rows newer than their url's threshold.  Stale duplicates
     of a fresh url are dropped here; ``_write_extracted_lww`` then keeps
     the newest of the rest.  The broadcast holds the fresh urls only."""
-    import pyarrow.compute as pc
     import ray
 
     ref = ray.put((classes.fresh_urls, classes.thresholds))
 
     def keep_fresh(batch: pa.Table) -> pa.Table:
         urls, thr = ray.get(ref)  # zero-copy from plasma
-        pos = (
-            pc.index_in(batch["url"], value_set=urls)
-            .fill_null(-1).to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-        keep = pos >= 0
-        hit = np.flatnonzero(keep)
-        keep[hit] = _ts_us(batch["warc_ts"])[hit] > thr[pos[hit]]
-        return batch.filter(pa.array(keep))
+        return batch.filter(pa.array(_fresh_row_mask(
+            batch["url"], _ts_us(batch["warc_ts"]), urls, thr
+        )))
 
     return corpus.map_batches(keep_fresh, batch_format="pyarrow")
 
@@ -267,7 +297,7 @@ def update_index(
     # byte-identical, so the stored index must have been built with the
     # same semantic config (incl. format_version) as this update; an
     # index older than format 7 records no key and is refused too
-    stored_meta = mf.read_json(os.path.join(index_dir, "meta.json"))
+    stored_meta = fsio.read_json(os.path.join(index_dir, "meta.json"))
     stored_sem = stored_meta.get("semantic_key")
     if stored_sem != sem:
         raise ValueError(
@@ -276,8 +306,6 @@ def update_index(
             "build_index instead of updating across formats"
         )
     d_ext = os.path.join(index_dir, "extracted")
-    d_delta = os.path.join(index_dir, "_extracted_delta")
-    fsio.rmtree(d_delta, ignore_errors=True)
     corpus = corpus_fn()
     classes = classify_snapshot(corpus, index_dir, cfg,
                                 remove_missing=remove_missing)
@@ -286,30 +314,13 @@ def update_index(
                                  "removed_docs": 0}
         return stored_meta
 
-    if len(classes.fresh_urls):
-        _write_extracted_lww(
-            fresh_rows(corpus, classes).map_batches(
-                functools.partial(_extract_task, verify=cfg.verify_extraction),
-                batch_format="pyarrow",
-                batch_size=cfg.extract_batch_size,
-            ),
-            d_delta, cfg,
-        )
-    delta_files = _shard_files(d_delta, range(cfg.doc_shards))
-    fresh_ids = (
-        fsio.parquet_read_table(delta_files, columns=["doc_id"])["doc_id"]
-        .to_numpy() if delta_files else np.empty(0, dtype=np.int64)
-    )
-    n_fresh = len(fresh_ids)
-
     # old doc ids of the updated urls count too: their postings live in
     # shards that must be rebuilt even if the new doc_id hashes elsewhere
-    n_shards = cfg.doc_shards
     affected = np.unique(np.concatenate(
-        [fresh_ids, classes.old_ids, classes.removed_ids]
-    ) % n_shards).tolist()
+        [classes.fresh_ids, classes.old_ids, classes.removed_ids]
+    ) % cfg.doc_shards).tolist()
 
-    # ---- rewrite extracted/: old minus (updated ∪ removed), plus delta ---
+    # ---- rewrite extracted/: old minus (updated ∪ removed), plus fresh ---
     # touched urls are bounded by the update size (fresh + removed), so
     # the broadcast set is delta-sized, never index-sized
     urls_ref = ray.put(
@@ -322,31 +333,30 @@ def update_index(
         return batch.filter(keep)
 
     # partition-pruned rewrite: only the AFFECTED shards' extracted rows
-    # are read and rewritten; untouched partition dirs are not opened,
-    # so they stay byte-identical on disk.  Both sides are file lists
-    # of doc_shard= dirs, so their schemas match for the union.
+    # are read, and they are written once, together with the fresh rows
+    # extracted in the same plan, through the build's shard-local
+    # last-write-wins.  Untouched partition dirs are not opened, so they
+    # stay byte-identical on disk.  The stored files are read without
+    # hive partitioning so both sides carry the Extractor's columns.
     d_ext_new = os.path.join(index_dir, "_extracted_new")
     fsio.rmtree(d_ext_new, ignore_errors=True)
     parts = []
     aff_files = _shard_files(d_ext, affected)
     if aff_files:
         parts.append(
-            rd.read_parquet(**fsio.ray_file_list(aff_files)).map_batches(
-                drop_updated, batch_format="pyarrow"
-            )
+            rd.read_parquet(**fsio.ray_file_list(aff_files),
+                            partitioning=None)
+            .map_batches(drop_updated, batch_format="pyarrow")
         )
-    if delta_files:
-        parts.append(rd.read_parquet(**fsio.ray_file_list(delta_files)))
-    if parts:
-        merged = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-        merged.map_batches(
-            functools.partial(_add_doc_shard, n_shards=n_shards),
+    if len(classes.fresh_urls):
+        parts.append(fresh_rows(corpus, classes).map_batches(
+            functools.partial(_extract_task, verify=cfg.verify_extraction),
             batch_format="pyarrow",
-        ).write_parquet(
-            d_ext_new,
-            partition_cols=["doc_shard"],
-            min_rows_per_file=cfg.min_rows_per_file,
-        )
+            batch_size=cfg.extract_batch_size,
+        ))
+    # union needs at least one other dataset, and either side can be empty
+    _write_extracted_lww(parts[0].union(*parts[1:]) if parts[1:] else parts[0],
+                         d_ext_new, cfg)
     for s in affected:
         part = f"doc_shard={s}"
         old_part = os.path.join(d_ext, part)
@@ -357,7 +367,6 @@ def update_index(
             fsio.replace(new_part, old_part)
     fsio.rmtree(d_ext_new, ignore_errors=True)
     n_ext = _count_parquet(d_ext)
-    fsio.rmtree(d_delta, ignore_errors=True)
 
     # ---- per-shard fingerprints: the incremental contract ----------------
     # Untouched doc_shard partitions are byte-identical on disk, so they
@@ -384,9 +393,9 @@ def update_index(
         _no_corpus, index_dir, cfg, input_key=input_key, resume=True
     )
     report["update"] = {
-        "fresh_docs": n_fresh,
+        "fresh_docs": len(classes.fresh_urls),
         "removed_docs": len(classes.removed_ids),
         "affected_shards": affected,
     }
-    mf.write_json(os.path.join(index_dir, "meta.json"), report)
+    fsio.write_json(os.path.join(index_dir, "meta.json"), report)
     return report

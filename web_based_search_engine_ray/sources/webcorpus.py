@@ -33,6 +33,8 @@ import html as _html
 import numpy as np
 import pyarrow as pa
 
+from web_based_search_engine_ray.util import auto_parallelism
+
 URL_PREFIX = "https://corpus.example.com/"
 URL_SUFFIX = ".html"
 EPOCH = np.datetime64("2024-01-01T00:00:00", "us")
@@ -101,18 +103,9 @@ def _repeat_batch(batch: pa.Table, repeat: int, stride: int = 10**9) -> pa.Table
     return pa.concat_tables(parts)
 
 
-def default_parallelism() -> int:
-    """2 blocks per CPU so map stages parallelize even when the input is
-    one small parquet file (Ray sizes blocks by bytes, and a test-scale
-    corpus fits one block otherwise)."""
-    try:
-        import ray
-
-        if ray.is_initialized():
-            return max(8, int(ray.cluster_resources().get("CPU", 4)) * 2)
-    except Exception:
-        pass
-    return 8
+#: 2 blocks per CPU (8 without Ray), so map stages parallelize even
+#: when the input is one small parquet file
+default_parallelism = auto_parallelism
 
 
 def synth_corpus(sf_dir: str, *, repeat: int = 1, parallelism: int | None = None):

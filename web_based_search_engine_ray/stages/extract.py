@@ -30,7 +30,7 @@ import re
 
 import pyarrow as pa
 
-from web_based_search_engine_ray.functions.hashing import stable_hash63
+from web_based_search_engine_ray.functions.hashing import stable_hash63_array
 
 _BODY_RE = re.compile(rb"<body[^>]*>(.*?)</body>", re.S | re.I)
 _TITLE_RE = re.compile(rb"<title[^>]*>(.*?)</title>", re.S | re.I)
@@ -49,6 +49,15 @@ def _strip(html_bytes: bytes, pattern: re.Pattern) -> str:
     if "&" in inner:
         inner = _html.unescape(inner)
     return inner
+
+
+def page_doc_ids(batch: pa.Table) -> pa.Array:
+    """The doc ids a batch of corpus rows gets: its ``doc_id`` column
+    when it has one, else ``stable_hash63(url)`` per row."""
+    if "doc_id" in batch.column_names:
+        return batch["doc_id"]
+    return pa.array(stable_hash63_array(batch["url"].to_pylist()),
+                    type=pa.int64())
 
 
 class Extractor:
@@ -81,12 +90,6 @@ class Extractor:
                         f"{got[:120]!r} != {exp[:120]!r}"
                     )
 
-        if "doc_id" in batch.column_names:
-            doc_ids = batch["doc_id"]
-        else:
-            doc_ids = pa.array(
-                [stable_hash63(u) for u in urls], type=pa.int64()
-            )
         # lang is optional on the input contract (build_index docstring:
         # corpus (url, warc_ts, html[, text, lang[, doc_id]])) — real
         # WARC dumps carry no language column
@@ -97,7 +100,7 @@ class Extractor:
 
         return pa.table(
             {
-                "doc_id": doc_ids,
+                "doc_id": page_doc_ids(batch),
                 "url": batch["url"],
                 "title": pa.array(titles, type=pa.string()),
                 "text": pa.array(texts, type=pa.string()),

@@ -20,7 +20,6 @@ import time
 
 from web_based_search_engine_ray.state import fsio
 from dataclasses import dataclass, field
-from typing import Any
 
 @dataclass
 class StageResult:
@@ -95,17 +94,8 @@ def run_stage(
     t0 = time.perf_counter()
     rows = build_fn(stage_dir)
     wall = time.perf_counter() - t0
-    manifest = {
-        "stage": name,
-        "fingerprint": fingerprint,
-        "rows": int(rows),
-        "wall_sec": round(wall, 4),
-        "partitions": partition_files(stage_dir),
-        "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    if extra_metrics:
-        manifest.update(extra_metrics)
-    fsio.write_json(mp, manifest)
+    manifest = write_manifest(stage_dir, fingerprint, rows, wall_sec=wall,
+                              extra=extra_metrics)
     return StageResult(name, stage_dir, int(rows), wall, False, manifest)
 
 
@@ -116,10 +106,10 @@ def write_manifest(
     *,
     wall_sec: float = 0.0,
     extra: dict | None = None,
-) -> None:
-    """Mark a stage directory built outside :func:`run_stage` complete
-    (``update_index``'s extracted/ rewrite, and the per-shard stages of
-    ``build_index``)."""
+) -> dict:
+    """Mark a stage directory complete and return its manifest (used by
+    :func:`run_stage`, ``update_index``'s extracted/ rewrite, and the
+    per-shard stages of ``build_index``)."""
     manifest = {
         "stage": os.path.basename(stage_dir.rstrip("/")),
         "fingerprint": fingerprint,
@@ -131,11 +121,5 @@ def write_manifest(
     if extra:
         manifest.update(extra)
     fsio.write_json(_manifest_path(stage_dir), manifest)
+    return manifest
 
-
-def write_json(path: str, obj: Any) -> None:
-    fsio.write_json(path, obj)
-
-
-def read_json(path: str) -> Any:
-    return fsio.read_json(path)

@@ -2,11 +2,13 @@
 
 Ray sizes read blocks by bytes, so test-scale inputs collapse to one
 block (serializing map stages), while sort-shuffle cost grows with
-block count (penalizing many tiny blocks).  Pipelines therefore
-(a) split reads to ``auto_parallelism()`` blocks and (b) coalesce to
-``shuffle_parallelism()`` blocks right before a groupby.  At real
+block count (penalizing many tiny blocks).  Pipelines therefore split
+reads to ``auto_parallelism()`` blocks.  The index plans size their
+reads for the groupby and never repartition (see
+``IndexConfig.shuffle_partitions``); the other pipelines ``coalesce``
+to ``shuffle_parallelism()`` blocks right before a groupby.  At real
 cluster scale block counts are byte-driven and these become no-ops by
-configuration (see ``IndexConfig.shuffle_partitions``).
+configuration.
 """
 
 from __future__ import annotations
