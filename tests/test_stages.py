@@ -11,11 +11,14 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from web_based_search_engine_ray.config import IndexConfig
+from web_based_search_engine_ray.config import ORACLE_CONFIG, IndexConfig
 from web_based_search_engine_ray.functions.hashing import stable_hash63
+from web_based_search_engine_ray.functions.tokenize import TOKEN_RE, stemmer
 from web_based_search_engine_ray.stages import codec, postings
 from web_based_search_engine_ray.stages.postings import (
     SEGMENT_SCHEMA,
+    ForwardRows,
+    PostingExtractor,
     TokenizeEncode,
     compact_bucket,
 )
@@ -252,10 +255,78 @@ def compact_bucket_loop(group: pa.Table, *, max_run_docs: int,
     return merged
 
 
+def _reference_analyze(cfg: IndexConfig, text: str) -> list[str]:
+    """One field's kept stems in position order, token by token: a
+    Python ``re`` split, each token stemmed, at most ``POS_LIMIT``
+    kept."""
+    stem = stemmer(cfg.use_stopwords, cfg.use_stemming)
+    out = []
+    for tok in TOKEN_RE.split(text):
+        if not tok:
+            continue
+        if len(out) >= PostingExtractor.POS_LIMIT:
+            break
+        w = stem(tok)
+        if w is not None:
+            out.append(w)
+    return out
+
+
+def reference_extract(cfg: IndexConfig, batch: pa.Table):
+    """Reference per-document extraction (the loop that
+    ``PostingExtractor.analyze`` replaced) → (terms, doc_ids, title_pos
+    lists, body_pos lists, tf_max-of-row's-doc) flat row arrays, one
+    row per (doc, term), each doc's rows in first-occurrence order."""
+    terms, out_doc, tpos, bpos, tfmax = [], [], [], [], []
+    for doc_id, title, text in zip(batch["doc_id"].to_pylist(),
+                                   batch["title"].to_pylist(),
+                                   batch["text"].to_pylist()):
+        acc: dict[str, tuple[list[int], list[int]]] = {}
+        for i, t in enumerate(_reference_analyze(cfg, title)):
+            acc.setdefault(t, ([], []))[0].append(i)
+        for i, t in enumerate(_reference_analyze(cfg, text)):
+            acc.setdefault(t, ([], []))[1].append(i)
+        if not acc:
+            continue
+        m = max(len(tl) + len(bl) for tl, bl in acc.values())
+        for term, (tl, bl) in acc.items():
+            terms.append(term)
+            out_doc.append(doc_id)
+            tpos.append(tl)
+            bpos.append(bl)
+            tfmax.append(m)
+    return terms, out_doc, tpos, bpos, tfmax
+
+
+def forward_rows_loop(cfg: IndexConfig, batch: pa.Table) -> pa.Table:
+    """Reference ``ForwardRows.__call__`` from :func:`reference_extract`:
+    one row per doc with terms, each doc's terms sorted."""
+    terms, out_doc, tpos, bpos, tfmax = reference_extract(cfg, batch)
+    docs: dict[int, list] = {}
+    for term, doc, tl, bl, m in zip(terms, out_doc, tpos, bpos, tfmax):
+        docs.setdefault(doc, []).append((term, len(tl), len(bl), m))
+    rows = {"doc_id": [], "terms": [], "title_tfs": [], "body_tfs": [],
+            "tf_max": []}
+    for doc, entries in docs.items():
+        entries.sort()
+        rows["doc_id"].append(doc)
+        rows["terms"].append([e[0] for e in entries])
+        rows["title_tfs"].append([e[1] for e in entries])
+        rows["body_tfs"].append([e[2] for e in entries])
+        rows["tf_max"].append(entries[0][3])
+    return pa.table({
+        "doc_id": pa.array(rows["doc_id"], type=pa.int64()),
+        "terms": pa.array(rows["terms"], type=pa.list_(pa.string())),
+        "title_tfs": pa.array(rows["title_tfs"], type=pa.list_(pa.int64())),
+        "body_tfs": pa.array(rows["body_tfs"], type=pa.list_(pa.int64())),
+        "tf_max": pa.array(rows["tf_max"], type=pa.int64()),
+    })
+
+
 def tokenize_encode_loop(enc: TokenizeEncode, batch: pa.Table) -> pa.Table:
     """Reference ``TokenizeEncode.__call__``: single-doc runs, then
     multi-doc runs, appended row by row."""
-    terms, out_doc, tpos, bpos, tfmax = enc.extract(batch)
+    terms, out_doc, tpos, bpos, tfmax = reference_extract(enc.cfg, batch)
     if not terms:
         return SEGMENT_SCHEMA.empty_table()
     terms_np = np.asarray(terms, dtype=object)
@@ -381,6 +452,116 @@ def test_tokenize_encode_matches_loop(seed):
             _assert_same_table(enc(block), tokenize_encode_loop(enc, block))
         empty = _mk_batch([(1, "", ""), (2, "", "")])
         _assert_same_table(enc(empty), tokenize_encode_loop(enc, empty))
+
+
+#: fuzz words: case, digits, ``_`` / ``-`` inside and around tokens,
+#: stopwords, words that stem alike, and non-ASCII code points (which
+#: the split treats as delimiters, also inside a word)
+_FUZZ_WORDS = ["Run", "running", "RUNS", "merge", "Merging", "the", "of",
+               "And", "x1", "42", "0", "a_b", "c-d", "-", "_", "--x", "y__",
+               "café", "straße", "中文", "😀", "ﬁle", "İstanbul", "kilos"]
+_FUZZ_DELIMS = [" ", "  ", ",", ". ", "\u00a0", "é", "ß", "中", "😀", "ﬁ",
+                "İ", "\t\n", "!?"]
+
+
+def _fuzz_field(rng) -> str:
+    kind = rng.random()
+    if kind < 0.1:
+        return ""
+    if kind < 0.15:
+        return str(rng.choice(["   ", "\u00a0\t ", ",,..", "é😀"]))
+    if kind < 0.2:  # stopwords only
+        return " ".join(rng.choice(["the", "of", "and", "A"],
+                                   int(rng.integers(1, 5))))
+    parts = [str(rng.choice(_FUZZ_DELIMS))] if rng.random() < 0.3 else []
+    for _ in range(int(rng.integers(1, 25))):
+        parts.append(str(rng.choice(_FUZZ_WORDS)))
+        parts.append("".join(rng.choice(_FUZZ_DELIMS,
+                                        int(rng.integers(1, 3)))))
+    if rng.random() < 0.5:
+        parts.pop()  # no trailing delimiter
+    return "".join(parts)
+
+
+def _fuzz_batch(rng, n_docs: int) -> pa.Table:
+    ids = rng.permutation(np.cumsum(rng.integers(1, 1 << 34, n_docs)))
+    return _mk_batch([(int(d), _fuzz_field(rng), _fuzz_field(rng))
+                      for d in ids])
+
+
+def _rows_by_doc_term(r: postings.TermRows, batch: pa.Table) -> dict:
+    """{(doc_id, term): (title positions, body positions, tf_max)} of an
+    analysis."""
+    ids = batch["doc_id"].to_numpy()
+    toff = np.cumsum(r.ttf) - r.ttf
+    boff = np.cumsum(r.btf) - r.btf
+    return {
+        (int(ids[r.doc[i]]), r.vocab[r.term[i]]): (
+            r.tpos[toff[i]:toff[i] + r.ttf[i]].tolist(),
+            r.bpos[boff[i]:boff[i] + r.btf[i]].tolist(),
+            int(r.tf_max[i]),
+        )
+        for i in range(len(r.term))
+    }
+
+
+@pytest.mark.parametrize("cfg", [
+    IndexConfig(doc_shards=2, num_buckets=3), ORACLE_CONFIG,
+], ids=["default", "oracle"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_analysis_matches_reference_fuzz(cfg, seed):
+    """The columnar analysis equals the per-document reference on every
+    (doc, term): title positions, body positions and tf_max; both
+    stages' tables equal the ones built from the reference."""
+    rng = np.random.default_rng(seed)
+    enc, fwd = TokenizeEncode(cfg), ForwardRows(cfg)
+    for n_docs in (1, 3, 17, 40):
+        batch = _fuzz_batch(rng, n_docs)
+        r = enc.analyze(batch)
+        terms, docs, tpos, bpos, tfmax = reference_extract(cfg, batch)
+        assert _rows_by_doc_term(r, batch) == {
+            (d, t): (tl, bl, m)
+            for t, d, tl, bl, m in zip(terms, docs, tpos, bpos, tfmax)
+        }
+        assert len(r.term) == len(terms)
+        # rows in (doc, term) order; term codes in code-point order
+        key = r.doc * len(r.vocab) + r.term
+        assert (np.diff(key) > 0).all()
+        assert r.vocab == sorted(set(terms))
+        _assert_same_table(enc(batch), tokenize_encode_loop(enc, batch))
+        _assert_same_table(fwd(batch), forward_rows_loop(cfg, batch))
+
+
+def test_pos_limit_truncates_per_field(monkeypatch, caplog):
+    """A field with more kept tokens than ``POS_LIMIT`` keeps exactly
+    its first ``POS_LIMIT`` positions, the other field is unaffected,
+    the warning is logged once per instance, and both stages equal the
+    reference."""
+    import logging
+
+    monkeypatch.setattr(PostingExtractor, "POS_LIMIT", 4)
+    cfg = IndexConfig(use_stemming=False, doc_shards=2, num_buckets=2)
+    batch = _mk_batch([
+        (1, "alpha the beta gamma delta alpha epsilon",
+         "alpha beta the gamma eta"),
+        (2, "omega", "psi"),
+    ])
+    enc = TokenizeEncode(cfg)
+    with caplog.at_level(logging.WARNING, logger=postings.__name__):
+        rows = _rows_by_doc_term(enc.analyze(batch), batch)
+        got = enc(batch)
+        _assert_same_table(ForwardRows(cfg)(batch),
+                           forward_rows_loop(cfg, batch))
+    assert rows == {
+        (1, "alpha"): ([0], [0], 2), (1, "beta"): ([1], [1], 2),
+        (1, "gamma"): ([2], [2], 2), (1, "delta"): ([3], [], 2),
+        (1, "eta"): ([], [3], 2),
+        (2, "omega"): ([0], [], 1), (2, "psi"): ([], [0], 1),
+    }
+    _assert_same_table(got, tokenize_encode_loop(enc, batch))
+    warned = [rec for rec in caplog.records
+              if "exceeds 4 filtered tokens" in rec.getMessage()]
+    assert len(warned) == 2  # enc's analyze + __call__ once, ForwardRows once
 
 
 def _groups(seed: int, cfg: IndexConfig):

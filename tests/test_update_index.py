@@ -422,7 +422,8 @@ def split_update(ray_session, tmp_path_factory):
     updated with doc 2 rewritten and an unseen doc 7, which lands in
     shard 1 where no doc was modified or removed; plus a full rebuild
     of the same snapshot.  Records the path of every
-    ``Dataset.write_parquet`` call the update makes."""
+    ``Dataset.write_parquet`` call the update makes and the function of
+    every ``Dataset.map_batches`` call."""
     import ray.data as rd
 
     from web_based_search_engine_ray.config import IndexConfig
@@ -447,17 +448,30 @@ def split_update(ray_session, tmp_path_factory):
         mp.setattr(rd.Dataset, "write_parquet",
                    lambda self, path, *a, **kw: written.append(path)
                    or real_write(self, path, *a, **kw))
+        mapped = _record_map_fns(mp)
         report = update_index(lambda: rd.from_arrow(snapshot), idx, cfg,
                               input_key="s2")
     build_index(lambda: rd.from_arrow(snapshot), full, cfg,
                 input_key="s2-full", resume=False)
-    return idx, full, report, written
+    return idx, full, report, written, mapped
+
+
+def _record_map_fns(mp) -> list:
+    """Record the function of every ``Dataset.map_batches`` call."""
+    import ray.data as rd
+
+    fns = []
+    real_map = rd.Dataset.map_batches
+    mp.setattr(rd.Dataset, "map_batches",
+               lambda self, fn, *a, **kw: fns.append(fn)
+               or real_map(self, fn, *a, **kw))
+    return fns
 
 
 def test_update_writes_extracted_once(split_update):
     """An update writes the touched extracted/ shards in one Dataset
     write: no staging copy of the fresh rows is written first."""
-    idx, _, report, written = split_update
+    idx, _, report, written, _ = split_update
     ext = [p for p in written
            if os.path.basename(p.rstrip("/")).startswith("_extracted")
            and os.path.dirname(p.rstrip("/")) == idx]
@@ -475,7 +489,7 @@ def test_new_url_in_untouched_shard(split_update):
     one, and the index equals a full rebuild."""
     from web_based_search_engine_ray.pipelines.search import Searcher
 
-    idx, full, report, _ = split_update
+    idx, full, report, _, _ = split_update
     assert 1 in report["update"]["affected_shards"]
     shard1 = pads.dataset(os.path.join(idx, "extracted", "doc_shard=1"),
                           format="parquet").to_table(columns=["doc_id"])
@@ -498,15 +512,33 @@ def test_new_url_in_untouched_shard(split_update):
     assert a.search({"splitshard"}, k=5, hydrate=False)["doc_id"].tolist() == [7]
 
 
+def test_update_with_one_row_per_fresh_url_skips_lww_check(split_update):
+    """Every fresh url of the split update has one snapshot row, and the
+    kept stored rows are url-unique, so the update runs no shard LWW
+    check; its index still equals a full rebuild (above)."""
+    from web_based_search_engine_ray.pipelines.build_index import (
+        _extract_task,
+        _lww_shard_dedup_task,
+    )
+
+    _, _, _, _, mapped = split_update
+    assert any(getattr(f, "func", f) is _extract_task for f in mapped)
+    assert _lww_shard_dedup_task not in mapped
+
+
 def test_update_delta_duplicate_url_keeps_newest(ray_session,
-                                                 tmp_path_factory):
+                                                 tmp_path_factory,
+                                                 monkeypatch):
     """An update snapshot holding an older AND a newer row for one
     indexed url (plus a new url) indexes only the newest version: the
     delta goes through the build's shard-local last-write-wins."""
     import ray.data as rd
 
     from web_based_search_engine_ray.config import IndexConfig
-    from web_based_search_engine_ray.pipelines.build_index import build_index
+    from web_based_search_engine_ray.pipelines.build_index import (
+        _lww_shard_dedup_task,
+        build_index,
+    )
     from web_based_search_engine_ray.pipelines.search import Searcher
     from web_based_search_engine_ray.pipelines.update_index import update_index
     from web_based_search_engine_ray.sources.webcorpus import doc_url
@@ -524,8 +556,10 @@ def test_update_delta_duplicate_url_keeps_newest(ray_session,
         _web([3], ["olderversion of three"], days=1),
         _web([9], ["brandnewurl document"]),
     ]
+    mapped = _record_map_fns(monkeypatch)
     report = update_index(lambda: rd.from_arrow(snapshot), idx, cfg,
                           input_key="d2")
+    assert mapped.count(_lww_shard_dedup_task) == 1
     assert report["update"]["fresh_docs"] == 2  # doc 3 once, doc 9
     assert sorted(report["update"]["affected_shards"]) == [1]
 
@@ -649,6 +683,7 @@ def test_classify_matches_pandas_reference(ray_session, tmp_path,
     # the Extractor's doc ids of the fresh rows: the snapshot's own
     # doc_id column, else stable_hash63(url)
     assert got.fresh_ids.tolist() == fresh_ids
+    assert got.n_fresh_rows == len(rows)
     assert sorted(zip(got.removed_ids.tolist(),
                       got.removed_urls.to_pylist())) == removed
     kept = fresh_rows(ds, got).to_pandas()
@@ -723,7 +758,7 @@ def test_noop_update_returns_before_extract(ray_session, tmp_path,
     stamp = os.stat(meta).st_mtime_ns
     writes = []
     monkeypatch.setattr(ui, "_extract_task", no_extract)
-    monkeypatch.setattr(ui, "_write_extracted_lww",
+    monkeypatch.setattr(ui, "_write_extracted",
                         lambda *a, **kw: writes.append(a))
     report = ui.update_index(lambda: rd.from_arrow(base), idx, cfg,
                              input_key="n2", remove_missing=True)

@@ -7,7 +7,9 @@ Semantics pinned to the reference:
   tokens.  Java's ``String.split`` keeps a leading empty token and drops
   trailing ones; empty tokens are always dropped later by ``stemWord``
   (blank check, ``Indexer.java:71-72``) and never occupy a position, so
-  dropping them here is observationally identical.
+  dropping them here is observationally identical.  The index build
+  splits whole columns on ``TOKEN_PATTERN`` with Arrow's RE2
+  (``PostingExtractor.analyze``), whose tokens must equal ``TOKEN_RE``'s.
 - ``stem_word`` (``Indexer.stemWord``, ``Indexer.java:65-75``):
   lowercase → stopword test on the *raw lowercased token* → Porter
   ``strip_affixes`` → drop if blank.  :func:`stemmer` memoizes it per

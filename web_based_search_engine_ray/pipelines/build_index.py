@@ -201,20 +201,9 @@ def _lww_group_extracted(group: pa.Table) -> pa.Table:
     return group.take(pa.array(np.sort(first_idx)))
 
 
-def _write_extracted_lww(ds, stage_dir: str, cfg: IndexConfig) -> None:
-    """Write extracted rows ``doc_shard``-partitioned, then run one
-    detect-then-compact task per shard dir (:func:`_lww_shard_dedup_task`),
-    so every url has one row: its newest.  Because doc_id = f(url), a url's
-    occurrences are confined to one shard dir, so url-dedup needs NO
-    exchange at all: the previous design — Ray's ``groupby(lww_key)`` —
-    cost an all-to-all SORT of the full extracted payload (measured 12 s
-    of a 13 s extract wall at 1.8M docs / 32 CPUs, flat across
-    parallelism levels), where the shard-local check costs one
-    url-column projection per shard and rewrites only shards that
-    actually contain duplicates.  Shared by the build's extracted/
-    stage and ``update_index``'s shard rewrite."""
-    import ray.data as rd
-
+def _write_extracted(ds, stage_dir: str, cfg: IndexConfig) -> None:
+    """Write extracted rows ``doc_shard``-partitioned (the build's
+    extracted/ stage and ``update_index``'s shard rewrite)."""
     ds.map_batches(
         functools.partial(_add_doc_shard, n_shards=cfg.doc_shards),
         batch_format="pyarrow",
@@ -223,11 +212,24 @@ def _write_extracted_lww(ds, stage_dir: str, cfg: IndexConfig) -> None:
         partition_cols=["doc_shard"],
         min_rows_per_file=cfg.min_rows_per_file,
     )
-    dirs = [
+
+
+def _lww_dedup_shards(stage_dir: str, cfg: IndexConfig) -> None:
+    """One detect-then-compact task per extracted shard dir
+    (:func:`_lww_shard_dedup_task`), so every url has one row: its
+    newest.  Because doc_id = f(url), a url's occurrences are confined
+    to one shard dir, so url-dedup needs NO exchange at all: the
+    previous design — Ray's ``groupby(lww_key)`` — cost an all-to-all
+    SORT of the full extracted payload (measured 12 s of a 13 s extract
+    wall at 1.8M docs / 32 CPUs, flat across parallelism levels), where
+    the shard-local check costs one url-column projection per shard and
+    rewrites only shards that actually contain duplicates."""
+    import ray.data as rd
+
+    res = rd.from_items([
         {"shard": s, "dir": os.path.join(stage_dir, f"doc_shard={s}")}
         for s in range(cfg.doc_shards)
-    ]
-    res = rd.from_items(dirs).map_batches(
+    ]).map_batches(
         _lww_shard_dedup_task, batch_size=1, batch_format="pyarrow"
     )
     dups = res.sum("dups_removed")
@@ -376,7 +378,8 @@ def build_index(
             batch_format="pyarrow",
             batch_size=cfg.extract_batch_size,
         )
-        _write_extracted_lww(ds, stage_dir, cfg)
+        _write_extracted(ds, stage_dir, cfg)
+        _lww_dedup_shards(stage_dir, cfg)
         return _count_parquet(stage_dir)
 
     # Per-shard fingerprints: the key of the last write that TOUCHED each

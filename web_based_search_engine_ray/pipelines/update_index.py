@@ -14,11 +14,11 @@ are never re-tokenized:
    update with nothing fresh and nothing removed returns before the
    full corpus is read.
 2. Only the affected ``extracted/doc_shard=S`` partitions are
-   rewritten, in ONE write through the build's ``_write_extracted_lww``
-   (shard-local last-write-wins per url): (old rows minus
+   rewritten, in ONE write (``_write_extracted``): (old rows minus
    updated/removed urls) ∪ the fresh rows (``fresh_rows``) extracted in
-   the same plan.  Unchanged docs are never parsed; every other
-   partition stays byte-identical on disk.
+   the same plan.  Its LWW check (``_lww_dedup_shards``) runs only when
+   some fresh url has several fresh rows.  Unchanged docs are never
+   parsed; every other partition stays byte-identical on disk.
 3. The ``extracted/`` manifest is re-stamped with the new input key and
    per-shard fingerprints: rewritten shards get the new key, the rest
    keep theirs.  ``build_index(resume=True)`` then regenerates
@@ -52,7 +52,8 @@ from web_based_search_engine_ray.pipelines.build_index import (
     _extract_task,
     _fp,
     _shard_files,
-    _write_extracted_lww,
+    _lww_dedup_shards,
+    _write_extracted,
     build_index,
 )
 from web_based_search_engine_ray.stages.extract import page_doc_ids
@@ -78,6 +79,7 @@ class SnapshotClasses(NamedTuple):
     # (us), or _UNSEEN for a url with no stored row
     old_ids: np.ndarray  # stored doc ids of the fresh urls
     fresh_ids: np.ndarray  # doc ids the fresh snapshot rows will get
+    n_fresh_rows: int  # snapshot rows that fresh_rows keeps
     removed_ids: np.ndarray  # stored doc ids of urls absent from the snapshot
     removed_urls: pa.Array
 
@@ -246,14 +248,15 @@ def classify_snapshot(corpus, index_dir: str, cfg: IndexConfig, *,
 
     fresh_urls, thresholds = part(_FRESH)
     removed_urls, removed_ids = part(_REMOVED)
+    new_ids = part(_NEW_ID)[1]
     return SnapshotClasses(fresh_urls, thresholds, part(_OLD)[1],
-                           np.unique(part(_NEW_ID)[1]), removed_ids,
+                           np.unique(new_ids), len(new_ids), removed_ids,
                            removed_urls)
 
 
 def fresh_rows(corpus, classes: SnapshotClasses):
     """Corpus rows newer than their url's threshold.  Stale duplicates
-    of a fresh url are dropped here; ``_write_extracted_lww`` then keeps
+    of a fresh url are dropped here; ``_lww_dedup_shards`` then keeps
     the newest of the rest.  The broadcast holds the fresh urls only."""
     import ray
 
@@ -334,10 +337,10 @@ def update_index(
 
     # partition-pruned rewrite: only the AFFECTED shards' extracted rows
     # are read, and they are written once, together with the fresh rows
-    # extracted in the same plan, through the build's shard-local
-    # last-write-wins.  Untouched partition dirs are not opened, so they
-    # stay byte-identical on disk.  The stored files are read without
-    # hive partitioning so both sides carry the Extractor's columns.
+    # extracted in the same plan.  Untouched partition dirs are not
+    # opened, so they stay byte-identical on disk.  The stored files are
+    # read without hive partitioning, so both sides carry the
+    # Extractor's columns.
     d_ext_new = os.path.join(index_dir, "_extracted_new")
     fsio.rmtree(d_ext_new, ignore_errors=True)
     parts = []
@@ -355,8 +358,11 @@ def update_index(
             batch_size=cfg.extract_batch_size,
         ))
     # union needs at least one other dataset, and either side can be empty
-    _write_extracted_lww(parts[0].union(*parts[1:]) if parts[1:] else parts[0],
-                         d_ext_new, cfg)
+    _write_extracted(parts[0].union(*parts[1:]) if parts[1:] else parts[0],
+                     d_ext_new, cfg)
+    # the kept stored rows are url-unique: only a fresh url can repeat
+    if classes.n_fresh_rows > len(classes.fresh_urls):
+        _lww_dedup_shards(d_ext_new, cfg)
     for s in affected:
         part = f"doc_shard={s}"
         old_part = os.path.join(d_ext, part)

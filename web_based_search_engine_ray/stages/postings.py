@@ -7,9 +7,12 @@ title field and the body field, ``Posting.java:9``) become delta-gap +
 varbyte compressed *segment runs* built with a local-index-then-merge
 plan:
 
-1. :class:`TokenizeEncode` (actor pool) tokenizes a block of documents
-   and encodes one posting *run* per term within the block — no shuffle
-   touches raw (term, doc, positions) rows;
+1. :class:`TokenizeEncode` (a map task holding one instance per
+   worker, ``build_index._tokenize_encode_task``) analyzes a block of
+   documents column-wise (:meth:`PostingExtractor.analyze`: one Arrow
+   split, integer term keys) and encodes one posting *run* per term
+   within the block — no shuffle touches raw (term, doc, positions)
+   rows;
 2. ``compact_bucket`` merges the compressed runs per term inside a
    term-hash-bucket groupby — the only term shuffle moves already
    compressed bytes.  The merge works on whole-group arrays: one bulk
@@ -32,17 +35,22 @@ group, so Σ df_run there is the global df).
 
 from __future__ import annotations
 
-from itertools import chain
+import logging
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from web_based_search_engine_ray.config import IndexConfig
 from web_based_search_engine_ray.functions.hashing import (
     md5_u64_array,
     stable_hash63_array,
 )
-from web_based_search_engine_ray.functions.tokenize import TOKEN_RE, stemmer
+from web_based_search_engine_ray.functions.tokenize import (
+    TOKEN_PATTERN,
+    stemmer,
+)
 from web_based_search_engine_ray.stages import codec
 
 SEGMENT_SCHEMA = pa.schema(
@@ -68,14 +76,33 @@ SEGMENT_SCHEMA = pa.schema(
 )
 
 
+class TermRows(NamedTuple):
+    """One batch's analysis (:meth:`PostingExtractor.analyze`): one row
+    per distinct (doc, term) pair, in (doc, term) order.  Term codes
+    index ``vocab``, the batch's distinct stems in code-point order, so
+    integer term order is string order."""
+
+    vocab: list[str]
+    doc: np.ndarray     # batch row of the row's document
+    term: np.ndarray    # term code
+    ttf: np.ndarray     # title tf
+    btf: np.ndarray     # body tf
+    tpos: np.ndarray    # title positions, flat in row order
+    bpos: np.ndarray    # body positions, flat in row order
+    tf_max: np.ndarray  # the row's doc's max (title + body) tf
+
+
 class PostingExtractor:
-    """Shared tokenizer of the segments and forward stages: documents →
-    per-(term, doc) title/body positions (:meth:`extract`), which
-    :class:`TokenizeEncode` encodes into posting runs and
+    """Shared tokenizer of the segments and forward stages: a documents
+    block → per-(doc, term) title/body positions (:meth:`analyze`),
+    which :class:`TokenizeEncode` encodes into posting runs and
     :class:`ForwardRows` folds into per-doc term/tf lists.
 
-    Tokens are stemmed through the process's memoized
-    :func:`~web_based_search_engine_ray.functions.tokenize.stemmer`.
+    The analysis is columnar: one Arrow RE2 split of the ``title`` and
+    ``text`` columns, one dictionary encode of the tokens, each distinct
+    raw token stemmed once through the process's memoized
+    :func:`~web_based_search_engine_ray.functions.tokenize.stemmer`, and
+    one integer sort that groups the tokens into rows.
     """
 
     #: positions must fit the phrase-key packing (Searcher.POS_BITS):
@@ -88,56 +115,53 @@ class PostingExtractor:
         self.cfg = cfg
         self._truncation_warned = False
 
-    def _analyze(self, text: str) -> list[str]:
+    def analyze(self, batch: pa.Table) -> TermRows:
+        """``batch`` (``title``, ``text``) → its :class:`TermRows`."""
+        n = batch.num_rows
+        # title of doc i is list i, its text list n + i: the tokens come
+        # out in (field, doc, position) order
+        toks = pc.split_pattern_regex(
+            pa.chunked_array([*batch["title"].chunks, *batch["text"].chunks],
+                             type=pa.string()),
+            pattern=TOKEN_PATTERN,
+        )
+        parent = pc.list_parent_indices(toks).to_numpy()
+        enc = pc.dictionary_encode(pc.list_flatten(toks).combine_chunks())
         stem = stemmer(self.cfg.use_stopwords, self.cfg.use_stemming)
-        limit = self.POS_LIMIT
-        out = []
-        for tok in TOKEN_RE.split(text):
-            if not tok:
-                continue
-            if len(out) >= limit:
-                if not self._truncation_warned:
-                    self._truncation_warned = True
-                    import logging
-
-                    logging.getLogger(__name__).warning(
-                        "document exceeds %d filtered tokens; indexing "
-                        "truncated to the position budget", limit,
-                    )
-                break
-            w = stem(tok)
-            if w is not None:
-                out.append(w)
-        return out
-
-    def extract(self, batch: pa.Table):
-        """→ (terms, doc_ids, title_pos lists, body_pos lists,
-        tf_max-of-row's-doc) flat row arrays."""
-        doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        titles = batch["title"].to_pylist()
-        texts = batch["text"].to_pylist()
-        terms: list[str] = []
-        out_doc: list[int] = []
-        tpos: list[list[int]] = []
-        bpos: list[list[int]] = []
-        tfmax: list[int] = []
-        for doc_id, title, text in zip(doc_ids, titles, texts):
-            doc_id = int(doc_id)
-            acc: dict[str, tuple[list[int], list[int]]] = {}
-            for i, t in enumerate(self._analyze(title)):
-                acc.setdefault(t, ([], []))[0].append(i)
-            for i, t in enumerate(self._analyze(text)):
-                acc.setdefault(t, ([], []))[1].append(i)
-            if not acc:
-                continue
-            m = max(len(tl) + len(bl) for tl, bl in acc.values())
-            for term, (tl, bl) in acc.items():
-                terms.append(term)
-                out_doc.append(doc_id)
-                tpos.append(tl)
-                bpos.append(bl)
-                tfmax.append(m)
-        return terms, out_doc, tpos, bpos, tfmax
+        stems = [stem(t) if t else None for t in enc.dictionary.to_pylist()]
+        vocab = sorted(set(stems) - {None})
+        code_of = dict(zip(vocab, range(len(vocab))))
+        code = np.array([code_of.get(s, -1) for s in stems], np.int64)
+        term = code[enc.indices.to_numpy(zero_copy_only=False)]
+        # dropped tokens (stopwords, blanks) take no position
+        keep = term >= 0
+        parent, term = parent[keep], term[keep]
+        count = np.bincount(parent, minlength=2 * n)
+        pos = _ranges(np.zeros_like(count), count)
+        over = pos >= self.POS_LIMIT
+        if over.any():
+            if not self._truncation_warned:
+                self._truncation_warned = True
+                logging.getLogger(__name__).warning(
+                    "document exceeds %d filtered tokens; indexing "
+                    "truncated to the position budget", self.POS_LIMIT,
+                )
+            parent, term, pos = parent[~over], term[~over], pos[~over]
+        body = parent >= n
+        key = (parent - n * body) * len(vocab) + term
+        # stable: within a row, title positions then body positions
+        order = np.argsort(key, kind="stable")
+        key, body, pos = key[order], body[order], pos[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        size = np.diff(np.append(first, len(key)))
+        btf = np.bincount(np.repeat(np.arange(len(first)), size)[body],
+                          minlength=len(first))
+        doc, term = np.divmod(key[first], max(1, len(vocab)))
+        doc_first = np.flatnonzero(np.diff(doc, prepend=-1))
+        tf_max = np.repeat(np.maximum.reduceat(size, doc_first),
+                           np.diff(np.append(doc_first, len(doc))))
+        return TermRows(vocab, doc, term, size - btf, btf, pos[~body],
+                        pos[body], tf_max)
 
 
 #: byte cap of one Arrow binary chunk (int32 offsets); a larger output
@@ -224,23 +248,22 @@ def _segment_table(cols: dict, num_buckets: int) -> pa.Table:
 
 
 class TokenizeEncode(PostingExtractor):
-    """Actor-pool stage: documents block → one compressed posting run
-    per term in the block (``SEGMENT_SCHEMA`` rows).  The reference's
-    binary-search posting insertion (``PostingIndex.java:66-84``)
-    becomes one sort + one delta/varbyte encode per column over all of
-    the block's runs."""
+    """Stage: documents block → one compressed posting run per
+    (doc_shard, term) in the block (``SEGMENT_SCHEMA`` rows).  The
+    reference's binary-search posting insertion
+    (``PostingIndex.java:66-84``) becomes one integer sort + one
+    delta/varbyte encode per column over all of the block's runs."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        terms, out_doc, tpos, bpos, tfmax = self.extract(batch)
-        if not terms:
+        r = self.analyze(batch)
+        if not len(r.term):
             return SEGMENT_SCHEMA.empty_table()
-        terms_np = np.asarray(terms, dtype=object)
-        docs_np = np.asarray(out_doc, dtype=np.int64)
+        docs_np = np.asarray(batch["doc_id"], np.int64)[r.doc]
         shards_np = docs_np % max(1, self.cfg.doc_shards)
-        order = np.lexsort((docs_np, terms_np, shards_np))
+        order = np.lexsort((docs_np, r.term, shards_np))
         new_run = np.ones(len(order), dtype=bool)
-        new_run[1:] = (terms_np[order[1:]] != terms_np[order[:-1]]) | (
-            shards_np[order[1:]] != shards_np[order[:-1]]
+        new_run[1:] = (np.diff(r.term[order]) != 0) | (
+            np.diff(shards_np[order]) != 0
         )
         starts = np.flatnonzero(new_run)
         sizes = np.diff(np.append(starts, len(order)))
@@ -251,16 +274,15 @@ class TokenizeEncode(PostingExtractor):
         post = order[_ranges(starts[run_order], lens)]
         first = np.cumsum(lens) - lens
 
-        ttf = np.fromiter(map(len, tpos), np.int64, len(tpos))
-        btf = np.fromiter(map(len, bpos), np.int64, len(bpos))
         a = self.cfg.title_weight
-        ratio = (a * ttf + (1.0 - a) * btf) / np.asarray(tfmax, np.float64)
+        ratio = (a * r.ttf + (1.0 - a) * r.btf) / r.tf_max
         docs = docs_np[post]
-        run_terms = terms_np[post[first]]
+        run_terms = r.term[post[first]]
         cols = {
             "doc_shard": shards_np[post[first]],
-            "bucket": stable_hash63_array(run_terms) % self.cfg.num_buckets,
-            "term": run_terms,
+            "bucket": (stable_hash63_array(r.vocab)
+                       % self.cfg.num_buckets)[run_terms],
+            "term": np.asarray(r.vocab, dtype=object)[run_terms],
             "run": np.full(len(lens), docs_np[order[0]] % (1 << 30)),
             "df_run": lens,
             "min_doc": docs[first],
@@ -270,8 +292,8 @@ class TokenizeEncode(PostingExtractor):
                 codec.delta_concat(docs, lens), lens
             ),
         }
-        for name, tf, pos in (("title", ttf, tpos), ("body", btf, bpos)):
-            flat = np.fromiter(chain.from_iterable(pos), np.int64, tf.sum())
+        for name, tf, flat in (("title", r.ttf, r.tpos),
+                               ("body", r.btf, r.bpos)):
             tf_post = tf[post]
             flat = flat[_ranges((np.cumsum(tf) - tf)[post], tf_post)]
             cols[f"{name}_tfs"] = codec.varbyte_encode_slices(tf_post, lens)
@@ -398,63 +420,31 @@ class ForwardRows(PostingExtractor):
 
     This replaces the earlier derivation that exploded the compressed
     segments (decode + term-bucket shuffle + doc-bucket shuffle): the
-    cost here is one extra tokenize pass over extracted docs (cheap —
-    the stem memo is hot), and the build saves two full-posting-volume
-    shuffles.  Docs with zero surviving terms are dropped (the
+    lists are cut from the same columnar :meth:`~PostingExtractor.analyze`
+    rows that :class:`TokenizeEncode` encodes, already in (doc, term)
+    order, so each doc's term list comes out sorted (deterministic
+    artifacts).  Docs with zero surviving terms are dropped (the
     reference counts only docs with ≥1 term, ``InvertedIndex.java:72``).
-    Term lists are sorted for deterministic artifacts.
     """
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        r = self.analyze(batch)
         doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        titles = batch["title"].to_pylist()
-        texts = batch["text"].to_pylist()
-        out_ids: list[int] = []
-        terms_flat: list[str] = []
-        ttf_flat: list[int] = []
-        btf_flat: list[int] = []
-        offsets: list[int] = [0]
-        tf_max: list[int] = []
-        for doc_id, title, text in zip(doc_ids, titles, texts):
-            acc: dict[str, list[int]] = {}
-            for t in self._analyze(title):
-                e = acc.get(t)
-                if e is None:
-                    acc[t] = [1, 0]
-                else:
-                    e[0] += 1
-            for t in self._analyze(text):
-                e = acc.get(t)
-                if e is None:
-                    acc[t] = [0, 1]
-                else:
-                    e[1] += 1
-            if not acc:
-                continue
-            out_ids.append(int(doc_id))
-            m = 0
-            for term in sorted(acc):
-                tt, bt = acc[term]
-                terms_flat.append(term)
-                ttf_flat.append(tt)
-                btf_flat.append(bt)
-                m = max(m, tt + bt)
-            tf_max.append(m)
-            offsets.append(len(terms_flat))
-        off = pa.array(np.asarray(offsets, dtype=np.int32), type=pa.int32())
+        first = np.flatnonzero(np.diff(r.doc, prepend=-1))
+        off = pa.array(np.append(first, len(r.doc)), type=pa.int32())
         return pa.table(
             {
-                "doc_id": pa.array(out_ids, type=pa.int64()),
+                "doc_id": pa.array(doc_ids[r.doc[first]], type=pa.int64()),
                 "terms": pa.ListArray.from_arrays(
-                    off, pa.array(terms_flat, type=pa.string())
+                    off, pa.array(r.vocab, type=pa.string()).take(r.term)
                 ),
                 "title_tfs": pa.ListArray.from_arrays(
-                    off, pa.array(ttf_flat, type=pa.int64())
+                    off, pa.array(r.ttf, type=pa.int64())
                 ),
                 "body_tfs": pa.ListArray.from_arrays(
-                    off, pa.array(btf_flat, type=pa.int64())
+                    off, pa.array(r.btf, type=pa.int64())
                 ),
-                "tf_max": pa.array(tf_max, type=pa.int64()),
+                "tf_max": pa.array(r.tf_max[first], type=pa.int64()),
             }
         )
 
@@ -501,8 +491,6 @@ def doc_stats_batch(batch: pa.Table, *, n_docs: int, df_ref) -> pa.Table:
     (worker-memoized) + one vectorized searchsorted.  At vocabularies
     too large to broadcast, partition the lexicon by term bucket and
     map-side join per bucket instead."""
-    import pyarrow.compute as pc
-
     ttf_flat, lens = _list_column_parts(batch["title_tfs"])
     btf_flat, _ = _list_column_parts(batch["body_tfs"])
     terms_col = batch["terms"].combine_chunks()
