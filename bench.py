@@ -130,7 +130,7 @@ def run_bench() -> dict:
     )
 
     # 1. index build (the headline: read -> extract -> tokenize ->
-    #    term shuffle -> segments + lexicon + forward + docstats).
+    #    term shuffle -> segments + lexicon + docstats).
     # Materialize the repeated corpus to parquet FIRST (untimed, cached
     # across runs/parallelism levels): the build then reads an on-disk
     # crawl like production, and the extract stage parallelizes by

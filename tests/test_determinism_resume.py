@@ -95,20 +95,18 @@ def test_resume_after_partial_failure(ray_session, tmp_path_factory, sf_dir):
     lex_before = _table(os.path.join(out, "lexicon")).to_pandas().sort_values(
         "term").reset_index(drop=True)
 
-    # simulate a crash between the segments and docstats stages: the
-    # later artifacts are lost / incomplete
+    # simulate a crash that lost the segments and docstats artifacts
     shutil.rmtree(os.path.join(out, "docstats"))
     os.remove(out + "/docstats.manifest.json")
-    shutil.rmtree(os.path.join(out, "forward"))
-    # forward manifest left behind on purpose: dir missing → incomplete
+    shutil.rmtree(os.path.join(out, "segments"))
+    # segments manifests left behind on purpose: dir missing → incomplete
 
     report = _build(sf_dir, out, shuffle_partitions=4, parallelism=4,
                     resume=True, input_key="resume-test")
     stages = {s["name"]: s for s in report["stages"]}
     assert stages["extracted"]["skipped"]
-    assert stages["segments"]["skipped"]
+    assert not stages["segments"]["skipped"]
     assert stages["lexicon"]["skipped"]
-    assert not stages["forward"]["skipped"]
     assert not stages["docstats"]["skipped"]
 
     lex_after = _table(os.path.join(out, "lexicon")).to_pandas().sort_values(
@@ -137,36 +135,35 @@ def test_partitioned_build_resume_per_shard(ray_session, tmp_path_factory,
     build_index(lambda: synth_corpus(sf_dir), out, cfg,
                 input_key="partres", resume=False)
 
-    # simulate a crash while building shard 2 of segments and shard 1
-    # of forward: kill their dirs + part manifests; ALSO drop the
-    # stage-level manifests (a real crash dies before writing them)
-    for stage, s in (("segments", 2), ("forward", 1)):
-        shutil.rmtree(os.path.join(out, stage, f"doc_shard={s}"))
+    # simulate a crash while building shards 1 and 2 of segments: kill
+    # their dirs + part manifests; ALSO drop the stage-level manifest
+    # (a real crash dies before writing it)
+    dead = (1, 2)
+    for s in dead:
+        shutil.rmtree(os.path.join(out, "segments", f"doc_shard={s}"))
         os.remove(os.path.join(out, "_part_manifests",
-                               f"{stage}.doc_shard={s}.json"))
-        os.remove(os.path.join(out, f"{stage}.manifest.json"))
-    # downstream stages of segments are stale too
+                               f"segments.doc_shard={s}.json"))
+    os.remove(os.path.join(out, "segments.manifest.json"))
+    # the downstream docstats stage is lost too
     shutil.rmtree(os.path.join(out, "docstats"))
     os.remove(os.path.join(out, "docstats.manifest.json"))
 
     mtimes = {
-        (stage, s): os.path.getmtime(
-            os.path.join(out, stage, f"doc_shard={s}")
-        )
-        for stage, dead in (("segments", 2), ("forward", 1))
+        s: os.path.getmtime(os.path.join(out, "segments", f"doc_shard={s}"))
         for s in range(4)
-        if s != dead
+        if s not in dead
     }
     report = build_index(lambda: synth_corpus(sf_dir), out, cfg,
                          input_key="partres", resume=True)
     stages = {s["name"]: s for s in report["stages"]}
     assert stages["extracted"]["skipped"]
     assert not stages["segments"]["skipped"]
-    assert not stages["forward"]["skipped"]
+    assert not stages["docstats"]["skipped"]
     # only the killed shards were rebuilt
-    for (stage, s), old in mtimes.items():
-        now = os.path.getmtime(os.path.join(out, stage, f"doc_shard={s}"))
-        assert now == old, f"{stage} shard {s} was rebuilt"
+    for s, old in mtimes.items():
+        now = os.path.getmtime(os.path.join(out, "segments",
+                                            f"doc_shard={s}"))
+        assert now == old, f"segments shard {s} was rebuilt"
 
     # artifacts equal an uninterrupted build's
     build_index(lambda: synth_corpus(sf_dir), mono, cfg,
@@ -201,7 +198,7 @@ def test_partitioned_rebuild_with_fewer_shards_drops_stale_parts(
     build_index(lambda: synth_corpus(sf_dir), out,
                 IndexConfig(doc_shards=2, **kw),
                 input_key="shrink", resume=False)
-    for stage in ("segments", "forward"):
+    for stage in ("extracted", "segments", "docstats"):
         parts = sorted(
             e for e in os.listdir(os.path.join(out, stage))
             if e.startswith("doc_shard=")

@@ -1,11 +1,12 @@
 """Chained randomized incremental updates: a seeded sequence of
 random deltas (modify / add / remove / resurrect / no-op) applied
 through ``update_index`` must keep the index value-identical to a
-FRESH BUILD of each snapshot — lexicon and docstats frame-equal,
-searches rank- and score-identical.  This adversarially exercises the
-cross-round state machine (per-shard content tokens, stage manifests,
-doc-shard pruning, full-sync deletion) that the fixed single-delta
-tests in ``test_update_index.py`` cannot vary.
+FRESH BUILD of each snapshot — lexicon, docstats and extracted's
+forward lists frame-equal, searches rank- and score-identical.  This
+adversarially exercises the cross-round state machine (per-shard
+content tokens, stage manifests, doc-shard pruning, full-sync
+deletion) that the fixed single-delta tests in ``test_update_index.py``
+cannot vary.
 """
 
 from __future__ import annotations
@@ -88,6 +89,15 @@ def _assert_index_equal(inc_dir: str, full_dir: str, label: str):
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(si, sf, obj=f"{label} docstats")
+    # stored rows carry their forward lists through updates: they must
+    # equal a fresh analysis of the snapshot
+    cols = ["doc_id", "terms", "title_tfs", "body_tfs", "tf_max"]
+    ei, ef = (
+        _tbl(d, "extracted")[cols].sort_values("doc_id")
+        .reset_index(drop=True)
+        for d in (inc_dir, full_dir)
+    )
+    pd.testing.assert_frame_equal(ei, ef, obj=f"{label} extracted lists")
 
 
 def _assert_search_equal(inc_dir, full_dir, rng, label):

@@ -3,8 +3,8 @@
 ``Searcher.hydrate`` reads a store loaded on its first call and returns
 Arrow rows; through ``hydrated_frame`` they must give the frame of the
 filtered-scan implementation kept below as the reference (same
-columns, dtypes, defaults for ids missing from extracted or forward,
-sorted link sets, top-``max_keywords`` keywords).  It reads no file
+columns, dtypes, defaults for ids missing from extracted, sorted link
+sets, top-``max_keywords`` keywords from extracted's forward lists).  It reads no file
 after that first call and never loads on a shard Searcher.  The HTTP
 page rendered from those rows must be byte-equal to the pandas
 row-at-a-time renderer kept below as the reference.
@@ -43,7 +43,7 @@ def reference_hydrate(index_dir: str, results: pd.DataFrame,
         columns=["doc_id", "url", "title", "page_size", "last_modified"],
         filter=pc.field("doc_id").isin(ids),
     ).to_pandas().set_index("doc_id")
-    fwd = ds("forward").to_table(
+    fwd = ds("extracted").to_table(
         columns=["doc_id", "terms", "title_tfs", "body_tfs"],
         filter=pc.field("doc_id").isin(ids),
     ).to_pandas().set_index("doc_id")
@@ -251,11 +251,11 @@ def test_hydrate_matches_reference_after_update(ray_session, sf_dir,
     assert report["update"]["fresh_docs"] == len(MODIFIED_IDS)
     ids = _all_ids(idx)
     assert not set(REMOVED_IDS) & set(ids.tolist())
-    # the removed ids ride along: absent from extracted and forward
+    # the removed ids ride along: absent from extracted
     _assert_parity(idx, np.concatenate([list(REMOVED_IDS), ids]))
 
 
-def test_hydrate_ids_missing_from_docmeta_and_forward(sf_index):
+def test_hydrate_ids_missing_from_extracted(sf_index):
     from web_based_search_engine_ray.pipelines.search import (
         Searcher,
         hydrated_frame,

@@ -49,11 +49,17 @@ def test_sharded_build_partitions_exist(indexes):
 
 def test_unsharded_index_is_one_partition(indexes):
     """``doc_shards=1`` is the single partition ``doc_shard=0`` of every
-    sharded stage — one layout for every shard count."""
+    sharded stage — one layout for every shard count — and the index
+    holds the four stages."""
     import os
 
+    from web_based_search_engine_ray.pipelines.build_index import STAGES
+
     flat_dir, _ = indexes
-    for stage in ("extracted", "segments", "forward", "docstats"):
+    assert {e for e in os.listdir(flat_dir)
+            if os.path.isdir(os.path.join(flat_dir, e))
+            and e[0] != "_"} == set(STAGES)
+    for stage in ("extracted", "segments", "docstats"):
         parts = sorted(
             e for e in os.listdir(os.path.join(flat_dir, stage))
             if not e.startswith("_")  # docstats/_STATS.json

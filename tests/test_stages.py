@@ -1,4 +1,4 @@
-"""Unit tests for stage bodies: run compaction, forward derivation,
+"""Unit tests for stage bodies: run compaction, forward lists,
 events, dedup — checked against brute-force implementations."""
 
 from __future__ import annotations
@@ -300,11 +300,12 @@ def reference_extract(cfg: IndexConfig, batch: pa.Table):
 
 def forward_rows_loop(cfg: IndexConfig, batch: pa.Table) -> pa.Table:
     """Reference ``ForwardRows.__call__`` from :func:`reference_extract`:
-    one row per doc with terms, each doc's terms sorted."""
+    one row per input doc (ids unique) with its terms sorted; a doc with
+    no kept term gets empty lists and tf_max 0."""
     terms, out_doc, tpos, bpos, tfmax = reference_extract(cfg, batch)
-    docs: dict[int, list] = {}
+    docs: dict[int, list] = {d: [] for d in batch["doc_id"].to_pylist()}
     for term, doc, tl, bl, m in zip(terms, out_doc, tpos, bpos, tfmax):
-        docs.setdefault(doc, []).append((term, len(tl), len(bl), m))
+        docs[doc].append((term, len(tl), len(bl), m))
     rows = {"doc_id": [], "terms": [], "title_tfs": [], "body_tfs": [],
             "tf_max": []}
     for doc, entries in docs.items():
@@ -313,7 +314,7 @@ def forward_rows_loop(cfg: IndexConfig, batch: pa.Table) -> pa.Table:
         rows["terms"].append([e[0] for e in entries])
         rows["title_tfs"].append([e[1] for e in entries])
         rows["body_tfs"].append([e[2] for e in entries])
-        rows["tf_max"].append(entries[0][3])
+        rows["tf_max"].append(entries[0][3] if entries else 0)
     return pa.table({
         "doc_id": pa.array(rows["doc_id"], type=pa.int64()),
         "terms": pa.array(rows["terms"], type=pa.list_(pa.string())),

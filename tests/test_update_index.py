@@ -100,7 +100,7 @@ def updated_and_rebuilt(ray_session, tmp_path_factory):
             else None
         )
         for s in (1, 2, 3)
-        for stage in ("segments", "forward", "extracted")
+        for stage in ("segments", "extracted")
     }
     report = update_index(_corpus_v2, inc_dir, cfg, input_key="v2")
     build_index(_corpus_v2, full_dir, cfg, input_key="v2-full", resume=False)
@@ -137,24 +137,49 @@ def test_update_report(updated_and_rebuilt):
 
 
 def test_index_holds_only_the_stage_dirs(updated_and_rebuilt):
-    """A fresh build and an update write the five stage dirs and no
-    other (underscore-prefixed dirs are bookkeeping): page columns and
-    link edges are read from extracted/, never from a copy."""
+    """A fresh build and an update write the four stage dirs and no
+    other (underscore-prefixed dirs are bookkeeping), and one manifest
+    per stage plus one part manifest per segments shard: page columns,
+    link edges and forward lists are read from extracted/, never from
+    a copy."""
     from web_based_search_engine_ray.pipelines.build_index import STAGES
 
     inc_dir, full_dir, _, _ = updated_and_rebuilt
-    assert sorted(STAGES) == ["docstats", "extracted", "forward", "lexicon",
+    assert sorted(STAGES) == ["docstats", "extracted", "lexicon",
                               "segments"]
     for d in (full_dir, inc_dir):
         dirs = {e for e in os.listdir(d)
                 if os.path.isdir(os.path.join(d, e)) and e[0] != "_"}
         assert dirs == set(STAGES), d
+        manifests = {e for e in os.listdir(d) if e.endswith(".json")}
+        assert manifests == {"meta.json"} | {f"{s}.manifest.json"
+                                             for s in STAGES}, d
+        parts = set(os.listdir(os.path.join(d, "_part_manifests")))
+        assert parts == {f"segments.doc_shard={s}.json"
+                         for s in range(4)}, d
+
+
+def _format_key(cfg, format_version: int) -> str:
+    """``cfg.semantic_key()`` as the build of ``format_version`` wrote
+    it."""
+    import hashlib
+    import json
+
+    sem = {k: getattr(cfg, k) for k in (
+        "title_weight", "use_stopwords", "use_stemming", "num_buckets",
+        "max_run_docs", "doc_shards")}
+    sem["format_version"] = format_version
+    return hashlib.md5(
+        json.dumps(sem, sort_keys=True).encode()).hexdigest()[:12]
 
 
 def test_update_refuses_format_6_index(ray_session, tmp_path):
-    """A format-6 index (its meta.json has the config with
-    ``dedup_urls`` and no semantic key) is refused with the
-    semantic-config error before anything is read or written."""
+    """An index of an older format is refused with the semantic-config
+    error before anything is read or written: format 6 (its meta.json
+    has the config with ``dedup_urls`` and no semantic key) and format
+    7 (its extracted rows have no forward lists; its meta.json config
+    holds ``verify_extraction``, ``extract_batch_size`` and
+    ``min_rows_per_file``)."""
     import json
 
     from web_based_search_engine_ray.config import IndexConfig
@@ -163,26 +188,32 @@ def test_update_refuses_format_6_index(ray_session, tmp_path):
     )
 
     cfg = IndexConfig(doc_shards=2)
-    idx = tmp_path / "idx"
-    idx.mkdir()
-    (idx / "meta.json").write_text(json.dumps({
-        "n_docs": 6, "config": {**cfg.to_dict(), "dedup_urls": True},
-        "input_key": "v1", "stages": [],
-    }))
+    old_metas = {
+        6: {"config": {**cfg.to_dict(), "dedup_urls": True}},
+        7: {"config": {**cfg.to_dict(), "verify_extraction": True,
+                       "extract_batch_size": 256,
+                       "min_rows_per_file": 65536},
+            "semantic_key": _format_key(cfg, 7)},
+    }
 
     def no_corpus():
         raise AssertionError("corpus read before the format check")
 
-    with pytest.raises(ValueError, match="semantic config"):
-        update_index(no_corpus, str(idx), cfg, input_key="v2")
-    assert sorted(os.listdir(idx)) == ["meta.json"]
+    for fmt, meta in old_metas.items():
+        idx = tmp_path / f"idx{fmt}"
+        idx.mkdir()
+        (idx / "meta.json").write_text(json.dumps(
+            {"n_docs": 6, "input_key": "v1", "stages": [], **meta}))
+        with pytest.raises(ValueError, match="semantic config"):
+            update_index(no_corpus, str(idx), cfg, input_key="v2")
+        assert sorted(os.listdir(idx)) == ["meta.json"], fmt
+    # the helper reproduces the current format's key
+    assert _format_key(cfg, 8) == cfg.semantic_key()
 
 
 def test_unaffected_partitions_untouched(updated_and_rebuilt):
     inc_dir, _, _, mtimes = updated_and_rebuilt
     for (stage, s), old in mtimes.items():
-        if stage == "forward":
-            continue  # test_first_update_keeps_untouched_shards
         now = os.path.getmtime(
             os.path.join(inc_dir, stage, f"doc_shard={s}")
         )
@@ -191,8 +222,8 @@ def test_unaffected_partitions_untouched(updated_and_rebuilt):
 
 def test_first_update_keeps_untouched_shards(updated_and_rebuilt):
     """The FIRST update after a fresh build already rebuilds only the
-    affected shard of segments AND forward: a fresh build stamps a part
-    manifest for every shard of both stages."""
+    affected shard of segments: a fresh build stamps a part manifest
+    for every segments shard."""
     inc_dir, _, _, mtimes = updated_and_rebuilt
     for (stage, s), old in mtimes.items():
         if stage == "extracted":
@@ -361,11 +392,11 @@ def _corpus_v4():
     return base.union(extra).map_batches(to_web, batch_format="pyarrow")
 
 
-def test_second_update_prunes_forward_and_segments(updated_and_rebuilt):
+def test_second_update_prunes_segments(updated_and_rebuilt):
     """Per-shard fingerprints must let a SECOND update skip the
-    untouched shards of BOTH sharded stages (segments AND forward):
-    a shard keeps the key of the last write that touched it, so
-    updates stay O(delta) in tokenize work."""
+    untouched shards of segments and extracted: a shard keeps the key
+    of the last write that touched it, so updates stay O(delta) in
+    tokenize work."""
     from web_based_search_engine_ray.pipelines.search import Searcher
     from web_based_search_engine_ray.pipelines.update_index import update_index
     from web_based_search_engine_ray.config import IndexConfig
@@ -381,7 +412,7 @@ def test_second_update_prunes_forward_and_segments(updated_and_rebuilt):
             os.path.join(inc_dir, stage, f"doc_shard={s}")
         )
         for s in (0, 2, 3)
-        for stage in ("segments", "forward", "extracted")
+        for stage in ("segments", "extracted")
     }
     report = update_index(_corpus_v4, inc_dir, cfg, input_key="v4")
     assert report["update"]["affected_shards"] == [1]
@@ -494,7 +525,7 @@ def test_new_url_in_untouched_shard(split_update):
     shard1 = pads.dataset(os.path.join(idx, "extracted", "doc_shard=1"),
                           format="parquet").to_table(columns=["doc_id"])
     assert sorted(shard1["doc_id"].to_pylist()) == [1, 3, 5, 7]
-    for stage in ("extracted", "segments", "lexicon", "forward", "docstats"):
+    for stage in ("extracted", "segments", "lexicon", "docstats"):
         a, b = (
             sorted(repr(sorted(r.items())) for r in pads.dataset(
                 os.path.join(d, stage), format="parquet", partitioning="hive"

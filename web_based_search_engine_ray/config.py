@@ -8,14 +8,16 @@ The scoring/behavior constants mirror the reference
 reference is single-threaded and has no equivalents.  Every field is
 read by the build or the query engine, and the build has one physical
 plan (no execution-strategy switches); ``semantic_key`` hashes the
-fields that change index content.
+fields that change index content.  Settings no caller varies are class
+constants: an instance reads them, but they are not fields.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
@@ -28,13 +30,13 @@ class IndexConfig:
     max_keywords: int = 5              # SearchResult.java:12
     # Verify extracted body text is byte-identical to the input table's
     # ``text`` column (the per-row invariant from BASELINE.json).
-    verify_extraction: bool = True
+    verify_extraction: ClassVar[bool] = True
 
     # --- physical layout / scale knobs (ours) ---
     num_buckets: int = 32              # term-hash partitions for segments
     tokenize_batch_size: int = 1024    # docs per batch in the tokenize stage
     # (larger batches -> fewer per-(term, block) runs to shuffle+compact)
-    extract_batch_size: int = 256
+    extract_batch_size: ClassVar[int] = 256
     # Segment build is local-index-then-merge: posting runs are encoded
     # per tokenize block (no shuffle of raw postings), then compacted
     # per term-hash bucket — the shuffle moves only compressed runs.
@@ -43,7 +45,7 @@ class IndexConfig:
     # full posting list; query unions runs (df = Σ df_run).
     max_run_docs: int = 5_000_000
     # Document partitioning (web-search-style doc-partitioned index):
-    # extracted, segments, forward and docstats are partitioned by
+    # extracted, segments and docstats are partitioned by
     # doc_shard = doc_id % doc_shards, so a query can scatter-gather
     # over per-shard searchers each holding only its shard's postings +
     # doc stats, and an update rebuilds only the shards it touches.
@@ -56,7 +58,7 @@ class IndexConfig:
     # many tiny blocks; a 100-TB deployment should set this to
     # ~data_size / target_block_size instead.
     shuffle_partitions: int | None = None
-    min_rows_per_file: int = 65536
+    min_rows_per_file: ClassVar[int] = 65536
 
     def semantic_key(self) -> str:
         """Stable hash of the fields that affect index *content* (used to
@@ -68,7 +70,7 @@ class IndexConfig:
             "num_buckets": self.num_buckets,
             "max_run_docs": self.max_run_docs,
             "doc_shards": self.doc_shards,
-            "format_version": 7,  # bump when artifact schemas change
+            "format_version": 8,  # bump when artifact schemas change
         }
         return hashlib.md5(json.dumps(sem, sort_keys=True).encode()).hexdigest()[:12]
 

@@ -7,14 +7,17 @@ manifest (resume skips complete stages):
 ::
 
     corpus (url, warc_ts, html[, text, lang[, doc_id]])
-      │  html → doc_id,title,text,links,page_size,last_modified
+      │  html → doc_id,title,text,links,page_size,last_modified,
+      │         + the page's forward lists terms,title_tfs,body_tfs,
+      │         tf_max (``ForwardRows``, in the same map task)
       ▼
     extracted/   partitioned by doc_shard; last-write-wins per url by
                  warc_ts as a per-shard detect-then-compact pass (doc_id
                  is a function of url, so a url never spans shards).
-                 Also the page-column and link-graph store: readers
-                 project its columns, and ``stages.extract.link_edges``
-                 flattens its ``links`` lists into edges  [no shuffle]
+                 Also the page-column, link-graph and forward-list
+                 store: readers project its columns, and
+                 ``stages.extract.link_edges`` flattens its ``links``
+                 lists into edges                         [no shuffle]
       ▼
     segments/    tokenize+encode (task pool w/ per-worker state) → one
                  compressed posting run per (term, block) — local
@@ -22,20 +25,20 @@ manifest (resume skips complete stages):
                  merges runs per (doc_shard, term-bucket); each run
                  carries block-max metadata (min/max doc, score bound)
                                      [shuffle: term bucket, compressed]
-      ├─ lexicon/   per-bucket Σ df_run / max ub_run (runs of a term
-                    all live in one bucket partition)     [no shuffle]
-    forward/     second doc-local tokenize pass → per-doc term/tf lists
-                 + tfMax                                  [no shuffle]
       ▼
-    docstats/    forward × broadcast(lexicon df) → doc_len_norm
-                                                          [no shuffle]
+    lexicon/     per-bucket Σ df_run / max ub_run (runs of a term all
+                 live in one bucket partition)            [no shuffle]
       ▼
-    meta.json    N, config, semantic key, stage metrics
+    docstats/    extracted lists (rows with tf_max > 0) × broadcast
+                 (lexicon df) → doc_len_norm              [no shuffle]
+      ▼
+    meta.json    N (extracted rows with tf_max > 0), config, semantic
+                 key, stage metrics
 
-Every sharded stage (extracted, segments, forward, docstats) is
-partitioned ``doc_shard=0..doc_shards-1``; an unsharded index is the
-single partition ``doc_shard=0``.  segments and forward rebuild only
-the shards whose extracted rows changed since they were written (see
+Every sharded stage (extracted, segments, docstats) is partitioned
+``doc_shard=0..doc_shards-1``; an unsharded index is the single
+partition ``doc_shard=0``.  segments rebuilds only the shards whose
+extracted rows changed since they were written (see
 ``_run_sharded_stage``), so a fresh build and an incremental update run
 the same code.
 
@@ -62,6 +65,7 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from web_based_search_engine_ray.config import IndexConfig
 from web_based_search_engine_ray.functions.hashing import md5_u64_array
@@ -78,7 +82,9 @@ from web_based_search_engine_ray.util import auto_parallelism
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("extracted", "segments", "lexicon", "forward", "docstats")
+STAGES = ("extracted", "segments", "lexicon", "docstats")
+#: the forward-list columns the extract task appends to each page row
+FORWARD_COLUMNS = ("terms", "title_tfs", "body_tfs", "tf_max")
 
 
 def _fp(*parts: str) -> str:
@@ -87,7 +93,7 @@ def _fp(*parts: str) -> str:
 
 def _add_doc_shard(batch: pa.Table, *, n_shards: int) -> pa.Table:
     """Hive partition column of the doc-sharded stages (extracted,
-    forward, docstats): doc_shard = doc_id % n_shards, re-derivable
+    docstats): doc_shard = doc_id % n_shards, re-derivable
     anywhere."""
     if "doc_shard" in batch.column_names:
         batch = batch.drop_columns(["doc_shard"])
@@ -116,8 +122,6 @@ def _lww_shard_dedup_task(batch: pa.Table) -> pa.Table:
     Scale contract: one shard slice must fit a task (same granularity
     every per-shard stage here assumes — size ``doc_shards`` to the
     corpus).  Returns one row of (shard, rows, dups_removed)."""
-    import pyarrow.compute as pc
-
     shards, rows_out, dups_out = [], [], []
     for shard, d in zip(
         batch["shard"].to_pylist(), batch["dir"].to_pylist()
@@ -189,7 +193,8 @@ def _lww_shard_dedup_task(batch: pa.Table) -> pa.Table:
 
 def _lww_group_extracted(group: pa.Table) -> pa.Table:
     """LWW over EXTRACTED rows (newest per url by ``last_modified`` =
-    ``warc_ts``): the dedup moves title/text/links instead of raw
+    ``warc_ts``), every column carried as is: the dedup moves
+    title/text/links and the forward lists instead of raw
     html — on real web pages an order of magnitude less data — and the
     occasional stale duplicate is extracted redundantly instead of
     shipping every page's html through the object store."""
@@ -251,18 +256,29 @@ def _shard_files(stage_dir: str, shards) -> list[str]:
 
 
 def _shuffle_parts(cfg: IndexConfig) -> int:
-    """Read parallelism of the segments, forward and docstats plans (see
+    """Read parallelism of the segments and docstats plans (see
     IndexConfig.shuffle_partitions): their reads are split to this many
     blocks, so the segments groupby takes them as read and no plan
     repartitions."""
     return cfg.shuffle_partitions or auto_parallelism()
 
 
-def _extract_task(batch: pa.Table, *, verify: bool) -> pa.Table:
+def _extract_task(batch: pa.Table, *, cfg: IndexConfig) -> pa.Table:
+    """Corpus rows → extracted rows: the :class:`Extractor`'s page
+    columns followed by the page's :data:`FORWARD_COLUMNS` from
+    :class:`ForwardRows` (one row per page, empty lists for a page with
+    no kept term), one instance of each per worker."""
     from web_based_search_engine_ray.util import worker_singleton
 
-    inst = worker_singleton(("extractor", verify), lambda: Extractor(verify=verify))
-    return inst(batch)
+    pages = worker_singleton(
+        "extractor", lambda: Extractor(verify=cfg.verify_extraction)
+    )(batch)
+    fwd = worker_singleton(
+        ("forward_rows", cfg.semantic_key()), lambda: ForwardRows(cfg)
+    )(pages)
+    for name in FORWARD_COLUMNS:
+        pages = pages.append_column(name, fwd[name])
+    return pages
 
 
 def _tokenize_encode_task(batch: pa.Table, *, cfg: IndexConfig) -> pa.Table:
@@ -272,15 +288,6 @@ def _tokenize_encode_task(batch: pa.Table, *, cfg: IndexConfig) -> pa.Table:
         ("tokenize_encode", cfg.semantic_key()), lambda: TokenizeEncode(cfg)
     )
     return inst(batch)
-
-
-def _forward_rows_task(batch: pa.Table, *, cfg: IndexConfig) -> pa.Table:
-    from web_based_search_engine_ray.util import worker_singleton
-
-    inst = worker_singleton(
-        ("forward_rows", cfg.semantic_key()), lambda: ForwardRows(cfg)
-    )
-    return _add_doc_shard(inst(batch), n_shards=cfg.doc_shards)
 
 
 _LEXICON_SCHEMA = pa.schema(
@@ -304,8 +311,6 @@ def _lexicon_bucket_task(batch: pa.Table) -> pa.Table:
     live in exactly one bucket and merged runs carry the max of their
     sources' bounds.  Reading inside the task guarantees the whole
     bucket aggregates at once (block splits can't duplicate terms)."""
-    import pyarrow.compute as pc
-
     out = [_LEXICON_SCHEMA.empty_table()]
     for bucket, seg_dir in zip(
         batch["bucket"].to_pylist(), batch["seg_dir"].to_pylist()
@@ -372,9 +377,9 @@ def build_index(
 
     def _build_extracted(stage_dir: str) -> int:
         # extract FIRST: html never crosses any exchange, and the LWW
-        # dedup moves only title/text/links
+        # dedup moves only the extracted columns
         ds = corpus_fn().map_batches(
-            functools.partial(_extract_task, verify=cfg.verify_extraction),
+            functools.partial(_extract_task, cfg=cfg),
             batch_format="pyarrow",
             batch_size=cfg.extract_batch_size,
         )
@@ -385,7 +390,7 @@ def build_index(
     # Per-shard fingerprints: the key of the last write that TOUCHED each
     # extracted doc_shard partition.  A full extract rewrites every
     # shard; ``update_index`` gives only the shards it rewrites the new
-    # key, so segments/forward rebuild only those.
+    # key, so segments rebuilds only those.
     results.append(
         mf.run_stage(
             d_ext, fp_ext, _build_extracted, resume=resume,
@@ -394,7 +399,7 @@ def build_index(
     )
     shard_fps = results[-1].extra["shard_fps"]
 
-    # ---- sharded stages: segments, forward ---------------------------------
+    # ---- sharded stage runner (segments) -----------------------------------
     d_parts = os.path.join(out_dir, "_part_manifests")
 
     def _run_sharded_stage(name: str, stage_fp: str, build_fn) -> mf.StageResult:
@@ -508,32 +513,6 @@ def build_index(
 
     results.append(_run_sharded_stage("segments", fp_seg, _build_segments))
 
-    # ---- stage: forward (doc-local second tokenize pass — NO shuffle) ------
-    fp_fwd = _fp("forward", fp_ext, sem)
-    d_fwd = os.path.join(out_dir, "forward")
-
-    def _build_forward(files: list[str], out: str) -> None:
-        # a doc's forward row is known the moment it is tokenized, so
-        # this stage is a pure map over extracted docs.  It replaces the
-        # earlier segments-explode derivation that paid a decode + two
-        # full-posting-volume shuffles to reach the same rows.
-        ds = rd.read_parquet(
-            **fsio.ray_file_list(files), columns=["doc_id", "title", "text"],
-            override_num_blocks=_shuffle_parts(cfg),
-        )
-        ds.map_batches(
-            functools.partial(_forward_rows_task, cfg=cfg),
-            batch_format="pyarrow",
-            batch_size=cfg.tokenize_batch_size,
-        ).write_parquet(
-            out,
-            partition_cols=["doc_shard"],
-            min_rows_per_file=cfg.min_rows_per_file,
-        )
-
-    results.append(_run_sharded_stage("forward", fp_fwd, _build_forward))
-    n_docs = results[-1].rows  # N = docs with >=1 term (InvertedIndex.java:72)
-
     # ---- stage: lexicon (df + per-term score upper bound) ------------------
     fp_lex = _fp("lexicon", fp_seg)
     d_lex = os.path.join(out_dir, "lexicon")
@@ -567,7 +546,11 @@ def build_index(
     results.append(mf.run_stage(d_lex, fp_lex, _build_lexicon, resume=resume))
 
     # ---- stage: docstats ---------------------------------------------------
-    fp_stats = _fp("docstats", fp_fwd, fp_lex, str(n_docs))
+    # N = docs with >= 1 term (InvertedIndex.java:72): the extracted
+    # rows whose forward lists are not empty
+    has_terms = pc.field("tf_max") > 0
+    n_docs = _count_parquet(d_ext, has_terms)
+    fp_stats = _fp("docstats", fp_ext, fp_lex, str(n_docs))
     d_stats = os.path.join(out_dir, "docstats")
 
     def _build_docstats(stage_dir: str) -> int:
@@ -596,8 +579,7 @@ def build_index(
             terms = lex_ds.to_table(columns=["term"])["term"].to_pylist()
             df_ref = dict(zip(terms, dfs.tolist()))
         ds = rd.read_parquet(
-            d_fwd, columns=["doc_id", "terms", "title_tfs", "body_tfs",
-                            "tf_max"],
+            d_ext, columns=["doc_id", *FORWARD_COLUMNS], filter=has_terms,
             override_num_blocks=_shuffle_parts(cfg),
         )
         stats = ds.map_batches(
@@ -607,7 +589,7 @@ def build_index(
         # partition by doc shard so each shard Searcher reads ONLY its
         # slice (per-actor state scales 1/shards); min_rows_per_file
         # bounds the blocks × shards file fan-out of the tiny
-        # (24 B/doc) rows, as for extracted and forward
+        # (24 B/doc) rows, as for extracted
         stats.map_batches(
             functools.partial(_add_doc_shard, n_shards=cfg.doc_shards),
             batch_format="pyarrow",
@@ -653,10 +635,11 @@ def build_index(
     return report
 
 
-def _count_parquet(path: str) -> int:
+def _count_parquet(path: str, filter=None) -> int:
     import pyarrow.dataset as pads
 
-    return pads.dataset(path, format="parquet", partitioning="hive").count_rows()
+    return pads.dataset(path, format="parquet",
+                        partitioning="hive").count_rows(filter=filter)
 
 
 def _ensure_nonempty_schema(stage_dir: str, schema: pa.Schema) -> None:

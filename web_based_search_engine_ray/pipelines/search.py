@@ -23,8 +23,8 @@ Reproduces the reference search path exactly (``Indexer.search``,
   parent/child links — ``Indexer.buildSearchResult``,
   ``Indexer.java:194-231``) looks up only the k result rows, by
   ``doc_id``, in a store of the hydration columns (extracted's page
-  columns and links, forward's keyword counts) that a Searcher loads
-  on its first hydrated query (the reference's keyed point lookups).
+  columns, links and forward lists) that a Searcher loads on its first
+  hydrated query (the reference's keyed point lookups).
 
 Scale note (10^12 docs): a shard ``Searcher`` reads ONLY its
 ``docstats/doc_shard=<s>`` partition (per-actor doc state scales
@@ -37,11 +37,12 @@ path: broker actors split the batch and share the shard actors
 (an unsharded index is the one-shard case).
 
 The reader speaks the layout ``build_index`` writes (``format_version``
-7): a ``bucket=``-partitioned lexicon with ``ub_adj``, ``n_tokens`` in
+8): a ``bucket=``-partitioned lexicon with ``ub_adj``, ``n_tokens`` in
 docstats plus ``docstats/_STATS.json``, and ``doc_shard=`` partitions
-of extracted, segments, forward and docstats (``doc_shard=0`` alone
-when ``doc_shards == 1``).  Page columns and link edges are read from
-extracted; there is no separate page-metadata or edge table.
+of extracted, segments and docstats (``doc_shard=0`` alone when
+``doc_shards == 1``).  Page columns, link edges and each page's
+forward lists (``terms, title_tfs, body_tfs, tf_max``) are read from
+extracted; there is no separate page-metadata, edge or forward table.
 """
 
 from __future__ import annotations
@@ -865,7 +866,8 @@ class Searcher:
         Searcher that hydrates: about 470 B/doc (2.35 MB Arrow + numpy)
         on the 5,000-doc indexes of both ``perfbench`` workloads.  Docs
         missing from extracted get the store's default row (``""``,
-        null, ``0``, empty lists)."""
+        null, ``0``, empty lists); a page with no kept term has no
+        keywords."""
         if self._hydrate_store is None:
             self._hydrate_store = _HydrateStore(self.index_dir,
                                                 self.cfg.max_keywords)
@@ -880,10 +882,11 @@ class _HydrateStore:
     - ``title, url, last_modified, page_size``: the extracted page's
       columns (default ``""``, ``""``, null, ``0``);
     - ``keywords``: the doc's top ``max_keywords`` ``(term, freq)``
-      structs from forward, by title+body freq desc, term asc (a fixed
-      tie order: the reference's is HashMap-nondeterministic,
-      ``SearchResult.java:33-44``) — Arrow sorts strings by UTF-8
-      bytes, which is the code-point order of Python's ``sort``;
+      structs from the page's forward lists, by title+body freq desc,
+      term asc (a fixed tie order: the reference's is
+      HashMap-nondeterministic, ``SearchResult.java:33-44``) — Arrow
+      sorts strings by UTF-8 bytes, which is the code-point order of
+      Python's ``sort``;
     - ``child_links``: the sorted distinct ``dst_url`` of the page's
       link edges
       (:func:`~web_based_search_engine_ray.stages.extract.link_edges`);
@@ -891,25 +894,23 @@ class _HydrateStore:
       whose ``dst_url`` is the page's url.
 
     The three list columns hold each doc's edges ⋈ pages and keyword
-    rows pre-joined, so a request expands them for its k rows only."""
+    rows pre-joined, so a request expands them for its k rows only.
+    All of it comes from one read of ``extracted/``."""
 
     def __init__(self, index_dir: str, max_keywords: int):
-        def read(name: str, columns: list[str]) -> pa.Table:
-            return pads.dataset(os.path.join(index_dir, name),
-                                format="parquet").to_table(columns=columns)
-
-        pages = read("extracted", ["doc_id", "url", "title", "page_size",
-                                   "last_modified", "links"])
+        pages = pads.dataset(
+            os.path.join(index_dir, "extracted"), format="parquet"
+        ).to_table(columns=["doc_id", "url", "title", "page_size",
+                            "last_modified", "links", "terms", "title_tfs",
+                            "body_tfs"])
         edges = link_edges(pages)
         parents = edges.join(pages.select(["url", "doc_id"]),
                              keys="dst_url", right_keys="url",
                              join_type="inner")
-        meta = pages.drop_columns(["links"]).sort_by("doc_id")
+        meta = pages.select(["doc_id", "url", "title", "page_size",
+                             "last_modified"]).sort_by("doc_id")
         self.keys = meta["doc_id"].to_numpy()
-        kw = _top_keywords(read("forward", ["doc_id", "terms", "title_tfs",
-                                            "body_tfs"]), max_keywords)
-        # a doc with no page gets the default row, keywords included
-        kw = kw.filter(pc.is_in(kw["doc_id"], value_set=pa.array(self.keys)))
+        kw = _top_keywords(pages, max_keywords)
         child = _link_sets(edges, "src_doc_id", "dst_url")
         parent = _link_sets(parents, "doc_id", "src_url")
 
@@ -977,8 +978,9 @@ def hydrated_frame(rows: pa.Table) -> pd.DataFrame:
 
 
 def _top_keywords(fwd: pa.Table, max_keywords: int) -> pa.Table:
-    """``(doc_id, term, freq)`` of each forward row's top
-    ``max_keywords`` terms, sorted by (doc_id, freq desc, term)."""
+    """``(doc_id, term, freq)`` of the top ``max_keywords`` terms of
+    each row's forward lists (``doc_id, terms, title_tfs, body_tfs``),
+    sorted by (doc_id, freq desc, term)."""
     terms = fwd["terms"].combine_chunks()
     freq = pc.add(
         *(pc.list_flatten(fwd[c].combine_chunks()).cast(pa.int64())
@@ -1036,7 +1038,7 @@ def dump_index(index_dir: str, *, max_rows: int = 20) -> str:
     out = []
     meta = fsio.read_json(os.path.join(index_dir, "meta.json"))
     out.append(f"meta: n_docs={meta['n_docs']}")
-    for name in ("extracted", "lexicon", "docstats", "forward", "segments"):
+    for name in ("extracted", "lexicon", "docstats", "segments"):
         path = os.path.join(index_dir, name)
         if not fsio.isdir(path):
             continue

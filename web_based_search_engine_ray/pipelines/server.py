@@ -22,7 +22,7 @@ The page's keyword and phrase stems come from the process's memoized
 stemmer (thread-safe), which the search has already filled, so a
 query word is stemmed once however often it is shown.
 Hydration reads a per-Searcher store of the result-page rows
-(extracted's page columns and link lists, forward's keyword counts)
+(extracted's page columns, link lists and forward lists, read once)
 that the first ``/result`` request loads, under that same lock; the
 page is rendered from those Arrow rows.
 

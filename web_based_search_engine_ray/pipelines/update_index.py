@@ -18,16 +18,17 @@ are never re-tokenized:
    updated/removed urls) ∪ the fresh rows (``fresh_rows``) extracted in
    the same plan.  Its LWW check (``_lww_dedup_shards``) runs only when
    some fresh url has several fresh rows.  Unchanged docs are never
-   parsed; every other partition stays byte-identical on disk.
+   parsed or analyzed (stored rows keep their forward lists); every
+   other partition stays byte-identical on disk.
 3. The ``extracted/`` manifest is re-stamped with the new input key and
    per-shard fingerprints: rewritten shards get the new key, the rest
    keep theirs.  ``build_index(resume=True)`` then regenerates
-   everything downstream, and its shard runner rebuilds segments and
-   forward only for shards whose fingerprint changed.  lexicon and
-   docstats recompute corpus-wide, so df/idf and every doc's cosine
-   norm are globally consistent after the update (the reference gets
-   the same property by recomputing doc length per query).  Page
-   columns and link edges need no recompute: readers take them from
+   everything downstream, and its shard runner rebuilds segments only
+   for shards whose fingerprint changed.  lexicon, N and docstats
+   recompute corpus-wide, so df/idf and every doc's cosine norm are
+   globally consistent after the update (the reference gets the same
+   property by recomputing doc length per query).  Page columns, link
+   edges and forward lists need no recompute: readers take them from
    ``extracted/``, which step 2 already brought up to date.
 
 ``remove_missing=True`` adds full-sync deletion: indexed urls absent
@@ -299,7 +300,7 @@ def update_index(
     # refuse to mix segment formats: untouched shard partitions are kept
     # byte-identical, so the stored index must have been built with the
     # same semantic config (incl. format_version) as this update; an
-    # index older than format 7 records no key and is refused too
+    # index of an older format has another key, or none, and is refused
     stored_meta = fsio.read_json(os.path.join(index_dir, "meta.json"))
     stored_sem = stored_meta.get("semantic_key")
     if stored_sem != sem:
@@ -353,7 +354,7 @@ def update_index(
         )
     if len(classes.fresh_urls):
         parts.append(fresh_rows(corpus, classes).map_batches(
-            functools.partial(_extract_task, verify=cfg.verify_extraction),
+            functools.partial(_extract_task, cfg=cfg),
             batch_format="pyarrow",
             batch_size=cfg.extract_batch_size,
         ))
@@ -377,12 +378,11 @@ def update_index(
     # ---- per-shard fingerprints: the incremental contract ----------------
     # Untouched doc_shard partitions are byte-identical on disk, so they
     # keep the fingerprint of the last write that touched them; the
-    # rewritten ones get the new key.  The sharded segments and forward
-    # stages (build_index._run_sharded_stage) key their part manifests
-    # on these, so the resumed build below re-tokenizes only the
-    # affected shards.  The globally-derived stages (lexicon df,
-    # docstats norms — both depend on corpus-wide df/N by SEMANTICS)
-    # still recompute.
+    # rewritten ones get the new key.  The sharded segments stage
+    # (build_index._run_sharded_stage) keys its part manifests on
+    # these, so the resumed build below re-tokenizes only the affected
+    # shards.  The globally-derived stages (lexicon df, docstats norms —
+    # both depend on corpus-wide df/N by SEMANTICS) still recompute.
     fp_ext = _fp("extracted", sem, input_key)
     shard_fps = mf.load_manifest(d_ext)["shard_fps"]
     shard_fps.update({str(s): fp_ext for s in affected})

@@ -28,9 +28,9 @@ Both stages build their binary columns straight from an encoded
 ``uint8`` blob and its row offsets (no per-row ``bytes`` objects).
 
 The segment row schema is shared by both stages; all runs of a term
-carry the same ``bucket`` (hash(term) % num_buckets), which the forward
-/docstats derivation relies on (all runs of a term meet in one bucket
-group, so Σ df_run there is the global df).
+carry the same ``bucket`` (hash(term) % num_buckets), which the lexicon
+derivation relies on (all runs of a term meet in one bucket group, so
+Σ df_run there is the global df).
 """
 
 from __future__ import annotations
@@ -93,10 +93,10 @@ class TermRows(NamedTuple):
 
 
 class PostingExtractor:
-    """Shared tokenizer of the segments and forward stages: a documents
+    """Shared tokenizer of the extract and segments stages: a documents
     block → per-(doc, term) title/body positions (:meth:`analyze`),
-    which :class:`TokenizeEncode` encodes into posting runs and
-    :class:`ForwardRows` folds into per-doc term/tf lists.
+    which :class:`ForwardRows` folds into each extracted page's term/tf
+    lists and :class:`TokenizeEncode` encodes into posting runs.
 
     The analysis is columnar: one Arrow RE2 split of the ``title`` and
     ``text`` columns, one dictionary encode of the tokens, each distinct
@@ -414,27 +414,25 @@ def _merge_runs(group: pa.Table, src: np.ndarray, runs_per_term: np.ndarray,
 
 
 class ForwardRows(PostingExtractor):
-    """Stage: documents block → forward-index rows ``(doc_id, terms,
-    title_tfs, body_tfs, tf_max)`` — entirely DOC-LOCAL (no shuffle:
-    a document's term list is known the moment it is tokenized).
-
-    This replaces the earlier derivation that exploded the compressed
-    segments (decode + term-bucket shuffle + doc-bucket shuffle): the
-    lists are cut from the same columnar :meth:`~PostingExtractor.analyze`
-    rows that :class:`TokenizeEncode` encodes, already in (doc, term)
-    order, so each doc's term list comes out sorted (deterministic
-    artifacts).  Docs with zero surviving terms are dropped (the
-    reference counts only docs with ≥1 term, ``InvertedIndex.java:72``).
+    """Documents block → one forward row per input row ``(doc_id, terms,
+    title_tfs, body_tfs, tf_max)``, which ``build_index._extract_task``
+    appends to the page's ``extracted/`` row.  The lists are cut from
+    the same columnar :meth:`~PostingExtractor.analyze` rows that
+    :class:`TokenizeEncode` encodes, already in (doc, term) order, so
+    each doc's term list comes out sorted (deterministic artifacts).  A
+    doc with no kept term gets empty lists and ``tf_max`` 0; N counts
+    only docs with ``tf_max > 0`` (``InvertedIndex.java:72``).
     """
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         r = self.analyze(batch)
-        doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        first = np.flatnonzero(np.diff(r.doc, prepend=-1))
-        off = pa.array(np.append(first, len(r.doc)), type=pa.int32())
+        ends = np.cumsum(np.bincount(r.doc, minlength=batch.num_rows))
+        off = pa.array(np.append(0, ends), type=pa.int32())
+        tf_max = np.zeros(batch.num_rows, np.int64)
+        tf_max[r.doc] = r.tf_max
         return pa.table(
             {
-                "doc_id": pa.array(doc_ids[r.doc[first]], type=pa.int64()),
+                "doc_id": batch["doc_id"],
                 "terms": pa.ListArray.from_arrays(
                     off, pa.array(r.vocab, type=pa.string()).take(r.term)
                 ),
@@ -444,7 +442,7 @@ class ForwardRows(PostingExtractor):
                 "body_tfs": pa.ListArray.from_arrays(
                     off, pa.array(r.btf, type=pa.int64())
                 ),
-                "tf_max": pa.array(r.tf_max[first], type=pa.int64()),
+                "tf_max": pa.array(tf_max),
             }
         )
 
@@ -474,7 +472,8 @@ def sorted_hash_lookup(hv: np.ndarray, dfs) -> tuple:
 
 
 def doc_stats_batch(batch: pa.Table, *, n_docs: int, df_ref) -> pa.Table:
-    """Forward rows → ``(doc_id, tf_max, doc_len_norm)``.
+    """Extracted rows with terms (their ``doc_id`` and forward lists) →
+    ``(doc_id, tf_max, doc_len_norm, n_tokens)``.
 
     doc_len_norm = sqrt(Σ_t (tf_t · log10(N/df_t) / tfMax)²) over ALL of
     the doc's terms with unweighted tf (``InvertedIndex.getDocumentLength``,

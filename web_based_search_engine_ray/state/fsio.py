@@ -1,6 +1,6 @@
 """URI-capable filesystem layer for every index/artifact path.
 
-All segment/lexicon/forward/docstats/extracted IO — and the TASK-SIDE
+All segment/lexicon/docstats/extracted IO — and the TASK-SIDE
 bucket discovery that runs inside Ray workers — goes through these
 helpers instead of bare ``os``/``glob``/``shutil`` calls, so an index
 can live on generic object storage (any fsspec scheme: ``s3://``,
