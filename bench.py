@@ -164,9 +164,10 @@ def run_bench() -> dict:
 
     queries = make_queries(N_QUERIES)
     # shard replicas lift the query tier's CPU ceiling above the shard
-    # count (each replica holds 1/shards state); brokers round-robin
-    # over the replica rings.  Actor spin-up + first-touch decode are
-    # deployment cost, not throughput — warm, then time steady state.
+    # count (each replica holds 1/shards state); each replica ring
+    # takes one contiguous slice of the batch.  Actor spin-up +
+    # first-touch decode are deployment cost, not throughput — warm,
+    # then time steady state.
     replicas = max(1, NUM_CPUS // doc_shards)
     searcher = ShardedSearcher(
         idx_dir,

@@ -45,11 +45,13 @@ def test_bm25_basic_properties(idx):
 
 
 def test_bm25_sharded_equivalent(ray_session, tmp_path_factory):
+    """Per-shard BM25 top-k merged by the batch merge equals flat BM25:
+    every shard Searcher uses the corpus-wide ``avgdl``."""
     from web_based_search_engine_ray.config import IndexConfig
     from web_based_search_engine_ray.pipelines.build_index import build_index
     from web_based_search_engine_ray.pipelines.search import (
         Searcher,
-        ShardedSearcher,
+        _merge_query_results,
     )
     from web_based_search_engine_ray.sources.webcorpus import synth_corpus
 
@@ -60,14 +62,16 @@ def test_bm25_sharded_equivalent(ray_session, tmp_path_factory):
         input_key="bm25", resume=False,
     )
     flat = Searcher(d)
-    sharded = ShardedSearcher(d, num_cpus_per_shard=0.5)
-    try:
-        a = flat.search({"spark", "merge"}, k=20, hydrate=False, mode="bm25")
-        b = sharded.search({"spark", "merge"}, k=20, mode="bm25")
-        assert a["doc_id"].tolist() == b["doc_id"].tolist()
-        np.testing.assert_allclose(
-            a["score"].to_numpy(np.float64),
-            b["score"].to_numpy(np.float64), rtol=1e-12,
-        )
-    finally:
-        sharded.shutdown()
+    shards = [Searcher(d, doc_shard=s) for s in range(4)]
+    assert {s.avgdl for s in shards} == {flat.avgdl}
+    words = {"spark", "merge"}
+    a = flat.search(words, k=20, hydrate=False, mode="bm25")
+    b = _merge_query_results(
+        [s.search(words, k=20, hydrate=False, mode="bm25").assign(query_id=0)
+         for s in shards], 20)
+    assert len(a) == 20
+    assert a["doc_id"].tolist() == b["doc_id"].tolist()
+    np.testing.assert_allclose(
+        a["score"].to_numpy(np.float64),
+        b["score"].to_numpy(np.float64), rtol=1e-12,
+    )

@@ -135,7 +135,8 @@ def test_pipeline_golden_scores(golden_index):
 
     s = Searcher(golden_index)
     assert s.n_docs == 3
-    scores = s.scores({"w1", "w4", "w7", "w10"})
+    ids, vals = s.scores_arrays({"w1", "w4", "w7", "w10"})
+    scores = dict(zip(ids.tolist(), vals.tolist()))
     assert scores[1] == pytest.approx(S1, abs=1e-10)
     assert scores[2] == pytest.approx(S2, abs=1e-10)
     assert scores[3] == pytest.approx(S3, abs=1e-10)
@@ -145,11 +146,14 @@ def test_pipeline_golden_phrase(golden_index):
     from web_based_search_engine_ray.pipelines.search import Searcher
 
     s = Searcher(golden_index)
-    assert s.documents_with_phrase(["w1", "w1", "w2", "w3"]) == {1}
-    assert s.documents_with_phrase(["w2", "w1"]) == set()
-    assert s.documents_with_phrase(["w4", "w4"]) == {2}
+    def docs(phrase):
+        return s.phrase_doc_array(phrase).tolist()
+
+    assert docs(["w1", "w1", "w2", "w3"]) == [1]
+    assert docs(["w2", "w1"]) == []
+    assert docs(["w4", "w4"]) == [2]
     # title/body split: phrase across fields must NOT match
-    assert s.documents_with_phrase(["w9", "w10"]) == set()
+    assert docs(["w9", "w10"]) == []
 
 
 def test_pipeline_golden_topk_and_hydration(golden_index):

@@ -99,8 +99,9 @@ def test_prune_actually_restricts(idx):
 
     s = Searcher(idx)
     words = {"42", "merge", "join", "batch"}  # '42' = rare title term
-    full_map = s.scores(words)
-    pruned_map = s.scores(words, k=1, prune=True)
+    full_map = dict(zip(*(a.tolist() for a in s.scores_arrays(words))))
+    pruned_map = dict(zip(*(a.tolist() for a in
+                            s.scores_arrays(words, k=1, prune=True))))
     top_full = max(full_map.items(), key=lambda kv: (kv[1], -kv[0]))
     top_pruned = max(pruned_map.items(), key=lambda kv: (kv[1], -kv[0]))
     assert top_full == top_pruned

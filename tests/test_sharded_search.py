@@ -85,11 +85,11 @@ def _assert_matches_flat(batch, flat, queries, k):
         )
 
 
-def test_brokered_batch_search_chunking(indexes):
-    """Broker counts only change how the batch is split: n_brokers=2
-    (uneven slices, shifted query_id offsets) equals n_brokers=1, and
-    both equal per-query flat search — also for a batch smaller than
-    the broker count."""
+def test_batch_search_replica_slices(indexes):
+    """The replica count only changes how the batch is split: each ring
+    takes one contiguous slice.  replicas=2 (uneven slices, shifted
+    query ids) equals replicas=1, and both equal per-query flat search;
+    so does a batch smaller than the ring count (one ring idle)."""
     from web_based_search_engine_ray.pipelines.search import (
         Searcher,
         ShardedSearcher,
@@ -97,21 +97,23 @@ def test_brokered_batch_search_chunking(indexes):
 
     flat_dir, shard_dir = indexes
     flat = Searcher(flat_dir)
-    sharded = ShardedSearcher(shard_dir, num_cpus_per_shard=0.5)
-    try:
-        queries = ["spark merge", '"batch batch" window', "doc table",
-                   "key fast join", "zzznope"]
-        one = sharded.batch_search(queries, k=10, n_brokers=1)
-        two = sharded.batch_search(queries, k=10, n_brokers=2)
-        pd.testing.assert_frame_equal(
-            one.sort_values(["query_id", "rank"], ignore_index=True),
-            two.sort_values(["query_id", "rank"], ignore_index=True),
-        )
-        _assert_matches_flat(two, flat, queries, 10)
-        tiny = sharded.batch_search(queries[:1], k=10, n_brokers=2)
-        _assert_matches_flat(tiny, flat, queries[:1], 10)
-    finally:
-        sharded.shutdown()
+    queries = ["spark merge", '"batch batch" window', "doc table",
+               "key fast join", "zzznope"]
+    frames = {}
+    for replicas in (1, 2):
+        sharded = ShardedSearcher(shard_dir, num_cpus_per_shard=0.25,
+                                  replicas=replicas)
+        try:
+            frames[replicas] = sharded.batch_search(queries, k=10)
+            if replicas == 2:
+                tiny = sharded.batch_search(queries[:1], k=10)
+        finally:
+            sharded.shutdown()
+    pd.testing.assert_frame_equal(frames[1], frames[2])
+    _assert_matches_flat(frames[2], flat, queries, 10)
+    _assert_matches_flat(tiny, flat, queries[:1], 10)
+    pd.testing.assert_frame_equal(
+        tiny, frames[1][frames[1].query_id == 0].reset_index(drop=True))
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +176,9 @@ def test_batch_search_with_empty_shards_matches_flat(sparse_index):
 
 
 def test_sharded_results_identical(indexes):
+    """``batch_search`` over 4 doc shards, plain and quoted-phrase
+    queries at k=20, equals per-query flat search, in the merged
+    frame's columns and dtypes."""
     from web_based_search_engine_ray.pipelines.search import (
         Searcher,
         ShardedSearcher,
@@ -183,25 +188,14 @@ def test_sharded_results_identical(indexes):
     flat = Searcher(flat_dir)
     sharded = ShardedSearcher(shard_dir)
     try:
-        for words, phrase in [
-            ({"spark", "merge"}, None),
-            ({"window", "batch"}, ["batch", "batch"]),
-            ({"doc", "table"}, None),
-            ({"zzznope"}, None),
-        ]:
-            a = flat.search(words, phrase, k=20, hydrate=False)
-            b = sharded.search(words, phrase, k=20)
-            assert a["doc_id"].tolist() == b["doc_id"].tolist(), (words, phrase)
-            np.testing.assert_allclose(
-                a["score"].to_numpy(dtype=np.float64),
-                b["score"].to_numpy(dtype=np.float64),
-                rtol=1e-12,
-            )
-        bs = sharded.batch_search(["spark merge", '"batch batch" window'], k=10)
-        assert set(bs.columns) == {"query_id", "rank", "doc_id", "score"}
-        q0 = bs[bs.query_id == 0]
-        direct = sharded.search({"spark", "merge"}, None, k=10)
-        assert q0["doc_id"].tolist() == direct["doc_id"].tolist()
+        queries = ["spark merge", 'window "batch batch"', '"spark merge"',
+                   "doc table", '"zzznope merge"', "zzznope"]
+        bs = sharded.batch_search(queries, k=20)
+        assert list(bs.columns) == ["query_id", "rank", "doc_id", "score"]
+        assert bs.dtypes.tolist() == [np.int64, np.int64, np.int64,
+                                      np.float64]
+        _assert_matches_flat(bs, flat, queries, 20)
+        assert set(bs["query_id"]) == {0, 1, 2, 3}
     finally:
         sharded.shutdown()
 
@@ -233,9 +227,9 @@ def test_batch_search_survives_shard_actor_death(indexes):
     sharded = ShardedSearcher(shard_dir, num_cpus_per_shard=0.5)
     try:
         queries = ["spark merge", '"batch batch" window', "doc table"]
-        before = sharded.batch_search(queries, k=10, n_brokers=1)
+        before = sharded.batch_search(queries, k=10)
         ray.kill(sharded.shard_actors()[1], no_restart=False)
-        after = sharded.batch_search(queries, k=10, n_brokers=1)
+        after = sharded.batch_search(queries, k=10)
         pd.testing.assert_frame_equal(before, after)
     finally:
         sharded.shutdown()

@@ -4,7 +4,9 @@ segment partitions untouched on disk."""
 
 from __future__ import annotations
 
+import logging
 import os
+from contextlib import contextmanager
 
 import numpy as np
 import pandas as pd
@@ -209,6 +211,105 @@ def test_update_refuses_format_6_index(ray_session, tmp_path):
         assert sorted(os.listdir(idx)) == ["meta.json"], fmt
     # the helper reproduces the current format's key
     assert _format_key(cfg, 8) == cfg.semantic_key()
+
+
+def test_searchers_refuse_other_format(ray_session, tmp_path):
+    """``Searcher`` and ``ShardedSearcher`` refuse an index whose
+    meta.json carries another semantic key (format 7) or none (format
+    6) with the update's "rebuild" error, instead of opening it and
+    failing on a later column read; the same index with its own key
+    opens."""
+    import json
+
+    import ray.data as rd
+
+    from web_based_search_engine_ray.config import IndexConfig
+    from web_based_search_engine_ray.pipelines.build_index import build_index
+    from web_based_search_engine_ray.pipelines.search import (
+        Searcher,
+        ShardedSearcher,
+    )
+
+    cfg = IndexConfig(shuffle_partitions=2, num_buckets=4, doc_shards=2)
+    idx = str(tmp_path / "idx")
+    base = _web(list(range(6)), [f"base document number {i}"
+                                 for i in range(6)])
+    build_index(lambda: rd.from_arrow(base), idx, cfg, input_key="f1",
+                resume=False)
+    path = os.path.join(idx, "meta.json")
+    with open(path) as f:
+        meta = json.load(f)
+    config7 = {**meta["config"], "verify_extraction": True}
+    old_metas = {
+        6: {k: v for k, v in meta.items() if k != "semantic_key"},
+        7: {**meta, "config": config7, "semantic_key": _format_key(cfg, 7)},
+    }
+    for fmt, old in old_metas.items():
+        with open(path, "w") as f:
+            json.dump(old, f)
+        for reader in (Searcher, ShardedSearcher):
+            with pytest.raises(ValueError,
+                               match="semantic config.*rebuild it with"):
+                reader(idx)
+    with open(path, "w") as f:
+        json.dump(meta, f)
+    assert Searcher(idx).search({"base"}, k=10, hydrate=False)[
+        "doc_id"].tolist() == list(range(6))
+
+
+@pytest.mark.parametrize("dies_at", ["swap", "downstream"])
+def test_rerun_of_interrupted_update_finishes(updated_and_rebuilt,
+                                              tmp_path, monkeypatch,
+                                              dies_at):
+    """An update that dies once its fresh rows are in extracted/ (right
+    after the swap, or as its downstream build starts) is finished by a
+    rerun of the same update.  The rerun finds nothing fresh, yet the
+    index then equals a full rebuild of the new snapshot."""
+    from web_based_search_engine_ray.config import IndexConfig
+    from web_based_search_engine_ray.pipelines import update_index as ui
+    from web_based_search_engine_ray.pipelines.build_index import build_index
+    from web_based_search_engine_ray.pipelines.search import Searcher
+
+    _, full_dir, _, _ = updated_and_rebuilt
+    cfg = IndexConfig(shuffle_partitions=4, num_buckets=4, doc_shards=4)
+    idx = str(tmp_path / "idx")
+    build_index(_corpus_v1, idx, cfg, input_key="v1", resume=False)
+    real_replace = ui.fsio.replace
+
+    def swap_then_die(*a, **kw):  # v2 touches shard 0 only
+        real_replace(*a, **kw)
+        raise RuntimeError("died")
+
+    def dies(*a, **kw):
+        raise RuntimeError("died")
+
+    with monkeypatch.context() as mp:
+        if dies_at == "swap":
+            mp.setattr(ui.fsio, "replace", swap_then_die)
+        else:
+            mp.setattr(ui, "build_index", dies)
+        with pytest.raises(RuntimeError, match="died"):
+            ui.update_index(_corpus_v2, idx, cfg, input_key="v2")
+    report = ui.update_index(_corpus_v2, idx, cfg, input_key="v2")
+    assert report["update"] == {
+        "fresh_docs": 0, "removed_docs": 0, "affected_shards": []
+    }
+    assert report["n_docs"] == 502
+    assert report["input_key"] == "v2"
+    for stage, key in (("lexicon", "term"), ("docstats", "doc_id")):
+        a, b = (_tbl(d, stage).sort_values(key).reset_index(drop=True)
+                for d in (idx, full_dir))
+        pd.testing.assert_frame_equal(a, b)
+    a, b = Searcher(idx), Searcher(full_dir)
+    words = {"freshly", "updated", "sparkly"}
+    ra = a.search(words, k=10, hydrate=False)
+    rb = b.search(words, k=10, hydrate=False)
+    assert ra["doc_id"].tolist() == rb["doc_id"].tolist() != []
+    np.testing.assert_array_equal(ra["score"].to_numpy(np.float64),
+                                  rb["score"].to_numpy(np.float64))
+    # finished: a third run is the plain no-op
+    again = ui.update_index(_corpus_v2, idx, cfg, input_key="v2")
+    assert again["n_docs"] == 502 and again["update"]["fresh_docs"] == 0
 
 
 def test_unaffected_partitions_untouched(updated_and_rebuilt):
@@ -604,6 +705,76 @@ def test_update_delta_duplicate_url_keeps_newest(ray_session,
     assert len(row) == 1
     want = _web([3], ["x"], days=2)["warc_ts"][0].as_py()
     assert row["last_modified"].iloc[0] == pd.Timestamp(want)
+
+
+# ---- Dataset executions per build and per update --------------------------
+
+#: Ray Data logs one "Starting execution of Dataset" record per execution;
+#: each execution has a fixed cost, so the plan size is pinned here
+_EXECUTOR_LOG = "ray.data._internal.execution.streaming_executor"
+
+
+@contextmanager
+def _count_executions():
+    """Yields a list that gets one entry per Dataset execution started
+    in the block."""
+    started: list[str] = []
+
+    class Handler(logging.Handler):
+        def emit(self, record):
+            msg = record.getMessage()
+            if msg.startswith("Starting execution of Dataset"):
+                started.append(msg)
+
+    log = logging.getLogger(_EXECUTOR_LOG)
+    handler, level = Handler(), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        yield started
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
+def test_build_and_update_execution_counts(ray_session, tmp_path):
+    """A build runs 5 executions (extracted write, its LWW check,
+    segments, lexicon, docstats); an update with one row per fresh url
+    runs 5 (classify, the extracted rewrite, the three downstream
+    stages); one where a fresh url has two fresh rows adds the LWW
+    check (6); a no-op update runs classify only (1)."""
+    import ray.data as rd
+
+    from web_based_search_engine_ray.config import IndexConfig
+    from web_based_search_engine_ray.pipelines.build_index import build_index
+    from web_based_search_engine_ray.pipelines.update_index import (
+        update_index,
+    )
+
+    ids = list(range(6))
+    base = _web(ids, [f"base document number {i}" for i in ids])
+    one_row = [base.filter(pa.array(np.array(ids) != 2)),
+               _web([2], ["rewritten second document"], days=1),
+               _web([7], ["unseen document"])]
+    two_rows = one_row + [_web([3], ["older third rewrite"], days=1),
+                          _web([3], ["newer third rewrite"], days=2)]
+    cfg = IndexConfig(shuffle_partitions=2, num_buckets=4, doc_shards=2)
+    idx = str(tmp_path / "idx")
+    counts = {}
+    with _count_executions() as started:
+        build_index(lambda: rd.from_arrow(base), idx, cfg, input_key="e1",
+                    resume=False)
+        counts["build"] = len(started)
+    for key, snapshot, what in (("e2", one_row, "one row per fresh url"),
+                                ("e3", two_rows, "two fresh rows"),
+                                ("e4", two_rows, "no-op")):
+        with _count_executions() as started:
+            report = update_index(lambda: rd.from_arrow(snapshot), idx, cfg,
+                                  input_key=key)
+            counts[what] = len(started)
+        assert (report["update"]["fresh_docs"] == 0) == (what == "no-op")
+    assert counts == {"build": 5, "one row per fresh url": 5,
+                      "two fresh rows": 6, "no-op": 1}
 
 
 # ---- the classify join ----------------------------------------------------

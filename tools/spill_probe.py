@@ -11,7 +11,9 @@ each its own process-isolated Ray session:
 2. ``killed`` — the same build in a subprocess that is SIGKILLed
    mid-stage (fixed wall delay), then resumed (``resume=True``, same
    ``input_key``).  The resumed run must skip completed stages and
-   finish.
+   finish.  A kill that lands after the build has exited, or a resume
+   that rebuilds no stage, tested no resume: the probe reports
+   ``"kill_missed": true`` and exits non-zero.
 3. ``compare`` — lexicon + docstats + the extracted page columns of
    both indexes must be value-identical (bit-identical norms), proving
    pressure + crash + resume changes nothing.
@@ -72,7 +74,8 @@ report = build_index(
 )
 wall = time.perf_counter() - t0
 
-print("BUILD_OK", report["n_docs"], round(wall, 2))
+print("BUILD_OK", report["n_docs"], round(wall, 2),
+      sum(not st["skipped"] for st in report["stages"]))
 # spill counters from the raylet log (grpc-free; memory_summary needs
 # the grpc wheel, absent here)
 import os, re
@@ -110,19 +113,21 @@ def _run_build(repeat: int, out_dir: str, store_mb: int,
     )
     if kill_after is not None:
         time.sleep(kill_after)
+        if proc.poll() is not None:  # the build ended before the kill
+            return {"killed": False}
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
         return {"killed": True}
     out, _ = proc.communicate(timeout=1800)
     if proc.returncode != 0:
         raise RuntimeError(f"build failed (rc={proc.returncode}):\n{out}")
-    m = re.search(r"BUILD_OK (\d+) ([0-9.]+)", out)
+    m = re.search(r"BUILD_OK (\d+) ([0-9.]+) (\d+)", out)
     spilled = re.search(r"Spilled (\d+) MiB, (\d+) objects", out)
     restored = re.search(r"Restored (\d+) MiB, (\d+) objects", out)
     return {
-        "killed": False,
         "n_docs": int(m.group(1)),
         "wall_sec": float(m.group(2)),
+        "stages_built": int(m.group(3)),
         "spilled_mib": int(spilled.group(1)) if spilled else 0,
         "spilled_objects": int(spilled.group(2)) if spilled else 0,
         "restored_mib": int(restored.group(1)) if restored else 0,
@@ -169,9 +174,10 @@ def main() -> None:
 
     clean = _run_build(args.repeat, clean_dir, args.store_mb)
 
-    _run_build(args.repeat, resumed_dir, args.store_mb,
-               kill_after=args.kill_after)
+    killed = _run_build(args.repeat, resumed_dir, args.store_mb,
+                        kill_after=args.kill_after)["killed"]
     resumed = _run_build(args.repeat, resumed_dir, args.store_mb)
+    kill_missed = not killed or resumed["stages_built"] == 0
 
     ha = _artifact_hash(clean_dir)
     hb = _artifact_hash(resumed_dir)
@@ -184,11 +190,16 @@ def main() -> None:
         "clean": clean,
         "resumed_after_kill": resumed,
         "kill_after_sec": args.kill_after,
+        "kill_missed": kill_missed,
         "artifacts_identical": identical,
         "artifact_hashes": ha,
     }))
     if not identical:
         print(json.dumps({"clean": ha, "resumed": hb}), file=sys.stderr)
+    if kill_missed:
+        print("kill missed: the build was not running at the kill, or "
+              "the resume rebuilt no stage", file=sys.stderr)
+    if kill_missed or not identical:
         sys.exit(1)
 
 

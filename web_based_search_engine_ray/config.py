@@ -77,6 +77,18 @@ class IndexConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def check_index(self, meta: dict, index_dir: str, use: str) -> None:
+        """Refuse an index whose ``meta.json`` was written under another
+        semantic config (another ``format_version`` included), or under
+        none: its artifacts are not the ones ``use`` reads and writes."""
+        stored, sem = meta.get("semantic_key"), self.semantic_key()
+        if stored != sem:
+            raise ValueError(
+                f"index at {index_dir} was built with semantic config "
+                f"{stored}; {use} requires {sem} — rebuild it with "
+                "build_index"
+            )
+
 
 #: Configuration whose output is expressible in ANSI SQL (used by the
 #: DuckDB oracle checks): tokenization + lowercase only, no stopword

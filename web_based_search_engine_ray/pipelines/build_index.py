@@ -390,11 +390,13 @@ def build_index(
     # Per-shard fingerprints: the key of the last write that TOUCHED each
     # extracted doc_shard partition.  A full extract rewrites every
     # shard; ``update_index`` gives only the shards it rewrites the new
-    # key, so segments rebuilds only those.
+    # key, so segments rebuilds only those.  ``input_key`` names the
+    # write the downstream stages must be finished under.
     results.append(
         mf.run_stage(
             d_ext, fp_ext, _build_extracted, resume=resume,
-            extra_metrics={"shard_fps": {str(s): fp_ext for s in shards}},
+            extra_metrics={"shard_fps": {str(s): fp_ext for s in shards},
+                           "input_key": input_key},
         )
     )
     shard_fps = results[-1].extra["shard_fps"]

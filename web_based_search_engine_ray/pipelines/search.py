@@ -33,8 +33,9 @@ lookup (no vocabulary-sized Python dict), and reads posting runs via
 bucket-pruned parquet with per-run block-max metadata for decode
 skipping.  Searchers shard by ``doc_id`` behind a scatter-gather
 (``ShardedSearcher``); its ``batch_search`` is the one batch query
-path: broker actors split the batch and share the shard actors
-(an unsharded index is the one-shard case).
+path: the caller sends one ``search_many`` RPC per shard actor and
+merges every shard's top-k once (an unsharded index is the one-shard
+case).
 
 The reader speaks the layout ``build_index`` writes (``format_version``
 8): a ``bucket=``-partitioned lexicon with ``ub_adj``, ``n_tokens`` in
@@ -65,9 +66,9 @@ from web_based_search_engine_ray.stages.extract import link_edges
 
 
 def _load_cfg(d: dict) -> IndexConfig:
-    """Tolerant config load: ignore keys from other code versions (an
-    index built by an older/newer build keeps working as long as the
-    semantic fields match)."""
+    """Config load that ignores keys of other code versions; the
+    readers then refuse an index whose semantic key is not this
+    config's (:meth:`IndexConfig.check_index`)."""
     import dataclasses
 
     known = {f.name for f in dataclasses.fields(IndexConfig)}
@@ -116,6 +117,7 @@ class Searcher:
         meta = fsio.read_json(os.path.join(index_dir, "meta.json"))
         self.n_docs: int = meta["n_docs"]
         self.cfg = _load_cfg(meta["config"])
+        self.cfg.check_index(meta, index_dir, "Searcher")
         #: the decode cache, keyed by ``(kind, bm25, term)`` with
         #: ``bm25=None`` for the scorer-independent kinds
         self._cache: dict[tuple, tuple | None] = {}
@@ -427,12 +429,6 @@ class Searcher:
             return None
         return self._densify_partial(p[0], *self._partial(*p, df, bm25))
 
-    def scores(self, words, k: int | None = None,
-               prune: bool = False) -> dict[int, float]:
-        """Dict facade over :meth:`scores_arrays` (reference-shaped API)."""
-        ids, vals = self.scores_arrays(words, k=k, prune=prune)
-        return dict(zip(ids.tolist(), vals.tolist()))
-
     def _partial_for_candidates(self, term: str, df: int,
                                 cand_ids: np.ndarray, *,
                                 bm25: bool = False):
@@ -732,11 +728,6 @@ class Searcher:
         ends = np.concatenate(keys)
         ends += len(terms) - 1 - r
         return self._stat_ids[np.unique(ends >> np.int64(self.POS_BITS))]
-
-    def documents_with_phrase(self, phrase: list[str]) -> set[int]:
-        """Set facade over :meth:`phrase_doc_array` (reference-shaped
-        API)."""
-        return set(self.phrase_doc_array(phrase).tolist())
 
     #: cost-model constants for ``traversal="auto"`` (measured on the
     #: Zipf bench fixture, ``bench.py --zipf`` — see BASELINE.md):
@@ -1071,28 +1062,6 @@ def _merge_query_results(parts: list[pd.DataFrame], k: int) -> pd.DataFrame:
     )
 
 
-class _Broker:
-    """Query broker: scatter-gathers a query slice against SHARED shard
-    actors and merges locally; multiple brokers multiply gather/merge
-    throughput without duplicating shard state."""
-
-    def __init__(self, shard_actors):
-        self._shards = shard_actors
-
-    def run(self, queries: list[str], base_qid: int, k: int,
-            traversal: str = "auto") -> pd.DataFrame:
-        import ray
-
-        futs = [
-            s.search_many.remote(queries, k=k, traversal=traversal)
-            for s in self._shards
-        ]
-        parts = [p for p in ray.get(futs) if len(p)]
-        out = _merge_query_results(parts, k)
-        out["query_id"] += base_qid
-        return out
-
-
 def _in_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mask of the values of ``a`` found in the sorted array ``b``: one
     ``searchsorted``, about 3x cheaper than ``intersect1d``'s re-sort."""
@@ -1146,10 +1115,13 @@ class ShardedSearcher:
     """Scatter-gather search over a doc-partitioned index
     (``IndexConfig.doc_shards`` > 1) — the 10^12-doc deployment shape:
     one ``Searcher`` actor per document shard, each holding only its
-    shard's doc stats and reading only its segment partition; a query
-    fans out, every shard returns its top-k, and the results are merged
-    (scores are per-doc independent, so the merged top-k is exact).  An
-    unsharded index (``doc_shards=1``) runs as one shard actor.
+    shard's doc stats and reading only its segment partition.  A batch
+    fans out from the caller as one ``search_many`` RPC per shard
+    actor, every shard returns each query's top-k, and one merge
+    combines them (scores are per-doc independent, so the merged top-k
+    is exact).  Shard actors serve that one RPC; there is no broker
+    tier.  An unsharded index (``doc_shards=1``) runs as one shard
+    actor.
 
     This is one of the few places raw Ray actors are justified: the
     sharded, long-lived, randomly-accessed searcher state is not
@@ -1166,12 +1138,13 @@ class ShardedSearcher:
         shard actor processes one RPC at a time, so the query tier's
         CPU ceiling is ``num_shards × replicas`` — scale replicas with
         the cluster (each replica holds only its shard's 1/num_shards
-        state, so replication is cheap) the way production search tiers
-        replicate shards behind brokers."""
+        state, so replication is cheap).  :meth:`batch_search` gives
+        each replica ring one contiguous slice of the batch."""
         import ray
 
         meta = fsio.read_json(os.path.join(index_dir, "meta.json"))
         self.cfg = _load_cfg(meta["config"])
+        self.cfg.check_index(meta, index_dir, "ShardedSearcher")
         self.num_shards = max(1, self.cfg.doc_shards)
         self.replicas = max(1, replicas)
         # a shard actor that dies is restarted from the index dir and
@@ -1190,67 +1163,32 @@ class ShardedSearcher:
             for _ in range(self.replicas)
         ]
         self._actors = self._rings[0]
-        self._brokers: list = []
-
-    def search(self, words, phrase=None, k: int | None = None,
-               mode: str = "ref") -> pd.DataFrame:
-        """One query scattered to every shard; exact merged top-k
-        ``(doc_id, score)`` frame (no hydration)."""
-        import ray
-
-        k = k if k is not None else self.cfg.max_results
-        futs = [
-            a.search.remote(words, phrase, k=k, hydrate=False, mode=mode)
-            for a in self._actors
-        ]
-        parts = [p.assign(query_id=0) for p in ray.get(futs) if len(p)]
-        return _merge_query_results(parts, k)[["doc_id", "score"]]
 
     def batch_search(self, queries: list[str], k: int = 10,
-                     n_brokers: int | None = None,
                      traversal: str = "auto") -> pd.DataFrame:
-        """Split the query batch into ``n_brokers`` contiguous slices;
-        each broker actor sends its slice to every shard (one
-        ``search_many`` RPC per shard; each shard's decode work is
-        1/num_shards of the posting data) and merges per query.
-        Returns ``(query_id, rank, doc_id, score)``.
-
-        Brokers SHARE the shard actors, so adding brokers scales
-        gather+merge throughput with cores the way production search
-        tiers do.  Default (``n_brokers=None``): one broker per ~8
-        cluster CPUs."""
+        """Exact per-query top-k ``(query_id, rank, doc_id, score)`` of
+        ``queries``, in one scatter-gather: the batch is cut into one
+        contiguous slice per replica ring, every shard actor of ring
+        ``r`` gets one ``search_many`` RPC for slice ``r`` (each shard
+        decodes 1/num_shards of the posting data), and one
+        :func:`_merge_query_results` merges every part."""
         import ray
 
-        if n_brokers is None:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-            n_brokers = max(1, cpus // 8)
-        if n_brokers < 1:
-            raise ValueError("n_brokers must be >= 1")
-        # num_cpus=0: brokers spend most time waiting on shard futures
-        # with short merge bursts — a reserved CPU would deadlock small
-        # clusters where shard actors hold every core.  Brokers are
-        # cached across calls (actor startup would otherwise dominate
-        # small batches).
-        if len(self._brokers) < n_brokers:
-            broker_cls = ray.remote(num_cpus=0)(_Broker)
-            self._brokers.extend(
-                # broker i scatter-gathers against replica ring
-                # i mod replicas — load spreads across shard copies
-                broker_cls.remote(self._rings[i % self.replicas])
-                for i in range(len(self._brokers), n_brokers)
-            )
-        chunk = -(-len(queries) // n_brokers)
-        futs = [
-            self._brokers[i].run.remote(
-                queries[i * chunk:(i + 1) * chunk], i * chunk, k, traversal
-            )
-            for i in range(n_brokers)
-            if queries[i * chunk:(i + 1) * chunk]
-        ]
-        parts = [p for p in ray.get(futs) if len(p)]
-        if not parts:
-            return pd.DataFrame(columns=["query_id", "rank", "doc_id", "score"])
-        return pd.concat(parts, ignore_index=True)
+        chunk = -(-len(queries) // self.replicas)
+        starts, futs = [], []
+        for r, ring in enumerate(self._rings):
+            part = queries[r * chunk:(r + 1) * chunk]
+            if not part:
+                continue
+            for a in ring:
+                starts.append(r * chunk)
+                futs.append(a.search_many.remote(part, k=k,
+                                                 traversal=traversal))
+        # a frame from ray.get may sit on read-only buffers: the offset
+        # query ids are a new column, never an in-place add
+        parts = [p.assign(query_id=p["query_id"].to_numpy() + base)
+                 for base, p in zip(starts, ray.get(futs)) if len(p)]
+        return _merge_query_results(parts, k)
 
     def shard_actors(self):
         return list(self._actors)
@@ -1258,9 +1196,6 @@ class ShardedSearcher:
     def shutdown(self):
         import ray
 
-        for b in self._brokers:
-            ray.kill(b)
-        self._brokers = []
         for ring in self._rings:
             for a in ring:
                 ray.kill(a)

@@ -34,7 +34,8 @@ the hydrate store first loaded after the update mixes the new index
 version with the old.  Restart the server after an update; index
 generations that keep a reader's version live are ROADMAP direction 2.
 This is a demo/debug surface; batch workloads should use
-``pipelines.search.ShardedSearcher.batch_search``.
+``pipelines.search.ShardedSearcher.batch_search``, which sends one
+``search_many`` RPC per shard actor and merges once in the caller.
 """
 
 from __future__ import annotations

@@ -29,7 +29,11 @@ are never re-tokenized:
    globally consistent after the update (the reference gets the same
    property by recomputing doc length per query).  Page columns, link
    edges and forward lists need no recompute: readers take them from
-   ``extracted/``, which step 2 already brought up to date.
+   ``extracted/``, which step 2 already brought up to date.  The
+   manifest also records the input key, and it is stamped before the
+   shards are swapped in as well as after, so a rerun of an update
+   that died after its first stamp finds nothing fresh in the swapped
+   shards and finishes the downstream stages under that key.
 
 ``remove_missing=True`` adds full-sync deletion: indexed urls absent
 from the snapshot are dropped (their shards rebuilt), keeping df / N /
@@ -299,23 +303,23 @@ def update_index(
     sem = cfg.semantic_key()
     # refuse to mix segment formats: untouched shard partitions are kept
     # byte-identical, so the stored index must have been built with the
-    # same semantic config (incl. format_version) as this update; an
-    # index of an older format has another key, or none, and is refused
+    # same semantic config (incl. format_version) as this update
     stored_meta = fsio.read_json(os.path.join(index_dir, "meta.json"))
-    stored_sem = stored_meta.get("semantic_key")
-    if stored_sem != sem:
-        raise ValueError(
-            f"index at {index_dir} was built with semantic config "
-            f"{stored_sem}; update requires {sem} — rebuild with "
-            "build_index instead of updating across formats"
-        )
+    cfg.check_index(stored_meta, index_dir, "update")
     d_ext = os.path.join(index_dir, "extracted")
     corpus = corpus_fn()
     classes = classify_snapshot(corpus, index_dir, cfg,
                                 remove_missing=remove_missing)
     if not len(classes.fresh_urls) and not len(classes.removed_ids):
-        stored_meta["update"] = {"fresh_docs": 0, "affected_shards": [],
-                                 "removed_docs": 0}
+        noop = {"fresh_docs": 0, "removed_docs": 0, "affected_shards": []}
+        # an earlier update that died after stamping extracted/ left the
+        # stages downstream of it behind: finish them under its key
+        last = stored_meta.get("input_key")
+        stamped = mf.load_manifest(d_ext).get("input_key", last)
+        if stamped != last:
+            _stamp_extracted(d_ext, _fp("extracted", sem, stamped), stamped)
+            return _finish(index_dir, cfg, stamped, noop)
+        stored_meta["update"] = noop
         return stored_meta
 
     # old doc ids of the updated urls count too: their postings live in
@@ -364,16 +368,6 @@ def update_index(
     # the kept stored rows are url-unique: only a fresh url can repeat
     if classes.n_fresh_rows > len(classes.fresh_urls):
         _lww_dedup_shards(d_ext_new, cfg)
-    for s in affected:
-        part = f"doc_shard={s}"
-        old_part = os.path.join(d_ext, part)
-        new_part = os.path.join(d_ext_new, part)
-        if fsio.isdir(old_part):
-            fsio.rmtree(old_part)
-        if fsio.isdir(new_part):
-            fsio.replace(new_part, old_part)
-    fsio.rmtree(d_ext_new, ignore_errors=True)
-    n_ext = _count_parquet(d_ext)
 
     # ---- per-shard fingerprints: the incremental contract ----------------
     # Untouched doc_shard partitions are byte-identical on disk, so they
@@ -383,13 +377,45 @@ def update_index(
     # these, so the resumed build below re-tokenizes only the affected
     # shards.  The globally-derived stages (lexicon df, docstats norms —
     # both depend on corpus-wide df/N by SEMANTICS) still recompute.
+    # Stamped before the swap as well: a rerun after a crash from here
+    # on finds the swapped shards' rows stored, nothing fresh, and this
+    # key to finish under.
     fp_ext = _fp("extracted", sem, input_key)
+    _stamp_extracted(d_ext, fp_ext, input_key, affected)
+    for s in affected:
+        part = f"doc_shard={s}"
+        old_part = os.path.join(d_ext, part)
+        new_part = os.path.join(d_ext_new, part)
+        if fsio.isdir(old_part):
+            fsio.rmtree(old_part)
+        if fsio.isdir(new_part):
+            fsio.replace(new_part, old_part)
+    fsio.rmtree(d_ext_new, ignore_errors=True)
+    _stamp_extracted(d_ext, fp_ext, input_key)
+    return _finish(index_dir, cfg, input_key, {
+        "fresh_docs": len(classes.fresh_urls),
+        "removed_docs": len(classes.removed_ids),
+        "affected_shards": affected,
+    })
+
+
+def _stamp_extracted(d_ext: str, fp_ext: str, input_key: str,
+                     affected=()) -> None:
+    """Mark ``extracted/`` as written by the update ``input_key``: the
+    stage and the ``affected`` shards get its fingerprint, and the
+    manifest lists the rows and files on disk now."""
     shard_fps = mf.load_manifest(d_ext)["shard_fps"]
     shard_fps.update({str(s): fp_ext for s in affected})
-    mf.write_manifest(d_ext, fp_ext, n_ext,
-                      extra={"updated": True, "shard_fps": shard_fps})
+    mf.write_manifest(d_ext, fp_ext, _count_parquet(d_ext),
+                      extra={"updated": True, "shard_fps": shard_fps,
+                             "input_key": input_key})
 
-    # ---- everything downstream via the normal (resumable) build ----------
+
+def _finish(index_dir: str, cfg: IndexConfig, input_key: str,
+            update: dict) -> dict:
+    """Everything downstream of an ``extracted/`` stamped with
+    ``input_key``, via the normal (resumable) build, then ``meta.json``
+    with the ``update`` stats."""
     def _no_corpus():
         raise RuntimeError(
             "corpus must not be re-read: extracted stage is primed"
@@ -398,10 +424,6 @@ def update_index(
     report = build_index(
         _no_corpus, index_dir, cfg, input_key=input_key, resume=True
     )
-    report["update"] = {
-        "fresh_docs": len(classes.fresh_urls),
-        "removed_docs": len(classes.removed_ids),
-        "affected_shards": affected,
-    }
+    report["update"] = update
     fsio.write_json(os.path.join(index_dir, "meta.json"), report)
     return report

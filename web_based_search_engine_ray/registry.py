@@ -193,7 +193,7 @@ def q_phrase_search(sf_dir: str):
 
     idx = get_index(sf_dir, ORACLE_CONFIG)
     s = Searcher(idx)
-    docs = sorted(s.documents_with_phrase(list(_PHRASE)))
+    docs = s.phrase_doc_array(list(_PHRASE))  # sorted, distinct
     return pd.DataFrame({"doc_id": pd.Series(docs, dtype="int64")})
 
 
