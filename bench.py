@@ -8,6 +8,8 @@ Prints ONE JSON line:
 --scaling: runs the same job in fresh processes at 8 and 32 CPUs on the
 same input and reports both throughputs + scaling efficiency
 (BASELINE.md protocol: efficiency = (t_8/t_32)/4, target >= 0.8).
+--scaling-dataops: the same for the dedup/text legs.  Any other argument
+exits with a usage line; ``perfbench/run.py`` measures search + update.
 """
 
 from __future__ import annotations
@@ -193,12 +195,11 @@ def run_bench() -> dict:
     searcher.shutdown()
     assert len(res) > 0
 
-    if os.environ.get("GRAFT_BENCH_CORE_ONLY"):
+    def finish(metric: str) -> dict:
         ray.shutdown()
-        total = sum(timings.values())
         return {
-            "metric": "index build + query batch wall sec (core only)",
-            "value": round(total, 3),
+            "metric": metric,
+            "value": round(sum(timings.values()), 3),
             "unit": "sec",
             "queries": {k: round(v, 3) for k, v in timings.items()},
             "sf": SF_DIR,
@@ -208,6 +209,9 @@ def run_bench() -> dict:
             "docs_per_sec": round(n_docs / timings["index_build"], 1),
             "queries_per_sec": round(N_QUERIES / timings["search_batch"], 1),
         }
+
+    if os.environ.get("GRAFT_BENCH_CORE_ONLY"):
+        return finish("index build + query batch wall sec (core only)")
 
     # fresh session for the dataops legs (see _fresh_session)
     _fresh_session()
@@ -261,22 +265,7 @@ def run_bench() -> dict:
     timings["ann_topk"] = _best_of(
         lambda: similarity.brute_force_topk(emb, qv, k=10)
     )
-
-    ray.shutdown()
-
-    total = sum(timings.values())
-    return {
-        "metric": "index+search+dataops wall sec (sf docs x repeat)",
-        "value": round(total, 3),
-        "unit": "sec",
-        "queries": {k: round(v, 3) for k, v in timings.items()},
-        "sf": SF_DIR,
-        "num_cpus": NUM_CPUS,
-        "n_docs": n_docs,
-        "corpus_repeat": REPEAT,
-        "docs_per_sec": round(n_docs / timings["index_build"], 1),
-        "queries_per_sec": round(N_QUERIES / timings["search_batch"], 1),
-    }
+    return finish("index+search+dataops wall sec (sf docs x repeat)")
 
 
 def run_dataops() -> dict:
@@ -398,256 +387,32 @@ def run_dataops() -> dict:
     }
 
 
-def run_update_bench() -> dict:
-    """Incremental-update leg (``--update``): full build over the
-    repeat-expanded corpus, then ``update_index`` with a ~1% delta
-    (modified docs get newer warc_ts + changed text/html; ~0.2% of urls
-    disappear and are full-sync deleted).  Two delta shapes:
-
-    - ``uniform``: updated urls spread over the whole id space — with
-      modulo doc-sharding every shard is touched, so the savings come
-      from skipping html extraction of unchanged docs (the delta is
-      the only thing extracted), not from shard pruning;
-    - ``confined``: the same delta VOLUME confined to one doc shard —
-      the partition-pruned best case (15/16 shard partitions stay
-      byte-identical on disk and are never re-tokenized).
-    """
-    import ray
-
-    _init_session()
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from web_based_search_engine_ray.config import IndexConfig
-    from web_based_search_engine_ray.pipelines.build_index import build_index
-    from web_based_search_engine_ray.pipelines.update_index import update_index
-    from web_based_search_engine_ray.sources.webcorpus import (
-        make_html,
-        synth_corpus,
-        synth_corpus_cached,
-    )
-
-    idx_root = os.environ.get("GRAFT_IDX_ROOT", "/dev/shm/graft_bench")
-    os.makedirs(idx_root, exist_ok=True)
-
-    if REPEAT > 1:
-        synth_corpus_cached(SF_DIR, repeat=REPEAT)
-        corpus_fn = lambda: synth_corpus_cached(SF_DIR, repeat=REPEAT)  # noqa: E731
-        corpus_fn().map_batches(
-            lambda b: b.slice(0, 1), batch_format="pyarrow"
-        ).count()
-    else:
-        corpus_fn = lambda: synth_corpus(SF_DIR)  # noqa: E731
-
-    doc_shards = 16
-    cfg = IndexConfig(doc_shards=doc_shards, num_buckets=8)
-
-    def delta_fn(confined: bool):
-        def delta_batch(b: pa.Table) -> pa.Table:
-            ids = b["doc_id"].to_numpy(zero_copy_only=False)
-            if confined:
-                # same ~0.2% removal volume, all inside doc shard 3
-                # (shard = doc_id % doc_shards), so only that shard's
-                # partitions are affected and the rest stay pruned
-                keep = ~((ids % doc_shards == 3) & ((ids // doc_shards) % 31 == 5))
-            else:
-                keep = ids % 499 != 7  # ~0.2% of urls disappear, uniform
-            b = b.filter(pa.array(keep))
-            ids = ids[keep]
-            if confined:
-                # same ~1% update volume, all in doc shard 3
-                upd = (ids % doc_shards == 3) & ((ids // doc_shards) % 6 == 0)
-            else:
-                upd = ids % 100 == 1  # ~1%, uniform over shards
-            if not upd.any():
-                return b
-            # touch ONLY the updated rows (the delta generator itself must
-            # be cheap — it runs on every corpus scan of the update path)
-            unchanged = b.filter(pa.array(~upd))
-            hot = b.filter(pa.array(upd))
-            hids = hot["doc_id"].to_numpy(zero_copy_only=False)
-            texts = [t + " updatedtoken" for t in hot["text"].to_pylist()]
-            htmls = [make_html(int(i), t) for i, t in zip(hids, texts)]
-            ts = hot["warc_ts"].to_numpy(zero_copy_only=False) + np.timedelta64(
-                1000, "s"
-            )
-            hot2 = pa.table(
-                {
-                    "url": hot["url"],
-                    "warc_ts": pa.array(ts, type=pa.timestamp("us")),
-                    "html": pa.array(htmls, type=pa.binary()),
-                    "text": pa.array(texts, type=pa.string()),
-                    "lang": hot["lang"],
-                    "doc_id": hot["doc_id"],
-                }
-            )
-            return pa.concat_tables(
-                [unchanged.select(hot2.column_names), hot2]
-            )
-
-        return lambda: corpus_fn().map_batches(
-            delta_batch, batch_format="pyarrow"
-        )
-
-    out: dict[str, float] = {}
-    detail: dict[str, dict] = {}
-    n_docs = 0
-    for shape in ("uniform", "confined"):
-        idx_dir = f"{idx_root}/update_idx_{NUM_CPUS}_{shape}"
-        shutil.rmtree(idx_dir, ignore_errors=True)
-        t0 = time.perf_counter()
-        report = build_index(
-            corpus_fn, idx_dir, cfg,
-            input_key=f"updbench-{SF_DIR}-{REPEAT}", resume=False,
-        )
-        out[f"full_build_{shape}"] = time.perf_counter() - t0
-        n_docs = report["n_docs"]
-        t0 = time.perf_counter()
-        rep = update_index(
-            delta_fn(shape == "confined"), idx_dir, cfg,
-            input_key=f"updbench-delta-{shape}", remove_missing=True,
-        )
-        out[f"update_{shape}"] = time.perf_counter() - t0
-        detail[shape] = rep["update"] | {
-            "affected_shards": len(rep["update"]["affected_shards"]),
-        }
-        shutil.rmtree(idx_dir, ignore_errors=True)
-
-    ray.shutdown()
-    return {
-        "metric": "incremental update wall vs full rebuild (1% delta)",
-        "unit": "sec",
-        "value": round(out["update_uniform"], 3),
-        "queries": {k: round(v, 3) for k, v in out.items()},
-        "n_docs": n_docs,
-        "num_cpus": NUM_CPUS,
-        "update_detail": detail,
-        "update_over_rebuild": {
-            s: round(out[f"update_{s}"] / out[f"full_build_{s}"], 3)
-            for s in ("uniform", "confined")
-        },
-    }
-
-
-def run_zipf_search() -> dict:
-    """Zipf-vocabulary search leg (``--zipf``): builds an index over the
-    skewed-idf fixture (``sources.webcorpus.zipf_documents_dir``) and
-    times the SAME query batch under ``traversal=`` taat / wand / auto.
-    The driver testdata's flat 30-word vocabulary is the documented
-    WAND worst case (df≈N everywhere, bounds prune nothing); this leg
-    records the crossover on the realistic distribution and validates
-    the auto cost model (expected: wand <= taat here, auto ≈ best of
-    both).  Rank identity of all three is asserted on a query sample."""
-    import ray
-
-    _init_session()
-    import ray.data as rd
-
-    from web_based_search_engine_ray.config import IndexConfig
-    from web_based_search_engine_ray.pipelines.build_index import build_index
-    from web_based_search_engine_ray.pipelines.search import ShardedSearcher
-    from web_based_search_engine_ray.sources.webcorpus import (
-        synth_corpus,
-        zipf_documents_dir,
-        zipf_queries,
-    )
-
-    n_docs_fix = int(os.environ.get("GRAFT_ZIPF_DOCS", "60000"))
-    zdir = zipf_documents_dir(n_docs=n_docs_fix)
-    idx_root = os.environ.get("GRAFT_IDX_ROOT", "/dev/shm/graft_bench")
-    os.makedirs(idx_root, exist_ok=True)
-    idx_dir = f"{idx_root}/zipf_idx_{NUM_CPUS}"
-    shutil.rmtree(idx_dir, ignore_errors=True)
-
-    rd.read_parquet(f"{zdir}/documents.parquet").count()  # warm page cache
-    rd.range(NUM_CPUS * 4, override_num_blocks=NUM_CPUS * 4).map_batches(
-        lambda b: b, batch_format="pyarrow"
-    ).count()
-
-    doc_shards = 16
-    cfg = IndexConfig(
-        doc_shards=doc_shards,
-        num_buckets=8,
-    )
-    t0 = time.perf_counter()
-    report = build_index(
-        lambda: synth_corpus(zdir), idx_dir, cfg,
-        input_key=f"zipf-{zdir}", resume=False,
-    )
-    build_sec = time.perf_counter() - t0
-
-    queries = zipf_queries(N_QUERIES)
-    replicas = max(1, NUM_CPUS // doc_shards)
-    searcher = ShardedSearcher(
-        idx_dir,
-        num_cpus_per_shard=max(0.25, NUM_CPUS / doc_shards / replicas / 2),
-        replicas=replicas,
-    )
-    timings: dict[str, float] = {}
-    for trav in ("taat", "wand", "auto"):
-        searcher.batch_search(queries, k=10, traversal=trav)  # warm
-        best = float("inf")
-        for _ in range(2):
-            t0 = time.perf_counter()
-            res = searcher.batch_search(queries, k=10, traversal=trav)
-            best = min(best, time.perf_counter() - t0)
-        timings[f"search_{trav}"] = best
-        assert len(res) > 0
-
-    # rank identity across traversals on a query sample (cheap but real)
-    sample = queries[:30]
-    frames = {
-        trav: searcher.batch_search(sample, k=10, traversal=trav)
-        .sort_values(["query_id", "rank"]).reset_index(drop=True)
-        for trav in ("taat", "wand", "auto")
-    }
-    for trav in ("wand", "auto"):
-        a, b = frames["taat"], frames[trav]
-        assert len(a) == len(b), (trav, len(a), len(b))
-        assert (a["doc_id"].to_numpy() == b["doc_id"].to_numpy()).all(), trav
-    searcher.shutdown()
-    ray.shutdown()
-    return {
-        "metric": "zipf-vocab search wall sec per traversal (same batch)",
-        "unit": "sec",
-        "value": round(timings["search_auto"], 3),
-        "queries": {k: round(v, 3) for k, v in timings.items()},
-        "zipf_docs": report["n_docs"],
-        "n_queries": N_QUERIES,
-        "index_build_sec": round(build_sec, 3),
-        "num_cpus": NUM_CPUS,
-        "qps": {
-            k.removeprefix("search_"): round(N_QUERIES / v, 1)
-            for k, v in timings.items()
-        },
-        "rank_identity": "taat==wand==auto on 30-query sample",
-    }
+def _best_child_run(ncpu: int, **env: str) -> dict:
+    """Best of ``GRAFT_SCALING_RUNS`` runs of this script at ``ncpu``
+    CPUs, each in a fresh process: host wall-clock noise is ±30%, and
+    the minimum wall per level is the least-contaminated sample."""
+    env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), **env)
+    runs = []
+    for _ in range(int(os.environ.get("GRAFT_SCALING_RUNS", "2"))):
+        out = subprocess.run(
+            [sys.executable, os.path.abspath(__file__)],
+            env=env, capture_output=True, text=True, check=True,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+        ).stdout
+        runs.append(json.loads(out.strip().splitlines()[-1]))
+    return min(runs, key=lambda r: r["value"])
 
 
 def run_scaling_dataops() -> dict:
     """8 vs 32 CPUs on the identical dataops input (fresh processes,
     best-of-N) — the scaling proxy for the dedup/text operator tier."""
     repeat = os.environ.get("GRAFT_DATAOPS_REPEAT", "24")
-    n_runs = int(os.environ.get("GRAFT_SCALING_RUNS", "2"))
-
-    def run_once(ncpu: int) -> dict:
-        env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
-                   GRAFT_CORPUS_REPEAT=repeat,
-                   GRAFT_BENCH_DATAOPS_ONLY="1")
-        out = subprocess.run(
-            [sys.executable, os.path.abspath(__file__)],
-            env=env, capture_output=True, text=True, check=True,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        ).stdout
-        return json.loads(out.strip().splitlines()[-1])
-
-    def run(ncpu: int) -> dict:
-        rs = [run_once(ncpu) for _ in range(n_runs)]
-        return min(rs, key=lambda r: r["value"])
-
     lo, hi = 8, 32
-    r_lo, r_hi = run(lo), run(hi)
+    r_lo, r_hi = (
+        _best_child_run(n, GRAFT_CORPUS_REPEAT=repeat,
+                        GRAFT_BENCH_DATAOPS_ONLY="1")
+        for n in (lo, hi)
+    )
     per_leg = {
         k: round((r_lo["queries"][k] / r_hi["queries"][k]) / (hi / lo), 3)
         for k in r_lo["queries"]
@@ -672,29 +437,12 @@ def run_scaling() -> dict:
         "GRAFT_SCALING_REPEAT",
         os.environ.get("GRAFT_CORPUS_REPEAT", "360"),
     )
-
-    n_runs = int(os.environ.get("GRAFT_SCALING_RUNS", "2"))
-
-    def run_once(ncpu: int) -> dict:
-        env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
-                   GRAFT_CORPUS_REPEAT=scaling_repeat,
-                   GRAFT_BENCH_CORE_ONLY="1")
-        out = subprocess.run(
-            [sys.executable, os.path.abspath(__file__)],
-            env=env, capture_output=True, text=True, check=True,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        ).stdout
-        return json.loads(out.strip().splitlines()[-1])
-
-    def run(ncpu: int) -> dict:
-        # best-of-N: host wall-clock noise is ±30%; the minimum wall
-        # time per level is the least-contaminated sample
-        rs = [run_once(ncpu) for _ in range(n_runs)]
-        return min(rs, key=lambda r: r["value"])
-
     lo, hi = 8, 32
-    r_lo = run(lo)
-    r_hi = run(hi)
+    r_lo, r_hi = (
+        _best_child_run(n, GRAFT_CORPUS_REPEAT=scaling_repeat,
+                        GRAFT_BENCH_CORE_ONLY="1")
+        for n in (lo, hi)
+    )
     # headline scaling = the BASELINE.md criterion workload: index build
     # + query batch on the same input (the supplementary dataops run at
     # raw sf scale and are overhead-bound there — reported separately)
@@ -726,14 +474,12 @@ def run_scaling() -> dict:
 
 
 if __name__ == "__main__":
-    if "--zipf" in sys.argv:
-        print(json.dumps(run_zipf_search()))
-    elif "--update" in sys.argv:
-        print(json.dumps(run_update_bench()))
-    elif "--scaling-dataops" in sys.argv:
-        print(json.dumps(run_scaling_dataops()))
-    elif "--scaling" in sys.argv:
-        print(json.dumps(run_scaling()))
+    modes = {"--scaling": run_scaling, "--scaling-dataops": run_scaling_dataops}
+    args = sys.argv[1:]
+    if len(args) > 1 or (args and args[0] not in modes):
+        sys.exit(f"usage: {sys.argv[0]} [{' | '.join(modes)}]")
+    if args:
+        print(json.dumps(modes[args[0]]()))
     elif os.environ.get("GRAFT_BENCH_DATAOPS_ONLY"):
         print(json.dumps(run_dataops()))
     else:

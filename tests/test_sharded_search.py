@@ -216,9 +216,13 @@ def test_shard_restricted_searcher_is_partition(indexes):
 
 
 def test_batch_search_survives_shard_actor_death(indexes):
-    """A shard actor that dies between batches is restarted and the
-    next batch's calls to it are retried: the result equals the
-    pre-kill frame instead of failing with ``RayActorError``."""
+    """A shard actor that dies is restarted and its calls retried, so a
+    batch equals the pre-kill frame instead of failing with
+    ``RayActorError``: whether the kill lands between batches or while
+    a batch is in flight."""
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+
     import ray
 
     from web_based_search_engine_ray.pipelines.search import ShardedSearcher
@@ -230,6 +234,26 @@ def test_batch_search_survives_shard_actor_death(indexes):
         before = sharded.batch_search(queries, k=10)
         ray.kill(sharded.shard_actors()[1], no_restart=False)
         after = sharded.batch_search(queries, k=10)
+        pd.testing.assert_frame_equal(before, after)
+
+        # mid-batch: the kill is sent a quarter of a warm batch's wall
+        # time after the batch starts in a second thread
+        batch = queries * 1000
+        sharded.batch_search(batch, k=10)  # warm every shard's cache
+        t0 = time.perf_counter()
+        before = sharded.batch_search(batch, k=10)
+        kill_delay = (time.perf_counter() - t0) / 4
+
+        def timed_batch():
+            t = time.perf_counter()
+            return sharded.batch_search(batch, k=10), time.perf_counter() - t
+
+        with ThreadPoolExecutor(1) as pool:
+            fut = pool.submit(timed_batch)
+            time.sleep(kill_delay)
+            ray.kill(sharded.shard_actors()[1], no_restart=False)
+            after, wall = fut.result(timeout=300)
+        assert wall > kill_delay, "the batch ended before the kill"
         pd.testing.assert_frame_equal(before, after)
     finally:
         sharded.shutdown()

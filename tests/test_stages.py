@@ -770,7 +770,7 @@ def test_media_strict_mode_raises():
         MediaFeatureExtractor,
     )
 
-    ex = MediaFeatureExtractor(payload_col="p", mode="strict")
+    ex = MediaFeatureExtractor(payload_col="p", decoder="strict")
     batch = pa.table({"p": pa.array([b"bytes"], type=pa.binary())})
     with pytest.raises(NotImplementedError):
         ex(batch)

@@ -971,3 +971,69 @@ def test_noop_update_returns_before_extract(ray_session, tmp_path,
     # nothing downstream ran: the index is untouched
     assert os.stat(meta).st_mtime_ns == stamp
     assert not os.path.exists(os.path.join(idx, "_extracted_delta"))
+
+
+_UDF_BLOCKS = [(u, b) for u in ("_tag", "_classify_bucket", "keep_fresh",
+                                "drop_updated", "_extract_task",
+                                "_add_doc_shard")
+               for b in ("columnless", "zero-row")]
+
+
+@pytest.mark.parametrize("udf,block",
+                         _UDF_BLOCKS + [("_read_stored", "no-files")])
+def test_update_udfs_give_typed_empty_blocks(ray_session, tmp_path, udf,
+                                             block):
+    """Every UDF of the update's classify and extracted-rewrite plans
+    maps a zero-row block, with or without columns, to its typed empty
+    output.  Ray makes columnless blocks (classify's empty sort
+    partitions, map tasks with no output); the plans must not depend on
+    them never reaching a UDF."""
+    import functools
+
+    import ray
+
+    from web_based_search_engine_ray.config import IndexConfig
+    from web_based_search_engine_ray.pipelines import update_index as ui
+    from web_based_search_engine_ray.pipelines.build_index import (
+        CORPUS_SCHEMA,
+        EXTRACTED_SCHEMA,
+        _add_doc_shard,
+        _extract_task,
+    )
+
+    no_urls = pa.array([], pa.string())
+    cases = {
+        "_tag": (functools.partial(ui._tag, ts_col="warc_ts", stored=False,
+                                   num_buckets=4),
+                 CORPUS_SCHEMA, ui._TAG_SCHEMA),
+        "_classify_bucket": (
+            functools.partial(ui._classify_bucket, remove_missing=True),
+            ui._TAG_SCHEMA, ui._CLASSES_SCHEMA),
+        "keep_fresh": (
+            functools.partial(ui.keep_fresh, fresh_ref=ray.put(
+                (no_urls, np.empty(0, np.int64)))),
+            CORPUS_SCHEMA, CORPUS_SCHEMA),
+        "drop_updated": (
+            functools.partial(ui.drop_updated, urls_ref=ray.put(no_urls)),
+            EXTRACTED_SCHEMA, EXTRACTED_SCHEMA),
+        "_extract_task": (
+            functools.partial(_extract_task, cfg=IndexConfig(doc_shards=2)),
+            CORPUS_SCHEMA, EXTRACTED_SCHEMA),
+        "_add_doc_shard": (
+            functools.partial(_add_doc_shard, n_shards=2,
+                              schema=EXTRACTED_SCHEMA),
+            EXTRACTED_SCHEMA,
+            EXTRACTED_SCHEMA.append(pa.field("doc_shard", pa.int32()))),
+        # a doc shard with no files is the stored side's zero-row read
+        "_read_stored": (functools.partial(ui._read_stored, num_buckets=4),
+                         None, ui._TAG_SCHEMA),
+    }
+    fn, in_schema, expected = cases[udf]
+    batch = {
+        "columnless": lambda: pa.table({}),
+        "zero-row": lambda: in_schema.empty_table(),
+        "no-files": lambda: pa.table({"ext": [str(tmp_path)], "shard": [0]}),
+    }[block]()
+    out = fn(batch)
+    assert out.num_rows == 0
+    assert out.schema == expected

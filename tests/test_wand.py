@@ -225,6 +225,22 @@ def test_search_traversal_auto_rank_identity(idx):
     assert p1["doc_id"].tolist() == p2["doc_id"].tolist()
 
 
+def _zipf_queries(n: int) -> list[str]:
+    """Deterministic query mix over the Zipf fixture's vocabulary:
+    common+rare pairs (the classic WAND win), three-term mixed, and
+    flat common pairs (where TAAT should keep winning — the auto
+    cost model must NOT switch there)."""
+    out = []
+    for i in range(n):
+        if i % 3 == 0:
+            out.append(f"w1 w{2000 + i % 500}")
+        elif i % 3 == 1:
+            out.append(f"w{3 + i % 5} w{300 + i % 200} w{5000 + i % 1000}")
+        else:
+            out.append(f"w{1 + i % 10} w{12 + i % 10}")
+    return out
+
+
 def test_choose_traversal_cost_model(ray_session, tmp_path_factory):
     """On a skewed-df (Zipfian) corpus the cost model picks WAND for a
     common+rare pair and TAAT for flat pairs / single terms; on the
@@ -232,7 +248,6 @@ def test_choose_traversal_cost_model(ray_session, tmp_path_factory):
     from web_based_search_engine_ray.sources.webcorpus import (
         synth_corpus,
         zipf_documents_dir,
-        zipf_queries,
     )
     from web_based_search_engine_ray.stages.cwand import load_kernel
 
@@ -259,7 +274,7 @@ def test_choose_traversal_cost_model(ray_session, tmp_path_factory):
     assert s.choose_traversal({"w1", "w900"}, k=10**6) == "taat"
 
     # rank identity across all three traversals on the zipf index
-    for q in zipf_queries(12):
+    for q in _zipf_queries(12):
         words = {w for w in q.split()}
         a = s.search(words, k=10, hydrate=False)
         b = s.search(words, k=10, hydrate=False, traversal="wand")

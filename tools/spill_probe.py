@@ -8,12 +8,14 @@ each its own process-isolated Ray session:
 1. ``clean``  — one uninterrupted build under pressure.  Must stream
    to completion (Ray Data spills blocks to disk instead of OOMing);
    the probe records the raylet's spill counters.
-2. ``killed`` — the same build in a subprocess that is SIGKILLed
-   mid-stage (fixed wall delay), then resumed (``resume=True``, same
-   ``input_key``).  The resumed run must skip completed stages and
-   finish.  A kill that lands after the build has exited, or a resume
-   that rebuilds no stage, tested no resume: the probe reports
-   ``"kill_missed": true`` and exits non-zero.
+2. ``killed`` — the same build in a subprocess that is SIGKILLed as
+   soon as ``<out>/extracted.manifest.json`` appears (the start of the
+   segments stage), then resumed (``resume=True``, same
+   ``input_key``).  The resumed run must skip extracted, rebuild the
+   stages after it, and finish.  A build that exits before the
+   manifest appears, or a resume that rebuilds no stage, tested no
+   resume: the probe reports ``"kill_missed": true`` and exits
+   non-zero.
 3. ``compare`` — lexicon + docstats + the extracted page columns of
    both indexes must be value-identical (bit-identical norms), proving
    pressure + crash + resume changes nothing.
@@ -37,6 +39,8 @@ import sys
 import time
 
 SCRATCH = "/tmp/spill_probe"
+#: the killed build is SIGKILLed once this stage's manifest exists
+KILL_AT_STAGE = "extracted"
 
 BUILD_SNIPPET = r"""
 import sys, time
@@ -101,7 +105,7 @@ ray.shutdown()
 
 
 def _run_build(repeat: int, out_dir: str, store_mb: int,
-               kill_after: float | None = None) -> dict:
+               kill: bool = False) -> dict:
     proc = subprocess.Popen(
         [sys.executable, "-c", BUILD_SNIPPET, str(repeat), out_dir,
          str(store_mb)],
@@ -111,13 +115,17 @@ def _run_build(repeat: int, out_dir: str, store_mb: int,
         text=True,
         start_new_session=True,  # so we can SIGKILL the whole tree
     )
-    if kill_after is not None:
-        time.sleep(kill_after)
-        if proc.poll() is not None:  # the build ended before the kill
-            return {"killed": False}
+    if kill:
+        manifest = os.path.join(out_dir, f"{KILL_AT_STAGE}.manifest.json")
+        t0 = time.perf_counter()
+        while not os.path.exists(manifest):
+            if proc.poll() is not None:  # ended before the stage did
+                return {"killed": False}
+            time.sleep(0.05)
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
-        return {"killed": True}
+        return {"killed": True,
+                "kill_sec": round(time.perf_counter() - t0, 2)}
     out, _ = proc.communicate(timeout=1800)
     if proc.returncode != 0:
         raise RuntimeError(f"build failed (rc={proc.returncode}):\n{out}")
@@ -164,7 +172,6 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=32)  # 160k docs
     ap.add_argument("--store-mb", type=int, default=256)
-    ap.add_argument("--kill-after", type=float, default=25.0)
     args = ap.parse_args()
 
     shutil.rmtree(SCRATCH, ignore_errors=True)
@@ -174,10 +181,9 @@ def main() -> None:
 
     clean = _run_build(args.repeat, clean_dir, args.store_mb)
 
-    killed = _run_build(args.repeat, resumed_dir, args.store_mb,
-                        kill_after=args.kill_after)["killed"]
+    kill = _run_build(args.repeat, resumed_dir, args.store_mb, kill=True)
     resumed = _run_build(args.repeat, resumed_dir, args.store_mb)
-    kill_missed = not killed or resumed["stages_built"] == 0
+    kill_missed = not kill["killed"] or resumed["stages_built"] == 0
 
     ha = _artifact_hash(clean_dir)
     hb = _artifact_hash(resumed_dir)
@@ -188,8 +194,8 @@ def main() -> None:
         "repeat": args.repeat,
         "object_store_mb": args.store_mb,
         "clean": clean,
+        "kill": kill | {"at_stage_end": KILL_AT_STAGE},
         "resumed_after_kill": resumed,
-        "kill_after_sec": args.kill_after,
         "kill_missed": kill_missed,
         "artifacts_identical": identical,
         "artifact_hashes": ha,

@@ -72,6 +72,7 @@ from web_based_search_engine_ray.functions.hashing import md5_u64_array
 from web_based_search_engine_ray.stages.extract import Extractor
 from web_based_search_engine_ray.state import fsio
 from web_based_search_engine_ray.stages.postings import (
+    DOCSTATS_SCHEMA,
     ForwardRows,
     TokenizeEncode,
     compact_bucket,
@@ -85,16 +86,32 @@ logger = logging.getLogger(__name__)
 STAGES = ("extracted", "segments", "lexicon", "docstats")
 #: the forward-list columns the extract task appends to each page row
 FORWARD_COLUMNS = ("terms", "title_tfs", "body_tfs", "tf_max")
+#: the corpus columns every build reads (``text, lang, doc_id`` are optional)
+CORPUS_SCHEMA = pa.schema([("url", pa.string()), ("html", pa.binary()),
+                           ("warc_ts", pa.timestamp("us"))])
+#: ``extracted/``'s rows (less the ``doc_shard`` partition column): the
+#: Extractor's page columns, then :data:`FORWARD_COLUMNS`
+EXTRACTED_SCHEMA = pa.schema([
+    ("doc_id", pa.int64()), ("url", pa.string()), ("title", pa.string()),
+    ("text", pa.string()), ("links", pa.list_(pa.string())),
+    ("page_size", pa.int64()), ("last_modified", pa.timestamp("us")),
+    ("lang", pa.string()), ("terms", pa.list_(pa.string())),
+    ("title_tfs", pa.list_(pa.int64())), ("body_tfs", pa.list_(pa.int64())),
+    ("tf_max", pa.int64()),
+])
 
 
 def _fp(*parts: str) -> str:
     return hashlib.md5("|".join(parts).encode()).hexdigest()[:16]
 
 
-def _add_doc_shard(batch: pa.Table, *, n_shards: int) -> pa.Table:
+def _add_doc_shard(batch: pa.Table, *, n_shards: int,
+                   schema: pa.Schema) -> pa.Table:
     """Hive partition column of the doc-sharded stages (extracted,
     docstats): doc_shard = doc_id % n_shards, re-derivable
-    anywhere."""
+    anywhere.  A columnless block takes the stage's row ``schema``."""
+    if not batch.num_columns:
+        batch = schema.empty_table()
     if "doc_shard" in batch.column_names:
         batch = batch.drop_columns(["doc_shard"])
     return batch.append_column(
@@ -210,7 +227,8 @@ def _write_extracted(ds, stage_dir: str, cfg: IndexConfig) -> None:
     """Write extracted rows ``doc_shard``-partitioned (the build's
     extracted/ stage and ``update_index``'s shard rewrite)."""
     ds.map_batches(
-        functools.partial(_add_doc_shard, n_shards=cfg.doc_shards),
+        functools.partial(_add_doc_shard, n_shards=cfg.doc_shards,
+                          schema=EXTRACTED_SCHEMA),
         batch_format="pyarrow",
     ).write_parquet(
         stage_dir,
@@ -270,6 +288,8 @@ def _extract_task(batch: pa.Table, *, cfg: IndexConfig) -> pa.Table:
     no kept term), one instance of each per worker."""
     from web_based_search_engine_ray.util import worker_singleton
 
+    if not batch.num_columns:
+        return EXTRACTED_SCHEMA.empty_table()
     pages = worker_singleton(
         "extractor", lambda: Extractor(verify=cfg.verify_extraction)
     )(batch)
@@ -593,7 +613,8 @@ def build_index(
         # bounds the blocks × shards file fan-out of the tiny
         # (24 B/doc) rows, as for extracted
         stats.map_batches(
-            functools.partial(_add_doc_shard, n_shards=cfg.doc_shards),
+            functools.partial(_add_doc_shard, n_shards=cfg.doc_shards,
+                              schema=DOCSTATS_SCHEMA),
             batch_format="pyarrow",
         ).write_parquet(
             stage_dir,

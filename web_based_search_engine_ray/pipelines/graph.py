@@ -82,7 +82,6 @@ def pagerank(
     damping: float = 0.85,
     iters: int = 10,
     num_buckets: int = 64,
-    assume_distinct: bool = False,
 ):
     """PageRank over an edge Dataset; returns ``(url, pagerank)``.
 
@@ -122,12 +121,11 @@ def pagerank(
         # row per (src, dst) — no pandas round-trip in the reducer
         return g.select([src, dst]).group_by([src, dst]).aggregate([])
 
-    if not assume_distinct:
-        edges = (
-            coalesce(edges.map_batches(pair_bucket, batch_format="pyarrow"))
-            .groupby("pb")
-            .map_groups(drop_dup_pairs, batch_format="pyarrow")
-        )
+    edges = (
+        coalesce(edges.map_batches(pair_bucket, batch_format="pyarrow"))
+        .groupby("pb")
+        .map_groups(drop_dup_pairs, batch_format="pyarrow")
+    )
 
     edge_tbl = edges.map_batches(edge_rows, batch_format="pyarrow").materialize()
 

@@ -337,16 +337,10 @@ class MediaFeatureExtractor:
     (model weights, decoder contexts) loads here, not per batch.
     ``payload_col`` names the binary column (tests use the corpus
     ``html`` bytes as a stand-in blob); it is DROPPED from the output
-    so the heavy bytes don't travel further down the pipeline.
-
-    ``mode=`` is accepted as a backward-compatible alias for
-    ``decoder=`` ("fake"/"strict")."""
+    so the heavy bytes don't travel further down the pipeline."""
 
     def __init__(self, payload_col: str = "payload",
-                 decoder: str | Callable[[], object] = "fake",
-                 mode: str | None = None):
-        if mode is not None:
-            decoder = mode
+                 decoder: str | Callable[[], object] = "fake"):
         self.payload_col = payload_col
         self.decoder = (
             get_decoder(decoder) if isinstance(decoder, str) else decoder()

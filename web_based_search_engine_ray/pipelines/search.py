@@ -730,7 +730,8 @@ class Searcher:
         return self._stat_ids[np.unique(ends >> np.int64(self.POS_BITS))]
 
     #: cost-model constants for ``traversal="auto"`` (measured on the
-    #: Zipf bench fixture, ``bench.py --zipf`` — see BASELINE.md):
+    #: Zipf fixture that perfbench zipf-query builds; BASELINE.md keeps
+    #: the round-5 taat/wand/auto history):
     #: WAND pays off only when the OR-candidate volume is large enough
     #: to beat TAAT's vectorized dense pass, the per-term upper bounds
     #: are skewed enough that the pivot walk can skip (a flat-df corpus
@@ -814,20 +815,20 @@ class Searcher:
         df = pd.DataFrame({"doc_id": ids, "score": vals})
         return hydrated_frame(self.hydrate(df)) if hydrate else df
 
-    def search_many(self, queries: list[str], k: int | None = None,
-                    traversal: str = "auto") -> pd.DataFrame:
+    def search_many(self, queries: list[str],
+                    k: int | None = None) -> pd.DataFrame:
         """Batch form of :meth:`search` for shard fan-out: parse + score
         every query, returning one compact (query_id, doc_id, score)
         frame (no hydration).  One actor RPC per shard instead of one
         per (query, shard).  MaxScore pruning is on (it is rank-safe
-        and off for phrase queries); traversal defaults to the
-        cost-based auto choice (also rank-safe)."""
+        and off for phrase queries) and the traversal is the cost-based
+        auto choice (also rank-safe)."""
         k = k if k is not None else self.cfg.max_results
         qids, dids, scs = [], [], []
         for qid, q in enumerate(queries):
             words, phrase = parse_query(q)
             res = self.search(words, phrase, k=k, hydrate=False,
-                              prune=True, traversal=traversal)
+                              prune=True, traversal="auto")
             n = len(res)
             if n:
                 qids.extend([qid] * n)
@@ -1164,8 +1165,7 @@ class ShardedSearcher:
         ]
         self._actors = self._rings[0]
 
-    def batch_search(self, queries: list[str], k: int = 10,
-                     traversal: str = "auto") -> pd.DataFrame:
+    def batch_search(self, queries: list[str], k: int = 10) -> pd.DataFrame:
         """Exact per-query top-k ``(query_id, rank, doc_id, score)`` of
         ``queries``, in one scatter-gather: the batch is cut into one
         contiguous slice per replica ring, every shard actor of ring
@@ -1182,8 +1182,7 @@ class ShardedSearcher:
                 continue
             for a in ring:
                 starts.append(r * chunk)
-                futs.append(a.search_many.remote(part, k=k,
-                                                 traversal=traversal))
+                futs.append(a.search_many.remote(part, k=k))
         # a frame from ray.get may sit on read-only buffers: the offset
         # query ids are a new column, never an in-place add
         parts = [p.assign(query_id=p["query_id"].to_numpy() + base)

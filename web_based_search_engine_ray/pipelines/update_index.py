@@ -53,6 +53,8 @@ import pyarrow as pa
 
 from web_based_search_engine_ray.config import IndexConfig
 from web_based_search_engine_ray.pipelines.build_index import (
+    CORPUS_SCHEMA,
+    EXTRACTED_SCHEMA,
     _count_parquet,
     _extract_task,
     _fp,
@@ -74,6 +76,13 @@ _FRESH, _OLD, _REMOVED, _NEW_ID = 0, 1, 2, 3
 _STORED_SCHEMA = pa.schema([("url", pa.string()),
                             ("last_modified", pa.timestamp("us")),
                             ("doc_id", pa.int64())])
+#: the classify join's rows and result: every UDF of the update's plans
+#: maps a columnless zero-row block (Ray makes them) to a typed empty
+_TAG_SCHEMA = pa.schema([("url", pa.string()), ("ts", pa.int64()),
+                         ("doc_id", pa.int64()), ("stored", pa.bool_()),
+                         ("fbucket", pa.int64())])
+_CLASSES_SCHEMA = pa.schema([("kind", pa.int8()), ("url", pa.string()),
+                             ("val", pa.int64())])
 
 
 class SnapshotClasses(NamedTuple):
@@ -119,6 +128,8 @@ def _tag(t: pa.Table, ts_col: str, stored: bool, num_buckets: int) -> pa.Table:
     (:func:`_classify_bucket` hashes the fresh rows' urls)."""
     from web_based_search_engine_ray.functions.hashing import fnv1a63_array
 
+    if not t.num_columns:
+        return _TAG_SCHEMA.empty_table()
     n = t.num_rows
     return pa.table(
         {
@@ -132,7 +143,8 @@ def _tag(t: pa.Table, ts_col: str, stored: bool, num_buckets: int) -> pa.Table:
             "fbucket": pa.array(
                 fnv1a63_array(t["url"]) % num_buckets, type=pa.int64()
             ),
-        }
+        },
+        schema=_TAG_SCHEMA,
     )
 
 
@@ -152,6 +164,8 @@ def _classify_bucket(group: pa.Table, *, remove_missing: bool) -> pa.Table:
     newest stored row (``Indexer.isFreshDocument``)."""
     import pyarrow.compute as pc
 
+    if not group.num_columns:
+        return _CLASSES_SCHEMA.empty_table()
     is_stored = group["stored"].to_numpy(zero_copy_only=False)
     st = group.filter(pa.array(is_stored))
     snap = group.filter(pa.array(~is_stored))
@@ -171,7 +185,7 @@ def _classify_bucket(group: pa.Table, *, remove_missing: bool) -> pa.Table:
             "kind": pa.array(np.full(len(urls), kind, dtype=np.int8)),
             "url": urls,
             "val": pa.array(vals, type=pa.int64()),
-        })
+        }, schema=_CLASSES_SCHEMA)
 
     out = [rows(_FRESH, fresh_urls, threshold[fresh])]
     # the doc ids of the rows fresh_rows keeps, by the Extractor's rule
@@ -207,7 +221,6 @@ def classify_snapshot(corpus, index_dir: str, cfg: IndexConfig, *,
     (with ``remove_missing``) the stored ``(doc_id, url)`` rows whose
     url the snapshot lacks.  Neither side's full url set is ever
     materialized on the driver."""
-    import pandas as pd
     import ray.data as rd
 
     nb = cfg.num_buckets
@@ -241,9 +254,7 @@ def classify_snapshot(corpus, index_dir: str, cfg: IndexConfig, *,
     )
     # an empty map_groups output loses its schema
     if df.empty or "kind" not in df.columns:
-        df = pd.DataFrame({"kind": np.empty(0, dtype=np.int8),
-                           "url": np.empty(0, dtype=object),
-                           "val": np.empty(0, dtype=np.int64)})
+        df = _CLASSES_SCHEMA.empty_table().to_pandas()
     kind = df["kind"].to_numpy()
 
     def part(k: int):
@@ -259,6 +270,19 @@ def classify_snapshot(corpus, index_dir: str, cfg: IndexConfig, *,
                            removed_urls)
 
 
+def keep_fresh(batch: pa.Table, *, fresh_ref) -> pa.Table:
+    """The corpus rows of ``batch`` that beat their url's threshold;
+    ``fresh_ref`` holds ``(fresh_urls, thresholds)``."""
+    import ray
+
+    if not batch.num_columns:
+        return CORPUS_SCHEMA.empty_table()
+    urls, thr = ray.get(fresh_ref)  # zero-copy from plasma
+    return batch.filter(pa.array(_fresh_row_mask(
+        batch["url"], _ts_us(batch["warc_ts"]), urls, thr
+    )))
+
+
 def fresh_rows(corpus, classes: SnapshotClasses):
     """Corpus rows newer than their url's threshold.  Stale duplicates
     of a fresh url are dropped here; ``_lww_dedup_shards`` then keeps
@@ -266,14 +290,20 @@ def fresh_rows(corpus, classes: SnapshotClasses):
     import ray
 
     ref = ray.put((classes.fresh_urls, classes.thresholds))
+    return corpus.map_batches(functools.partial(keep_fresh, fresh_ref=ref),
+                              batch_format="pyarrow")
 
-    def keep_fresh(batch: pa.Table) -> pa.Table:
-        urls, thr = ray.get(ref)  # zero-copy from plasma
-        return batch.filter(pa.array(_fresh_row_mask(
-            batch["url"], _ts_us(batch["warc_ts"]), urls, thr
-        )))
 
-    return corpus.map_batches(keep_fresh, batch_format="pyarrow")
+def drop_updated(batch: pa.Table, *, urls_ref) -> pa.Table:
+    """The stored extracted rows of ``batch`` whose url is not in
+    ``urls_ref`` (the updated and removed urls)."""
+    import pyarrow.compute as pc
+    import ray
+
+    if not batch.num_columns:
+        return EXTRACTED_SCHEMA.empty_table()
+    known = ray.get(urls_ref)  # zero-copy Arrow array from plasma
+    return batch.filter(pc.invert(pc.is_in(batch["url"], value_set=known)))
 
 
 def update_index(
@@ -295,7 +325,6 @@ def update_index(
     (``PostingIndex.removeDocument`` exists but nothing ever calls it
     for disappeared urls).  The default keeps reference behavior:
     unseen urls stay indexed forever."""
-    import pyarrow.compute as pc
     import ray
     import ray.data as rd
 
@@ -335,11 +364,6 @@ def update_index(
         pa.concat_arrays([classes.fresh_urls, classes.removed_urls])
     )
 
-    def drop_updated(batch: pa.Table) -> pa.Table:
-        known = ray.get(urls_ref)  # zero-copy Arrow array from plasma
-        keep = pc.invert(pc.is_in(batch["url"], value_set=known))
-        return batch.filter(keep)
-
     # partition-pruned rewrite: only the AFFECTED shards' extracted rows
     # are read, and they are written once, together with the fresh rows
     # extracted in the same plan.  Untouched partition dirs are not
@@ -354,7 +378,8 @@ def update_index(
         parts.append(
             rd.read_parquet(**fsio.ray_file_list(aff_files),
                             partitioning=None)
-            .map_batches(drop_updated, batch_format="pyarrow")
+            .map_batches(functools.partial(drop_updated, urls_ref=urls_ref),
+                         batch_format="pyarrow")
         )
     if len(classes.fresh_urls):
         parts.append(fresh_rows(corpus, classes).map_batches(

@@ -211,12 +211,12 @@ def synth_corpus_cached(
 
 def zipf_documents_dir(
     *,
-    n_docs: int = 60000,
-    vocab: int = 30000,
-    doc_len: int = 120,
+    n_docs: int,
+    vocab: int,
+    doc_len: int,
     s: float = 1.07,
-    seed: int = 7,
-    cache_root: str = "/tmp/graft_zipf_corpus",
+    seed: int,
+    cache_root: str,
 ) -> str:
     """documents.parquet dir with a Zipf(``s``) vocabulary — the
     realistic skewed-idf search fixture.
@@ -228,7 +228,8 @@ def zipf_documents_dir(
     tail of rare terms, which is exactly where block-max pruning wins.
     This fixture pins that regime so the TAAT↔WAND crossover and the
     ``traversal="auto"`` cost model are measured on the distribution
-    they target (``bench.py --zipf``).
+    they target (perfbench zipf-query; BASELINE.md keeps the history
+    of the retired 60k-doc bench leg).
 
     Deterministic (seeded inverse-CDF sampling), cached on disk, and
     shaped like the testdata ``documents.parquet`` (doc_id, text,
@@ -264,19 +265,3 @@ def zipf_documents_dir(
         json.dump({"n_docs": n_docs, "vocab": vocab, "doc_len": doc_len,
                    "s": s, "seed": seed}, f)
     return d
-
-
-def zipf_queries(n: int) -> list[str]:
-    """Deterministic query mix over the Zipf fixture's vocabulary:
-    common+rare pairs (the classic WAND win), three-term mixed, and
-    flat common pairs (where TAAT should keep winning — the auto
-    cost model must NOT switch there)."""
-    out = []
-    for i in range(n):
-        if i % 3 == 0:
-            out.append(f"w1 w{2000 + i % 500}")
-        elif i % 3 == 1:
-            out.append(f"w{3 + i % 5} w{300 + i % 200} w{5000 + i % 1000}")
-        else:
-            out.append(f"w{1 + i % 10} w{12 + i % 10}")
-    return out

@@ -471,6 +471,12 @@ def sorted_hash_lookup(hv: np.ndarray, dfs) -> tuple:
     return hv, np.asarray(dfs, dtype=np.float64)[order]
 
 
+#: the rows :func:`doc_stats_batch` writes to ``docstats/``
+DOCSTATS_SCHEMA = pa.schema([("doc_id", pa.int64()), ("tf_max", pa.int64()),
+                             ("doc_len_norm", pa.float64()),
+                             ("n_tokens", pa.int64())])
+
+
 def doc_stats_batch(batch: pa.Table, *, n_docs: int, df_ref) -> pa.Table:
     """Extracted rows with terms (their ``doc_id`` and forward lists) →
     ``(doc_id, tf_max, doc_len_norm, n_tokens)``.
@@ -531,5 +537,6 @@ def doc_stats_batch(batch: pa.Table, *, n_docs: int, df_ref) -> pa.Table:
             "tf_max": batch["tf_max"],
             "doc_len_norm": pa.array(norm, type=pa.float64()),
             "n_tokens": pa.array(n_tokens, type=pa.int64()),
-        }
+        },
+        schema=DOCSTATS_SCHEMA,
     )
