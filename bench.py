@@ -24,7 +24,7 @@ import time
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 REPEAT = int(os.environ.get("GRAFT_CORPUS_REPEAT", "4"))  # 5000 docs x4 = 20k
-N_QUERIES = int(os.environ.get("GRAFT_BENCH_QUERIES", "400"))
+N_QUERIES = 400
 
 _QUERY_VOCAB = [
     "spark", "merge", "join", "window", "batch", "stream", "filter",
@@ -173,7 +173,7 @@ def run_bench() -> dict:
     replicas = max(1, NUM_CPUS // doc_shards)
     searcher = ShardedSearcher(
         idx_dir,
-        num_cpus_per_shard=max(0.25, NUM_CPUS / doc_shards / replicas / 2),
+        num_cpus_per_shard=NUM_CPUS / doc_shards / replicas / 2,
         replicas=replicas,
     )
     # Full-batch untimed warmup: first-touch posting/position decode is

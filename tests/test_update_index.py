@@ -257,6 +257,56 @@ def test_searchers_refuse_other_format(ray_session, tmp_path):
         "doc_id"].tolist() == list(range(6))
 
 
+def test_index_with_retired_config_fields_opens(ray_session, tmp_path):
+    """An index whose meta.json config still holds ``title_weight``,
+    ``max_results`` and ``max_keywords`` (fields before they became
+    class constants) under today's semantic key opens in ``Searcher``
+    and ``ShardedSearcher`` and takes an update, with no rebuild."""
+    import json
+
+    import ray.data as rd
+
+    from web_based_search_engine_ray.config import IndexConfig
+    from web_based_search_engine_ray.pipelines.build_index import build_index
+    from web_based_search_engine_ray.pipelines.search import (
+        Searcher,
+        ShardedSearcher,
+    )
+    from web_based_search_engine_ray.pipelines.update_index import (
+        update_index,
+    )
+
+    cfg = IndexConfig(shuffle_partitions=2, num_buckets=4, doc_shards=2)
+    idx = str(tmp_path / "idx")
+    base = _web(list(range(6)), [f"base document number {i}"
+                                 for i in range(6)])
+    build_index(lambda: rd.from_arrow(base), idx, cfg, input_key="f1",
+                resume=False)
+    path = os.path.join(idx, "meta.json")
+    with open(path) as f:
+        meta = json.load(f)
+    assert meta["semantic_key"] == cfg.semantic_key()
+    meta["config"].update(title_weight=0.9, max_results=50, max_keywords=5)
+    with open(path, "w") as f:
+        json.dump(meta, f)
+
+    assert Searcher(idx).search({"base"}, k=10, hydrate=False)[
+        "doc_id"].tolist() == list(range(6))
+    sharded = ShardedSearcher(idx, num_cpus_per_shard=0.25)
+    try:
+        res = sharded.batch_search(["base"], k=10)
+    finally:
+        sharded.shutdown()
+    assert sorted(res["doc_id"]) == list(range(6))
+
+    snap = pa.concat_tables([base, _web([6], ["fresh page"], days=1)])
+    report = update_index(lambda: rd.from_arrow(snap), idx, cfg,
+                          input_key="f2")
+    assert report["update"]["fresh_docs"] == 1
+    assert Searcher(idx).search({"fresh"}, k=10, hydrate=False)[
+        "doc_id"].tolist() == [6]
+
+
 @pytest.mark.parametrize("dies_at", ["swap", "downstream"])
 def test_rerun_of_interrupted_update_finishes(updated_and_rebuilt,
                                               tmp_path, monkeypatch,

@@ -8,8 +8,12 @@ The scoring/behavior constants mirror the reference
 reference is single-threaded and has no equivalents.  Every field is
 read by the build or the query engine, and the build has one physical
 plan (no execution-strategy switches); ``semantic_key`` hashes the
-fields that change index content.  Settings no caller varies are class
-constants: an instance reads them, but they are not fields.
+settings that change index content.  Settings no caller varies
+(the reference's three constants among them) are class constants: an
+instance reads them, but they are not fields, and a stored
+``meta.json`` config that still holds them loads with them dropped.
+``tests/test_every_option_has_a_caller.py`` keeps every field set by
+some caller.
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ from typing import ClassVar
 @dataclass(frozen=True)
 class IndexConfig:
     # --- semantics (must match the reference for rank-identity) ---
-    title_weight: float = 0.9          # InvertedIndex.java:21
+    title_weight: ClassVar[float] = 0.9  # InvertedIndex.java:21
     use_stopwords: bool = True         # Indexer.stemWord, Indexer.java:67
     use_stemming: bool = True          # Indexer.stemWord, Indexer.java:70
-    max_results: int = 50              # App.java:24
-    max_keywords: int = 5              # SearchResult.java:12
+    max_results: ClassVar[int] = 50    # App.java:24
+    max_keywords: ClassVar[int] = 5    # SearchResult.java:12
     # Verify extracted body text is byte-identical to the input table's
     # ``text`` column (the per-row invariant from BASELINE.json).
     verify_extraction: ClassVar[bool] = True

@@ -20,8 +20,10 @@ from web_based_search_engine_ray.functions.tokenize import analyze
 class OracleIndex:
     """In-memory replica of tables 5-10 (SURVEY.md §1)."""
 
-    def __init__(self, use_stopwords=True, use_stemming=True, title_weight=0.9):
-        self.title_weight = title_weight
+    #: TITLE_MATCH_MULTIPLIER, InvertedIndex.java:21
+    title_weight = 0.9
+
+    def __init__(self, use_stopwords=True, use_stemming=True):
         self.kw = dict(use_stopwords=use_stopwords, use_stemming=use_stemming)
         # term -> {doc_id -> (title_positions, body_positions)}
         self.postings: dict[str, dict[int, tuple[list[int], list[int]]]] = (

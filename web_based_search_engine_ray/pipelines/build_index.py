@@ -370,7 +370,7 @@ def _lexicon_bucket_task(batch: pa.Table) -> pa.Table:
 def build_index(
     corpus_fn,
     out_dir: str,
-    cfg: IndexConfig | None = None,
+    cfg: IndexConfig,
     *,
     input_key: str = "",
     resume: bool = True,
@@ -384,7 +384,6 @@ def build_index(
     """
     import ray.data as rd
 
-    cfg = cfg or IndexConfig()
     fsio.makedirs(out_dir)
     sem = cfg.semantic_key()
     shards = range(cfg.doc_shards)

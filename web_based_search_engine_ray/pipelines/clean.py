@@ -32,7 +32,6 @@ def clean_corpus(
     min_chars: int = 100,
     min_alpha: float = 0.81,
     max_dup_bigram: float = 0.12,
-    minhash_threshold: float = 0.5,
     num_buckets: int = 64,
 ):
     """Run the cleaning funnel over a (doc_id, text) Dataset.
@@ -98,7 +97,7 @@ def clean_corpus(
     )
     n_exact = exact_kept.count()
 
-    pairs = minhash_lsh_pairs(exact_kept, threshold=minhash_threshold)
+    pairs = minhash_lsh_pairs(exact_kept, threshold=0.5)
     kept = (
         dedup_keep_min(exact_kept, pairs)
         .select_columns(["doc_id"])

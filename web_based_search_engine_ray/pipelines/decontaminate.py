@@ -78,16 +78,13 @@ def _fold_ngrams_batch(hv: np.ndarray, offsets: np.ndarray,
     return s[valid].astype(np.int64), doc_of[starts[valid]]
 
 
-def benchmark_ngram_hashes(bench_ds, *, text_col: str = "text",
-                           n: int = 8) -> np.ndarray:
-    """Distinct n-gram hashes of the benchmark set as ONE sorted int64
-    array (driver-held; benchmark suites are small by construction —
-    the array is what gets broadcast)."""
+def benchmark_ngram_hashes(bench_ds, *, n: int = 8) -> np.ndarray:
+    """Distinct n-gram hashes of the benchmark set's ``text`` as ONE
+    sorted int64 array (driver-held; benchmark suites are small by
+    construction — the array is what gets broadcast)."""
 
     def grams(batch: pa.Table) -> pa.Table:
-        hv, offsets = _batch_token_hash_arrays(
-            batch[text_col].to_pylist()
-        )
+        hv, offsets = _batch_token_hash_arrays(batch["text"].to_pylist())
         folds, _ = _fold_ngrams_batch(hv, offsets, n)
         return pa.table({"g": pa.array(np.unique(folds), type=pa.int64())})
 
@@ -102,10 +99,10 @@ def benchmark_ngram_hashes(bench_ds, *, text_col: str = "text",
 
 
 def decontaminate(docs, bench_hashes: np.ndarray, *, n: int = 8,
-                  text_col: str = "text", id_col: str = "doc_id",
                   action: str = "flag"):
     """Tag (``action="flag"`` → adds bool ``contaminated``) or drop
-    (``action="drop"``) docs sharing any n-gram with the benchmark.
+    (``action="drop"``) docs whose ``text`` shares any n-gram with the
+    benchmark.
 
     ``bench_hashes`` is the sorted array from
     :func:`benchmark_ngram_hashes`; it is ``ray.put`` ONCE here and
@@ -118,7 +115,7 @@ def decontaminate(docs, bench_hashes: np.ndarray, *, n: int = 8,
 
     def tag(batch: pa.Table) -> pa.Table:
         bench = ray.get(bench_ref)
-        texts = batch[text_col].to_pylist()
+        texts = batch["text"].to_pylist()
         hv, offsets = _batch_token_hash_arrays(texts)
         folds, doc_idx = _fold_ngrams_batch(hv, offsets, n)
         contaminated = np.zeros(len(texts), dtype=bool)

@@ -450,34 +450,24 @@ def _mulmod_mersenne61(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return r % p
 
 
-def minhash_lsh_pairs(
-    ds,
-    *,
-    k: int = 3,
-    num_perm: int = 64,
-    bands: int = 16,
-    threshold: float = 0.5,
-    seed: int = 42,
-    max_band_bucket: int = 4096,
-):
-    """MinHash signatures → band buckets → candidate pairs (doc_a <
-    doc_b) with estimated Jaccard = fraction of agreeing permutations.
+def minhash_lsh_pairs(ds, *, threshold: float = 0.5,
+                      max_band_bucket: int = 4096):
+    """MinHash signatures (:class:`MinHasher`'s 3-shingles × 64
+    permutations) → 16 band buckets → candidate pairs (doc_a < doc_b)
+    with estimated Jaccard = fraction of agreeing permutations.
     Candidates are deduplicated across bands.
 
     A band group with more than ``max_band_bucket`` members (a
     degenerate hot bucket — e.g. a constant-signature corpus) is skipped
     with a warning instead of generating a quadratic candidate set;
     exact dedup catches the identical-doc case the cap drops."""
-    rows_per_band = num_perm // bands
+    bands = 16
+    rows_per_band = 64 // bands
 
     def _minhash_task(batch: pa.Table) -> pa.Table:
         from web_based_search_engine_ray.util import worker_singleton
 
-        inst = worker_singleton(
-            ("minhash", k, num_perm, seed),
-            lambda: MinHasher(k=k, num_perm=num_perm, seed=seed),
-        )
-        return inst(batch)
+        return worker_singleton("minhash", MinHasher)(batch)
 
     def band_rows(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -553,11 +543,11 @@ class SimHasher:
         )
 
 
-def simhash_pairs(ds, *, max_hamming: int = 3, bands: int = 4,
-                  max_band_bucket: int = 4096):
-    """SimHash near-dup pairs: 16-bit band LSH → verify Hamming ≤ t.
+def simhash_pairs(ds, *, max_hamming: int = 3, max_band_bucket: int = 4096):
+    """SimHash near-dup pairs: four 16-bit band LSH → verify Hamming ≤ t.
     Band groups larger than ``max_band_bucket`` are skipped with a
     warning (lower-bound semantics, same as minhash)."""
+    bands = 4
     sigs = ds.map_batches(
         lambda b: SimHasher()(b), batch_format="pyarrow"
     )
@@ -594,15 +584,15 @@ def simhash_pairs(ds, *, max_hamming: int = 3, bands: int = 4,
 
 
 # ------------------------------------------------------- embedding near-dup
-def embedding_dup_pairs(ds, *, threshold: float = 0.95, n_planes: int = 8,
-                        n_tables: int = 4, seed: int = 7, dim: int = 64,
+def embedding_dup_pairs(ds, *, threshold: float = 0.95, dim: int = 64,
                         max_band_bucket: int = 4096):
     """Random-hyperplane LSH near-dup pairs (the scale path): vectors
-    sharing a sign-pattern bucket in ANY of ``n_tables`` hash tables
+    sharing an 8-plane sign-pattern bucket in ANY of 4 hash tables
     become candidates; candidates are verified with exact cosine.
     Recall is probabilistic (1-(1-s^p)^t for sign-agreement rate s) —
     for exact output use ``embedding_dup_pairs_exact``."""
-    rng = np.random.default_rng(seed)
+    n_planes, n_tables = 8, 4
+    rng = np.random.default_rng(7)
     planes = rng.standard_normal((n_tables, n_planes, dim))
 
     def add_buckets(batch: pa.Table) -> pa.Table:
@@ -662,16 +652,19 @@ def _cc_min_per_key(keys: np.ndarray, lbl: np.ndarray):
     return keys[starts], kmin, rep
 
 
-def connected_components(pairs, *, src: str = "doc_a", dst: str = "doc_b",
-                         max_iters: int = 50, num_buckets: int = 64,
+#: label-propagation rounds before :func:`connected_components` raises
+CC_MAX_ITERS = 50
+
+
+def connected_components(pairs, *, num_buckets: int = 64,
                          max_group_rows: int | None = 16_000_000):
-    """Connected components of an undirected pair table via distributed
-    hash-min label propagation: every node repeatedly adopts the
-    minimum label among itself and its neighbors (converges in
-    ≤ diameter rounds; labels are monotonically non-increasing, so a
-    stable label sum certifies convergence — and a sum still moving at
-    ``max_iters`` RAISES rather than silently returning wrong
-    components).
+    """Connected components of an undirected ``(doc_a, doc_b)`` pair
+    table via distributed hash-min label propagation: every node
+    repeatedly adopts the minimum label among itself and its neighbors
+    (converges in ≤ diameter rounds; labels are monotonically
+    non-increasing, so a stable label sum certifies convergence — and
+    a sum still moving after ``CC_MAX_ITERS`` rounds RAISES rather than
+    silently returning wrong components).
 
     Each half-round is two shuffles keyed on ``hash(node) %
     num_buckets`` (not on the node id itself), and each group function
@@ -715,8 +708,8 @@ def connected_components(pairs, *, src: str = "doc_a", dst: str = "doc_b",
             # partition emits the OTHER partitions as zero-row blocks
             # that can lose their schema entirely (Ray Data represents
             # them as empty columnless tables) — indexable by neither
-            # src nor dst.  Only the EMPTY case is tolerated: a
-            # nonempty table missing the src column still raises.
+            # doc_a nor doc_b.  Only the EMPTY case is tolerated: a
+            # nonempty table missing the doc_a column still raises.
             return pa.table(
                 {
                     "key": pa.array([], type=pa.int64()),
@@ -728,14 +721,14 @@ def connected_components(pairs, *, src: str = "doc_a", dst: str = "doc_b",
             )
         key = np.concatenate(
             [
-                b[src].to_numpy(zero_copy_only=False),
-                b[dst].to_numpy(zero_copy_only=False),
+                b["doc_a"].to_numpy(zero_copy_only=False),
+                b["doc_b"].to_numpy(zero_copy_only=False),
             ]
         ).astype(np.int64)
         other = np.concatenate(
             [
-                b[dst].to_numpy(zero_copy_only=False),
-                b[src].to_numpy(zero_copy_only=False),
+                b["doc_b"].to_numpy(zero_copy_only=False),
+                b["doc_a"].to_numpy(zero_copy_only=False),
             ]
         ).astype(np.int64)
         if len(key) and int(key.max()) >= _CC_SENTINEL:
@@ -841,7 +834,7 @@ def connected_components(pairs, *, src: str = "doc_a", dst: str = "doc_b",
         )
 
     prev_sum, converged = None, False
-    for _ in range(max_iters):
+    for _ in range(CC_MAX_ITERS):
         cur = label_sum(labels)
         if cur is None or (prev_sum is not None and cur == prev_sum):
             converged = True
@@ -872,10 +865,9 @@ def connected_components(pairs, *, src: str = "doc_a", dst: str = "doc_b",
         final = label_sum(labels)
         if final != prev_sum:
             raise RuntimeError(
-                f"connected_components did not converge in {max_iters} "
-                f"label-propagation rounds (label sum still moving: "
-                f"{prev_sum} -> {final}); the duplicate graph has "
-                f"diameter > max_iters — raise max_iters"
+                f"connected_components did not converge in "
+                f"{CC_MAX_ITERS} label-propagation rounds (label sum "
+                f"still moving: {prev_sum} -> {final})"
             )
 
     return labels.map_batches(
@@ -1084,16 +1076,15 @@ def embedding_dup_pairs_exact(ds, *, threshold: float = 0.98,
 
 def semantic_dup_pairs_grouped(ds, *, group_col: str = "label",
                                threshold: float = 0.9,
-                               id_col: str = "vec_id",
-                               emb_col: str = "embedding",
                                max_group_vecs: int = 100_000):
-    """SemDeDup-shaped near-dup pairs: exact cosine ≥ τ WITHIN each
-    group (a k-means cluster id — e.g. ``IvfIndex``'s ``cluster``
-    column — or any partition label).  The O(g²) matmul is per GROUP,
-    never corpus-wide: with balanced clusters of size g, total flops
-    are n·g instead of n², which is the whole point of clustering
-    before pairwise comparison.  ``max_group_vecs`` fails loud on a
-    mega-cluster (re-cluster with more centroids)."""
+    """SemDeDup-shaped near-dup pairs of ``(vec_id, embedding)`` rows:
+    exact cosine ≥ τ WITHIN each group (a k-means cluster id — e.g.
+    ``IvfIndex``'s ``cluster`` column — or any partition label).  The
+    O(g²) matmul is per GROUP, never corpus-wide: with balanced
+    clusters of size g, total flops are n·g instead of n², which is the
+    whole point of clustering before pairwise comparison.
+    ``max_group_vecs`` fails loud on a mega-cluster (re-cluster with
+    more centroids)."""
     from web_based_search_engine_ray.util import check_group_budget
 
     def pairs(group: pa.Table) -> pa.Table:
@@ -1104,8 +1095,8 @@ def semantic_dup_pairs_grouped(ds, *, group_col: str = "label",
             hint="re-cluster with more centroids (the per-group "
                  "matmul is O(g^2))",
         )
-        ids = group[id_col].to_numpy(zero_copy_only=False)
-        m = unit_rows(embedding_matrix(group[emb_col]))
+        ids = group["vec_id"].to_numpy(zero_copy_only=False)
+        m = unit_rows(embedding_matrix(group["embedding"]))
         sim = m @ m.T
         ai, bi = np.nonzero(np.triu(sim >= threshold, k=1))
         a, b = ids[ai], ids[bi]
@@ -1126,18 +1117,17 @@ def semantic_dup_pairs_grouped(ds, *, group_col: str = "label",
 
 
 def semantic_dedup(ds, *, group_col: str = "label",
-                   threshold: float = 0.9, id_col: str = "vec_id",
-                   emb_col: str = "embedding",
-                   max_group_vecs: int = 100_000):
-    """End-to-end semantic dedup (SemDeDup): within-group cosine pairs
-    → connected components → keep the minimum-id member per component.
+                   threshold: float = 0.9, max_group_vecs: int = 100_000):
+    """End-to-end semantic dedup (SemDeDup) of ``(vec_id, embedding)``
+    rows: within-group cosine pairs → connected components → keep the
+    minimum-id member per component.
     Composition of :func:`semantic_dup_pairs_grouped` and
     :func:`dedup_keep_min`."""
     pairs = semantic_dup_pairs_grouped(
-        ds, group_col=group_col, threshold=threshold, id_col=id_col,
-        emb_col=emb_col, max_group_vecs=max_group_vecs,
+        ds, group_col=group_col, threshold=threshold,
+        max_group_vecs=max_group_vecs,
     ).map_batches(
         lambda b: pa.table({"doc_a": b["vec_a"], "doc_b": b["vec_b"]}),
         batch_format="pyarrow",
     )
-    return dedup_keep_min(ds, pairs, id_col=id_col)
+    return dedup_keep_min(ds, pairs, id_col="vec_id")

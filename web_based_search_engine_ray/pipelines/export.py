@@ -34,11 +34,12 @@ import os
 import numpy as np
 
 _FORMATS = ("parquet", "jsonl")
+#: ``min_rows_per_file`` of every export write
+MIN_ROWS_PER_FILE = 10_000
 
 
 def export_dataset(ds, out_dir: str, *, fmt: str = "parquet",
-                   partition_col: str | None = None,
-                   min_rows_per_file: int = 10_000) -> dict:
+                   partition_col: str | None = None) -> dict:
     """Write ``ds`` under ``out_dir`` partitioned by ``partition_col``
     (hive layout ``<col>=<value>/``); returns the manifest."""
     if fmt not in _FORMATS:
@@ -47,7 +48,7 @@ def export_dataset(ds, out_dir: str, *, fmt: str = "parquet",
     manifest: dict = {"format": fmt, "partition_col": partition_col,
                       "partitions": {}}
     if partition_col is None:
-        n = _write_one(ds, out_dir, fmt, min_rows_per_file)
+        n = _write_one(ds, out_dir, fmt)
         manifest["partitions"]["_all"] = n
     elif fmt == "parquet":
         # native partitioned write: one pass, every partition in parallel
@@ -58,7 +59,7 @@ def export_dataset(ds, out_dir: str, *, fmt: str = "parquet",
         ds.write_parquet(
             out_dir,
             partition_cols=[partition_col],
-            min_rows_per_file=min_rows_per_file,
+            min_rows_per_file=MIN_ROWS_PER_FILE,
         )
         cnt_col = next(c for c in counts.columns if c != partition_col)
         for _, row in counts.iterrows():
@@ -100,7 +101,7 @@ def export_dataset(ds, out_dir: str, *, fmt: str = "parquet",
                 )
             part = ds.filter(expr=f"{partition_col} == {lit}")
             pdir = os.path.join(out_dir, f"{partition_col}={v}")
-            n = _write_one(part, pdir, fmt, min_rows_per_file)
+            n = _write_one(part, pdir, fmt)
             manifest["partitions"][str(v)] = n
     manifest["total_rows"] = sum(manifest["partitions"].values())
     with open(os.path.join(out_dir, "_MANIFEST.json"), "w") as f:
@@ -108,14 +109,14 @@ def export_dataset(ds, out_dir: str, *, fmt: str = "parquet",
     return manifest
 
 
-def _write_one(ds, path: str, fmt: str, min_rows_per_file: int) -> int:
+def _write_one(ds, path: str, fmt: str) -> int:
     os.makedirs(path, exist_ok=True)
     ds = ds.materialize()  # count + write from the same snapshot
     n = ds.count()
     if fmt == "parquet":
-        ds.write_parquet(path, min_rows_per_file=min_rows_per_file)
+        ds.write_parquet(path, min_rows_per_file=MIN_ROWS_PER_FILE)
     else:
-        ds.write_json(path, min_rows_per_file=min_rows_per_file)
+        ds.write_json(path, min_rows_per_file=MIN_ROWS_PER_FILE)
     return n
 
 

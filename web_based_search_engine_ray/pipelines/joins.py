@@ -118,8 +118,7 @@ def asof_join(left, right, *, on: str, by: str,
     )
 
 
-def broadcast_range_join(ds, ranges, *, on: str, lo_col: str = "lo",
-                         hi_col: str = "hi", suffix: str = "_r"):
+def broadcast_range_join(ds, ranges, *, on: str, suffix: str = "_r"):
     """LEFT range join against a SMALL interval table: each left row
     matches the interval with ``lo <= row[on] < hi``.  The interval
     table must be non-overlapping (validated here — overlap would make
@@ -128,19 +127,19 @@ def broadcast_range_join(ds, ranges, *, on: str, lo_col: str = "lo",
     broadcast join, NO shuffle (the correct plan whenever one side
     fits in memory, vs. an interval-keyed exchange).
 
-    ``ranges``: pandas DataFrame with ``lo_col``/``hi_col`` plus value
+    ``ranges``: pandas DataFrame with ``lo``/``hi`` plus value
     columns (appended with ``suffix``, null when no interval
     matches)."""
     import ray
 
-    r = ranges.sort_values(lo_col).reset_index(drop=True)
-    lo = r[lo_col].to_numpy(dtype=np.float64)
-    hi = r[hi_col].to_numpy(dtype=np.float64)
+    r = ranges.sort_values("lo").reset_index(drop=True)
+    lo = r["lo"].to_numpy(dtype=np.float64)
+    hi = r["hi"].to_numpy(dtype=np.float64)
     if (hi < lo).any():
         raise ValueError("range table has hi < lo")
     if (lo[1:] < hi[:-1]).any():
         raise ValueError("range table has overlapping intervals")
-    vcols = [c for c in r.columns if c not in (lo_col, hi_col)]
+    vcols = [c for c in r.columns if c not in ("lo", "hi")]
     vals = {c: r[c].to_numpy() for c in vcols}
     ref = ray.put((lo, hi, vals))
 

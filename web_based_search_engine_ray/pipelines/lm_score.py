@@ -37,14 +37,13 @@ from web_based_search_engine_ray.pipelines.dedup import (
 )
 
 
-def fit_unigram(docs, *, text_col: str = "text",
-                max_vocab: int = 1 << 22) -> dict:
-    """Fit the model: returns ``{"hashes", "logp", "logp_oov",
-    "total", "vocab"}`` with ``hashes`` sorted uint64 (md5 token
-    hashes) and ``logp`` float64 aligned to it."""
+def fit_unigram(docs, *, max_vocab: int = 1 << 22) -> dict:
+    """Fit the model on the ``text`` column: returns ``{"hashes",
+    "logp", "logp_oov", "total", "vocab"}`` with ``hashes`` sorted
+    uint64 (md5 token hashes) and ``logp`` float64 aligned to it."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        hv, _ = _batch_token_hash_arrays(batch[text_col].to_pylist())
+        hv, _ = _batch_token_hash_arrays(batch["text"].to_pylist())
         u, c = np.unique(hv, return_counts=True)
         return pa.table(
             {
@@ -84,10 +83,9 @@ def fit_unigram(docs, *, text_col: str = "text",
     }
 
 
-def score_unigram(docs, model: dict, *, text_col: str = "text",
-                  id_col: str = "doc_id", round_to: int | None = None):
+def score_unigram(docs, model: dict):
     """Dataset of ``(doc_id, n_tokens, lm_score)`` — mean token
-    log-prob under the broadcast model."""
+    log-prob of ``text`` under the broadcast model."""
     import ray
 
     hashes_ref = ray.put(np.ascontiguousarray(model["hashes"]))
@@ -97,7 +95,7 @@ def score_unigram(docs, model: dict, *, text_col: str = "text",
     def score(batch: pa.Table) -> pa.Table:
         hs = ray.get(hashes_ref)
         lp = ray.get(logp_ref)
-        hv, offsets = _batch_token_hash_arrays(batch[text_col].to_pylist())
+        hv, offsets = _batch_token_hash_arrays(batch["text"].to_pylist())
         pos = np.searchsorted(hs, hv)
         pos_c = np.minimum(pos, len(hs) - 1) if len(hs) else pos
         hit = (len(hs) > 0) & (hs[pos_c] == hv) if len(hs) else np.zeros(
@@ -114,12 +112,9 @@ def score_unigram(docs, model: dict, *, text_col: str = "text",
         mean = np.where(lens > 0, sums / np.maximum(lens, 1), 0.0)
         return pa.table(
             {
-                "doc_id": batch[id_col],
+                "doc_id": batch["doc_id"],
                 "n_tokens": pa.array(lens.astype(np.int64)),
-                "lm_score": pa.array(
-                    np.round(mean, round_to)
-                    if round_to is not None else mean
-                ),
+                "lm_score": pa.array(mean),
             }
         )
 

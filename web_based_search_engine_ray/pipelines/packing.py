@@ -53,11 +53,10 @@ def _pack_greedy(n_tok: np.ndarray, budget: int) -> np.ndarray:
     return pack
 
 
-def pack_sequences(ds, budget: int, *, num_shards: int = 4,
-                   id_col: str = "doc_id", text_col: str = "text"):
+def pack_sequences(ds, budget: int, *, num_shards: int = 4):
     """``(doc_id, shard, pack, token_count)`` per doc.
 
-    ``ds`` needs (id_col, text_col); token counts are computed
+    ``ds`` needs (doc_id, text); token counts are computed
     streaming, then ONE bounded shuffle groups by shard and each group
     packs sequentially.  Pack ids are shard-local (globally unique as
     ``(shard, pack)``)."""
@@ -65,13 +64,11 @@ def pack_sequences(ds, budget: int, *, num_shards: int = 4,
         raise ValueError(f"budget must be positive, got {budget}")
 
     def counts(batch: pa.Table) -> pa.Table:
-        t = token_count_batch(
-            pa.table({"doc_id": batch[id_col], "text": batch[text_col]})
-        )
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
+        t = token_count_batch(batch)
+        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "doc_id": batch[id_col],
+                "doc_id": batch["doc_id"],
                 "shard": pa.array(ids % num_shards, type=pa.int64()),
                 "token_count": t["token_count"],
             }

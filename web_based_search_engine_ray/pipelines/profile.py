@@ -17,17 +17,16 @@ from web_based_search_engine_ray.functions.hashing import text_key63_array
 from web_based_search_engine_ray.functions.tokenize import TOKEN_RE
 
 
-def top_terms_per_group(ds, *, group_col: str = "lang",
-                        text_col: str = "text", k: int = 5):
-    """Top-``k`` tokens per group by occurrence count (ties: token
-    asc).  Combiner: per-batch (group, term) counts (the exchange
+def top_terms_per_group(ds, *, group_col: str = "lang", k: int = 5):
+    """Top-``k`` tokens of ``text`` per group by occurrence count (ties:
+    token asc).  Combiner: per-batch (group, term) counts (the exchange
     carries unique pairs per block, not occurrences); per-group top-k
     runs in one ``map_groups`` over the small combined table."""
     from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         groups = batch[group_col].to_pylist()
-        texts = batch[text_col].to_pylist()
+        texts = batch["text"].to_pylist()
         g_out, t_out = [], []
         for g, txt in zip(groups, texts):
             toks = [t.lower() for t in TOKEN_RE.split(txt) if t]
@@ -71,9 +70,8 @@ def top_terms_per_group(ds, *, group_col: str = "lang",
     )
 
 
-def dup_rate_by_group(ds, *, group_col: str = "source",
-                      text_col: str = "text"):
-    """Per-group exact-duplicate profile: ``(group, n_docs,
+def dup_rate_by_group(ds):
+    """Per-``source`` exact-duplicate profile: ``(source, n_docs,
     n_unique, dup_rate)``.  Distinctness is md5-of-text within group
     (the same collision contract as ``dedup.exact_dedup``): the
     combiner emits unique (group, hash) pairs per block plus block row
@@ -81,8 +79,8 @@ def dup_rate_by_group(ds, *, group_col: str = "source",
     from ray.data.aggregate import Count, Sum
 
     def partial(batch: pa.Table) -> pa.Table:
-        groups = np.asarray(batch[group_col].to_pylist(), dtype=object)
-        hashes = text_key63_array(batch[text_col].to_pylist())
+        groups = np.asarray(batch["source"].to_pylist(), dtype=object)
+        hashes = text_key63_array(batch["text"].to_pylist())
         order = np.lexsort((hashes, groups))
         g, h = groups[order], hashes[order]
         new = np.ones(len(g), dtype=bool)
@@ -92,7 +90,7 @@ def dup_rate_by_group(ds, *, group_col: str = "source",
         )
         return pa.table(
             {
-                group_col: pa.array(g[new], type=pa.string()),
+                "source": pa.array(g[new], type=pa.string()),
                 "h": pa.array(h[new], type=pa.int64()),
                 "n_part": pa.array(counts, type=pa.int64()),
             }
@@ -100,11 +98,11 @@ def dup_rate_by_group(ds, *, group_col: str = "source",
 
     pairs = (
         ds.map_batches(partial, batch_format="pyarrow")
-        .groupby([group_col, "h"])
+        .groupby(["source", "h"])
         .aggregate(Sum("n_part", alias_name="n_occ"))
     )
     per_group = (
-        pairs.groupby(group_col)
+        pairs.groupby("source")
         .aggregate(
             Count(alias_name="n_unique"),
             Sum("n_occ", alias_name="n_docs"),
@@ -118,7 +116,7 @@ def dup_rate_by_group(ds, *, group_col: str = "source",
         )
         return pa.table(
             {
-                group_col: batch[group_col],
+                "source": batch["source"],
                 "n_docs": batch["n_docs"],
                 "n_unique": batch["n_unique"],
                 "dup_rate": pa.array(
@@ -130,17 +128,17 @@ def dup_rate_by_group(ds, *, group_col: str = "source",
     return per_group.map_batches(finish, batch_format="pyarrow")
 
 
-def label_centroids(ds, *, label_col: str = "label",
-                    vec_col: str = "embedding", round_to: int = 6):
-    """Per-label centroid of an embedding column as long-form
-    ``(label, dim, centroid)`` rows.  Combiner: per-batch per-label
-    vector sums (one numpy ``add.reduceat`` per batch), so the shuffle
-    carries |labels|×dim partials per block, never vectors."""
+def label_centroids(ds):
+    """Per-label centroid of the ``embedding`` column as long-form
+    ``(label, dim, centroid)`` rows, rounded to 6 decimals.  Combiner:
+    per-batch per-label vector sums (one numpy ``add.reduceat`` per
+    batch), so the shuffle carries |labels|×dim partials per block,
+    never vectors."""
     from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
-        labels = batch[label_col].to_numpy(zero_copy_only=False)
-        emb = batch[vec_col]
+        labels = batch["label"].to_numpy(zero_copy_only=False)
+        emb = batch["embedding"]
         if isinstance(emb, pa.ChunkedArray):
             emb = emb.combine_chunks()
         # flatten() honors array offsets (values would not on slices)
@@ -190,7 +188,7 @@ def label_centroids(ds, *, label_col: str = "label",
                 "label": batch["label"],
                 "dim": batch["dim"],
                 "centroid": pa.array(
-                    np.round(s / n, round_to), type=pa.float64()
+                    np.round(s / n, 6), type=pa.float64()
                 ),
             }
         )

@@ -47,11 +47,12 @@ PII_PATTERNS: list[tuple[str, str, str]] = [
 ]
 
 
-def redact_batch(batch: pa.Table, *, text_col: str = "text") -> pa.Table:
-    """Adds ``text_redacted`` plus one ``n_<name>`` count column per
-    pattern (counts are pre-replacement occurrences on the
-    progressively-redacted string, matching sequential application)."""
-    col = batch[text_col]
+def redact_batch(batch: pa.Table) -> pa.Table:
+    """Redacts ``text``: adds ``text_redacted`` plus one ``n_<name>``
+    count column per pattern (counts are pre-replacement occurrences on
+    the progressively-redacted string, matching sequential
+    application)."""
+    col = batch["text"]
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     out: dict[str, pa.Array | pa.ChunkedArray] = {}
@@ -67,9 +68,6 @@ def redact_batch(batch: pa.Table, *, text_col: str = "text") -> pa.Table:
     return res
 
 
-def redact(docs, *, text_col: str = "text"):
+def redact(docs):
     """Dataset with ``text_redacted`` and per-pattern counts appended."""
-    return docs.map_batches(
-        lambda b: redact_batch(b, text_col=text_col),
-        batch_format="pyarrow",
-    )
+    return docs.map_batches(redact_batch, batch_format="pyarrow")

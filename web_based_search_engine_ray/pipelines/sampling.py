@@ -63,14 +63,14 @@ def _thresholds(ratios: dict[str, float]) -> list[tuple[str, int, int]]:
     return out
 
 
-def assign_split(ds, ratios: dict[str, float], *, key_col: str = "doc_id",
-                 salt: str = "v1"):
-    """Add a ``split`` column (dict-ordered ratio names) — one
-    streaming ``map_batches``, no shuffle, no driver state."""
+def assign_split(ds, ratios: dict[str, float], *, salt: str = "v1"):
+    """Add a ``split`` column (dict-ordered ratio names, dealt on the
+    ``doc_id`` hash) — one streaming ``map_batches``, no shuffle, no
+    driver state."""
     th = _thresholds(ratios)
 
     def tag(batch: pa.Table) -> pa.Table:
-        b = split_buckets(batch[key_col].to_pylist(), salt)
+        b = split_buckets(batch["doc_id"].to_pylist(), salt)
         split = np.empty(len(b), dtype=object)
         for name, lo, hi in th:
             split[(b >= lo) & (b < hi)] = name
@@ -81,12 +81,12 @@ def assign_split(ds, ratios: dict[str, float], *, key_col: str = "doc_id",
     return ds.map_batches(tag, batch_format="pyarrow")
 
 
-def hash_split(ds, ratios: dict[str, float], *, key_col: str = "doc_id",
-               salt: str = "v1") -> dict:
-    """Deterministic named splits: ``{name: Dataset}``.  Each split is
-    an independent lazy filter over the tagged stream, so consuming
-    only one split never materializes the others."""
-    tagged = assign_split(ds, ratios, key_col=key_col, salt=salt)
+def hash_split(ds, ratios: dict[str, float]) -> dict:
+    """Deterministic named splits of :func:`assign_split`'s defaults:
+    ``{name: Dataset}``.  Each split is an independent lazy filter over
+    the tagged stream, so consuming only one split never materializes
+    the others."""
+    tagged = assign_split(ds, ratios)
     return {
         name: tagged.filter(
             expr=f"split == '{name}'"
@@ -95,10 +95,11 @@ def hash_split(ds, ratios: dict[str, float], *, key_col: str = "doc_id",
     }
 
 
-def sample_fraction(ds, frac: float, *, key_col: str = "doc_id",
-                    salt: str = "v1", mark: str | None = None):
-    """Deterministic ``frac`` down-sample (hash-gated, reproducible
-    across runs/parallelism — unlike ``Dataset.random_sample``).
+def sample_fraction(ds, frac: float, *, salt: str = "v1",
+                    mark: str | None = None):
+    """Deterministic ``frac`` down-sample (gated on the ``doc_id``
+    hash, reproducible across runs/parallelism — unlike
+    ``Dataset.random_sample``).
     With ``mark=<col>`` the gate is APPENDED as a bool column instead
     of filtering — same predicate, audit/suite-friendly output."""
     if not 0.0 <= frac <= 1.0:
@@ -106,7 +107,7 @@ def sample_fraction(ds, frac: float, *, key_col: str = "doc_id",
     cut = round(frac * SPLIT_BUCKETS)
 
     def keep(batch: pa.Table) -> pa.Table:
-        b = split_buckets(batch[key_col].to_pylist(), salt)
+        b = split_buckets(batch["doc_id"].to_pylist(), salt)
         gate = pa.array(b < cut)
         if mark is not None:
             return batch.append_column(mark, gate)
@@ -116,12 +117,12 @@ def sample_fraction(ds, frac: float, *, key_col: str = "doc_id",
 
 
 def stratified_sample(ds, fractions: dict[str, float], *,
-                      strata_col: str, key_col: str = "doc_id",
-                      salt: str = "v1", default: float = 0.0,
+                      strata_col: str, salt: str = "v1",
+                      default: float = 0.0,
                       mark: str | None = None):
     """Per-stratum deterministic down-sample: keep each row iff its
-    hash bucket clears its stratum's fraction (strata absent from
-    ``fractions`` use ``default``).  Same hash-gate guarantees as
+    ``doc_id`` hash bucket clears its stratum's fraction (strata absent
+    from ``fractions`` use ``default``).  Same hash-gate guarantees as
     :func:`sample_fraction` — reproducible across runs and
     parallelism, nested across fractions — applied per class, the
     rebalancing primitive a training-mix pipeline needs (e.g. keep 10%
@@ -143,7 +144,7 @@ def stratified_sample(ds, fractions: dict[str, float], *,
     default_cut = round(default * SPLIT_BUCKETS)
 
     def keep(batch: pa.Table) -> pa.Table:
-        b = split_buckets(batch[key_col].to_pylist(), salt)
+        b = split_buckets(batch["doc_id"].to_pylist(), salt)
         strata = batch[strata_col].to_pylist()
         cut = np.fromiter(
             (cuts.get(s, default_cut) for s in strata),

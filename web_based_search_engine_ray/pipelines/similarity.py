@@ -22,12 +22,11 @@ from web_based_search_engine_ray.util import embedding_matrix, unit_rows
 
 
 def deterministic_centroids(ids: np.ndarray, mat: np.ndarray,
-                            n_clusters: int, iters: int = 3,
-                            round_to: int = 9) -> np.ndarray:
+                            n_clusters: int, iters: int = 3) -> np.ndarray:
     """Pure-numpy, fully deterministic spherical k-means over a SMALL
     in-memory matrix: rows sorted by id, init = the ``n_clusters``
     smallest ids' vectors, fixed Lloyd rounds, centroids rounded to
-    ``round_to`` decimals so the exact values can be inlined in a SQL
+    9 decimals so the exact values can be inlined in a SQL
     oracle and recomputed bit-identically in another process.  This is
     the offline/sample centroid-training path (the common production
     pattern — FAISS trains IVF centroids on a sample); the distributed
@@ -46,7 +45,7 @@ def deterministic_centroids(ids: np.ndarray, mat: np.ndarray,
         counts = np.bincount(assign, minlength=len(cents))
         nz = counts > 0
         cents[nz] = unit_rows(sums[nz] / counts[nz, None])
-    return np.round(cents, round_to)
+    return np.round(cents, 9)
 
 
 def _block_partials(ds, q: np.ndarray, k: int):
@@ -197,25 +196,28 @@ def brute_force_topk(ds, query_vecs: np.ndarray, k: int = 10,
     )
 
 
+#: seeds :class:`IvfIndex`'s centroid sample and initial draw
+IVF_SEED = 42
+
+
 class IvfIndex:
     """IVF-flat over a Ray Dataset of (vec_id, embedding).
 
-    Build: k-means on normalized vectors — centroid init from a seeded
-    sample, ``iters`` Lloyd rounds where each round is one
-    ``map_batches`` pass emitting per-centroid partial sums (pre-agg →
+    Build: k-means on normalized vectors — centroid init from a sample
+    seeded with ``IVF_SEED``, ``iters`` Lloyd rounds where each round is
+    one ``map_batches`` pass emitting per-centroid partial sums (pre-agg →
     tiny driver reduce; no shuffle).  Assignment adds a ``cluster``
     column.  Query: probe the ``nprobe`` closest centroids, exact
     cosine within probed clusters.
     """
 
     def __init__(self, n_clusters: int | None = None, iters: int = 5,
-                 seed: int = 42, store_dir: str | None = None,
+                 store_dir: str | None = None,
                  centroids: np.ndarray | None = None):
         #: None → auto-scale at fit() time to ~sqrt(n) (the standard
         #: IVF sizing rule), clamped to [16, 65536]
         self.n_clusters = n_clusters
         self.iters = iters
-        self.seed = seed
         #: pre-trained centroids (e.g. deterministic_centroids on a
         #: sample) — fit() then skips the distributed Lloyd and only
         #: runs the assignment + partitioned store
@@ -238,10 +240,10 @@ class IvfIndex:
                 min(65536, max(16, round(n_total ** 0.5)))
             )
         sample = ds.random_sample(
-            min(1.0, (self.n_clusters * 32) / max(1, n_total)), seed=self.seed
+            min(1.0, (self.n_clusters * 32) / max(1, n_total)), seed=IVF_SEED
         ).to_pandas()
         m = unit_rows(np.asarray(sample["embedding"].tolist(), dtype=np.float64))
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(IVF_SEED)
         init_idx = rng.choice(len(m), size=min(self.n_clusters, len(m)), replace=False)
         cents = m[np.sort(init_idx)]
 

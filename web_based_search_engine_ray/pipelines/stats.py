@@ -87,18 +87,17 @@ def exact_quantiles(ds, col: str, qs: list[float], *,
     )
 
 
-def corpus_stats(docs, *, by: list[str] = ("lang", "source"),
-                 size_col: str = "n_chars"):
-    """Composition profile: per group — doc count, total and mean
-    ``size_col`` (mean rounded to 6 places so fp summation order can't
-    flip the value hash vs the SQL mirror)."""
+def corpus_stats(docs):
+    """Composition profile: per ``(lang, source)`` — doc count, total
+    and mean ``n_chars`` (mean rounded to 6 places so fp summation
+    order can't flip the value hash vs the SQL mirror)."""
     from ray.data.aggregate import Count, Sum
 
-    by = list(by)
+    by = ["lang", "source"]
 
     def partial(batch: pa.Table) -> pa.Table:
         cols = {k: batch[k] for k in by}
-        cols["sz"] = batch[size_col]
+        cols["sz"] = batch["n_chars"]
         g = pa.table(cols).group_by(by).aggregate(
             [([], "count_all"), ("sz", "sum")]
         )

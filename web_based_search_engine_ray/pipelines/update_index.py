@@ -309,7 +309,7 @@ def drop_updated(batch: pa.Table, *, urls_ref) -> pa.Table:
 def update_index(
     corpus_fn,
     index_dir: str,
-    cfg: IndexConfig | None = None,
+    cfg: IndexConfig,
     *,
     input_key: str,
     remove_missing: bool = False,
@@ -328,7 +328,6 @@ def update_index(
     import ray
     import ray.data as rd
 
-    cfg = cfg or IndexConfig()
     sem = cfg.semantic_key()
     # refuse to mix segment formats: untouched shard partitions are kept
     # byte-identical, so the stored index must have been built with the

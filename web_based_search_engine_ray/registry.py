@@ -220,20 +220,20 @@ def q_pagerank(sf_dir: str):
 
     res = pagerank(
         rd.from_arrow(q_link_edges(sf_dir)),
-        damping=0.85,
+        damping=_PAGERANK_DAMPING,
         iters=_PAGERANK_ITERS,
     ).to_pandas()
     res["pagerank"] = np.round(res["pagerank"], 9)
     return res[["url", "pagerank"]]
 
 
-_PAGERANK_ITERS = 5
+_PAGERANK_ITERS, _PAGERANK_DAMPING = 5, 0.85
 
 
-def _pagerank_sql(iters: int = _PAGERANK_ITERS, damping: float = 0.85) -> str:
+def _pagerank_sql() -> str:
     """Unrolled-iteration mirror of pipelines.graph.pagerank over the
     synthetic corpus's derived edge set (doc → doc+{1,7,42})."""
-    d = repr(damping)
+    d = repr(_PAGERANK_DAMPING)
     ctes = [
         f"""edges AS (
             SELECT {_SQL_URL} AS src,
@@ -245,7 +245,7 @@ def _pagerank_sql(iters: int = _PAGERANK_ITERS, damping: float = 0.85) -> str:
         "nn AS (SELECT COUNT(*) AS n FROM nodes)",
         "pr0 AS (SELECT node, 1.0 / nn.n AS rank FROM nodes, nn)",
     ]
-    for i in range(1, iters + 1):
+    for i in range(1, _PAGERANK_ITERS + 1):
         p = f"pr{i - 1}"
         ctes.append(f"""dang{i} AS (
             SELECT COALESCE(SUM(p.rank), 0.0) AS dm
@@ -268,7 +268,8 @@ def _pagerank_sql(iters: int = _PAGERANK_ITERS, damping: float = 0.85) -> str:
         )""")
     return (
         "WITH " + ",\n".join(ctes)
-        + f"\nSELECT node AS url, ROUND(rank, 9) AS pagerank FROM pr{iters}"
+        + "\nSELECT node AS url, ROUND(rank, 9) AS pagerank "
+        f"FROM pr{_PAGERANK_ITERS}"
     )
 
 

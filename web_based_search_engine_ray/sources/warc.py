@@ -131,7 +131,7 @@ def warc_batch_to_corpus(batch: pa.Table) -> pa.Table:
     )
 
 
-def read_warc(paths, *, parallelism: int | None = None):
+def read_warc(paths):
     """Ray Dataset of corpus rows from WARC file(s)/dir(s).
 
     One input file = one read block (WARC members do not split without
@@ -141,10 +141,7 @@ def read_warc(paths, *, parallelism: int | None = None):
     """
     import ray.data as rd
 
-    kwargs = {}
-    if parallelism is not None:
-        kwargs["override_num_blocks"] = parallelism
-    ds = rd.read_binary_files(paths, **kwargs)
+    ds = rd.read_binary_files(paths)
     return ds.map_batches(warc_batch_to_corpus, batch_format="pyarrow")
 
 

@@ -86,9 +86,9 @@ def synth_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def _repeat_batch(batch: pa.Table, repeat: int, stride: int = 10**9) -> pa.Table:
+def _repeat_batch(batch: pa.Table, repeat: int) -> pa.Table:
     """Deterministically replicate docs ``repeat``× with distinct doc_ids
-    (offset by k*stride) — used only to scale benchmark inputs."""
+    (offset by k*10^9) — used only to scale benchmark inputs."""
     if repeat <= 1:
         return batch
     parts = []
@@ -97,7 +97,7 @@ def _repeat_batch(batch: pa.Table, repeat: int, stride: int = 10**9) -> pa.Table
         t = batch.set_column(
             batch.schema.get_field_index("doc_id"),
             "doc_id",
-            pa.array(ids + k * stride, type=pa.int64()),
+            pa.array(ids + k * 10**9, type=pa.int64()),
         )
         parts.append(t)
     return pa.concat_tables(parts)
@@ -131,7 +131,6 @@ def synth_corpus_cached(
     sf_dir: str,
     *,
     repeat: int = 1,
-    parallelism: int | None = None,
     cache_root: str = "/tmp/graft_corpus_cache",
     columns: list[str] | None = None,
 ):
@@ -157,7 +156,7 @@ def synth_corpus_cached(
     import ray.data as rd
 
     if repeat <= 1:
-        ds = synth_corpus(sf_dir, parallelism=parallelism)
+        ds = synth_corpus(sf_dir)
         return ds.select_columns(columns) if columns else ds
     # the key covers the INPUT CONTENT (mtime+size of documents.parquet),
     # not just its path — regenerated testdata under the same path must
@@ -192,7 +191,7 @@ def synth_corpus_cached(
         shutil.rmtree(d, ignore_errors=True)
         tmp = d + ".tmp"
         shutil.rmtree(tmp, ignore_errors=True)
-        ds = synth_corpus(sf_dir, repeat=repeat, parallelism=parallelism)
+        ds = synth_corpus(sf_dir, repeat=repeat)
         # ~32k rows/file → tens of MB per file: big enough that map
         # stages get one task per block, small enough to split finer
         ds.write_parquet(tmp, min_rows_per_file=32768)
@@ -205,7 +204,7 @@ def synth_corpus_cached(
     return rd.read_parquet(
         d,
         columns=columns,
-        override_num_blocks=parallelism or default_parallelism(),
+        override_num_blocks=default_parallelism(),
     )
 
 

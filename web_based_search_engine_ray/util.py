@@ -6,7 +6,7 @@ block count (penalizing many tiny blocks).  Pipelines therefore split
 reads to ``auto_parallelism()`` blocks.  The index plans size their
 reads for the groupby and never repartition (see
 ``IndexConfig.shuffle_partitions``); the other pipelines ``coalesce``
-to ``shuffle_parallelism()`` blocks right before a groupby.  At real
+to one block per CPU right before a groupby.  At real
 cluster scale block counts are byte-driven and these become no-ops by
 configuration.
 """
@@ -30,15 +30,11 @@ def auto_parallelism() -> int:
     return _cpus() * 2
 
 
-def shuffle_parallelism() -> int:
-    """Blocks going INTO a groupby: 1 per CPU (sort-shuffle overhead
-    scales with block count)."""
-    return max(8, _cpus())
-
-
-def coalesce(ds, n: int | None = None):
-    """Repartition a dataset ahead of a shuffle."""
-    return ds.repartition(n or shuffle_parallelism())
+def coalesce(ds):
+    """Repartition a dataset ahead of a shuffle: blocks going INTO a
+    groupby are 1 per CPU, at least 8 (sort-shuffle overhead scales
+    with block count)."""
+    return ds.repartition(max(8, _cpus()))
 
 
 _WORKER_SINGLETONS: dict = {}
