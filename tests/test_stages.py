@@ -839,18 +839,14 @@ def test_lww_shard_dedup_task_idempotent_on_retry(tmp_path):
         "text": ["new", "old", "x"],
     })
     pq.write_table(rows, d / "part-0.parquet")
-    batch = pa.table({"shard": pa.array([0], pa.int64()),
-                      "dir": pa.array([str(d)])})
 
-    # first (clean) execution: compacts to 2 rows, removes the input
-    r1 = _lww_shard_dedup_task(batch)
-    assert r1["rows"].to_pylist() == [2]
+    # first (clean) execution: drops 1 duplicate, removes the input
+    assert _lww_shard_dedup_task(str(d)) == 1
     assert sorted(p.name for p in d.iterdir()) == ["lww-compacted.parquet"]
 
     # simulate an interrupted remove loop: leftover input + output
     pq.write_table(rows, d / "part-0.parquet")
-    r2 = _lww_shard_dedup_task(batch)
-    assert r2["rows"].to_pylist() == [2]
+    assert _lww_shard_dedup_task(str(d)) == 0  # resumed: nothing dropped
     files = sorted(p.name for p in d.iterdir())
     assert files == ["lww-compacted.parquet"], files
     out = pq.read_table(d / "lww-compacted.parquet")
@@ -858,8 +854,7 @@ def test_lww_shard_dedup_task_idempotent_on_retry(tmp_path):
     assert "new" in out["text"].to_pylist()
 
     # pure re-execution (no leftovers) is also stable
-    r3 = _lww_shard_dedup_task(batch)
-    assert r3["rows"].to_pylist() == [2]
+    assert _lww_shard_dedup_task(str(d)) == 0
     assert sorted(p.name for p in d.iterdir()) == ["lww-compacted.parquet"]
 
 
@@ -889,15 +884,13 @@ def test_lww_resume_read_error_with_no_inputs_raises(tmp_path, monkeypatch):
         "text": ["x"],
     })
     pq.write_table(rows, d / "lww-compacted.parquet")
-    batch = pa.table({"shard": pa.array([0], pa.int64()),
-                      "dir": pa.array([str(d)])})
 
     def boom(path):
         raise OSError("transient object-store read failure")
 
     monkeypatch.setattr(bi.fsio, "parquet_num_rows", boom)
     with pytest.raises(OSError, match="transient"):
-        bi._lww_shard_dedup_task(batch)
+        bi._lww_shard_dedup_task(str(d))
     assert (d / "lww-compacted.parquet").exists()  # sole copy untouched
 
     # inputs present but NO .tmp sibling: the replace COMPLETED (tmp is
@@ -915,15 +908,14 @@ def test_lww_resume_read_error_with_no_inputs_raises(tmp_path, monkeypatch):
     })
     pq.write_table(dup_rows, d / "part-0.parquet")
     with pytest.raises(OSError, match="transient"):
-        bi._lww_shard_dedup_task(batch)
+        bi._lww_shard_dedup_task(str(d))
     assert (d / "lww-compacted.parquet").exists()
 
     # .tmp sibling present -> genuine torn copy (crash mid-copy, remove
     # loop never ran): comp is discarded and the shard recompacts from
     # the intact inputs
     pq.write_table(dup_rows, d / "lww-compacted.parquet.tmp")
-    r = bi._lww_shard_dedup_task(batch)
-    assert r["rows"].to_pylist() == [1]
+    assert bi._lww_shard_dedup_task(str(d)) == 1
     assert sorted(p.name for p in d.iterdir()) == ["lww-compacted.parquet"]
     assert pq.read_table(d / "lww-compacted.parquet")["text"].to_pylist() \
         == ["new"]

@@ -639,14 +639,24 @@ def split_update(ray_session, tmp_path_factory):
 
 
 def _record_map_fns(mp) -> list:
-    """Record the function of every ``Dataset.map_batches`` call."""
+    """Record the function of every ``Dataset.map_batches`` call, and
+    each LWW check the update runs as ``partial(_lww_dedup_shards,
+    stage_dir, shards)`` (its tasks are plain Ray tasks)."""
+    import functools
+
     import ray.data as rd
+
+    from web_based_search_engine_ray.pipelines import update_index as ui
 
     fns = []
     real_map = rd.Dataset.map_batches
     mp.setattr(rd.Dataset, "map_batches",
                lambda self, fn, *a, **kw: fns.append(fn)
                or real_map(self, fn, *a, **kw))
+    real_lww = ui._lww_dedup_shards
+    mp.setattr(ui, "_lww_dedup_shards",
+               lambda *a: fns.append(functools.partial(real_lww, *a))
+               or real_lww(*a))
     return fns
 
 
@@ -700,12 +710,13 @@ def test_update_with_one_row_per_fresh_url_skips_lww_check(split_update):
     check; its index still equals a full rebuild (above)."""
     from web_based_search_engine_ray.pipelines.build_index import (
         _extract_task,
-        _lww_shard_dedup_task,
+        _lww_dedup_shards,
     )
 
     _, _, _, _, mapped = split_update
     assert any(getattr(f, "func", f) is _extract_task for f in mapped)
-    assert _lww_shard_dedup_task not in mapped
+    assert not any(getattr(f, "func", f) is _lww_dedup_shards
+                   for f in mapped)
 
 
 def test_update_delta_duplicate_url_keeps_newest(ray_session,
@@ -713,12 +724,13 @@ def test_update_delta_duplicate_url_keeps_newest(ray_session,
                                                  monkeypatch):
     """An update snapshot holding an older AND a newer row for one
     indexed url (plus a new url) indexes only the newest version: the
-    delta goes through the build's shard-local last-write-wins."""
+    delta goes through the build's shard-local last-write-wins, run on
+    the one shard the update rewrote."""
     import ray.data as rd
 
     from web_based_search_engine_ray.config import IndexConfig
     from web_based_search_engine_ray.pipelines.build_index import (
-        _lww_shard_dedup_task,
+        _lww_dedup_shards,
         build_index,
     )
     from web_based_search_engine_ray.pipelines.search import Searcher
@@ -741,9 +753,11 @@ def test_update_delta_duplicate_url_keeps_newest(ray_session,
     mapped = _record_map_fns(monkeypatch)
     report = update_index(lambda: rd.from_arrow(snapshot), idx, cfg,
                           input_key="d2")
-    assert mapped.count(_lww_shard_dedup_task) == 1
+    lww = [f for f in mapped if getattr(f, "func", f) is _lww_dedup_shards]
+    assert len(lww) == 1
     assert report["update"]["fresh_docs"] == 2  # doc 3 once, doc 9
     assert sorted(report["update"]["affected_shards"]) == [1]
+    assert list(lww[0].args[1]) == [1]  # only the rewritten shard
 
     s = Searcher(idx)
     assert s.search({"newerversion"}, k=10, hydrate=False)["doc_id"].tolist() == [3]
@@ -788,11 +802,12 @@ def _count_executions():
 
 
 def test_build_and_update_execution_counts(ray_session, tmp_path):
-    """A build runs 5 executions (extracted write, its LWW check,
-    segments, lexicon, docstats); an update with one row per fresh url
-    runs 5 (classify, the extracted rewrite, the three downstream
-    stages); one where a fresh url has two fresh rows adds the LWW
-    check (6); a no-op update runs classify only (1)."""
+    """A build runs 3 executions (the extracted write, segments,
+    docstats; its LWW check and lexicon are plain Ray tasks); an update
+    with one row per fresh url runs 4 (classify, the extracted rewrite,
+    segments, docstats); one where a fresh url has two fresh rows runs
+    the same 4, its LWW check being plain Ray tasks too; a no-op update
+    runs classify only (1)."""
     import ray.data as rd
 
     from web_based_search_engine_ray.config import IndexConfig
@@ -823,8 +838,8 @@ def test_build_and_update_execution_counts(ray_session, tmp_path):
                                   input_key=key)
             counts[what] = len(started)
         assert (report["update"]["fresh_docs"] == 0) == (what == "no-op")
-    assert counts == {"build": 5, "one row per fresh url": 5,
-                      "two fresh rows": 6, "no-op": 1}
+    assert counts == {"build": 3, "one row per fresh url": 4,
+                      "two fresh rows": 4, "no-op": 1}
 
 
 # ---- the classify join ----------------------------------------------------

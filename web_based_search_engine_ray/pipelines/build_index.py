@@ -2,7 +2,11 @@
 
 Dataflow (SURVEY.md §3.1 rebuild shape) — every wide step is an explicit
 Ray Data shuffle, every stage checkpoints to parquet with a lineage
-manifest (resume skips complete stages):
+manifest (resume skips complete stages).  Three Ray Data executions run:
+the extracted write, segments and docstats.  The LWW check and the
+lexicon are plain Ray tasks (``_run_tasks``), one per doc shard and one
+per term bucket: each lists, reads and writes its own files, so no rows
+flow through Ray Data and an execution would only add its fixed cost:
 
 ::
 
@@ -12,8 +16,9 @@ manifest (resume skips complete stages):
       │         tf_max (``ForwardRows``, in the same map task)
       ▼
     extracted/   partitioned by doc_shard; last-write-wins per url by
-                 warc_ts as a per-shard detect-then-compact pass (doc_id
-                 is a function of url, so a url never spans shards).
+                 warc_ts as a per-shard detect-then-compact pass, one
+                 plain Ray task per shard (doc_id is a function of url,
+                 so a url never spans shards).
                  Also the page-column, link-graph and forward-list
                  store: readers project its columns, and
                  ``stages.extract.link_edges`` flattens its ``links``
@@ -27,7 +32,8 @@ manifest (resume skips complete stages):
                                      [shuffle: term bucket, compressed]
       ▼
     lexicon/     per-bucket Σ df_run / max ub_run (runs of a term all
-                 live in one bucket partition)            [no shuffle]
+                 live in one bucket partition), one plain Ray task per
+                 bucket writing bucket=N/part-0.parquet   [no shuffle]
       ▼
     docstats/    extracted lists (rows with tf_max > 0) × broadcast
                  (lexicon df) → doc_len_norm              [no shuffle]
@@ -123,9 +129,9 @@ def _add_doc_shard(batch: pa.Table, *, n_shards: int,
     )
 
 
-def _lww_shard_dedup_task(batch: pa.Table) -> pa.Table:
-    """One task per extracted doc_shard dir: detect-then-compact LWW
-    url-dedup WITHOUT any exchange.
+def _lww_shard_dedup_task(d: str) -> int:
+    """One task per extracted ``doc_shard=`` dir ``d``: detect-then-compact
+    LWW url-dedup WITHOUT any exchange.
 
     ``doc_id`` is a pure function of url, so every occurrence of a url
     lands in the same ``doc_shard=S`` partition dir no matter which
@@ -138,74 +144,57 @@ def _lww_shard_dedup_task(batch: pa.Table) -> pa.Table:
 
     Scale contract: one shard slice must fit a task (same granularity
     every per-shard stage here assumes — size ``doc_shards`` to the
-    corpus).  Returns one row of (shard, rows, dups_removed)."""
-    shards, rows_out, dups_out = [], [], []
-    for shard, d in zip(
-        batch["shard"].to_pylist(), batch["dir"].to_pylist()
-    ):
-        comp = os.path.join(d, "lww-compacted.parquet")
-        paths = fsio.glob(os.path.join(d, "*.parquet"))
-        inputs = [p for p in paths if not p.endswith("lww-compacted.parquet")]
-        if fsio.exists(comp):
-            # A prior attempt of this task completed its compaction
-            # (``fsio.replace`` is atomic locally; on URI backends it is
-            # copy→verify→delete, but a crash MID-COPY can still leave a
-            # torn ``comp`` with the ``.tmp`` source intact — so before
-            # trusting it and DELETING the inputs, validate the parquet
-            # footer).  Remaining input files are leftovers of a
-            # completed attempt's interrupted remove loop.  Re-running
-            # must converge on the same state, never delete the output
-            # (Ray re-executes tasks on worker loss / lineage
-            # reconstruction).  ``dups_removed`` for a resumed shard is
-            # reported as 0 — the stats row is diagnostic only.
-            try:
-                n = fsio.parquet_num_rows(comp)  # reads+checks footer
-            except Exception:
-                if not fsio.exists(comp + ".tmp"):
-                    # ``fsio.replace`` deletes the ``.tmp`` source only
-                    # AFTER verifying the copy, so tmp-absent means the
-                    # replace COMPLETED and this read failure is
-                    # transient (object-store hiccup).  ``comp`` may by
-                    # now be the only copy of rows whose inputs a prior
-                    # attempt's remove loop already deleted — surface
-                    # the error instead of deleting it.  (Remaining
-                    # ``inputs`` do NOT prove comp is torn: the remove
-                    # loop can be interrupted midway.)
-                    raise
-                # torn copy (crash mid-copy: .tmp source intact, and the
-                # remove loop never started so ALL inputs are intact):
-                # discard it and fall through to recompact
-                fsio.remove(comp)
-            else:
-                for p in inputs:
-                    fsio.remove(p)
-                shards.append(shard); rows_out.append(n); dups_out.append(0)
-                continue
-        if not inputs:
-            shards.append(shard); rows_out.append(0); dups_out.append(0)
-            continue
-        urls = fsio.parquet_read_table(inputs, columns=["url"])["url"]
-        n = len(urls)
-        n_uniq = len(pc.unique(urls.combine_chunks()))
-        if n_uniq == n:
-            shards.append(shard); rows_out.append(n); dups_out.append(0)
-            continue
-        t = fsio.parquet_read_table(inputs)
-        keep = _lww_group_extracted(t)
-        fsio.parquet_write_table(keep, comp + ".tmp")
-        fsio.replace(comp + ".tmp", comp)
-        for p in inputs:
-            fsio.remove(p)
-        shards.append(shard)
-        rows_out.append(keep.num_rows)
-        dups_out.append(n - keep.num_rows)
-    return pa.table(
-        {
-            "shard": pa.array(shards, pa.int64()),
-            "rows": pa.array(rows_out, pa.int64()),
-            "dups_removed": pa.array(dups_out, pa.int64()),
-        }
-    )
+    corpus).  Returns the number of duplicate rows removed."""
+    comp = os.path.join(d, "lww-compacted.parquet")
+    paths = fsio.glob(os.path.join(d, "*.parquet"))
+    inputs = [p for p in paths if not p.endswith("lww-compacted.parquet")]
+    if fsio.exists(comp):
+        # A prior attempt of this task completed its compaction
+        # (``fsio.replace`` is atomic locally; on URI backends it is
+        # copy→verify→delete, but a crash MID-COPY can still leave a
+        # torn ``comp`` with the ``.tmp`` source intact — so before
+        # trusting it and DELETING the inputs, validate the parquet
+        # footer).  Remaining input files are leftovers of a
+        # completed attempt's interrupted remove loop.  Re-running
+        # must converge on the same state, never delete the output
+        # (Ray re-executes tasks on worker loss / lineage
+        # reconstruction).  The count for a resumed shard is reported
+        # as 0 — it is diagnostic only.
+        try:
+            fsio.parquet_num_rows(comp)  # reads+checks footer
+        except Exception:
+            if not fsio.exists(comp + ".tmp"):
+                # ``fsio.replace`` deletes the ``.tmp`` source only
+                # AFTER verifying the copy, so tmp-absent means the
+                # replace COMPLETED and this read failure is
+                # transient (object-store hiccup).  ``comp`` may by
+                # now be the only copy of rows whose inputs a prior
+                # attempt's remove loop already deleted — surface
+                # the error instead of deleting it.  (Remaining
+                # ``inputs`` do NOT prove comp is torn: the remove
+                # loop can be interrupted midway.)
+                raise
+            # torn copy (crash mid-copy: .tmp source intact, and the
+            # remove loop never started so ALL inputs are intact):
+            # discard it and fall through to recompact
+            fsio.remove(comp)
+        else:
+            for p in inputs:
+                fsio.remove(p)
+            return 0
+    if not inputs:
+        return 0
+    urls = fsio.parquet_read_table(inputs, columns=["url"])["url"]
+    n = len(urls)
+    if len(pc.unique(urls.combine_chunks())) == n:
+        return 0
+    t = fsio.parquet_read_table(inputs)
+    keep = _lww_group_extracted(t)
+    fsio.parquet_write_table(keep, comp + ".tmp")
+    fsio.replace(comp + ".tmp", comp)
+    for p in inputs:
+        fsio.remove(p)
+    return n - keep.num_rows
 
 
 def _lww_group_extracted(group: pa.Table) -> pa.Table:
@@ -237,25 +226,32 @@ def _write_extracted(ds, stage_dir: str, cfg: IndexConfig) -> None:
     )
 
 
-def _lww_dedup_shards(stage_dir: str, cfg: IndexConfig) -> None:
-    """One detect-then-compact task per extracted shard dir
-    (:func:`_lww_shard_dedup_task`), so every url has one row: its
-    newest.  Because doc_id = f(url), a url's occurrences are confined
-    to one shard dir, so url-dedup needs NO exchange at all: the
-    previous design — Ray's ``groupby(lww_key)`` — cost an all-to-all
-    SORT of the full extracted payload (measured 12 s of a 13 s extract
-    wall at 1.8M docs / 32 CPUs, flat across parallelism levels), where
-    the shard-local check costs one url-column projection per shard and
-    rewrites only shards that actually contain duplicates."""
-    import ray.data as rd
+def _run_tasks(fn, args: list[tuple]) -> list:
+    """``fn(*a)`` for each ``a`` in ``args`` as plain Ray tasks, one per
+    tuple; returns their results in order.  Retried without limit on
+    worker loss, as Ray Data retries its own map tasks, so ``fn`` must
+    converge on the same files when re-run."""
+    import ray
 
-    res = rd.from_items([
-        {"shard": s, "dir": os.path.join(stage_dir, f"doc_shard={s}")}
-        for s in range(cfg.doc_shards)
-    ]).map_batches(
-        _lww_shard_dedup_task, batch_size=1, batch_format="pyarrow"
-    )
-    dups = res.sum("dups_removed")
+    task = ray.remote(max_retries=-1)(fn)
+    return ray.get([task.remote(*a) for a in args])
+
+
+def _lww_dedup_shards(stage_dir: str, shards) -> None:
+    """One detect-then-compact task per extracted shard dir in
+    ``shards`` (:func:`_lww_shard_dedup_task`), so every url has one
+    row: its newest.  Because doc_id = f(url), a url's occurrences are
+    confined to one shard dir, so url-dedup needs NO exchange at all:
+    the previous design — Ray's ``groupby(lww_key)`` — cost an
+    all-to-all SORT of the full extracted payload (measured 12 s of a
+    13 s extract wall at 1.8M docs / 32 CPUs, flat across parallelism
+    levels), where the shard-local check costs one url-column
+    projection per shard and rewrites only shards that actually
+    contain duplicates.  The tasks move no rows through Ray Data, so
+    they run as plain Ray tasks."""
+    dups = sum(_run_tasks(_lww_shard_dedup_task, [
+        (os.path.join(stage_dir, f"doc_shard={s}"),) for s in shards
+    ]))
     if dups:
         logger.info("LWW url-dedup removed %d duplicate rows", dups)
 
@@ -310,18 +306,14 @@ def _tokenize_encode_task(batch: pa.Table, *, cfg: IndexConfig) -> pa.Table:
     return inst(batch)
 
 
-_LEXICON_SCHEMA = pa.schema(
-    [
-        ("term", pa.string()),
-        ("term_hash", pa.uint64()),
-        ("df", pa.int64()),
-        ("ub_adj", pa.float64()),
-        ("bucket", pa.int64()),
-    ]
-)
+#: ``lexicon/bucket=N/part-0.parquet``'s rows
+_LEXICON_SCHEMA = pa.schema([
+    ("term", pa.string()), ("term_hash", pa.uint64()), ("df", pa.int64()),
+    ("ub_adj", pa.float64()),
+])
 
 
-def _lexicon_bucket_task(batch: pa.Table) -> pa.Table:
+def _lexicon_bucket_task(bucket: int, seg_dir: str, stage_dir: str) -> None:
     """One task per term-hash bucket: DISCOVER the bucket's segment
     files inside the task (no driver-side filesystem assumption — the
     segment store only has to be reachable from workers, the normal
@@ -329,42 +321,31 @@ def _lexicon_bucket_task(batch: pa.Table) -> pa.Table:
     every doc shard, and aggregate ``df = Σ df_run`` /
     ``ub_adj = max(ub_run)`` — both EXACT, since all runs of a term
     live in exactly one bucket and merged runs carry the max of their
-    sources' bounds.  Reading inside the task guarantees the whole
-    bucket aggregates at once (block splits can't duplicate terms)."""
-    out = [_LEXICON_SCHEMA.empty_table()]
-    for bucket, seg_dir in zip(
-        batch["bucket"].to_pylist(), batch["seg_dir"].to_pylist()
-    ):
-        paths = fsio.glob(
-            os.path.join(seg_dir, "**", f"bucket={bucket}", "*.parquet"),
-            recursive=True,
-        )
-        if not paths:
-            continue
-        t = fsio.parquet_read_table(
+    sources' bounds.  Writes ``stage_dir/bucket=<bucket>/part-0.parquet``
+    (typed and empty for a bucket with no term), so a retried task
+    overwrites the same file."""
+    paths = fsio.glob(
+        os.path.join(seg_dir, "**", f"bucket={bucket}", "*.parquet"),
+        recursive=True,
+    )
+    out = _LEXICON_SCHEMA.empty_table()
+    if paths:
+        g = fsio.parquet_read_table(
             paths, columns=["term", "df_run", "ub_run"]
-        )
-        g = t.group_by("term").aggregate(
-            [("df_run", "sum"), ("ub_run", "max")]
-        )
+        ).group_by("term").aggregate([("df_run", "sum"), ("ub_run", "max")])
         # hash HERE (parallel across bucket tasks) so the docstats df
         # broadcast needs no driver-side string materialization/md5 pass
-        out.append(
-            pa.table(
-                {
-                    "term": g["term"],
-                    "term_hash": pa.array(
-                        md5_u64_array(g["term"].to_pylist()), type=pa.uint64()
-                    ),
-                    "df": g["df_run_sum"],
-                    "ub_adj": pc.cast(g["ub_run_max"], pa.float64()),
-                    "bucket": pa.array(
-                        np.full(g.num_rows, bucket, dtype=np.int64)
-                    ),
-                }
-            )
-        )
-    return pa.concat_tables(out)
+        out = pa.table({
+            "term": g["term"],
+            "term_hash": pa.array(
+                md5_u64_array(g["term"].to_pylist()), type=pa.uint64()
+            ),
+            "df": g["df_run_sum"],
+            "ub_adj": pc.cast(g["ub_run_max"], pa.float64()),
+        })
+    d = os.path.join(stage_dir, f"bucket={bucket}")
+    fsio.makedirs(d)
+    fsio.parquet_write_table(out, os.path.join(d, "part-0.parquet"))
 
 
 def build_index(
@@ -403,7 +384,7 @@ def build_index(
             batch_size=cfg.extract_batch_size,
         )
         _write_extracted(ds, stage_dir, cfg)
-        _lww_dedup_shards(stage_dir, cfg)
+        _lww_dedup_shards(stage_dir, shards)
         return _count_parquet(stage_dir)
 
     # Per-shard fingerprints: the key of the last write that TOUCHED each
@@ -545,23 +526,13 @@ def build_index(
         # discovers and reads its own files (inside the task: no
         # driver-side filesystem assumption) and aggregates the whole
         # bucket at once.  (At 100-TB scale raise num_buckets so one
-        # bucket fits a task.)
-        items = [
-            {"bucket": b, "seg_dir": d_seg} for b in range(cfg.num_buckets)
-        ]
-        # written PARTITIONED BY BUCKET: shard Searchers lazy-load one
-        # term-hash bucket at a time (actor RSS independent of total
-        # vocabulary) with the same byte-budgeted cache as postings
-        lex = rd.from_items(items).map_batches(
-            _lexicon_bucket_task, batch_size=1, batch_format="pyarrow"
-        )
-        lex.write_parquet(stage_dir, partition_cols=["bucket"])
-        fsio.makedirs(stage_dir)
-        _ensure_nonempty_schema(
-            stage_dir,
-            pa.schema([("term", pa.string()), ("term_hash", pa.uint64()),
-                       ("df", pa.int64()), ("ub_adj", pa.float64())]),
-        )
+        # bucket fits a task.)  PARTITIONED BY BUCKET: shard Searchers
+        # lazy-load one term-hash bucket at a time (actor RSS
+        # independent of total vocabulary) with the same byte-budgeted
+        # cache as postings
+        _run_tasks(_lexicon_bucket_task, [
+            (b, d_seg, stage_dir) for b in range(cfg.num_buckets)
+        ])
         return _count_parquet(stage_dir)
 
     results.append(mf.run_stage(d_lex, fp_lex, _build_lexicon, resume=resume))
@@ -662,17 +633,3 @@ def _count_parquet(path: str, filter=None) -> int:
 
     return pads.dataset(path, format="parquet",
                         partitioning="hive").count_rows(filter=filter)
-
-
-def _ensure_nonempty_schema(stage_dir: str, schema: pa.Schema) -> None:
-    """Ray writes no files for a 0-row dataset; drop in an empty parquet
-    file so downstream filtered reads still see the schema."""
-    import pyarrow.parquet as pq
-
-    has_file = any(
-        f.endswith(".parquet") for f in fsio.walk_files(stage_dir)
-    )
-    if not has_file:
-        pq.write_table(
-            schema.empty_table(), os.path.join(stage_dir, "empty.parquet")
-        )

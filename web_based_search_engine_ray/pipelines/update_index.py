@@ -16,10 +16,11 @@ are never re-tokenized:
 2. Only the affected ``extracted/doc_shard=S`` partitions are
    rewritten, in ONE write (``_write_extracted``): (old rows minus
    updated/removed urls) ∪ the fresh rows (``fresh_rows``) extracted in
-   the same plan.  Its LWW check (``_lww_dedup_shards``) runs only when
-   some fresh url has several fresh rows.  Unchanged docs are never
-   parsed or analyzed (stored rows keep their forward lists); every
-   other partition stays byte-identical on disk.
+   the same plan.  Its LWW check (``_lww_dedup_shards``: plain Ray
+   tasks, one per rewritten shard) runs only when some fresh url has
+   several fresh rows.  Unchanged docs are never parsed or analyzed
+   (stored rows keep their forward lists); every other partition stays
+   byte-identical on disk.
 3. The ``extracted/`` manifest is re-stamped with the new input key and
    per-shard fingerprints: rewritten shards get the new key, the rest
    keep theirs.  ``build_index(resume=True)`` then regenerates
@@ -391,7 +392,7 @@ def update_index(
                      d_ext_new, cfg)
     # the kept stored rows are url-unique: only a fresh url can repeat
     if classes.n_fresh_rows > len(classes.fresh_urls):
-        _lww_dedup_shards(d_ext_new, cfg)
+        _lww_dedup_shards(d_ext_new, affected)
 
     # ---- per-shard fingerprints: the incremental contract ----------------
     # Untouched doc_shard partitions are byte-identical on disk, so they
