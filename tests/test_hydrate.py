@@ -178,33 +178,47 @@ HYDRATED_BUILD_DIGEST = (
 HYDRATED_UPDATE_DIGEST = (
     "57f9097dc6c99df11d51d9df9922f462e3558556df7a3dd57af685af8295b61b"
 )
+#: sha256 over the ``/result`` pages of those rows, 50 ids a page
+PAGE_BUILD_DIGEST = (
+    "a2d0df6ad959e023cbaa27c3f729993c5e90b18b642c33b59c3d5548ddeed021"
+)
+PAGE_UPDATE_DIGEST = (
+    "2b71db6a50ceb3afeef11abb687e65d0a6826fe79f1df9e5f263bde9563d3018"
+)
 
 
-def _hydrated_digest(index_dir: str, ids: np.ndarray) -> str:
-    """Every id through one ``Searcher.hydrate`` and the frame
-    converter of ``search(hydrate=True)``, in 50-id chunks."""
+def _hydrated_digests(index_dir: str, ids: np.ndarray) -> tuple[str, str]:
+    """Every id through one ``Searcher.hydrate``, in 50-id chunks: the
+    digest of the rows through the frame converter of
+    ``search(hydrate=True)``, and that of the served pages."""
     import hashlib
 
     from web_based_search_engine_ray.pipelines.search import (
         Searcher,
         hydrated_frame,
     )
+    from web_based_search_engine_ray.pipelines.server import (
+        _render_result_page,
+    )
 
-    s, h = Searcher(index_dir), hashlib.sha256()
+    s, h, pages = Searcher(index_dir), hashlib.sha256(), hashlib.sha256()
     for i in range(0, len(ids), 50):
         part = ids[i:i + 50]
         res = pd.DataFrame({"doc_id": part,
                             "score": np.linspace(1.0, 0.5, len(part))})
-        for row in hydrated_frame(s.hydrate(res)).to_dict("records"):
+        rows = s.hydrate(res)
+        for row in hydrated_frame(rows).to_dict("records"):
             h.update(repr(tuple(row.values())).encode())
-    return h.hexdigest()
+        pages.update(_render_result_page(*_STEMS, rows).encode())
+    return h.hexdigest(), pages.hexdigest()
 
 
 def test_hydrated_rows_pinned(ray_session, sf_dir, tmp_path):
-    """The hydrated rows of every doc id, after a two-shard build and
-    after a seeded full-sync update (removed ids ride along as default
-    rows), hash to the pinned digests: a change in where hydration
-    reads its columns cannot drift the result rows."""
+    """The hydrated rows and the served pages of every doc id, after a
+    two-shard build and after a seeded full-sync update (removed ids
+    ride along as default rows), hash to the pinned digests: a change
+    in where hydration reads its columns or how a page is put together
+    cannot drift the result rows or the HTML."""
     from web_based_search_engine_ray.config import IndexConfig
     from web_based_search_engine_ray.pipelines.build_index import build_index
     from web_based_search_engine_ray.pipelines.update_index import (
@@ -219,7 +233,7 @@ def test_hydrated_rows_pinned(ray_session, sf_dir, tmp_path):
     ids = np.sort(pads.dataset(f"{idx}/extracted", format="parquet")
                   .to_table(columns=["doc_id"])["doc_id"].to_numpy())
     assert len(ids) == 500
-    built = _hydrated_digest(idx, ids)
+    built = _hydrated_digests(idx, ids)
 
     pick = np.random.default_rng(8).permutation(ids)
     modified, removed = np.sort(pick[:15]), np.sort(pick[15:20])
@@ -228,8 +242,9 @@ def test_hydrated_rows_pinned(ray_session, sf_dir, tmp_path):
         input_key="pin2", remove_missing=True)
     assert report["update"]["fresh_docs"] == len(modified)
     assert report["update"]["removed_docs"] == len(removed)
-    assert (built, _hydrated_digest(idx, ids)) == (
-        HYDRATED_BUILD_DIGEST, HYDRATED_UPDATE_DIGEST)
+    assert (built, _hydrated_digests(idx, ids)) == (
+        (HYDRATED_BUILD_DIGEST, PAGE_BUILD_DIGEST),
+        (HYDRATED_UPDATE_DIGEST, PAGE_UPDATE_DIGEST))
 
 
 def test_hydrate_matches_reference_after_update(ray_session, sf_dir,
@@ -363,8 +378,11 @@ def reference_render_page(keyword_stems, phrase_stems,
 
 
 def _as_rows(df: pd.DataFrame) -> pa.Table:
-    """A hydrated frame in ``Searcher.hydrate``'s Arrow row form."""
-    return pa.table({
+    """A hydrated frame in ``Searcher.hydrate``'s Arrow row form, block
+    columns included."""
+    from web_based_search_engine_ray.pipelines.search import result_blocks
+
+    rows = pa.table({
         "doc_id": pa.array(df["doc_id"], pa.int64()),
         "score": pa.array(df["score"], pa.float64()),
         "title": pa.array(df["title"], pa.string()),
@@ -380,6 +398,9 @@ def _as_rows(df: pd.DataFrame) -> pa.Table:
         "child_links": pa.array(df["child_links"],
                                 pa.large_list(pa.string())),
     })
+    for name, col in result_blocks(rows).items():
+        rows = rows.append_column(name, col)
+    return rows
 
 
 _STEMS = ({"spark", "merg"}, ["merg"])

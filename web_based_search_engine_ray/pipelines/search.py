@@ -849,14 +849,17 @@ class Searcher:
         """``Indexer.buildSearchResult`` for the k result rows only, as
         one Arrow table: ``doc_id, score`` from ``results``, then the
         :class:`_HydrateStore` columns ``title, url, last_modified,
-        page_size, keywords, parent_links, child_links``.
-        :func:`hydrated_frame` gives its pandas form.
+        page_size, keywords, parent_links, child_links, block_head,
+        block_lm, block_tail``.  :func:`hydrated_frame` gives its pandas
+        form.
 
         The store is loaded on the first call and kept for this
         Searcher's life, so a request is one ``np.searchsorted`` and one
-        ``take`` and reads no file.  Its memory is O(docs) for a
-        Searcher that hydrates: about 470 B/doc (2.35 MB Arrow + numpy)
-        on the 5,000-doc indexes of both ``perfbench`` workloads.  Docs
+        ``take`` and reads no file.  It also holds each doc's result
+        block rendered once (:func:`result_blocks`).  Its memory is
+        O(docs) for a Searcher that hydrates: about 1.5 KB/doc (7.44 MB
+        Arrow + numpy, 470 B/doc of it without the blocks) on the
+        5,000-doc indexes of both ``perfbench`` workloads.  Docs
         missing from extracted get the store's default row (``""``,
         null, ``0``, empty lists); a page with no kept term has no
         keywords."""
@@ -883,7 +886,9 @@ class _HydrateStore:
       link edges
       (:func:`~web_based_search_engine_ray.stages.extract.link_edges`);
     - ``parent_links``: the sorted distinct ``src_url`` of the edges
-      whose ``dst_url`` is the page's url.
+      whose ``dst_url`` is the page's url;
+    - ``block_head, block_lm, block_tail``: the doc's result-page block
+      but its score (:func:`result_blocks`), rendered here once per doc.
 
     The three list columns hold each doc's edges ⋈ pages and keyword
     rows pre-joined, so a request expands them for its k rows only.
@@ -927,6 +932,8 @@ class _HydrateStore:
             "parent_links": lists(parent, parent["url"].combine_chunks()),
             "child_links": lists(child, child["url"].combine_chunks()),
         })
+        for name, col in result_blocks(self.table).items():
+            self.table = self.table.append_column(name, col)
         self.nbytes = self.table.nbytes + self.keys.nbytes
 
     def rows(self, results: pd.DataFrame) -> pa.Table:
@@ -967,6 +974,81 @@ def hydrated_frame(rows: pa.Table) -> pd.DataFrame:
         "parent_links": rows["parent_links"].to_pylist(),
         "child_links": rows["child_links"].to_pylist(),
     })
+
+
+#: ``html.escape`` (``quote=True``) as ordered substring replacements
+_ESCAPES = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"),
+            ("'", "&#x27;"))
+
+
+def _escape(arr: pa.StringArray) -> pa.Array:
+    """``html.escape`` of each value; a replacement whose character is
+    not in the values' bytes is skipped."""
+    data = arr.buffers()[2]
+    data = data.to_pybytes() if data is not None else b""
+    for old, new in _ESCAPES:
+        if old.encode() in data:
+            arr = pc.replace_substring(arr, old, new)
+    return arr
+
+
+def _join_lists(lists: pa.Array, items: pa.Array, sep: str) -> pa.Array:
+    """Per list of ``lists``, its ``items`` (one per flattened value)
+    joined by ``sep``."""
+    offsets = lists.offsets.to_numpy()
+    return pc.binary_join(pa.LargeListArray.from_arrays(
+        pa.array(offsets - offsets[0]), items), sep)
+
+
+def result_blocks(rows: pa.Table) -> dict[str, pa.Array]:
+    """The ``result.jte`` block of each row of ``rows`` (the
+    :class:`_HydrateStore` page columns ``title, url, last_modified,
+    page_size, keywords, parent_links, child_links``) but its score, as
+    three string columns; a page puts ``"<li>\\n<h3>"``, the score to 4
+    decimals, ``block_head``, the ``block_lm`` text and ``block_tail``
+    together per row:
+
+    - ``block_head``: ``' <a href="URL">TITLE</a></h3>\\n<a
+      href="URL">URL</a>\\n<p>'``;
+    - ``block_lm``: ``str()`` of ``last_modified``, null where it is
+      null (the page picks that text: ``"NaT"`` when some row of the
+      page has a timestamp, ``"None"`` otherwise, as the pandas frame
+      of those rows prints it);
+    - ``block_tail``: ``', SIZE</p>\\n<p>Keywords: TERM FREQ; …</p>\\n'``
+      then the ``Parent Links:`` and ``Child Links:`` lists and
+      ``'</li>\\n'``.
+
+    All text values (titles, urls, keyword terms, links) are
+    HTML-escaped in one column-wise pass and each block is joined
+    column-wise; only ``last_modified`` is formatted per row."""
+    kw, parent, child = (rows[c].combine_chunks() for c in (
+        "keywords", "parent_links", "child_links"))
+    pairs = kw.flatten()
+    texts = [rows["title"].combine_chunks(), rows["url"].combine_chunks(),
+             pairs.field("term"), parent.flatten(), child.flatten()]
+    escaped = _escape(pa.concat_arrays(texts))
+    ends = np.cumsum([len(t) for t in texts]).tolist()
+    title, url, term, parent_url, child_url = (
+        escaped.slice(a, b - a) for a, b in zip([0] + ends, ends))
+    links = [_join_lists(lists, pc.binary_join_element_wise(
+        '<li><a href="', u, '">', u, "</a></li>\n", ""), "")
+        for lists, u in ((parent, parent_url), (child, child_url))]
+    return {
+        "block_head": pc.binary_join_element_wise(
+            ' <a href="', url, '">', title, '</a></h3>\n<a href="', url,
+            '">', url, "</a>\n<p>", ""),
+        "block_lm": pa.array(
+            [None if t is None else str(t)
+             for t in rows["last_modified"].to_pylist()], pa.string()),
+        "block_tail": pc.binary_join_element_wise(
+            ", ", rows["page_size"].cast(pa.string()),
+            "</p>\n<p>Keywords: ",
+            _join_lists(kw, pc.binary_join_element_wise(
+                term, pairs.field("freq").cast(pa.string()), " "), "; "),
+            "</p>\n<p>Parent Links:</p>\n<ul>\n", links[0],
+            "</ul>\n<p>Child Links:</p>\n<ul>\n", links[1],
+            "</ul>\n</li>\n", ""),
+    }
 
 
 def _top_keywords(fwd: pa.Table, max_keywords: int) -> pa.Table:
