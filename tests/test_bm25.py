@@ -31,7 +31,7 @@ def test_bm25_basic_properties(idx):
     ids, ttf, btf = s.postings(term)
     import math
 
-    df = s.lex_df(term)
+    df = s._lex_entry(term)[0]
     d0 = int(ids[0])
     tf = float(ttf[0] + btf[0])
     pos = np.searchsorted(s._stat_ids, d0)

@@ -304,11 +304,11 @@ def test_hydrate_reads_no_file_after_first_call(sf_index, monkeypatch):
     from web_based_search_engine_ray.pipelines.search import Searcher
 
     s = Searcher(sf_index)
-    assert s.hydrate_store_bytes == 0
+    assert s._hydrate_store is None
     res = s.search({"spark", "merge"}, k=20, hydrate=False)
     assert len(res)
     first = s.hydrate(res)
-    assert s.hydrate_store_bytes > 0
+    assert s._hydrate_store.nbytes > 0
 
     calls = []
     real = pads.dataset
@@ -329,7 +329,29 @@ def test_shard_searcher_loads_no_hydrate_store(sf_index):
     s = Searcher(sf_index, doc_shard=0)
     out = s.search_many(["spark merge", 'window "merge batch"'], k=10)
     assert len(out)
-    assert s.hydrate_store_bytes == 0
+    assert s._hydrate_store is None
+
+
+def test_empty_result_is_a_fresh_frame(sf_index):
+    """A query with no hit gets the empty frame with the result columns
+    (object dtype), a new one per call: mutating one leaves the next
+    as it was."""
+    from web_based_search_engine_ray.pipelines.search import Searcher
+
+    s = Searcher(sf_index)
+    for hydrate, cols in (
+        (False, ["doc_id", "score"]),
+        (True, ["doc_id", "score", "title", "url", "last_modified",
+                "page_size", "keywords", "parent_links", "child_links"]),
+    ):
+        want = pd.DataFrame(columns=cols)
+        got = s.search({"qqxyzzy"}, k=10, hydrate=hydrate)
+        pd.testing.assert_frame_equal(got, want)
+        assert (got.dtypes == object).all()
+        got.loc[0] = range(len(cols))
+        got["extra"] = 1
+        pd.testing.assert_frame_equal(
+            s.search({"qqxyzzy"}, k=10, hydrate=hydrate), want)
 
 
 def reference_render_page(keyword_stems, phrase_stems,

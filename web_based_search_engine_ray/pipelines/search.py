@@ -83,15 +83,15 @@ class Searcher:
     Every query word goes through one term path: :meth:`stem_query_word`
     (the process's memoized stemmer, shared with the index build) and
     :meth:`_terms` (lexicon df and upper bound, sorted and distinct).
-    Everything decoded from a term's runs (postings, phrase keys,
-    per-scorer partials, WAND views) lives in one admission-only decode
-    cache (:meth:`_cached`); the lexicon buckets keep their own byte
-    budget, so decoded postings cannot crowd them out."""
+    Each stem's lexicon entry and everything decoded from its runs
+    (postings, phrase keys, partials, WAND views) live in one
+    admission-only decode cache (:meth:`_cached`); the lexicon buckets
+    keep their own byte budget, so decoded postings cannot crowd them out."""
 
-    #: max entries of the decode cache (four kinds per term); the
-    #: Zipfian query distribution makes even a small cache very
-    #: effective
-    CACHE_TERMS = 4 * 65536
+    #: max entries of the decode cache (five kinds per term: lexicon
+    #: entry, postings, phrase keys, partials, WAND view); the Zipfian
+    #: query distribution makes even a small cache very effective
+    CACHE_TERMS = 5 * 65536
     #: byte budget of the decode cache — a count-only cap would let a
     #: handful of web-scale Zipf-head posting lists exhaust the actor
     #: heap
@@ -212,8 +212,11 @@ class Searcher:
         return out
 
     def _lex_entry(self, term: str) -> tuple[int, float] | None:
-        """(df, ub_adj) for a term, or None if absent — touches only
-        the term's hash bucket."""
+        """(df, ub_adj) for a term, or None if absent; memoized."""
+        return self._cached(("lex", None, term), self._lex_lookup, term)
+
+    def _lex_lookup(self, term: str) -> tuple[int, float] | None:
+        """Uncached :meth:`_lex_entry`: touches only the term's bucket."""
         arr, dfs, ubs = self._lex_bucket(
             stable_hash63(term) % self.cfg.num_buckets
         )
@@ -227,10 +230,6 @@ class Searcher:
         if lo < len(arr) and arr[lo].as_py() == term:
             return int(dfs[lo]), float(ubs[lo])
         return None
-
-    def lex_df(self, term: str) -> int:
-        e = self._lex_entry(term)
-        return e[0] if e else 0
 
     def stem_query_word(self, word: str) -> str | None:
         return stemmer(self.cfg.use_stopwords, self.cfg.use_stemming)(word)
@@ -729,9 +728,9 @@ class Searcher:
         ends += len(terms) - 1 - r
         return self._stat_ids[np.unique(ends >> np.int64(self.POS_BITS))]
 
-    #: cost-model constants for ``traversal="auto"`` (measured on the
-    #: Zipf fixture that perfbench zipf-query builds; BASELINE.md keeps
-    #: the round-5 taat/wand/auto history):
+    #: cost-model constants for ``traversal="auto"`` (re-fit on
+    #: shard-local volume at two Zipf scales; BASELINE.md "Traversal
+    #: re-fit", after the round-5 taat/wand/auto history):
     #: WAND pays off only when the OR-candidate volume is large enough
     #: to beat TAAT's vectorized dense pass, the per-term upper bounds
     #: are skewed enough that the pivot walk can skip (a flat-df corpus
@@ -744,7 +743,8 @@ class Searcher:
     def choose_traversal(self, words, k: int, mode: str = "ref") -> str:
         """Pick TAAT or Block-Max WAND for a plain top-k query from the
         lexicon dfs alone (no posting decode): both paths are
-        rank-identical, so this is purely a cost decision."""
+        rank-identical, so this is purely a cost decision, made on the
+        shard-local volume (df × the shard's doc share)."""
         from web_based_search_engine_ray.stages.cwand import load_kernel
 
         if mode != "bm25" and not self._can_prune:
@@ -760,11 +760,11 @@ class Searcher:
             # over the compiled kernel's capacity scores_topk_wand
             # falls back to exhaustive TAAT after building its views
             return "taat"
-        sum_df, min_df, max_df = sum(dfs), min(dfs), max(dfs)
+        volume = sum(dfs) * len(self._stat_ids) / max(1, self.n_docs)
         if (
-            sum_df >= self.WAND_AUTO_MIN_VOLUME
-            and max_df >= self.WAND_AUTO_SKEW * min_df
-            and k * self.WAND_AUTO_K_FACTOR <= sum_df
+            volume >= self.WAND_AUTO_MIN_VOLUME
+            and max(dfs) >= self.WAND_AUTO_SKEW * min(dfs)
+            and k * self.WAND_AUTO_K_FACTOR <= volume
         ):
             return "wand"
         return "taat"
@@ -812,7 +812,8 @@ class Searcher:
             ids, vals = ids[top], vals[top]
         if not len(ids):
             return _empty_results(hydrate)
-        df = pd.DataFrame({"doc_id": ids, "score": vals})
+        # ids and vals are fresh (a fancy index or the kernel's output)
+        df = pd.DataFrame({"doc_id": ids, "score": vals}, copy=False)
         return hydrated_frame(self.hydrate(df)) if hydrate else df
 
     def search_many(self, queries: list[str],
@@ -839,12 +840,6 @@ class Searcher:
         )
 
     # --------------------------------------------------------------- hydrate
-    @property
-    def hydrate_store_bytes(self) -> int:
-        """Arrow + numpy bytes of the hydration store; 0 until the first
-        :meth:`hydrate` loads it (shard Searchers never hydrate)."""
-        return self._hydrate_store.nbytes if self._hydrate_store else 0
-
     def hydrate(self, results: pd.DataFrame) -> pa.Table:
         """``Indexer.buildSearchResult`` for the k result rows only, as
         one Arrow table: ``doc_id, score`` from ``results``, then the
@@ -1186,12 +1181,15 @@ def _topk_indices(ids: np.ndarray, vals: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
+_EMPTY_RESULTS = {hydrate: pd.DataFrame(columns=["doc_id", "score"] + (
+    ["title", "url", "last_modified", "page_size", "keywords",
+     "parent_links", "child_links"] if hydrate else []))
+    for hydrate in (False, True)}
+
+
 def _empty_results(hydrate: bool) -> pd.DataFrame:
-    cols = ["doc_id", "score"]
-    if hydrate:
-        cols += ["title", "url", "last_modified", "page_size", "keywords",
-                 "parent_links", "child_links"]
-    return pd.DataFrame(columns=cols)
+    # copying a prebuilt frame costs ~1/25 of constructing one
+    return _EMPTY_RESULTS[hydrate].copy()
 
 
 class ShardedSearcher:
