@@ -25,10 +25,11 @@ def test_mulmod_mersenne61_exact():
 
 
 def test_simhash_batch_matches_reference_formula():
-    from web_based_search_engine_ray.pipelines.dedup import SimHasher, _tokens
+    from web_based_search_engine_ray.functions.tokenize import TOKEN_RE
+    from web_based_search_engine_ray.pipelines.dedup import SimHasher
 
     def ref_simhash(text: str) -> int:
-        toks = _tokens(text)
+        toks = [t.lower() for t in TOKEN_RE.split(text) if t]
         if not toks:
             return 0
         acc = np.zeros(64, dtype=np.int64)

@@ -40,13 +40,21 @@ def test_sql_bucket_parity():
 
 
 def test_hash_split_partitions_cover_and_disjoint(ray_session):
+    """``assign_split``'s ``split`` column deals every doc to exactly one
+    named split, at the ratios, and growth never moves a doc."""
     import ray.data as rd
 
-    from web_based_search_engine_ray.pipelines.sampling import hash_split
+    from web_based_search_engine_ray.pipelines.sampling import assign_split
 
-    ds = rd.from_arrow(pa.table({"doc_id": pa.array(range(2000), pa.int64())}))
-    parts = hash_split(ds, {"train": 0.9, "val": 0.05, "test": 0.05})
-    got = {k: set(v.to_pandas()["doc_id"]) for k, v in parts.items()}
+    ratios = {"train": 0.9, "val": 0.05, "test": 0.05}
+
+    def splits(n: int) -> dict:
+        ds = rd.from_arrow(pa.table({"doc_id": pa.array(range(n), pa.int64())}))
+        df = assign_split(ds, ratios).to_pandas()
+        assert set(df["split"]) <= set(ratios) and len(df) == n
+        return {k: set(df.loc[df["split"] == k, "doc_id"]) for k in ratios}
+
+    got = splits(2000)
     all_ids = set(range(2000))
     assert got["train"] | got["val"] | got["test"] == all_ids
     assert not (got["train"] & got["val"])
@@ -55,10 +63,7 @@ def test_hash_split_partitions_cover_and_disjoint(ray_session):
     # ratios hold within sampling noise at n=2000
     assert 0.85 < len(got["train"]) / 2000 < 0.95
     # growth stability: adding docs never moves existing assignments
-    ds2 = rd.from_arrow(pa.table({"doc_id": pa.array(range(3000), pa.int64())}))
-    parts2 = hash_split(ds2, {"train": 0.9, "val": 0.05, "test": 0.05})
-    train2 = set(parts2["train"].to_pandas()["doc_id"])
-    assert got["train"] == {i for i in train2 if i < 2000}
+    assert got["train"] == {i for i in splits(3000)["train"] if i < 2000}
 
 
 def test_sample_fraction_deterministic_subset(ray_session):

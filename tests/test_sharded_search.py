@@ -146,10 +146,17 @@ def sparse_index(ray_session, tmp_path_factory):
 def test_empty_shard_loads_no_stats(sparse_index):
     import os
 
-    from web_based_search_engine_ray.pipelines.search import Searcher
+    import pyarrow.parquet as pq
 
-    d_stats = os.path.join(sparse_index, "docstats")
-    assert not os.path.isdir(os.path.join(d_stats, "doc_shard=7"))
+    from web_based_search_engine_ray.pipelines.search import Searcher
+    from web_based_search_engine_ray.stages.postings import DOCSTATS_SCHEMA
+
+    # a shard that got no documents holds one typed, empty file
+    part = os.path.join(sparse_index, "docstats", "doc_shard=7",
+                        "part-0.parquet")
+    empty_part = pq.read_table(part)
+    assert empty_part.num_rows == 0
+    assert empty_part.schema.equals(DOCSTATS_SCHEMA)
     empty = Searcher(sparse_index, doc_shard=7)
     assert len(empty._stat_ids) == 0 and len(empty._n_tokens) == 0
     assert empty.search({"spark", "merge"}, k=10, hydrate=False).empty

@@ -1,7 +1,8 @@
 """The files each index stage leaves on disk: one parquet file per
 partition, a lexicon file for every term bucket (typed and empty when
-the bucket has no term), and a lexicon bucket task that converges on
-the same file when re-run."""
+the bucket has no term), a docstats file for every doc shard (typed and
+empty when the shard has no doc), and lexicon bucket and docstats shard
+tasks that converge on the same file when re-run."""
 
 from __future__ import annotations
 
@@ -110,3 +111,74 @@ def test_one_doc_build_writes_every_lexicon_bucket(ray_session, tmp_path):
     assert 0 in sizes and sum(sizes) > 0, sizes
     res = Searcher(idx).search({"solitary"}, k=5, hydrate=False)
     assert res["doc_id"].tolist() == [0]
+
+
+#: docstats rows (sorted by doc_id) of ``small_index``, and its
+#: ``_STATS.json``
+DOCSTATS_SF0001_DIGEST = (
+    "2e665b877582badc553a60c85f2d7a90be541554ef9b5729c8a5e8aef8bbe619"
+)
+STATS_SF0001 = {"total_tokens": 22438, "n_docs": 500}
+
+
+def _docstats_digest(table: pa.Table) -> str:
+    import hashlib
+
+    from web_based_search_engine_ray.stages.postings import DOCSTATS_SCHEMA
+
+    h = hashlib.sha256()
+    rows = table.sort_by("doc_id").select(DOCSTATS_SCHEMA.names)
+    for row in rows.to_pylist():
+        h.update(repr(tuple(row.values())).encode())
+    return h.hexdigest()
+
+
+def test_docstats_pinned(small_index):
+    """docstats rows and ``_STATS.json`` hash to the pinned values, and
+    each doc shard's file holds only that shard's docs."""
+    import json
+
+    import pyarrow.dataset as pads
+
+    d = os.path.join(small_index, "docstats")
+    t = pads.dataset(d, format="parquet", partitioning="hive").to_table()
+    assert _docstats_digest(t) == DOCSTATS_SF0001_DIGEST, t.num_rows
+    with open(os.path.join(d, "_STATS.json")) as f:
+        assert json.load(f) == STATS_SF0001
+    for s in (0, 1):
+        assert _parquet_files(os.path.join(d, f"doc_shard={s}")) == [
+            "part-0.parquet"
+        ]
+        ids = pq.read_table(os.path.join(d, f"doc_shard={s}"),
+                            columns=["doc_id"])["doc_id"].to_numpy()
+        assert len(ids) and (ids % 2 == s).all()
+
+
+def test_docstats_shard_task_rerun_changes_nothing(small_index, tmp_path):
+    """A retried docstats shard task (run here twice, without Ray)
+    leaves one file with the same table, which is the built docstats'
+    shard; a shard with no extracted file gets a typed empty file."""
+    from web_based_search_engine_ray.pipelines.build_index import (
+        _docstats_shard_task,
+    )
+    from web_based_search_engine_ray.stages.postings import DOCSTATS_SCHEMA
+
+    lex = pq.read_table(os.path.join(small_index, "lexicon"),
+                        columns=["term", "df"])
+    df = (dict(zip(lex["term"].to_pylist(), lex["df"].to_pylist())),)
+    ext, out = os.path.join(small_index, "extracted"), str(tmp_path / "st")
+    n_docs = STATS_SF0001["n_docs"]
+    d = os.path.join(out, "doc_shard=1")
+    first_totals = _docstats_shard_task(1, ext, out, n_docs, df)
+    first = pq.read_table(d)
+    assert _docstats_shard_task(1, ext, out, n_docs, df) == first_totals
+    assert _parquet_files(d) == ["part-0.parquet"]
+    assert first.num_rows == first_totals[0] > 0
+    assert first_totals[1] == int(first["n_tokens"].to_numpy().sum())
+    assert pq.read_table(d).equals(first)
+    built = pq.read_table(os.path.join(small_index, "docstats", "doc_shard=1"))
+    assert built.sort_by("doc_id").equals(first.sort_by("doc_id"))
+
+    assert _docstats_shard_task(2, ext, out, n_docs, df) == (0, 0)
+    empty = pq.read_table(os.path.join(out, "doc_shard=2", "part-0.parquet"))
+    assert empty.num_rows == 0 and empty.schema.equals(DOCSTATS_SCHEMA)

@@ -802,12 +802,12 @@ def _count_executions():
 
 
 def test_build_and_update_execution_counts(ray_session, tmp_path):
-    """A build runs 3 executions (the extracted write, segments,
-    docstats; its LWW check and lexicon are plain Ray tasks); an update
-    with one row per fresh url runs 4 (classify, the extracted rewrite,
-    segments, docstats); one where a fresh url has two fresh rows runs
-    the same 4, its LWW check being plain Ray tasks too; a no-op update
-    runs classify only (1)."""
+    """A build runs 2 executions (the extracted write and segments; its
+    LWW check, lexicon and docstats are plain Ray tasks); an update with
+    one row per fresh url runs 3 (classify, the extracted rewrite,
+    segments); one where a fresh url has two fresh rows runs the same 3,
+    its LWW check being plain Ray tasks too; a no-op update runs
+    classify only (1)."""
     import ray.data as rd
 
     from web_based_search_engine_ray.config import IndexConfig
@@ -838,8 +838,8 @@ def test_build_and_update_execution_counts(ray_session, tmp_path):
                                   input_key=key)
             counts[what] = len(started)
         assert (report["update"]["fresh_docs"] == 0) == (what == "no-op")
-    assert counts == {"build": 3, "one row per fresh url": 4,
-                      "two fresh rows": 4, "no-op": 1}
+    assert counts == {"build": 2, "one row per fresh url": 3,
+                      "two fresh rows": 3, "no-op": 1}
 
 
 # ---- the classify join ----------------------------------------------------
@@ -1085,8 +1085,7 @@ def test_update_udfs_give_typed_empty_blocks(ray_session, tmp_path, udf,
             functools.partial(_extract_task, cfg=IndexConfig(doc_shards=2)),
             CORPUS_SCHEMA, EXTRACTED_SCHEMA),
         "_add_doc_shard": (
-            functools.partial(_add_doc_shard, n_shards=2,
-                              schema=EXTRACTED_SCHEMA),
+            functools.partial(_add_doc_shard, n_shards=2),
             EXTRACTED_SCHEMA,
             EXTRACTED_SCHEMA.append(pa.field("doc_shard", pa.int32()))),
         # a doc shard with no files is the stored side's zero-row read

@@ -2,10 +2,10 @@
 
 Dataflow (SURVEY.md §3.1 rebuild shape) — every wide step is an explicit
 Ray Data shuffle, every stage checkpoints to parquet with a lineage
-manifest (resume skips complete stages).  Three Ray Data executions run:
-the extracted write, segments and docstats.  The LWW check and the
-lexicon are plain Ray tasks (``_run_tasks``), one per doc shard and one
-per term bucket: each lists, reads and writes its own files, so no rows
+manifest (resume skips complete stages).  Two Ray Data executions run:
+the extracted write and segments.  The LWW check, the lexicon and
+docstats are plain Ray tasks (``_run_tasks``), one per doc shard or
+term bucket: each lists, reads and writes its own files, so no rows
 flow through Ray Data and an execution would only add its fixed cost:
 
 ::
@@ -36,7 +36,9 @@ flow through Ray Data and an execution would only add its fixed cost:
                  bucket writing bucket=N/part-0.parquet   [no shuffle]
       ▼
     docstats/    extracted lists (rows with tf_max > 0) × broadcast
-                 (lexicon df) → doc_len_norm              [no shuffle]
+                 (lexicon df) → doc_len_norm, one plain Ray task per
+                 doc shard writing doc_shard=N/part-0.parquet
+                                                          [no shuffle]
       ▼
     meta.json    N (extracted rows with tf_max > 0), config, semantic
                  key, stage metrics
@@ -111,13 +113,12 @@ def _fp(*parts: str) -> str:
     return hashlib.md5("|".join(parts).encode()).hexdigest()[:16]
 
 
-def _add_doc_shard(batch: pa.Table, *, n_shards: int,
-                   schema: pa.Schema) -> pa.Table:
-    """Hive partition column of the doc-sharded stages (extracted,
-    docstats): doc_shard = doc_id % n_shards, re-derivable
-    anywhere.  A columnless block takes the stage's row ``schema``."""
+def _add_doc_shard(batch: pa.Table, *, n_shards: int) -> pa.Table:
+    """Hive partition column of ``extracted/``: doc_shard = doc_id %
+    n_shards, re-derivable anywhere.  A columnless block takes
+    :data:`EXTRACTED_SCHEMA`."""
     if not batch.num_columns:
-        batch = schema.empty_table()
+        batch = EXTRACTED_SCHEMA.empty_table()
     if "doc_shard" in batch.column_names:
         batch = batch.drop_columns(["doc_shard"])
     return batch.append_column(
@@ -216,8 +217,7 @@ def _write_extracted(ds, stage_dir: str, cfg: IndexConfig) -> None:
     """Write extracted rows ``doc_shard``-partitioned (the build's
     extracted/ stage and ``update_index``'s shard rewrite)."""
     ds.map_batches(
-        functools.partial(_add_doc_shard, n_shards=cfg.doc_shards,
-                          schema=EXTRACTED_SCHEMA),
+        functools.partial(_add_doc_shard, n_shards=cfg.doc_shards),
         batch_format="pyarrow",
     ).write_parquet(
         stage_dir,
@@ -270,9 +270,9 @@ def _shard_files(stage_dir: str, shards) -> list[str]:
 
 
 def _shuffle_parts(cfg: IndexConfig) -> int:
-    """Read parallelism of the segments and docstats plans (see
-    IndexConfig.shuffle_partitions): their reads are split to this many
-    blocks, so the segments groupby takes them as read and no plan
+    """Read parallelism of the segments plan (see
+    IndexConfig.shuffle_partitions): its read is split to this many
+    blocks, so the groupby takes them as read and no plan
     repartitions."""
     return cfg.shuffle_partitions or auto_parallelism()
 
@@ -346,6 +346,39 @@ def _lexicon_bucket_task(bucket: int, seg_dir: str, stage_dir: str) -> None:
     d = os.path.join(stage_dir, f"bucket={bucket}")
     fsio.makedirs(d)
     fsio.parquet_write_table(out, os.path.join(d, "part-0.parquet"))
+
+
+def _docstats_shard_task(s: int, ext_dir: str, stage_dir: str, n_docs: int,
+                         df: tuple) -> tuple[int, int]:
+    """One task per doc shard ``s``: stream ``extracted/doc_shard=<s>``'s
+    rows with terms (``tf_max > 0``) batch by batch through
+    :func:`doc_stats_batch` into ``stage_dir/doc_shard=<s>/part-0.parquet``
+    (typed and empty for a shard with no such row), so memory stays
+    bounded and a retried task overwrites the same file.  ``df`` is
+    ``(df_ref,)``: a top-level ``ObjectRef`` argument would reach the
+    task already resolved.  Returns the shard's rows and token total,
+    the two sums ``_STATS.json`` needs."""
+    import pyarrow.parquet as pq
+
+    d = os.path.join(stage_dir, f"doc_shard={s}")
+    fsio.makedirs(d)
+    rows = tokens = 0
+    with fsio.open_file(os.path.join(d, "part-0.parquet"), "wb") as f, \
+            pq.ParquetWriter(f, DOCSTATS_SCHEMA) as out:
+        for path in fsio.glob(os.path.join(ext_dir, f"doc_shard={s}",
+                                           "*.parquet")):
+            with fsio.open_file(path, "rb") as src:
+                for b in pq.ParquetFile(src).iter_batches(
+                        columns=["doc_id", *FORWARD_COLUMNS]):
+                    b = pa.Table.from_batches([b])
+                    b = b.filter(pc.greater(b["tf_max"], 0))
+                    if not b.num_rows:
+                        continue
+                    t = doc_stats_batch(b, n_docs=n_docs, df_ref=df[0])
+                    out.write_table(t)
+                    rows += t.num_rows
+                    tokens += int(np.sum(t["n_tokens"].to_numpy()))
+    return rows, tokens
 
 
 def build_index(
@@ -570,41 +603,19 @@ def build_index(
         except ValueError:
             terms = lex_ds.to_table(columns=["term"])["term"].to_pylist()
             df_ref = dict(zip(terms, dfs.tolist()))
-        ds = rd.read_parquet(
-            d_ext, columns=["doc_id", *FORWARD_COLUMNS], filter=has_terms,
-            override_num_blocks=_shuffle_parts(cfg),
-        )
-        stats = ds.map_batches(
-            functools.partial(doc_stats_batch, n_docs=n_docs, df_ref=df_ref),
-            batch_format="pyarrow",
-        )
-        # partition by doc shard so each shard Searcher reads ONLY its
-        # slice (per-actor state scales 1/shards); min_rows_per_file
-        # bounds the blocks × shards file fan-out of the tiny
-        # (24 B/doc) rows, as for extracted
-        stats.map_batches(
-            functools.partial(_add_doc_shard, n_shards=cfg.doc_shards,
-                              schema=DOCSTATS_SCHEMA),
-            batch_format="pyarrow",
-        ).write_parquet(
-            stage_dir,
-            partition_cols=["doc_shard"],
-            min_rows_per_file=cfg.min_rows_per_file,
-        )
+        # partitioned by doc shard so each shard Searcher reads ONLY its
+        # slice (per-actor state scales 1/shards)
+        per_shard = _run_tasks(_docstats_shard_task, [
+            (s, d_ext, stage_dir, n_docs, (df_ref,)) for s in shards
+        ])
         # global corpus stats for BM25 (avgdl must be corpus-wide, not
-        # per shard) — one skinny column scan at build time
-        tok = pads.dataset(stage_dir, format="parquet",
-                           partitioning="hive").to_table(
-            columns=["n_tokens"]
-        )
-        total_tokens = int(
-            np.sum(tok["n_tokens"].to_numpy(zero_copy_only=False))
-        )
+        # per shard), summed from the shard tasks' totals
         fsio.write_json(
             os.path.join(stage_dir, "_STATS.json"),
-            {"total_tokens": total_tokens, "n_docs": int(n_docs)},
+            {"total_tokens": sum(t for _, t in per_shard),
+             "n_docs": int(n_docs)},
         )
-        return _count_parquet(stage_dir)
+        return sum(n for n, _ in per_shard)
 
     results.append(mf.run_stage(d_stats, fp_stats, _build_docstats, resume=resume))
 

@@ -218,10 +218,6 @@ def _bucket_pairs(rows, *, key: str, ident: str, cols: tuple[str, str, str],
     )
 
 
-def _tokens(text: str) -> list[str]:
-    return [t.lower() for t in TOKEN_RE.split(text) if t]
-
-
 def _fold_shingles(hv: np.ndarray, k: int) -> np.ndarray:
     """Unique shingle hashes of one doc's token-hash sequence: each
     k-window folds as ``s = (s * SHINGLE_BASE + h_i mod p) mod p``

@@ -119,7 +119,3 @@ def _write_one(ds, path: str, fmt: str) -> int:
         ds.write_json(path, min_rows_per_file=MIN_ROWS_PER_FILE)
     return n
 
-
-def read_manifest(out_dir: str) -> dict:
-    with open(os.path.join(out_dir, "_MANIFEST.json")) as f:
-        return json.load(f)

@@ -81,20 +81,6 @@ def assign_split(ds, ratios: dict[str, float], *, salt: str = "v1"):
     return ds.map_batches(tag, batch_format="pyarrow")
 
 
-def hash_split(ds, ratios: dict[str, float]) -> dict:
-    """Deterministic named splits of :func:`assign_split`'s defaults:
-    ``{name: Dataset}``.  Each split is an independent lazy filter over
-    the tagged stream, so consuming only one split never materializes
-    the others."""
-    tagged = assign_split(ds, ratios)
-    return {
-        name: tagged.filter(
-            expr=f"split == '{name}'"
-        )
-        for name in ratios
-    }
-
-
 def sample_fraction(ds, frac: float, *, salt: str = "v1",
                     mark: str | None = None):
     """Deterministic ``frac`` down-sample (gated on the ``doc_id``

@@ -140,8 +140,8 @@ class Searcher:
         self._lex_cache_bytes = 0
 
         # docstats: shard Searchers read ONLY their docstats/doc_shard=<s>/
-        # partition.  A shard that got no documents has no partition dir
-        # and loads zero rows.
+        # partition.  A shard that got no documents holds a typed empty
+        # file (or no partition dir) and loads zero rows.
         d_stats = os.path.join(index_dir, "docstats")
         src = (
             d_stats if doc_shard is None

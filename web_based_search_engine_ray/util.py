@@ -1,25 +1,28 @@
 """Small shared helpers for pipeline parallelism.
 
 Ray sizes read blocks by bytes, so test-scale inputs collapse to one
-block (serializing map stages), while sort-shuffle cost grows with
-block count (penalizing many tiny blocks).  Pipelines therefore split
-reads to ``auto_parallelism()`` blocks.  The index plans size their
-reads for the groupby and never repartition (see
-``IndexConfig.shuffle_partitions``); the other pipelines ``coalesce``
-to one block per CPU right before a groupby.  At real
-cluster scale block counts are byte-driven and these become no-ops by
-configuration.
+block (serializing map stages), while every block is a task and a
+sort-shuffle's cost grows with block count.  Pipelines therefore split
+reads to ``auto_parallelism()`` blocks, 2 per cluster CPU: 2 on a
+1-CPU host, where each further block only adds task overhead.  The
+index plans size their reads for the groupby and never repartition
+(see ``IndexConfig.shuffle_partitions``); the other pipelines
+``coalesce`` to one block per CPU, at least 8, right before a groupby.
+At real cluster scale block counts are byte-driven and these become
+no-ops by configuration.
 """
 
 from __future__ import annotations
 
 
 def _cpus() -> int:
+    """The Ray cluster's CPU count, at least 1 (a fractional or missing
+    count still runs tasks); 4 when Ray is not initialized."""
     try:
         import ray
 
         if ray.is_initialized():
-            return max(4, int(ray.cluster_resources().get("CPU", 4)))
+            return max(1, int(ray.cluster_resources().get("CPU", 1)))
     except Exception:
         pass
     return 4
