@@ -145,7 +145,7 @@ def _varbyte_slice_points(blob: bytes, counts) -> np.ndarray:
     return out
 
 
-def _segment_table_rows(rows, shards, buckets, runs, num_buckets):
+def _segment_table_rows(rows, shards, buckets, num_buckets):
     if not rows["term"]:
         return SEGMENT_SCHEMA.empty_table()
     shards_np = np.asarray(shards, dtype=np.int64)
@@ -155,7 +155,6 @@ def _segment_table_rows(rows, shards, buckets, runs, num_buckets):
         "bucket": pa.array(buckets_np, type=pa.int32()),
         "part_key": pa.array(shards_np * num_buckets + buckets_np,
                              type=pa.int64()),
-        "run": pa.array(runs, type=pa.int32()),
     }
     for f in SEGMENT_SCHEMA:
         if f.name not in cols:
@@ -164,9 +163,9 @@ def _segment_table_rows(rows, shards, buckets, runs, num_buckets):
 
 
 def _new_rows():
-    return {k: [] for k in ("term", "df_run", "min_doc", "max_doc",
-                            "ub_run", "doc_gaps", "title_tfs",
-                            "body_tfs", "title_pos", "body_pos")}
+    return {k: [] for k in ("term", "df_run", "ub_run", "doc_gaps",
+                            "title_tfs", "body_tfs", "title_pos",
+                            "body_pos")}
 
 
 def compact_bucket_loop(group: pa.Table, *, max_run_docs: int,
@@ -185,7 +184,7 @@ def compact_bucket_loop(group: pa.Table, *, max_run_docs: int,
 
     passthrough_idx = []
     rows = _new_rows()
-    buckets, runs, shards = [], [], []
+    buckets, shards = [], []
     ub_runs_np = group["ub_run"].to_numpy(zero_copy_only=False)
     bucket = int(group["bucket"][0].as_py())
     doc_shard = int(group["doc_shard"][0].as_py())
@@ -227,13 +226,11 @@ def compact_bucket_loop(group: pa.Table, *, max_run_docs: int,
         ttfs = np.concatenate(ttf_parts)[sort]
         btfs = np.concatenate(btf_parts)[sort]
         ub_merged = float(ub_runs_np[idxs].max())
-        for chunk, cs in enumerate(range(0, len(ids), max_run_docs)):
+        for cs in range(0, len(ids), max_run_docs):
             ce = min(cs + max_run_docs, len(ids))
             sel = sort[cs:ce]
             rows["term"].append(term)
             rows["df_run"].append(int(ce - cs))
-            rows["min_doc"].append(int(ids[cs]))
-            rows["max_doc"].append(int(ids[ce - 1]))
             rows["ub_run"].append(ub_merged)
             rows["doc_gaps"].append(_encode_sorted(ids[cs:ce]))
             rows["title_tfs"].append(_varbyte_encode(ttfs[cs:ce]))
@@ -241,10 +238,9 @@ def compact_bucket_loop(group: pa.Table, *, max_run_docs: int,
             rows["title_pos"].append(b"".join(tpos_pieces[j] for j in sel))
             rows["body_pos"].append(b"".join(bpos_pieces[j] for j in sel))
             buckets.append(bucket)
-            runs.append(chunk)
             shards.append(doc_shard)
 
-    merged = _segment_table_rows(rows, shards, buckets, runs, num_buckets)
+    merged = _segment_table_rows(rows, shards, buckets, num_buckets)
     if passthrough_idx:
         kept = group.take(pa.array(passthrough_idx, type=pa.int64()))
         kept = kept.select([f.name for f in SEGMENT_SCHEMA])
@@ -383,8 +379,6 @@ def tokenize_encode_loop(enc: TokenizeEncode, batch: pa.Table) -> pa.Table:
             term = str(terms_np[s])
             rows["term"].append(term)
             rows["df_run"].append(int(e - s))
-            rows["min_doc"].append(int(docs_np[s]))
-            rows["max_doc"].append(int(docs_np[e - 1]))
             rows["ub_run"].append(float(ub[j]))
             rows["doc_gaps"].append(gaps[j])
             rows["title_tfs"].append(ttf_b[j])
@@ -393,10 +387,7 @@ def tokenize_encode_loop(enc: TokenizeEncode, batch: pa.Table) -> pa.Table:
             rows["body_pos"].append(bpos_b[j])
             buckets.append(stable_hash63(term) % nb)
             out_shards.append(int(shards_np[s]))
-    run0 = int(docs_np[0] % (1 << 30))
-    return _segment_table_rows(
-        rows, out_shards, buckets, [run0] * len(buckets), nb
-    )
+    return _segment_table_rows(rows, out_shards, buckets, nb)
 
 
 def _parquet_bytes(t: pa.Table) -> bytes:
@@ -621,10 +612,12 @@ def test_compact_bucket_splits_oversized_columns(monkeypatch):
         compact_bucket(group, max_run_docs=1000, num_buckets=1)
 
 
-#: sha256 over every ``segments`` row of the sf0.001 build below,
-#: pinned from the run-at-a-time merge that the array merge replaced
+#: sha256 over every ``segments`` row of the sf0.001 build below, in
+#: (doc_shard, bucket, term, doc_gaps) order: computed over the same
+#: columns on the format-8 build, whose digest over all of its columns
+#: was pinned from the run-at-a-time merge that the array merge replaced
 SEGMENTS_SF0001_DIGEST = (
-    "7580d8e75e0c4b11e454908f4b03a5b1509e02849026838d54cc2759954f64e6"
+    "a17ca5b62d50ff811b595edf4c8f76abffe5a6de2a887fc11377799aebe045c6"
 )
 
 
@@ -647,8 +640,10 @@ def test_segment_bytes_pinned(ray_session, sf_dir, tmp_path):
                 input_key="segment-digest", resume=False)
     seg = pads.dataset(f"{out}/segments", format="parquet",
                        partitioning="hive").to_table()
+    # a term's runs hold disjoint docs, so their doc_gaps (whose first
+    # value is the run's first doc id) differ
     seg = seg.sort_by([(c, "ascending")
-                       for c in ("doc_shard", "bucket", "term", "run")])
+                       for c in ("doc_shard", "bucket", "term", "doc_gaps")])
     h = hashlib.sha256()
     for row in seg.select([f.name for f in SEGMENT_SCHEMA]).to_pylist():
         h.update(repr(tuple(row.values())).encode())

@@ -181,7 +181,8 @@ def test_update_refuses_format_6_index(ray_session, tmp_path):
     has the config with ``dedup_urls`` and no semantic key) and format
     7 (its extracted rows have no forward lists; its meta.json config
     holds ``verify_extraction``, ``extract_batch_size`` and
-    ``min_rows_per_file``)."""
+    ``min_rows_per_file``) and format 8 (its segment rows carry
+    ``run``, ``min_doc`` and ``max_doc``)."""
     import json
 
     from web_based_search_engine_ray.config import IndexConfig
@@ -196,6 +197,7 @@ def test_update_refuses_format_6_index(ray_session, tmp_path):
                        "extract_batch_size": 256,
                        "min_rows_per_file": 65536},
             "semantic_key": _format_key(cfg, 7)},
+        8: {"config": cfg.to_dict(), "semantic_key": _format_key(cfg, 8)},
     }
 
     def no_corpus():
@@ -210,13 +212,13 @@ def test_update_refuses_format_6_index(ray_session, tmp_path):
             update_index(no_corpus, str(idx), cfg, input_key="v2")
         assert sorted(os.listdir(idx)) == ["meta.json"], fmt
     # the helper reproduces the current format's key
-    assert _format_key(cfg, 8) == cfg.semantic_key()
+    assert _format_key(cfg, 9) == cfg.semantic_key()
 
 
 def test_searchers_refuse_other_format(ray_session, tmp_path):
     """``Searcher`` and ``ShardedSearcher`` refuse an index whose
-    meta.json carries another semantic key (format 7) or none (format
-    6) with the update's "rebuild" error, instead of opening it and
+    meta.json carries another semantic key (formats 7 and 8) or none
+    (format 6) with the update's "rebuild" error, instead of opening it and
     failing on a later column read; the same index with its own key
     opens."""
     import json
@@ -243,6 +245,7 @@ def test_searchers_refuse_other_format(ray_session, tmp_path):
     old_metas = {
         6: {k: v for k, v in meta.items() if k != "semantic_key"},
         7: {**meta, "config": config7, "semantic_key": _format_key(cfg, 7)},
+        8: {**meta, "semantic_key": _format_key(cfg, 8)},
     }
     for fmt, old in old_metas.items():
         with open(path, "w") as f:

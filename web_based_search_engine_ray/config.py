@@ -44,9 +44,11 @@ class IndexConfig:
     # Segment build is local-index-then-merge: posting runs are encoded
     # per tokenize block (no shuffle of raw postings), then compacted
     # per term-hash bucket — the shuffle moves only compressed runs.
-    # Hot (Zipf-head) terms are merged into bounded chunks of
-    # ``max_run_docs`` docs so no single merge task holds a mega-term's
-    # full posting list; query unions runs (df = Σ df_run).
+    # The merge cuts each term's list into runs of at most
+    # ``max_run_docs`` docs, which bounds a segment row's bytes (one
+    # Arrow binary chunk holds < 2 GiB) for Zipf-head terms.  No reader
+    # skips runs: a query decodes every run of a term and unions them
+    # (df = Σ df_run).
     max_run_docs: int = 5_000_000
     # Document partitioning (web-search-style doc-partitioned index):
     # extracted, segments and docstats are partitioned by
@@ -74,7 +76,7 @@ class IndexConfig:
             "num_buckets": self.num_buckets,
             "max_run_docs": self.max_run_docs,
             "doc_shards": self.doc_shards,
-            "format_version": 8,  # bump when artifact schemas change
+            "format_version": 9,  # bump when artifact schemas change
         }
         return hashlib.md5(json.dumps(sem, sort_keys=True).encode()).hexdigest()[:12]
 

@@ -28,7 +28,7 @@ flow through Ray Data and an execution would only add its fixed cost:
                  compressed posting run per (term, block) — local
                  index, NO shuffle of raw postings — then compaction
                  merges runs per (doc_shard, term-bucket); each run
-                 carries block-max metadata (min/max doc, score bound)
+                 carries its df and score bound (df_run, ub_run)
                                      [shuffle: term bucket, compressed]
       ▼
     lexicon/     per-bucket Σ df_run / max ub_run (runs of a term all

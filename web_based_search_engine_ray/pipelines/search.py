@@ -29,16 +29,16 @@ Reproduces the reference search path exactly (``Indexer.search``,
 Scale note (10^12 docs): a shard ``Searcher`` reads ONLY its
 ``docstats/doc_shard=<s>`` partition (per-actor doc state scales
 1/shards), keeps the lexicon as sorted Arrow arrays with binary-search
-lookup (no vocabulary-sized Python dict), and reads posting runs via
-bucket-pruned parquet with per-run block-max metadata for decode
-skipping.  Searchers shard by ``doc_id`` behind a scatter-gather
+lookup (no vocabulary-sized Python dict), and reads a term's posting
+runs via bucket-pruned parquet, decoding them at most once per
+Searcher.  Searchers shard by ``doc_id`` behind a scatter-gather
 (``ShardedSearcher``); its ``batch_search`` is the one batch query
 path: the caller sends one ``search_many`` RPC per shard actor and
 merges every shard's top-k once (an unsharded index is the one-shard
 case).
 
 The reader speaks the layout ``build_index`` writes (``format_version``
-8): a ``bucket=``-partitioned lexicon with ``ub_adj``, ``n_tokens`` in
+9): a ``bucket=``-partitioned lexicon with ``ub_adj``, ``n_tokens`` in
 docstats plus ``docstats/_STATS.json``, and ``doc_shard=`` partitions
 of extracted, segments and docstats (``doc_shard=0`` alone when
 ``doc_shards == 1``).  Page columns, link edges and each page's
@@ -122,7 +122,9 @@ class Searcher:
         #: ``bm25=None`` for the scorer-independent kinds
         self._cache: dict[tuple, tuple | None] = {}
         self._cache_bytes = 0
-        #: decode counters (block-max pruning effectiveness measurement)
+        #: segment runs read and decoded; every run of a term is
+        #: decoded together, once per Searcher while the decode cache
+        #: admits it, so the two counts are equal
         self.run_stats = {"considered": 0, "decoded": 0}
         #: reusable dense scoring buffers (allocated on first query)
         self._acc: np.ndarray | None = None
@@ -141,23 +143,19 @@ class Searcher:
 
         # docstats: shard Searchers read ONLY their docstats/doc_shard=<s>/
         # partition.  A shard that got no documents holds a typed empty
-        # file (or no partition dir) and loads zero rows.
+        # file and loads zero rows.
         d_stats = os.path.join(index_dir, "docstats")
         src = (
             d_stats if doc_shard is None
             else os.path.join(d_stats, f"doc_shard={doc_shard}")
         )
         stat_cols = ["doc_id", "tf_max", "doc_len_norm", "n_tokens"]
-        if fsio.isdir(src):
-            stats = pads.dataset(src, format="parquet").to_table(
-                columns=stat_cols
-            ).sort_by("doc_id")
-            ids, tf_max, norm, n_tokens = (
-                stats[c].to_numpy(zero_copy_only=False) for c in stat_cols
-            )
-        else:
-            ids = np.empty(0, dtype=np.int64)
-            tf_max = norm = n_tokens = np.empty(0, dtype=np.float64)
+        stats = pads.dataset(src, format="parquet").to_table(
+            columns=stat_cols
+        ).sort_by("doc_id")
+        ids, tf_max, norm, n_tokens = (
+            stats[c].to_numpy(zero_copy_only=False) for c in stat_cols
+        )
         self._n_tokens = n_tokens.astype(np.float64)
         # corpus-global average doc length (BM25 avgdl), written by the
         # build
@@ -192,19 +190,14 @@ class Searcher:
         hit = self._lex_cache.get(b)
         if hit is not None:
             return hit
-        path = os.path.join(self._d_lex, f"bucket={b}")
-        if not fsio.isdir(path):
-            out = (pa.array([], pa.string()), np.empty(0, np.int64),
-                   np.empty(0, np.float64))
-        else:
-            t = pads.dataset(path, format="parquet").to_table(
-                columns=["term", "df", "ub_adj"]
-            ).sort_by("term")
-            out = (
-                t["term"].combine_chunks(),
-                t["df"].to_numpy(zero_copy_only=False),
-                t["ub_adj"].to_numpy(zero_copy_only=False),
-            )
+        t = pads.dataset(
+            os.path.join(self._d_lex, f"bucket={b}"), format="parquet"
+        ).to_table(columns=["term", "df", "ub_adj"]).sort_by("term")
+        out = (
+            t["term"].combine_chunks(),
+            t["df"].to_numpy(zero_copy_only=False),
+            t["ub_adj"].to_numpy(zero_copy_only=False),
+        )
         nbytes = out[0].nbytes + out[1].nbytes + out[2].nbytes
         if self._lex_cache_bytes + nbytes <= self.LEX_CACHE_BYTES:
             self._lex_cache[b] = out
@@ -246,14 +239,13 @@ class Searcher:
                 out.append((t, *e))
         return out
 
-    def _term_runs(self, term: str, columns: list[str],
-                   extra_filter=None) -> pa.Table:
+    def _term_runs(self, term: str, columns: list[str]) -> pa.Table:
+        """``columns`` of every segment run of ``term`` in this
+        Searcher's shard."""
         bucket = stable_hash63(term) % self.cfg.num_buckets
         flt = (pc.field("bucket") == bucket) & (pc.field("term") == term)
         if self.doc_shard is not None:
             flt = flt & (pc.field("doc_shard") == self.doc_shard)
-        if extra_filter is not None:
-            flt = flt & extra_filter
         return self._segments.to_table(columns=columns, filter=flt)
 
     def _cached(self, key: tuple, build, *args):
@@ -280,12 +272,22 @@ class Searcher:
                             self._postings_uncached, term)
 
     def _postings_uncached(self, term: str):
-        t = self._term_runs(term, ["df_run", "doc_gaps", "title_tfs", "body_tfs"])
+        """Every run of ``term`` (they hold disjoint docs) decoded and
+        merged: the one place a term's postings are decoded."""
+        t = self._term_runs(term, ["doc_gaps", "title_tfs", "body_tfs"])
         if t.num_rows == 0:
             return None
         self.run_stats["considered"] += t.num_rows
         self.run_stats["decoded"] += t.num_rows
-        return self._decode_runs(t, range(t.num_rows))
+        ids, ttf, btf = (
+            np.concatenate(a)
+            for a in zip(*(self._decode_run(t, i)
+                           for i in range(t.num_rows)))
+        )
+        if t.num_rows > 1:
+            order = np.argsort(ids, kind="stable")
+            ids, ttf, btf = ids[order], ttf[order], btf[order]
+        return ids, ttf, btf
 
     @staticmethod
     def _decode_run(t: pa.Table, i: int):
@@ -296,20 +298,6 @@ class Searcher:
             codec.varbyte_decode(t["title_tfs"][i].as_py()).astype(np.int64),
             codec.varbyte_decode(t["body_tfs"][i].as_py()).astype(np.int64),
         )
-
-    def _decode_runs(self, t: pa.Table, rows):
-        """Runs ``rows`` of ``t`` merged → doc-sorted (doc_ids,
-        title_tfs, body_tfs).  A term's runs hold disjoint docs, so any
-        subset of them yields exactly the full list's entries for its
-        docs."""
-        ids, ttf, btf = (
-            np.concatenate(a)
-            for a in zip(*(self._decode_run(t, int(i)) for i in rows))
-        )
-        if len(rows) > 1:
-            order = np.argsort(ids, kind="stable")
-            ids, ttf, btf = ids[order], ttf[order], btf[order]
-        return ids, ttf, btf
 
     #: bits reserved for the in-document position in a phrase key
     POS_BITS = 22
@@ -377,17 +365,16 @@ class Searcher:
         mask = np.zeros(n_stat, dtype=bool)
         mask[pos] = True
         # the sparse triple is never read once a dense image exists
-        # (both scores_arrays branches use dense/mask when tp[3] is not
-        # None) — dropping it keeps the byte-budgeted cache from paying
-        # ~1.7x per densified term
+        # (every reader uses dense/mask when tp[3] is not None) —
+        # dropping it keeps the byte-budgeted cache from paying ~1.7x
+        # per densified term
         return (None, None, None, dense, mask)
 
     def _partial(self, ids, ttf, btf, df: int, bm25: bool):
         """Per-term partial scores of decoded postings → (partials, doc
-        ordinals).  Every scoring path (cached full partials, the
-        MaxScore restricted phase, WAND views) computes partials here,
-        so a doc's contribution is bit-identical whichever path decoded
-        it.
+        ordinals), computed once per term and scorer for
+        :meth:`_term_partial`, which every scoring path (TAAT, the
+        MaxScore restricted phase, WAND views) reads.
 
         Reference TF-IDF: ``(0.9·title_tf + 0.1·body_tf) · idf / tfMax``.
         BM25: Robertson idf, k1/b length normalization over the raw
@@ -429,38 +416,21 @@ class Searcher:
         return self._densify_partial(p[0], *self._partial(*p, df, bm25))
 
     def _partial_for_candidates(self, term: str, df: int,
-                                cand_ids: np.ndarray, *,
-                                bm25: bool = False):
-        """Restricted-phase decode: only runs whose [min_doc, max_doc]
-        range contains at least one candidate are decoded (block-max
-        run skipping; the parquet filter also pushes the range test
-        down to row groups).  Returns (ids, partials, doc ordinals) of
-        the decoded runs — exact contributions for every candidate doc,
-        in the requested scorer's arithmetic (:meth:`_partial`)."""
-        if not len(cand_ids):
+                                touched: np.ndarray, *, bm25: bool = False):
+        """The MaxScore restricted phase's read: the term's cached
+        partial (:meth:`_term_partial`) restricted to the candidate
+        docs (``touched``, a mask over the shard's doc ordinals), as
+        ``(doc ordinals, partials)`` to add to the accumulator, or None
+        when the term has no postings here."""
+        tp = self._term_partial(term, df, bm25)
+        if tp is None:
             return None
-        flt = (pc.field("max_doc") >= int(cand_ids[0])) & (
-            pc.field("min_doc") <= int(cand_ids[-1])
-        )
-        t = self._term_runs(
-            term,
-            ["df_run", "min_doc", "max_doc", "doc_gaps", "title_tfs",
-             "body_tfs"],
-            extra_filter=flt,
-        )
-        if t.num_rows == 0:
-            return None
-        mins = t["min_doc"].to_numpy(zero_copy_only=False)
-        maxs = t["max_doc"].to_numpy(zero_copy_only=False)
-        lo = np.searchsorted(cand_ids, mins, side="left")
-        hi = np.searchsorted(cand_ids, maxs, side="right")
-        need = hi > lo
-        self.run_stats["considered"] += t.num_rows
-        self.run_stats["decoded"] += int(need.sum())
-        if not need.any():
-            return None
-        ids, ttf, btf = self._decode_runs(t, np.flatnonzero(need))
-        return (ids, *self._partial(ids, ttf, btf, df, bm25))
+        if tp[3] is not None:
+            pos = np.flatnonzero(tp[4] & touched)
+            return pos, tp[3][pos]
+        _ids, partial, pos = tp[:3]
+        hit = touched[pos]
+        return pos[hit], partial[hit]
 
     def scores_arrays(self, words, k: int | None = None,
                       prune: bool = False, mode: str = "ref"):
@@ -473,9 +443,10 @@ class Searcher:
         returned score is bitwise equal to it; once the k-th best provisional
         score θ exceeds what the remaining terms could give ANY unseen
         doc (Σ remaining ub / min corpus norm), remaining terms only
-        update existing candidates — and, run-level (block-max), only
-        runs whose doc range intersects the candidate set are decoded.
-        Scores of every returned doc are exact, and the true top-k is
+        update existing candidates (:meth:`_partial_for_candidates`),
+        which keeps the top-k selection small.  Every term's partial is
+        read through the decode cache either way.  Scores of every
+        returned doc are exact, and the true top-k is
         never pruned; docs outside the top-k may be absent, so pruning
         is only used for plain top-k queries (not phrase semi-joins,
         not full score dumps)."""
@@ -524,16 +495,13 @@ class Searcher:
         n_cand = 0
         restricted = False
         if prune:
-            # Cost-based check gating: restricting term i..end can only
-            # SAVE work for terms whose partials are not already cached
-            # (the restricted branch itself prefers a cached full
-            # partial, and masking a cached partial costs MORE than the
-            # plain dense add).  The bound check is O(shard) — gather +
-            # divide + partition over every candidate — so on a warm
-            # cache it is pure overhead (measured 2x per-query cost on
-            # a dense-df query mix).  uncached_suffix[i] == "some term
-            # >= i still needs a decode", the only case the check can
-            # pay for itself.
+            # Restricting saves no decode: both phases read the term's
+            # cached partial.  It only keeps non-candidates out of the
+            # top-k input, and masking a partial costs more than adding
+            # it.  The θ check scans the touched mask and partitions the
+            # candidates' provisional scores, so it runs only while some
+            # term >= i is not cached yet (uncached_suffix[i]): a query
+            # whose terms are all cached pays nothing for prune=True.
             uncached_suffix = [False] * (len(entries) + 1)
             for j in range(len(entries) - 1, -1, -1):
                 uncached_suffix[j] = (
@@ -557,24 +525,12 @@ class Searcher:
                     if unseen_best < theta:
                         restricted = True
                 if restricted:
-                    # cached full partials beat a fresh filtered read
-                    tp = self._cache.get(("partial", bm25, term), False)
-                    if tp is False:
-                        tp = self._partial_for_candidates(
-                            term, df, self._stat_ids[touched], bm25=bm25
-                        )
-                    if tp is None:
-                        continue
-                    if len(tp) == 5 and tp[3] is not None:
-                        # exact: non-candidates receive + 0.0
-                        dense, mask = tp[3], tp[4]
-                        np.add(acc, np.where(mask & touched, dense, 0.0),
-                               out=acc)
-                    else:
-                        _ids, partial, pos = tp[:3]
-                        # exact update of existing candidates only
-                        hit = touched[pos]
-                        acc[pos[hit]] += partial[hit]
+                    # exact update of existing candidates only
+                    part = self._partial_for_candidates(term, df, touched,
+                                                        bm25=bm25)
+                    if part is not None:
+                        pos, partial = part
+                        acc[pos] += partial
                 else:
                     tp = self._term_partial(term, df, bm25)
                     if tp is None:

@@ -20,17 +20,20 @@ plan:
    sort, one encode per column, and position bytes moved by a single
    gather without being decoded.  Skew handling (Zipf head at web
    scale, SURVEY.md §4): a term's merged list is re-chunked into runs
-   of at most ``max_run_docs`` docs, so no output run holds a
-   mega-term's full posting list; the query side unions runs and
+   of at most ``max_run_docs`` docs, so no output row holds a
+   mega-term's full posting list (a row must fit one Arrow binary
+   chunk); the query side reads and unions every run of a term and
    df = Σ df_run.
 
 Both stages build their binary columns straight from an encoded
 ``uint8`` blob and its row offsets (no per-row ``bytes`` objects).
 
-The segment row schema is shared by both stages; all runs of a term
-carry the same ``bucket`` (hash(term) % num_buckets), which the lexicon
+The segment row schema is shared by both stages: a run's postings,
+its ``df_run`` and its score bound ``ub_run``, and no doc range, since
+no reader decodes part of a term's list.  All runs of a term carry the
+same ``bucket`` (hash(term) % num_buckets), which the lexicon
 derivation relies on (all runs of a term meet in one bucket group, so
-Σ df_run there is the global df).
+Σ df_run there is the global df and max ub_run the term's bound).
 """
 
 from __future__ import annotations
@@ -59,13 +62,10 @@ SEGMENT_SCHEMA = pa.schema(
         ("bucket", pa.int32()),
         ("part_key", pa.int64()),   # doc_shard * num_buckets + bucket
         ("term", pa.string()),
-        ("run", pa.int32()),
         ("df_run", pa.int64()),
-        # per-run block-max metadata: doc-id range (decode-free run
-        # skipping) and score upper bound max((a·ttf+(1-a)·btf)/tfMax)
-        # over the run's docs (rank-safe run-level MaxScore restriction)
-        ("min_doc", pa.int64()),
-        ("max_doc", pa.int64()),
+        # the run's score upper bound max((a·ttf+(1-a)·btf)/tfMax) over
+        # its docs; the lexicon's ub_adj (MaxScore's term bound) is the
+        # max over a term's runs
         ("ub_run", pa.float64()),
         ("doc_gaps", pa.binary()),
         ("title_tfs", pa.binary()),
@@ -283,10 +283,7 @@ class TokenizeEncode(PostingExtractor):
             "bucket": (stable_hash63_array(r.vocab)
                        % self.cfg.num_buckets)[run_terms],
             "term": np.asarray(r.vocab, dtype=object)[run_terms],
-            "run": np.full(len(lens), docs_np[order[0]] % (1 << 30)),
             "df_run": lens,
-            "min_doc": docs[first],
-            "max_doc": docs[first + lens - 1],
             "ub_run": np.maximum.reduceat(ratio[post], first),
             "doc_gaps": codec.varbyte_encode_slices(
                 codec.delta_concat(docs, lens), lens
@@ -382,10 +379,7 @@ def _merge_runs(group: pa.Table, src: np.ndarray, runs_per_term: np.ndarray,
         "doc_shard": np.full(len(lens), group["doc_shard"][0].as_py()),
         "bucket": np.full(len(lens), group["bucket"][0].as_py()),
         "term": terms[row_term],
-        "run": rank[row_first] // max_run_docs,
         "df_run": lens,
-        "min_doc": ids[row_first],
-        "max_doc": ids[row_first + lens - 1],
         "ub_run": ub_term[row_term],
         "doc_gaps": codec.varbyte_encode_slices(
             codec.delta_concat(ids, lens), lens
