@@ -77,3 +77,27 @@ def test_phrase_doc_array_matches_reference_fold(ray_session, sf_dir,
         hits += bool(len(want))
     # both the empty and the non-empty outcome are well covered
     assert 100 < hits < 350
+
+
+def test_phrase_query_counts_every_run_read(ray_session, sf_dir):
+    """A phrase query reads each term's runs twice, once for its
+    postings and once for its phrase keys, and ``run_stats`` counts
+    both reads; the top k equals the exhaustive TAAT scores filtered
+    by the reference fold."""
+    from web_based_search_engine_ray.config import IndexConfig
+    from web_based_search_engine_ray.pipelines.search import Searcher
+    from web_based_search_engine_ray.registry import get_index
+
+    idx = get_index(sf_dir, IndexConfig())
+    words, phrase = {"merge", "join"}, ["merge", "join"]
+    s = Searcher(idx)
+    got = s.search(words, phrase=phrase, k=5, hydrate=False)
+    assert s.run_stats == {"considered": 4, "decoded": 4}, s.run_stats
+
+    ref = Searcher(idx)
+    ids, vals = ref.scores_arrays(words)
+    keep = np.isin(ids, reference_phrase_docs(ref, phrase))
+    ids, vals = ids[keep], vals[keep]
+    top = np.lexsort((ids, -vals))[:5]
+    assert len(top) and got["doc_id"].tolist() == ids[top].tolist()
+    assert got["score"].to_numpy(np.float64).tobytes() == vals[top].tobytes()

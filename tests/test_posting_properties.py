@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from web_based_search_engine_ray.config import IndexConfig
 from web_based_search_engine_ray.oracle import OracleIndex
-from web_based_search_engine_ray.stages import codec
 from web_based_search_engine_ray.stages.postings import (
     TokenizeEncode,
     compact_bucket,
+    decode_positions,
+    decode_runs,
 )
 
 WORDS = ["aa", "bb", "cc", "dd", "ee", "ff"]  # identity under analyze()
@@ -28,23 +29,22 @@ doc_strategy = st.tuples(
 
 
 def _decode_segments(seg: pa.Table):
+    ids, ttfs, btfs = decode_runs(seg)
+    tflat = decode_positions(seg["title_pos"], ttfs)
+    bflat = decode_positions(seg["body_pos"], btfs)
+    toff = np.concatenate(([0], np.cumsum(ttfs)))
+    boff = np.concatenate(([0], np.cumsum(btfs)))
+    terms = [t for t, n in zip(seg["term"].to_pylist(),
+                               seg["df_run"].to_pylist()) for _ in range(n)]
+    assert len(terms) == len(ids)
     out: dict = {}
-    for i in range(seg.num_rows):
-        term = seg["term"][i].as_py()
-        ids = codec.decode_sorted(seg["doc_gaps"][i].as_py())
-        ttfs = codec.varbyte_decode(seg["title_tfs"][i].as_py()).astype(np.int64)
-        btfs = codec.varbyte_decode(seg["body_tfs"][i].as_py()).astype(np.int64)
-        tflat = codec.decode_concat_positions(seg["title_pos"][i].as_py(), ttfs)
-        bflat = codec.decode_concat_positions(seg["body_pos"][i].as_py(), btfs)
-        toff = np.concatenate(([0], np.cumsum(ttfs)))
-        boff = np.concatenate(([0], np.cumsum(btfs)))
+    for j, (term, doc) in enumerate(zip(terms, ids)):
         d = out.setdefault(term, {})
-        for j, doc in enumerate(ids):
-            assert int(doc) not in d
-            d[int(doc)] = (
-                tflat[toff[j]:toff[j + 1]].tolist(),
-                bflat[boff[j]:boff[j + 1]].tolist(),
-            )
+        assert int(doc) not in d
+        d[int(doc)] = (
+            tflat[toff[j]:toff[j + 1]].tolist(),
+            bflat[boff[j]:boff[j + 1]].tolist(),
+        )
     return out
 
 

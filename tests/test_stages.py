@@ -36,25 +36,24 @@ def _mk_batch(rows):
 
 def _decode_rows(seg: pa.Table):
     """segment rows → {term: {doc: (ttf, btf, tpos, bpos)}}"""
+    ids, ttfs, btfs = postings.decode_runs(seg)
+    tflat = postings.decode_positions(seg["title_pos"], ttfs)
+    bflat = postings.decode_positions(seg["body_pos"], btfs)
+    toff = np.concatenate(([0], np.cumsum(ttfs)))
+    boff = np.concatenate(([0], np.cumsum(btfs)))
+    terms = [t for t, n in zip(seg["term"].to_pylist(),
+                               seg["df_run"].to_pylist()) for _ in range(n)]
+    assert len(terms) == len(ids)
     out: dict = {}
-    for i in range(seg.num_rows):
-        term = seg["term"][i].as_py()
-        ids = codec.decode_sorted(seg["doc_gaps"][i].as_py())
-        ttfs = codec.varbyte_decode(seg["title_tfs"][i].as_py()).astype(np.int64)
-        btfs = codec.varbyte_decode(seg["body_tfs"][i].as_py()).astype(np.int64)
-        tflat = codec.decode_concat_positions(seg["title_pos"][i].as_py(), ttfs)
-        bflat = codec.decode_concat_positions(seg["body_pos"][i].as_py(), btfs)
-        toff = np.concatenate(([0], np.cumsum(ttfs)))
-        boff = np.concatenate(([0], np.cumsum(btfs)))
+    for j, (term, doc) in enumerate(zip(terms, ids)):
         d = out.setdefault(term, {})
-        for j, doc in enumerate(ids):
-            assert int(doc) not in d, f"duplicate doc {doc} for {term}"
-            d[int(doc)] = (
-                int(ttfs[j]),
-                int(btfs[j]),
-                tflat[toff[j]:toff[j + 1]].tolist(),
-                bflat[boff[j]:boff[j + 1]].tolist(),
-            )
+        assert int(doc) not in d, f"duplicate doc {doc} for {term}"
+        d[int(doc)] = (
+            int(ttfs[j]),
+            int(btfs[j]),
+            tflat[toff[j]:toff[j + 1]].tolist(),
+            bflat[boff[j]:boff[j + 1]].tolist(),
+        )
     return out
 
 
@@ -205,7 +204,8 @@ def compact_bucket_loop(group: pa.Table, *, max_run_docs: int,
         bpos_pieces: list[bytes] = []
         for i in idxs:
             i = int(i)
-            ids = codec.decode_sorted(gap_blobs[i])
+            gaps = codec.varbyte_decode(gap_blobs[i])
+            ids = codec.undelta_concat(gaps, [gaps.size])
             ttfs = codec.varbyte_decode(ttf_blobs[i]).astype(np.int64)
             btfs = codec.varbyte_decode(btf_blobs[i]).astype(np.int64)
             ids_parts.append(ids)

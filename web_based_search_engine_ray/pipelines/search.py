@@ -30,8 +30,9 @@ Scale note (10^12 docs): a shard ``Searcher`` reads ONLY its
 ``docstats/doc_shard=<s>`` partition (per-actor doc state scales
 1/shards), keeps the lexicon as sorted Arrow arrays with binary-search
 lookup (no vocabulary-sized Python dict), and reads a term's posting
-runs via bucket-pruned parquet, decoding them at most once per
-Searcher.  Searchers shard by ``doc_id`` behind a scatter-gather
+runs via bucket-pruned parquet, decoding its postings at most once per
+Searcher (a phrase term's runs once more, for its positions).
+Searchers shard by ``doc_id`` behind a scatter-gather
 (``ShardedSearcher``); its ``batch_search`` is the one batch query
 path: the caller sends one ``search_many`` RPC per shard actor and
 merges every shard's top-k once (an unsharded index is the one-shard
@@ -58,10 +59,9 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
 from web_based_search_engine_ray.config import IndexConfig
-from web_based_search_engine_ray.functions.hashing import stable_hash63
 from web_based_search_engine_ray.state import fsio
 from web_based_search_engine_ray.functions.tokenize import stemmer, tokenize
-from web_based_search_engine_ray.stages import codec
+from web_based_search_engine_ray.stages import postings as seg
 from web_based_search_engine_ray.stages.extract import link_edges
 
 
@@ -83,10 +83,12 @@ class Searcher:
     Every query word goes through one term path: :meth:`stem_query_word`
     (the process's memoized stemmer, shared with the index build) and
     :meth:`_terms` (lexicon df and upper bound, sorted and distinct).
-    Each stem's lexicon entry and everything decoded from its runs
-    (postings, phrase keys, partials, WAND views) live in one
-    admission-only decode cache (:meth:`_cached`); the lexicon buckets
-    keep their own byte budget, so decoded postings cannot crowd them out."""
+    A term's runs (:meth:`_runs`) decode through ``stages.postings``,
+    the segment format's one reader.  Each stem's lexicon entry and
+    everything decoded from its runs (postings, phrase keys, partials,
+    WAND views) live in one admission-only decode cache
+    (:meth:`_cached`); the lexicon buckets keep their own byte budget,
+    so decoded postings cannot crowd them out."""
 
     #: max entries of the decode cache (five kinds per term: lexicon
     #: entry, postings, phrase keys, partials, WAND view); the Zipfian
@@ -122,9 +124,9 @@ class Searcher:
         #: ``bm25=None`` for the scorer-independent kinds
         self._cache: dict[tuple, tuple | None] = {}
         self._cache_bytes = 0
-        #: segment runs read and decoded; every run of a term is
-        #: decoded together, once per Searcher while the decode cache
-        #: admits it, so the two counts are equal
+        #: segment runs read and decoded, counted per read (a term's
+        #: postings read, and a phrase term's positions read); every
+        #: read decodes all its runs, so the two counts are equal
         self.run_stats = {"considered": 0, "decoded": 0}
         #: reusable dense scoring buffers (allocated on first query)
         self._acc: np.ndarray | None = None
@@ -210,9 +212,7 @@ class Searcher:
 
     def _lex_lookup(self, term: str) -> tuple[int, float] | None:
         """Uncached :meth:`_lex_entry`: touches only the term's bucket."""
-        arr, dfs, ubs = self._lex_bucket(
-            stable_hash63(term) % self.cfg.num_buckets
-        )
+        arr, dfs, ubs = self._lex_bucket(self._bucket(term))
         lo, hi = 0, len(arr)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -239,14 +239,25 @@ class Searcher:
                 out.append((t, *e))
         return out
 
-    def _term_runs(self, term: str, columns: list[str]) -> pa.Table:
-        """``columns`` of every segment run of ``term`` in this
-        Searcher's shard."""
-        bucket = stable_hash63(term) % self.cfg.num_buckets
-        flt = (pc.field("bucket") == bucket) & (pc.field("term") == term)
+    def _bucket(self, term: str) -> int:
+        return int(seg.term_buckets([term], self.cfg.num_buckets)[0])
+
+    def _runs(self, term: str, extra_columns: tuple = ()) -> pa.Table:
+        """Every segment run of ``term`` in this Searcher's shard, with
+        the columns ``decode_runs`` reads plus ``extra_columns``; each
+        read is counted in ``run_stats``."""
+        flt = ((pc.field("bucket") == self._bucket(term))
+               & (pc.field("term") == term))
         if self.doc_shard is not None:
             flt = flt & (pc.field("doc_shard") == self.doc_shard)
-        return self._segments.to_table(columns=columns, filter=flt)
+        t = self._segments.to_table(
+            columns=["df_run", "doc_gaps", "title_tfs", "body_tfs",
+                     *extra_columns],
+            filter=flt,
+        )
+        self.run_stats["considered"] += t.num_rows
+        self.run_stats["decoded"] += t.num_rows
+        return t
 
     def _cached(self, key: tuple, build, *args):
         """The decode cache's entry for ``key``, else ``build(*args)``,
@@ -273,34 +284,18 @@ class Searcher:
 
     def _postings_uncached(self, term: str):
         """Every run of ``term`` (they hold disjoint docs) decoded and
-        merged: the one place a term's postings are decoded."""
-        t = self._term_runs(term, ["doc_gaps", "title_tfs", "body_tfs"])
+        merged into doc order."""
+        t = self._runs(term)
         if t.num_rows == 0:
             return None
-        self.run_stats["considered"] += t.num_rows
-        self.run_stats["decoded"] += t.num_rows
-        ids, ttf, btf = (
-            np.concatenate(a)
-            for a in zip(*(self._decode_run(t, i)
-                           for i in range(t.num_rows)))
-        )
+        ids, ttf, btf = seg.decode_runs(t)
         if t.num_rows > 1:
             order = np.argsort(ids, kind="stable")
             ids, ttf, btf = ids[order], ttf[order], btf[order]
         return ids, ttf, btf
 
-    @staticmethod
-    def _decode_run(t: pa.Table, i: int):
-        """Run ``i`` of ``t`` → (doc_ids, title_tfs, body_tfs), the
-        single varbyte decode every posting reader goes through."""
-        return (
-            codec.decode_sorted(t["doc_gaps"][i].as_py()),
-            codec.varbyte_decode(t["title_tfs"][i].as_py()).astype(np.int64),
-            codec.varbyte_decode(t["body_tfs"][i].as_py()).astype(np.int64),
-        )
-
     #: bits reserved for the in-document position in a phrase key
-    POS_BITS = 22
+    POS_BITS = seg.POS_BITS
 
     def postings_with_positions(self, term: str):
         """Phrase-match representation of a term's postings: a pair of
@@ -314,35 +309,22 @@ class Searcher:
                             self._positions_uncached, term)
 
     def _positions_uncached(self, term: str):
-        t = self._term_runs(
-            term,
-            ["doc_gaps", "title_tfs", "body_tfs", "title_pos", "body_pos"],
-        )
+        """Its own read of the runs: a second filtered read need not
+        return them in the cached postings' row order."""
+        t = self._runs(term, ("title_pos", "body_pos"))
         if t.num_rows == 0:
             return None
-        tkey_parts, bkey_parts = [], []
+        ids, ttfs, btfs = seg.decode_runs(t)
+        tflat = seg.decode_positions(t["title_pos"], ttfs)
+        bflat = seg.decode_positions(t["body_pos"], btfs)
+        top = max(tflat.max(initial=0), bflat.max(initial=0))
+        if top >= (1 << self.POS_BITS) - 1:
+            raise ValueError(f"document position exceeds 2^{self.POS_BITS}")
         shift = np.int64(self.POS_BITS)
-        limit = 1 << self.POS_BITS
-        for i in range(t.num_rows):
-            ids, ttfs, btfs = self._decode_run(t, i)
-            tflat = codec.decode_concat_positions(t["title_pos"][i].as_py(), ttfs)
-            bflat = codec.decode_concat_positions(t["body_pos"][i].as_py(), btfs)
-            if (tflat.size and tflat.max() >= limit - 1) or (
-                bflat.size and bflat.max() >= limit - 1
-            ):
-                raise ValueError(
-                    f"document position exceeds 2^{self.POS_BITS}"
-                )
-            ordinals = np.searchsorted(self._stat_ids, ids)
-            tkey_parts.append(
-                (np.repeat(ordinals, ttfs) << shift) | tflat
-            )
-            bkey_parts.append(
-                (np.repeat(ordinals, btfs) << shift) | bflat
-            )
-        tkeys = np.concatenate(tkey_parts)
-        bkeys = np.concatenate(bkey_parts)
-        if len(tkey_parts) > 1:
+        ordinals = np.searchsorted(self._stat_ids, ids)
+        tkeys = (np.repeat(ordinals, ttfs) << shift) | tflat
+        bkeys = (np.repeat(ordinals, btfs) << shift) | bflat
+        if t.num_rows > 1:
             tkeys.sort()
             bkeys.sort()
         return tkeys, bkeys

@@ -24,12 +24,12 @@ import numpy as np
 import pandas as pd
 
 from web_based_search_engine_ray.config import ORACLE_CONFIG, IndexConfig
+from web_based_search_engine_ray.sources.webcorpus import (
+    SQL_TITLE, SQL_URL, SQL_WARC_TS,
+)
 
 CACHE_ROOT = "/tmp/wbse_index_cache"
 
-# --- SQL fragments reproducing the synthetic corpus on `documents` ---------
-_SQL_URL = "'https://corpus.example.com/' || printf('%012d', doc_id) || '.html'"
-_SQL_TITLE = "'Doc ' || CAST(doc_id AS VARCHAR)"
 # tokens of a string s with the reference regex, non-empty, lowercased
 _TOKS = (
     "list_filter(string_split_regex({s}, '[^a-zA-Z0-9_-]+'), x -> x <> '')"
@@ -44,8 +44,8 @@ _BODY_TOKENS = f"""
     FROM documents
 """
 _TITLE_TOKENS = f"""
-    SELECT doc_id, lower(unnest({_TOKS.format(s=_SQL_TITLE)})) AS term,
-           unnest(range(len({_TOKS.format(s=_SQL_TITLE)}))) AS pos
+    SELECT doc_id, lower(unnest({_TOKS.format(s=SQL_TITLE)})) AS term,
+           unnest(range(len({_TOKS.format(s=SQL_TITLE)}))) AS pos
     FROM documents
 """
 
@@ -236,7 +236,7 @@ def _pagerank_sql() -> str:
     d = repr(_PAGERANK_DAMPING)
     ctes = [
         f"""edges AS (
-            SELECT {_SQL_URL} AS src,
+            SELECT {SQL_URL} AS src,
                    'https://corpus.example.com/' || printf('%012d', doc_id + off) || '.html' AS dst
             FROM documents, (SELECT unnest([1, 7, 42]) AS off)
         )""",
@@ -2526,10 +2526,10 @@ def _media_features_sql() -> str:
 
 def oracle_sql():
     toks = _TOKS.format(s="text")
-    title_toks = _TOKS.format(s=_SQL_TITLE)
+    title_toks = _TOKS.format(s=SQL_TITLE)
     terms_in = ", ".join(f"'{t}'" for t in _SEARCH_TERMS)
     return {
-        "extract_text": f"SELECT {_SQL_URL} AS url, text FROM documents",
+        "extract_text": f"SELECT {SQL_URL} AS url, text FROM documents",
         "term_df": f"""
             WITH toks AS (
                 SELECT doc_id, lower(unnest({toks})) AS term FROM documents
@@ -2593,7 +2593,7 @@ def oracle_sql():
             WHERE a.term = '{_PHRASE[0]}' AND b.term = '{_PHRASE[1]}'
         """,
         "link_edges": f"""
-            SELECT {_SQL_URL} AS src_url,
+            SELECT {SQL_URL} AS src_url,
                    'https://corpus.example.com/' || printf('%012d', doc_id + off) || '.html' AS dst_url
             FROM documents, (SELECT unnest([1, 7, 42]) AS off)
         """,
@@ -2605,9 +2605,8 @@ def oracle_sql():
         "search_stemmed": _stemmed_search_sql(_oracle_sf_dir()),
         "stemmed_conformance": _stemmed_conformance_sql(_oracle_sf_dir()),
         "docmeta": f"""
-            SELECT doc_id, {_SQL_URL} AS url, {_SQL_TITLE} AS title,
-                   TIMESTAMP '2024-01-01 00:00:00'
-                     + to_microseconds(doc_id * 1000000) AS last_modified,
+            SELECT doc_id, {SQL_URL} AS url, {SQL_TITLE} AS title,
+                   {SQL_WARC_TS} AS last_modified,
                    lang
             FROM documents
         """,

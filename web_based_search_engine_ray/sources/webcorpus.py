@@ -8,8 +8,9 @@ from the driver-provided ``documents.parquet`` (``doc_id, text, lang,
 ``doc_id`` column is carried along; real Common-Crawl inputs without one
 get ``doc_id = stable_hash63(url)`` in the extract stage.
 
-Every derivation below is mirrored 1:1 by SQL expressions (see
-``sql_exprs``) so DuckDB oracles can reproduce the corpus from the
+Every derivation below is mirrored 1:1 by SQL expressions
+(``SQL_URL``, ``SQL_TITLE``, ``SQL_WARC_TS``, which the registry's
+oracles use) so DuckDB oracles can reproduce the corpus from the
 ``documents`` view:
 
 - ``url     = 'https://corpus.example.com/' || printf('%012d', doc_id) || '.html'``
@@ -43,7 +44,9 @@ LINK_OFFSETS = (1, 7, 42)
 #: SQL fragments reproducing the derivations on the ``documents`` view.
 SQL_URL = "'https://corpus.example.com/' || printf('%012d', doc_id) || '.html'"
 SQL_TITLE = "'Doc ' || CAST(doc_id AS VARCHAR)"
-SQL_WARC_TS = "TIMESTAMP '2024-01-01 00:00:00' + to_microseconds(doc_id * 1000000)"
+#: (two lines, indented as the docmeta oracle prints it)
+SQL_WARC_TS = ("TIMESTAMP '2024-01-01 00:00:00'\n"
+               "                     + to_microseconds(doc_id * 1000000)")
 
 
 def doc_url(doc_id: int) -> str:

@@ -71,11 +71,6 @@ def varbyte_nbytes(values: np.ndarray) -> np.ndarray:
     return nbytes
 
 
-def decode_sorted(blob: bytes) -> np.ndarray:
-    """Doc-id run bytes → ascending int64 doc ids (gap cumsum)."""
-    return np.cumsum(varbyte_decode(blob).astype(np.int64))
-
-
 def delta_concat(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Delta-encode concatenated ascending sublists in place of value
     space: gap within each sublist, first element absolute."""
@@ -105,9 +100,3 @@ def undelta_concat(gaps: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
     nz = lengths > 0
     return c - np.repeat(excl[starts[nz]], lengths[nz])
-
-
-def decode_concat_positions(blob: bytes, lengths: np.ndarray) -> np.ndarray:
-    """Position run bytes → the flat concatenated per-doc positions
-    (slice with ``lengths`` offsets; ``lengths`` are the doc tfs)."""
-    return undelta_concat(varbyte_decode(blob), lengths)

@@ -31,9 +31,13 @@ Both stages build their binary columns straight from an encoded
 The segment row schema is shared by both stages: a run's postings,
 its ``df_run`` and its score bound ``ub_run``, and no doc range, since
 no reader decodes part of a term's list.  All runs of a term carry the
-same ``bucket`` (hash(term) % num_buckets), which the lexicon
-derivation relies on (all runs of a term meet in one bucket group, so
-Σ df_run there is the global df and max ub_run the term's bound).
+same ``bucket`` (:func:`term_buckets`), which the lexicon derivation
+relies on (all runs of a term meet in one bucket group, so Σ df_run
+there is the global df and max ub_run the term's bound).
+
+The format's one reader is here too: :func:`decode_runs` and
+:func:`decode_positions` decode segment rows for compaction and for the
+``Searcher`` alike, and :data:`POS_BITS` is the position budget.
 """
 
 from __future__ import annotations
@@ -55,6 +59,16 @@ from web_based_search_engine_ray.functions.tokenize import (
     stemmer,
 )
 from web_based_search_engine_ray.stages import codec
+
+#: bits of a position in a phrase key ``doc_ordinal << POS_BITS | pos``
+POS_BITS = 22
+
+
+def term_buckets(terms, num_buckets: int) -> np.ndarray:
+    """The segment and lexicon bucket of each of ``terms``:
+    ``stable_hash63(term) % num_buckets``, as int64."""
+    return stable_hash63_array(terms) % num_buckets
+
 
 SEGMENT_SCHEMA = pa.schema(
     [
@@ -105,11 +119,11 @@ class PostingExtractor:
     one integer sort that groups the tokens into rows.
     """
 
-    #: positions must fit the phrase-key packing (Searcher.POS_BITS):
+    #: positions must fit the phrase-key packing (:data:`POS_BITS`):
     #: a pathological multi-million-token doc is indexed only on its
     #: first 2^22-1 filtered tokens (logged) instead of poisoning every
     #: phrase query that touches one of its terms at query time
-    POS_LIMIT = (1 << 22) - 1
+    POS_LIMIT = (1 << POS_BITS) - 1
 
     def __init__(self, cfg: IndexConfig):
         self.cfg = cfg
@@ -199,6 +213,29 @@ def _binary_parts(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
     return data, np.concatenate(offsets)
 
 
+def _decode_column(col: pa.ChunkedArray) -> np.ndarray:
+    """Every varbyte value of a binary column, in row order (uint64)."""
+    return codec.varbyte_decode(_binary_parts(col)[0])
+
+
+def decode_runs(t: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segment rows ``t`` → their ``(doc_ids, title_tfs, body_tfs)``
+    as int64, in row order: one varbyte pass per column over all rows,
+    row lengths from ``df_run``."""
+    df = t["df_run"].to_numpy()
+    return (
+        codec.undelta_concat(_decode_column(t["doc_gaps"]), df),
+        _decode_column(t["title_tfs"]).astype(np.int64),
+        _decode_column(t["body_tfs"]).astype(np.int64),
+    )
+
+
+def decode_positions(col: pa.ChunkedArray, tfs: np.ndarray) -> np.ndarray:
+    """A ``title_pos`` / ``body_pos`` column → its positions, flat in
+    row order; ``tfs`` are the same rows' tfs of that field."""
+    return codec.undelta_concat(_decode_column(col), tfs)
+
+
 def _row_cuts(offsets: list[np.ndarray]) -> list[int]:
     """Row boundaries splitting the rows so that no slice holds more
     than ``MAX_CHUNK_BYTES`` of any binary column."""
@@ -280,8 +317,7 @@ class TokenizeEncode(PostingExtractor):
         run_terms = r.term[post[first]]
         cols = {
             "doc_shard": shards_np[post[first]],
-            "bucket": (stable_hash63_array(r.vocab)
-                       % self.cfg.num_buckets)[run_terms],
+            "bucket": term_buckets(r.vocab, self.cfg.num_buckets)[run_terms],
             "term": np.asarray(r.vocab, dtype=object)[run_terms],
             "df_run": lens,
             "ub_run": np.maximum.reduceat(ratio[post], first),
@@ -308,14 +344,14 @@ def compact_bucket(group: pa.Table, *, max_run_docs: int,
     runs of ≤ ``max_run_docs`` docs.
 
     Single-run terms (the Zipf tail — the vast majority) pass through
-    untouched, ahead of the merged rows.  The multi-run terms are merged
-    as whole-group arrays: one varbyte decode of each doc-gap / tf
-    column buffer, one ``lexsort`` by (term, doc id) whose rank within
-    the term gives the output run, and one encode per column.  Position
-    bytes are never decoded: within-doc deltas are invariant under doc
-    reordering, so each doc's position bytes (located from the value
-    ends of the source buffer and the doc tfs) are spliced into the
-    output by a single gather."""
+    untouched, ahead of the merged rows.  The multi-run terms' rows are
+    merged as whole arrays: one :func:`decode_runs` pass, one
+    ``lexsort`` by (term, doc id) whose rank within the term gives the
+    output run, and one encode per column.  Position bytes are never
+    decoded: within-doc deltas are invariant under doc reordering, so
+    each doc's position bytes (located from the value ends of the
+    source buffer and the doc tfs) are spliced into the output by a
+    single gather."""
     if group.num_rows == 0:
         return SEGMENT_SCHEMA.empty_table()
     terms_np = np.asarray(group["term"])
@@ -346,20 +382,10 @@ def _merge_runs(group: pa.Table, src: np.ndarray, runs_per_term: np.ndarray,
     """Merge the source runs ``src`` (row indices of ``group``, grouped
     by term in ``terms`` order, ``runs_per_term`` each) into chunked
     doc-sorted runs."""
-    run_term = np.repeat(np.arange(len(terms)), runs_per_term)
-
-    def column(name):
-        """(bytes, value-end mask, first value index per row) of a
-        varbyte column"""
-        data, offs = _binary_parts(group[name])
-        is_end = data < 0x80
-        return data, is_end, np.concatenate(([0], np.cumsum(is_end)))[offs]
-
-    data, _, gap_first = column("doc_gaps")
-    df = np.diff(gap_first)[src]
-    gaps = codec.varbyte_decode(data)[_ranges(gap_first[src], df)]
-    ids = codec.undelta_concat(gaps, df)
-    doc_term = np.repeat(run_term, df)
+    runs = group.take(pa.array(src, type=pa.int64()))
+    df = runs["df_run"].to_numpy()
+    ids, ttf, btf = decode_runs(runs)
+    doc_term = np.repeat(np.repeat(np.arange(len(terms)), runs_per_term), df)
     perm = np.lexsort((ids, doc_term))
     ids = ids[perm]
     term_docs = np.bincount(doc_term, minlength=len(terms))
@@ -372,9 +398,8 @@ def _merge_runs(group: pa.Table, src: np.ndarray, runs_per_term: np.ndarray,
     # merged-run bound: max of the term's source-run bounds
     # (conservative — rank-safe; exact per-chunk bounds would need
     # per-doc tfMax)
-    ub_src = group["ub_run"].to_numpy()[src]
-    ub_term = np.maximum.reduceat(ub_src, np.cumsum(runs_per_term)
-                                  - runs_per_term)
+    ub_term = np.maximum.reduceat(runs["ub_run"].to_numpy(),
+                                  np.cumsum(runs_per_term) - runs_per_term)
     cols = {
         "doc_shard": np.full(len(lens), group["doc_shard"][0].as_py()),
         "bucket": np.full(len(lens), group["bucket"][0].as_py()),
@@ -385,16 +410,15 @@ def _merge_runs(group: pa.Table, src: np.ndarray, runs_per_term: np.ndarray,
             codec.delta_concat(ids, lens), lens
         ),
     }
-    for name in ("title", "body"):
-        data, _, tf_first = column(f"{name}_tfs")
-        tf = codec.varbyte_decode(data)[_ranges(tf_first[src], df)]
-        tf = tf.astype(np.int64)
+    for name, tf in (("title", ttf), ("body", btf)):
         cols[f"{name}_tfs"] = codec.varbyte_encode_slices(tf[perm], lens)
         # each source doc's position byte range: its first value is
         # the run's first value plus the tfs of the docs before it
-        data, is_end, pos_first = column(f"{name}_pos")
+        data, offs = _binary_parts(runs[f"{name}_pos"])
+        is_end = data < 0x80
+        pos_first = np.concatenate(([0], np.cumsum(is_end)))[offs[:-1]]
         doc_first_val = (
-            np.repeat(pos_first[src], df) + codec.undelta_concat(tf, df) - tf
+            np.repeat(pos_first, df) + codec.undelta_concat(tf, df) - tf
         )
         val_start = np.concatenate(([0], np.flatnonzero(is_end) + 1))
         lo = val_start[doc_first_val][perm]
