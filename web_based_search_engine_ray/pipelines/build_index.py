@@ -61,6 +61,16 @@ df = Σ df_run.  No plan repartitions: reads are split to
 ``cfg.shuffle_partitions`` blocks (Ray sort-shuffle cost scales with
 block count), and partitioned writes bound their file fan-out with
 ``cfg.min_rows_per_file``.
+
+Every index parquet file is written with one policy
+(``_parquet_options``): zstd at Arrow's default level, and min/max
+statistics only for the columns a reader filters on, declared beside
+each stage's schema: segments ``term`` (the ``Searcher``'s pushdown),
+extracted ``tf_max`` (the count of N), none for lexicon and docstats,
+whose readers read whole files.  Readers
+project columns and take any codec, so an index of the same format
+written with Arrow's defaults (snappy, statistics on every column)
+searches and updates unchanged.
 """
 
 from __future__ import annotations
@@ -80,7 +90,9 @@ from web_based_search_engine_ray.functions.hashing import md5_u64_array
 from web_based_search_engine_ray.stages.extract import Extractor
 from web_based_search_engine_ray.state import fsio
 from web_based_search_engine_ray.stages.postings import (
+    DOCSTATS_FILTER_COLUMNS,
     DOCSTATS_SCHEMA,
+    SEGMENT_FILTER_COLUMNS,
     ForwardRows,
     TokenizeEncode,
     compact_bucket,
@@ -107,6 +119,17 @@ EXTRACTED_SCHEMA = pa.schema([
     ("title_tfs", pa.list_(pa.int64())), ("body_tfs", pa.list_(pa.int64())),
     ("tf_max", pa.int64()),
 ])
+#: ``extracted/``'s one filtered column: N counts its rows with
+#: ``tf_max > 0``
+EXTRACTED_FILTER_COLUMNS = ("tf_max",)
+
+
+def _parquet_options(filter_columns) -> dict:
+    """Write options of every index parquet file: zstd at Arrow's
+    default level, and min/max statistics only for the stage's
+    ``filter_columns``, the columns some reader pushes a filter down
+    to."""
+    return {"compression": "zstd", "write_statistics": list(filter_columns)}
 
 
 def _fp(*parts: str) -> str:
@@ -191,7 +214,8 @@ def _lww_shard_dedup_task(d: str) -> int:
         return 0
     t = fsio.parquet_read_table(inputs)
     keep = _lww_group_extracted(t)
-    fsio.parquet_write_table(keep, comp + ".tmp")
+    fsio.parquet_write_table(keep, comp + ".tmp",
+                             **_parquet_options(EXTRACTED_FILTER_COLUMNS))
     fsio.replace(comp + ".tmp", comp)
     for p in inputs:
         fsio.remove(p)
@@ -223,6 +247,7 @@ def _write_extracted(ds, stage_dir: str, cfg: IndexConfig) -> None:
         stage_dir,
         partition_cols=["doc_shard"],
         min_rows_per_file=cfg.min_rows_per_file,
+        **_parquet_options(EXTRACTED_FILTER_COLUMNS),
     )
 
 
@@ -311,6 +336,8 @@ _LEXICON_SCHEMA = pa.schema([
     ("term", pa.string()), ("term_hash", pa.uint64()), ("df", pa.int64()),
     ("ub_adj", pa.float64()),
 ])
+#: lexicon readers read whole bucket files: no column statistics
+_LEXICON_FILTER_COLUMNS = ()
 
 
 def _lexicon_bucket_task(bucket: int, seg_dir: str, stage_dir: str) -> None:
@@ -345,7 +372,8 @@ def _lexicon_bucket_task(bucket: int, seg_dir: str, stage_dir: str) -> None:
         })
     d = os.path.join(stage_dir, f"bucket={bucket}")
     fsio.makedirs(d)
-    fsio.parquet_write_table(out, os.path.join(d, "part-0.parquet"))
+    fsio.parquet_write_table(out, os.path.join(d, "part-0.parquet"),
+                             **_parquet_options(_LEXICON_FILTER_COLUMNS))
 
 
 def _docstats_shard_task(s: int, ext_dir: str, stage_dir: str, n_docs: int,
@@ -363,8 +391,9 @@ def _docstats_shard_task(s: int, ext_dir: str, stage_dir: str, n_docs: int,
     d = os.path.join(stage_dir, f"doc_shard={s}")
     fsio.makedirs(d)
     rows = tokens = 0
+    opts = _parquet_options(DOCSTATS_FILTER_COLUMNS)
     with fsio.open_file(os.path.join(d, "part-0.parquet"), "wb") as f, \
-            pq.ParquetWriter(f, DOCSTATS_SCHEMA) as out:
+            pq.ParquetWriter(f, DOCSTATS_SCHEMA, **opts) as out:
         for path in fsio.glob(os.path.join(ext_dir, f"doc_shard={s}",
                                            "*.parquet")):
             with fsio.open_file(path, "rb") as src:
@@ -544,7 +573,8 @@ def build_index(
                 num_buckets=cfg.num_buckets,
             ),
             batch_format="pyarrow",
-        ).write_parquet(out, partition_cols=["doc_shard", "bucket"])
+        ).write_parquet(out, partition_cols=["doc_shard", "bucket"],
+                        **_parquet_options(SEGMENT_FILTER_COLUMNS))
 
     results.append(_run_sharded_stage("segments", fp_seg, _build_segments))
 
@@ -631,6 +661,7 @@ def build_index(
                 "rows": r.rows,
                 "wall_sec": round(r.wall_sec, 4),
                 "skipped": r.skipped,
+                "bytes": fsio.du(r.path),
             }
             for r in results
         ],

@@ -88,6 +88,10 @@ SEGMENT_SCHEMA = pa.schema(
         ("body_pos", pa.binary()),
     ]
 )
+#: the one segment column a reader filters on: ``Searcher._runs`` pushes
+#: ``term ==`` down to the row groups (``doc_shard`` and ``bucket`` are
+#: hive dirs), so only ``term`` gets min/max statistics
+SEGMENT_FILTER_COLUMNS = ("term",)
 
 
 class TermRows(NamedTuple):
@@ -493,6 +497,8 @@ def sorted_hash_lookup(hv: np.ndarray, dfs) -> tuple:
 DOCSTATS_SCHEMA = pa.schema([("doc_id", pa.int64()), ("tf_max", pa.int64()),
                              ("doc_len_norm", pa.float64()),
                              ("n_tokens", pa.int64())])
+#: docstats' readers read whole files: no column statistics
+DOCSTATS_FILTER_COLUMNS = ()
 
 
 def doc_stats_batch(batch: pa.Table, *, n_docs: int, df_ref) -> pa.Table:

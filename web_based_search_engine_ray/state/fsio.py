@@ -184,6 +184,11 @@ def walk_files(path: str) -> list[str]:
     return sorted(pre + f for f in fs.find(p))
 
 
+def du(path: str) -> int:
+    """Total bytes of every file under ``path``."""
+    return sum(getsize(f) for f in walk_files(path))
+
+
 def open_file(path: str, mode: str = "r"):
     if not is_uri(path):
         return open(path, mode)
